@@ -9,7 +9,9 @@ so the velocity can be eliminated exactly, leaving the SPD pressure Schur
 system S p = G with S = B A^-1 B^T, where B_{jk} = |k| grad(phi_j)|_k couples
 pressure test functions to element velocities.  S is singular exactly on
 constants; the conjugate gradient solver below deflates that mode and the
-pressure is afterwards shifted to zero mean.  Velocity recovery
+pressure is afterwards shifted to zero mean.  CG is preconditioned by a
+smoothed-aggregation V-cycle (:mod:`.multigrid`) whose hierarchy is built
+once per mesh from S0 = B diag(1/|k|) B^T.  Velocity recovery
 u_k = A_k^-1 (F_k - |k| grad p|_k) then satisfies the momentum rows exactly.
 """
 
@@ -21,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh
+from .multigrid import SmoothedAggregation, VCycle
 from .problems import ProblemSpec, eval_k_inverse
 from .spaces import (
     P0VectorField,
@@ -55,13 +58,6 @@ class ElementBlocks:
 
 
 @dataclass
-class DivergenceCoupling:
-    """Pressure-velocity coupling B_{jk} = |k| grad(phi_j)|_k, shape (m, 3, 2)."""
-
-    b: np.ndarray
-
-
-@dataclass
 class PressureSystem:
     """Assembled Schur system S p = G plus the step right side F."""
 
@@ -71,14 +67,16 @@ class PressureSystem:
     blocks: ElementBlocks
 
 
-def deflated_cg(s, rhs, x0=None, tol=1e-12, maxiter=None, diag=None):
+def deflated_cg(s, rhs, x0=None, tol=1e-12, maxiter=None, precond=None):
     """Conjugate gradients on the constants-deflected subspace.
 
     The right side, the initial guess and every residual are projected
     against the constant vector (the kernel of S), which keeps the iteration
-    in the subspace where S is positive definite.  Returns ``(x, iterations)``
-    with the relative residual below ``tol``; raises LinearSolverError with
-    the residual history otherwise.
+    in the subspace where S is positive definite.  ``precond`` maps a
+    residual to a mean-zero search direction and must be symmetric positive
+    definite on that subspace.  Returns ``(x, iterations)`` with the relative
+    residual ||r|| / ||rhs - mean|| below ``tol``; raises LinearSolverError
+    with the residual history otherwise.
     """
     n = rhs.shape[0]
     if maxiter is None:
@@ -90,7 +88,7 @@ def deflated_cg(s, rhs, x0=None, tol=1e-12, maxiter=None, diag=None):
     x = np.zeros(n) if x0 is None else x0 - x0.mean()
     r = b - s @ x
     r -= r.mean()
-    z = r / diag if diag is not None else r
+    z = precond(r) if precond is not None else r
     p = z.copy()
     rz = float(r @ z)
     history = [float(np.linalg.norm(r))]
@@ -111,7 +109,7 @@ def deflated_cg(s, rhs, x0=None, tol=1e-12, maxiter=None, diag=None):
         history.append(rn)
         if rn <= tol * b_norm:
             return x, it
-        z = r / diag if diag is not None else r
+        z = precond(r) if precond is not None else r
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -212,6 +210,7 @@ class Assembler:
 
         self.vertex_w = vertex_weights(mesh)
         self.area_total = float(areas.sum())
+        self._hierarchy: SmoothedAggregation | None = None
 
     # -- per-step assembly --------------------------------------------------
 
@@ -232,14 +231,41 @@ class Assembler:
         inv /= det[:, None, None]
         return ElementBlocks(blocks, inv)
 
+    def _schur(self, inverses: np.ndarray) -> sp.csr_matrix:
+        """B W B^T for per-element 2x2 weights W_k, shape (m, 2, 2)."""
+        local = np.einsum("mja,mab,mkb->mjk", self.b, inverses, self.b)
+        s = self._s.copy()
+        s.data = np.bincount(self._scatter, weights=local.ravel(),
+                             minlength=self._s.data.size)
+        return s
+
+    def _reference_schur(self) -> sp.csr_matrix:
+        """S0 = B diag(1/|k|) B^T: the Schur matrix of the L2 lifting."""
+        inv_area = 1.0 / self.mesh.areas
+        return self._schur(inv_area[:, None, None] * np.eye(2))
+
+    @property
+    def hierarchy(self) -> SmoothedAggregation:
+        """Multigrid hierarchy of S0, built on first use and never changed.
+
+        S0 depends only on the mesh, so every solve sees the same hierarchy
+        whatever the order of calls; two threads racing here build the same
+        one twice.
+        """
+        if self._hierarchy is None:
+            self._hierarchy = SmoothedAggregation(self._reference_schur())
+        return self._hierarchy
+
+    def _solve(self, s, rhs, x0=None, tol=1e-12, maxiter=None):
+        # The V-cycle holds this system's Galerkin operators; it stays local
+        # so that concurrent solves through one Assembler do not share state.
+        return deflated_cg(s, rhs, x0=x0, tol=tol, maxiter=maxiter,
+                           precond=VCycle(self.hierarchy, s))
+
     def step(self, u_prev: np.ndarray, alpha: float) -> PressureSystem:
         """Assemble the Schur system for one relaxed fixed-point step."""
         blocks = self.element_blocks(u_prev, alpha)
-        local = np.einsum("mja,mab,mkb->mjk", self.b, blocks.inverses, self.b)
-        data = np.bincount(self._scatter, weights=local.ravel(),
-                           minlength=self._s.data.size)
-        s = self._s.copy()
-        s.data = data
+        s = self._schur(blocks.inverses)
 
         f = self.f_int + alpha * self.mesh.areas[:, None] * u_prev
         ainv_f = np.einsum("mab,mb->ma", blocks.inverses, f)
@@ -249,12 +275,12 @@ class Assembler:
         return PressureSystem(s=s, g=g, f=f, blocks=blocks)
 
     def solve_pressure(self, system: PressureSystem, x0=None,
-                       tol: float = 1e-12, maxiter=None,
-                       jacobi: bool = False) -> tuple[P1ScalarField, int]:
-        """Deflated-CG solve; returns the zero-mean pressure and CG iterations."""
-        diag = system.s.diagonal() if jacobi else None
-        raw, iters = deflated_cg(system.s, system.g, x0=x0, tol=tol,
-                                 maxiter=maxiter, diag=diag)
+                       tol: float = 1e-12,
+                       maxiter=None) -> tuple[P1ScalarField, int]:
+        """Multigrid-preconditioned deflated-CG solve; returns the zero-mean
+        pressure and the number of CG iterations."""
+        raw, iters = self._solve(system.s, system.g, x0=x0, tol=tol,
+                                 maxiter=maxiter)
         raw = raw - (self.vertex_w @ raw) / self.area_total
         return P1ScalarField(self.mesh, raw), iters
 
@@ -271,15 +297,9 @@ class Assembler:
         This is the discrete lifting of the divergence/flux data: u = A0^-1
         B^T lam with A0 the area-weighted identity and B A0^-1 B^T lam = H.
         """
-        inv_area = 1.0 / self.mesh.areas
-        local = np.einsum("mja,m,mka->mjk", self.b, inv_area, self.b)
-        data = np.bincount(self._scatter, weights=local.ravel(),
-                           minlength=self._s.data.size)
-        s0 = self._s.copy()
-        s0.data = data
-        lam, iters = deflated_cg(s0, self.h, tol=tol)
+        lam, iters = self._solve(self._reference_schur(), self.h, tol=tol)
         u = np.einsum("mja,mj->ma", self.b, lam[self.mesh.tris]) \
-            * inv_area[:, None]
+            / self.mesh.areas[:, None]
         return P0VectorField(self.mesh, u), iters
 
 
@@ -287,18 +307,8 @@ class Assembler:
 # One-shot conveniences
 # ---------------------------------------------------------------------------
 
-def assemble_step(mesh: Mesh, problem: ProblemSpec, u_prev: P0VectorField,
-                  alpha: float, volume_degree: int = 4,
-                  edge_quad_points: int = 4):
-    """Assemble one fixed-point step; returns (blocks, coupling, system)."""
-    asm = Assembler(mesh, problem, volume_degree, edge_quad_points)
-    system = asm.step(u_prev.values, alpha)
-    return system.blocks, DivergenceCoupling(asm.b), system
-
-
 def darcy_solve(mesh: Mesh, problem: ProblemSpec, volume_degree: int = 4,
-                edge_quad_points: int = 4, cg_tol: float = 1e-12,
-                jacobi: bool = False):
+                edge_quad_points: int = 4, cg_tol: float = 1e-12):
     """Solve the linear problem (alpha = 0, inertia term dropped).
 
     Used both as the beta = 0 solver and as the 'darcy' initial guess for
@@ -306,6 +316,6 @@ def darcy_solve(mesh: Mesh, problem: ProblemSpec, volume_degree: int = 4,
     """
     asm = Assembler(mesh, problem, volume_degree, edge_quad_points)
     system = asm.step(np.zeros((mesh.n_triangles, 2)), 0.0)
-    p, iters = asm.solve_pressure(system, tol=cg_tol, jacobi=jacobi)
+    p, iters = asm.solve_pressure(system, tol=cg_tol)
     u = asm.recover_velocity(system, p)
     return u, p, iters

@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--guess", choices=("zero", "darcy"))
     common.add_argument("--stopping",
                         choices=("fixed-tol", "indicator-balance"))
-    common.add_argument("--jacobi", action="store_true", default=None)
     common.add_argument("--out", help="output directory "
                         "(default $DARCYFEM_OUT or ./darcyfem-out)")
     common.add_argument("--seed", type=int)
@@ -122,7 +121,6 @@ _DEFAULTS = {
     "max_iter": 2000,
     "guess": "zero",
     "stopping": "fixed-tol",
-    "jacobi": False,
     "out": None,
     "seed": 0,
     "threads": 1,
@@ -209,7 +207,6 @@ def _solver_config(cfg, stopping=None, guess=None) -> SolverConfig:
         max_iter=int(cfg["max_iter"]),
         initial_guess=guess or cfg["guess"],
         stopping=(stopping or cfg["stopping"]).replace("-", "_"),
-        jacobi=bool(cfg["jacobi"]),
     )
 
 

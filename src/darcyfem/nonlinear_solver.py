@@ -57,7 +57,6 @@ class SolverConfig:
     volume_degree: int = 4
     edge_quad_points: int = 4
     cg_tol: float = 1e-12
-    jacobi: bool = False
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -115,7 +114,7 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     zero_u = np.zeros((mesh.n_triangles, 2))
     if cfg.initial_guess == "darcy":
         system = asm.step(zero_u, 0.0)
-        p_prev, _ = asm.solve_pressure(system, tol=cfg.cg_tol, jacobi=cfg.jacobi)
+        p_prev, _ = asm.solve_pressure(system, tol=cfg.cg_tol)
         u_prev = asm.recover_velocity(system, p_prev)
     else:
         u_prev = P0VectorField(mesh, zero_u.copy())
@@ -131,7 +130,7 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     for it in range(1, cfg.max_iter + 1):
         system = asm.step(u_prev.values, cfg.alpha)
         p_new, cg_it = asm.solve_pressure(system, x0=p_prev.values,
-                                          tol=cfg.cg_tol, jacobi=cfg.jacobi)
+                                          tol=cfg.cg_tol)
         u_new = asm.recover_velocity(system, p_new)
         cg_total += cg_it
 

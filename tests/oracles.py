@@ -3,10 +3,16 @@
 Everything here is deliberately written from first principles — dense
 matrices, per-element Python loops, hat-function gradients recovered from a
 Vandermonde solve instead of the mesh's cached arrays — so that agreement
-with the production code is meaningful.
+with the production code is meaningful.  The one exception is the last
+section: thin wrappers over the production ``Assembler`` that only tests
+use.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from darcyfem.assembly import Assembler
 
 GL4_T = np.array([0.069431844202974, 0.330009478207572,
                   0.669990521792428, 0.930568155797026])
@@ -170,3 +176,22 @@ def doerfler_prefix_bruteforce(eta, theta):
     if total == 0.0:
         return []
     return sorted(marked)
+
+
+# ---------------------------------------------------------------------------
+# Test conveniences over the production assembly (not independent oracles)
+# ---------------------------------------------------------------------------
+
+@dataclass
+class DivergenceCoupling:
+    """Pressure-velocity coupling B_{jk} = |k| grad(phi_j)|_k, shape (m, 3, 2)."""
+
+    b: np.ndarray
+
+
+def assemble_step(mesh, problem, u_prev, alpha, volume_degree=4,
+                  edge_quad_points=4):
+    """Assemble one fixed-point step; returns (blocks, coupling, system)."""
+    asm = Assembler(mesh, problem, volume_degree, edge_quad_points)
+    system = asm.step(u_prev.values, alpha)
+    return system.blocks, DivergenceCoupling(asm.b), system

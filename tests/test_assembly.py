@@ -1,17 +1,22 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as spm
 
+import darcyfem
 from darcyfem import problems
-from darcyfem.assembly import (Assembler, CompatibilityError,
-                               DivergenceCoupling, ElementBlocks,
-                               LinearSolverError, PressureSystem,
-                               assemble_step, darcy_solve, deflated_cg)
-from darcyfem.mesh import generate_structured, refine
+from darcyfem.assembly import (Assembler, CompatibilityError, ElementBlocks,
+                               LinearSolverError, PressureSystem, darcy_solve,
+                               deflated_cg)
+from darcyfem.mesh import generate_lshape, generate_structured, refine
+from darcyfem.multigrid import MAX_COARSE
 from darcyfem.spaces import P0VectorField, p1_gradients
 
 from conftest import random_affine_problem as _random_problem, rng_loop
-from oracles import dense_step_solve
+from oracles import DivergenceCoupling, assemble_step, dense_step_solve
 
 
 def test_element_blocks_identity_case():
@@ -234,15 +239,127 @@ def test_deflated_cg_failure_carries_history():
     assert len(err.value.residual_history) == 2
 
 
-def test_jacobi_preconditioner_gives_same_solution():
-    m = generate_structured(3)
+def test_multigrid_and_plain_cg_pressures_agree():
+    m = generate_structured(12)
     rng = np.random.default_rng(21)
     prob = _random_problem(rng)
     asm = Assembler(m, prob)
+    assert len(asm.hierarchy.sizes) > 1
     system = asm.step(rng.standard_normal((m.n_triangles, 2)), 1.0)
-    p_plain, _ = asm.solve_pressure(system)
-    p_jac, _ = asm.solve_pressure(system, jacobi=True)
-    assert np.abs(p_plain.values - p_jac.values).max() < 1e-9
+    p_amg, amg_iters = asm.solve_pressure(system)
+    raw, plain_iters = deflated_cg(system.s, system.g)
+    raw -= (asm.vertex_w @ raw) / asm.area_total
+    assert amg_iters < plain_iters
+    assert np.abs(p_amg.values - raw).max() < 1e-9
+
+
+def _first_step(mesh, problem, alpha=10.0):
+    asm = Assembler(mesh, problem)
+    return asm, asm.step(np.zeros((mesh.n_triangles, 2)), alpha)
+
+
+def test_multigrid_cg_iterations_do_not_grow_with_refinement():
+    prob = problems.gaussian_vortex(beta=10.0)
+    for n in (8, 16, 32, 64):
+        asm, system = _first_step(problems.initial_mesh(prob, n), prob)
+        _, iters = asm.solve_pressure(system)
+        assert len(asm.hierarchy.sizes) > 1
+        assert 1 <= iters <= 40, (n, iters)
+
+
+def test_small_meshes_use_one_level_and_solve():
+    prob = problems.gaussian_vortex(beta=10.0)
+    for n in (1, 2):
+        mesh = problems.initial_mesh(prob, n)
+        assert mesh.n_vertices <= MAX_COARSE
+        asm, system = _first_step(mesh, prob)
+        p, _ = asm.solve_pressure(system)
+        assert asm.hierarchy.sizes == (mesh.n_vertices,)
+        assert asm.hierarchy.prolongators == ()
+        raw, _ = deflated_cg(system.s, system.g)
+        raw -= (asm.vertex_w @ raw) / asm.area_total
+        assert np.abs(p.values).max() > 0
+        assert np.abs(p.values - raw).max() < 1e-10
+
+
+def _graded_lshape():
+    mesh = generate_lshape(8)
+    for _ in range(5):
+        # refine towards the reentrant corner at the origin
+        centroids = mesh.xy[mesh.tris].mean(axis=1)
+        near = np.argsort(np.hypot(*centroids.T), kind="stable")
+        mesh = refine(mesh, near[:mesh.n_triangles // 4])
+    return mesh
+
+
+@pytest.mark.parametrize("case", ["structured", "graded_lshape"])
+def test_true_residual_of_returned_pressure(case):
+    """||G - S p - mean|| <= 10 cg_tol ||G - mean G|| for the returned p, as
+    the benchmark checks on the mass rows."""
+    if case == "structured":
+        prob = problems.gaussian_vortex(beta=10.0)
+        mesh = problems.initial_mesh(prob, 40)
+    else:
+        prob = problems.reentrant_corner(beta=10.0)
+        mesh = _graded_lshape()
+        assert not prob.k_constant
+    asm, system = _first_step(mesh, prob)
+    cg_tol = 1e-12
+    p, _ = asm.solve_pressure(system, tol=cg_tol)
+    assert len(asm.hierarchy.sizes) > 2
+    res = system.g - system.s @ p.values
+    res -= res.mean()
+    g = system.g - system.g.mean()
+    assert np.linalg.norm(res) <= 10 * cg_tol * np.linalg.norm(g)
+
+
+def test_two_solves_through_one_assembler_are_byte_identical():
+    prob = problems.reentrant_corner(beta=10.0)
+    asm, system = _first_step(_graded_lshape(), prob)
+    p1, it1 = asm.solve_pressure(system)
+    p2, it2 = asm.solve_pressure(system)
+    assert it1 == it2
+    assert p1.values.tobytes() == p2.values.tobytes()
+
+
+def test_concurrent_solves_share_one_hierarchy():
+    """Threads racing on the lazy hierarchy and solving at once all return
+    the serial result."""
+    from concurrent.futures import ThreadPoolExecutor
+    prob = problems.gaussian_vortex(beta=10.0)
+    mesh = problems.initial_mesh(prob, 24)
+    rng = np.random.default_rng(3)
+    velocities = [rng.standard_normal((mesh.n_triangles, 2)) for _ in range(8)]
+
+    def run(asm, u):
+        return asm.solve_pressure(asm.step(u, 2.0))[0].values.tobytes()
+
+    serial = Assembler(mesh, prob)
+    expected = [run(serial, u) for u in velocities]
+    shared = Assembler(mesh, prob)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, shared, u) for u in velocities]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+    assert shared.hierarchy.sizes == serial.hierarchy.sizes
+
+
+def test_solver_imports_no_dense_or_sparse_linalg():
+    """scipy.linalg and scipy.sparse.linalg cost ~10 MiB and ~0.13 s per
+    process; the solver must not pull them in."""
+    code = ("import sys, darcyfem.adaptivity; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') "
+            "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(darcyfem.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_lifting_satisfies_flux_constraint():
