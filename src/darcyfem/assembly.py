@@ -158,6 +158,8 @@ class Assembler:
         ], axis=1) * areas[:, None]
 
         self.b = mesh.grads * areas[:, None, None]          # (m, 3, 2)
+        # The same coupling as contiguous rows: _bt[a, j] = b[:, j, a].
+        self._bt = np.ascontiguousarray(self.b.transpose(2, 1, 0))
 
         # Load vector H_j = -INT b phi_j + INT_bdy g phi_j and the
         # compatibility bookkeeping, then G = B A^-1 F - H.
@@ -232,10 +234,21 @@ class Assembler:
         return ElementBlocks(blocks, inv)
 
     def _schur(self, inverses: np.ndarray) -> sp.csr_matrix:
-        """B W B^T for per-element 2x2 weights W_k, shape (m, 2, 2)."""
-        local = np.einsum("mja,mab,mkb->mjk", self.b, inverses, self.b)
+        """B W B^T for per-element 2x2 weights W_k, shape (m, 2, 2).
+
+        The local blocks sum_ab (b_ja W_ab) b_kb are formed on contiguous
+        (3, m) rows, adding the four (a, b) terms in the order a three-operand
+        einsum does, so S is the same to the last bit.
+        """
+        bt = self._bt
+        w = np.ascontiguousarray(inverses.reshape(-1, 4).T)
+        local = (bt[0] * w[0])[:, None, :] * bt[0][None, :, :]
+        local += (bt[0] * w[1])[:, None, :] * bt[1][None, :, :]
+        local += (bt[1] * w[2])[:, None, :] * bt[0][None, :, :]
+        local += (bt[1] * w[3])[:, None, :] * bt[1][None, :, :]
         s = self._s.copy()
-        s.data = np.bincount(self._scatter, weights=local.ravel(),
+        s.data = np.bincount(self._scatter,
+                             weights=local.transpose(2, 0, 1).ravel(),
                              minlength=self._s.data.size)
         return s
 

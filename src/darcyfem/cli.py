@@ -8,7 +8,9 @@ decay on structured meshes), ``adapt`` (solve-estimate-mark-refine loop) and
 Every run writes ``manifest.json`` echoing the merged configuration plus
 library versions, so a single-threaded rerun from the manifest reproduces
 the CSV outputs byte for byte.  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure (details land in ``error.txt``).
+error, 3 numerical failure (details land in ``error.txt``), 4 the nonlinear
+iteration of ``solve``, or of the last ``adapt`` level, did not converge
+(all outputs are still written).
 """
 from __future__ import annotations
 
@@ -284,7 +286,7 @@ def _cmd_solve(cfg, out):
     _manifest(out, cfg, {"solve": t_solve}, outputs + ["manifest.json"])
     print(f"converged={result.converged} iterations={result.iterations} "
           f"err_L={result.err_l:.3e}")
-    return 0
+    return 0 if result.converged else 4
 
 
 def _cmd_sweep(cfg, out):
@@ -358,7 +360,7 @@ def _cmd_adapt(cfg, out):
     last = states[-1].record
     print(f"levels={len(states)} final_vertices={last.vertices} "
           f"final_eta_D={last.eta_d:.3e}")
-    return 0
+    return 0 if last.converged else 4
 
 
 def _cmd_diagnostics(cfg, out):

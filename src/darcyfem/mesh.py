@@ -1,9 +1,9 @@
 """Conforming triangulations of polygonal domains.
 
 The mesh is stored struct-of-arrays style (vertex coordinates, triangle
-connectivity, derived edge tables) with small dataclass views for individual
-entities.  Triangles are counter-clockwise and carry their refinement edge
-positionally: the refinement edge of triangle ``(v0, v1, v2)`` is ``(v0, v1)``.
+connectivity, derived edge tables).  Triangles are counter-clockwise and
+carry their refinement edge positionally: the refinement edge of triangle
+``(v0, v1, v2)`` is ``(v0, v1)``.
 On input meshes the refinement edge is seeded as the longest edge; refinement
 follows newest-vertex bisection with conforming closure, so each bisection
 hands the two old non-refinement edges down to the children.
@@ -22,34 +22,6 @@ class MeshFormatError(ValueError):
 
 class MeshConformityError(ValueError):
     """Raised when a triangulation is not a conforming mesh."""
-
-
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    x: float
-    y: float
-    on_boundary: bool
-
-
-@dataclass(frozen=True)
-class Triangle:
-    id: int
-    vertices: tuple[int, int, int]
-    edges: tuple[int, int, int]
-    refinement_edge: int
-    area: float
-    h: float
-
-
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    vertices: tuple[int, int]
-    triangles: tuple[int, ...]
-    length: float
-    normal: tuple[float, float]
-    on_boundary: bool
 
 
 @dataclass
@@ -137,24 +109,6 @@ class Mesh:
                + np.linalg.norm(self.xy[c] - self.xy[b], axis=1)
                + np.linalg.norm(self.xy[a] - self.xy[c], axis=1))
         return self.h_tri * per / (4.0 * self.areas)
-
-    # -- entity views ------------------------------------------------------
-
-    def vertex(self, i: int) -> Vertex:
-        return Vertex(i, float(self.xy[i, 0]), float(self.xy[i, 1]),
-                      bool(self.vertex_on_boundary[i]))
-
-    def triangle(self, k: int) -> Triangle:
-        return Triangle(k, tuple(int(v) for v in self.tris[k]),
-                        tuple(int(e) for e in self.tri_edges[k]),
-                        0, float(self.areas[k]), float(self.h_tri[k]))
-
-    def edge(self, e: int) -> Edge:
-        ts = tuple(int(t) for t in self.edge_tris[e] if t >= 0)
-        return Edge(e, tuple(int(v) for v in self.edge_vertices[e]), ts,
-                    float(self.edge_lengths[e]),
-                    (float(self.edge_normals[e, 0]), float(self.edge_normals[e, 1])),
-                    bool(self.edge_tris[e, 1] < 0))
 
     def vertex_triangles(self) -> list[list[int]]:
         """Triangle ids incident to each vertex."""

@@ -11,8 +11,12 @@ velocity iterate:
 * the same is repeated on P^T S0 P until at most ``MAX_COARSE`` unknowns
   are left.
 
-Only the prolongators are kept.  Each system S that is solved gets its own
-Galerkin operators P^T S P and a dense pseudo-inverse of the coarsest one
+Besides the prolongators the hierarchy keeps, for every level, the sparsity
+pattern of the Galerkin operator P^T S P of any S with the pattern of S0,
+and a sparse map Q with data(P^T S P) = Q @ data(S) built by index
+arithmetic.  Each system S that is solved must have that pattern, as every
+fixed-point step's Schur matrix does; it gets its own Galerkin operators,
+one product with Q per level, and a dense inverse of the coarsest one
 (:class:`VCycle`), so a hierarchy can serve concurrent solves.  P carries
 constants to constants and every Galerkin operator keeps them as its
 kernel, which the coarsest solve removes with a rank-one shift.
@@ -31,12 +35,77 @@ STRENGTH_THETA = 0.08
 SMOOTHING_SWEEPS = 2
 
 
-def _jacobi_weights(a: sp.csr_matrix) -> np.ndarray:
+def _jacobi_weights(diag: np.ndarray, abs_row_sums: np.ndarray) -> np.ndarray:
     """omega D^-1, with omega = 4 / (3 rho) and rho the Gershgorin bound of
     D^-1 A, so that damped Jacobi reduces every error mode."""
-    diag = a.diagonal()
-    rows = np.asarray(abs(a).sum(axis=1)).ravel()
-    return 4.0 / (3.0 * float(np.max(rows / diag))) / diag
+    return 4.0 / (3.0 * float(np.max(abs_row_sums / diag))) / diag
+
+
+class _Pattern:
+    """Sparsity pattern of one level's square operator: CSR index arrays plus
+    the row of every stored entry and the slots of the diagonal."""
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        self.n = indptr.size - 1
+        self.indptr = indptr
+        self.indices = indices
+        self.rows = np.repeat(np.arange(self.n, dtype=indices.dtype),
+                              np.diff(indptr))
+        self.diag = np.flatnonzero(indices == self.rows)
+
+    def matches(self, a: sp.csr_matrix) -> bool:
+        return (a.shape == (self.n, self.n)
+                and np.array_equal(a.indptr, self.indptr)
+                and np.array_equal(a.indices, self.indices))
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.n, self.n))
+
+    def jacobi_weights(self, data: np.ndarray) -> np.ndarray:
+        return _jacobi_weights(data[self.diag],
+                               np.bincount(self.rows, weights=np.abs(data),
+                                           minlength=self.n))
+
+    def dense(self, data: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.n, self.n))
+        out[self.rows, self.indices] = data
+        return out
+
+
+def _galerkin_map(fine: _Pattern, p: sp.csr_matrix):
+    """Pattern of P^T A P for any A with pattern ``fine``, and the sparse map
+    Q with data(P^T A P) = Q @ data(A).
+
+    The entry A_ij in slot e contributes P_iI A_ij P_jJ to (I, J) for every
+    stored P_iI and P_jJ, so Q[slot(I, J), e] = P_iI P_jJ; each (slot, e)
+    pair arises once.
+    """
+    n_coarse = p.shape[1]
+    deg = np.diff(p.indptr)
+    deg_i = deg[fine.rows]
+    deg_j = deg[fine.indices]
+    count = deg_i * deg_j
+    entry = np.repeat(np.arange(fine.indices.size, dtype=np.int32), count)
+    # k enumerates the P_iI P_jJ pairs of one entry, I-major.
+    k = np.arange(entry.size) - np.repeat(np.cumsum(count) - count, count)
+    deg_j = deg_j[entry]
+    ki = p.indptr[fine.rows[entry]] + k // deg_j
+    kj = p.indptr[fine.indices[entry]] + k % deg_j
+    # There is one term per entry of Q; free each term-sized temporary as
+    # soon as it is used, to keep the peak memory of the build down.
+    del k, deg_j
+    values = p.data[ki] * p.data[kj]
+    keys = p.indices[ki].astype(np.int64) * n_coarse + p.indices[kj]
+    del ki, kj
+    unique_keys, slot = np.unique(keys, return_inverse=True)
+    del keys
+    indptr = np.searchsorted(unique_keys // n_coarse,
+                             np.arange(n_coarse + 1)).astype(np.int32)
+    coarse = _Pattern(indptr, (unique_keys % n_coarse).astype(np.int32))
+    q = sp.csr_matrix((values, (slot, entry)),
+                      shape=(unique_keys.size, fine.indices.size))
+    return coarse, q
 
 
 def _aggregate(a: sp.csr_matrix) -> np.ndarray:
@@ -86,12 +155,17 @@ class SmoothedAggregation:
     """Prolongators of a smoothed-aggregation hierarchy, built from ``s0``.
 
     ``sizes`` lists the number of unknowns per level, finest first; a matrix
-    with at most ``MAX_COARSE`` rows gives a single level.
+    with at most ``MAX_COARSE`` rows gives a single level.  ``patterns``
+    holds the sparsity pattern of every level's Galerkin operator P^T S P for
+    any S with the pattern of ``s0``, and ``maps[l]`` carries the stored
+    entries of level l to those of level l + 1.
     """
 
     def __init__(self, s0: sp.csr_matrix):
         prolongators = []
         a = s0.tocsr()
+        patterns = [_Pattern(a.indptr, a.indices)]
+        maps = []
         while a.shape[0] > MAX_COARSE:
             n = a.shape[0]
             agg = _aggregate(a)
@@ -100,11 +174,18 @@ class SmoothedAggregation:
                 break
             t = sp.csr_matrix((np.ones(n), (np.arange(n), agg)),
                               shape=(n, n_coarse))
-            p = (t - sp.diags(_jacobi_weights(a)) @ (a @ t)).tocsr()
+            weights = _jacobi_weights(a.diagonal(),
+                                      np.asarray(abs(a).sum(axis=1)).ravel())
+            p = (t - sp.diags(weights) @ (a @ t)).tocsr()
             r = p.T.tocsr()
             prolongators.append((p, r))
+            coarse, q = _galerkin_map(patterns[-1], p)
+            patterns.append(coarse)
+            maps.append(q)
             a = (r @ a @ p).tocsr()
         self.prolongators = tuple(prolongators)
+        self.patterns = tuple(patterns)
+        self.maps = tuple(maps)
         self.sizes = tuple([s0.shape[0]] + [p.shape[1]
                                             for p, _ in prolongators])
 
@@ -112,22 +193,29 @@ class SmoothedAggregation:
 class VCycle:
     """Symmetric V-cycle for one matrix ``s`` on a fixed hierarchy.
 
-    ``SMOOTHING_SWEEPS`` damped-Jacobi sweeps before and after each coarse
-    correction; the output is projected to mean zero, the range of S.
+    ``s`` must have the sparsity pattern of the matrix the hierarchy was
+    built from.  ``SMOOTHING_SWEEPS`` damped-Jacobi sweeps before and after
+    each coarse correction; the output is projected to mean zero, the range
+    of S.
     """
 
     def __init__(self, hierarchy: SmoothedAggregation, s: sp.csr_matrix):
+        patterns = hierarchy.patterns
+        if not patterns[0].matches(s):
+            raise ValueError("the matrix does not have the sparsity pattern "
+                             "the multigrid hierarchy was built on")
         self.levels = []
-        a = s
-        for p, r in hierarchy.prolongators:
-            self.levels.append((a, _jacobi_weights(a), p, r))
-            a = (r @ a @ p).tocsr()
+        data = s.data
+        for level, (p, r) in enumerate(hierarchy.prolongators):
+            a = s if level == 0 else patterns[level].matrix(data)
+            self.levels.append((a, patterns[level].jacobi_weights(data), p, r))
+            data = hierarchy.maps[level] @ data
         # Shifting along the constants makes the coarsest operator regular
         # without changing its action on mean-zero vectors.
-        dense = a.toarray()
-        shift = float(np.mean(np.diagonal(dense)))
-        self.coarse = np.linalg.pinv(dense + shift / dense.shape[0],
-                                     hermitian=True)
+        coarsest = patterns[-1]
+        dense = coarsest.dense(data)
+        shift = float(np.mean(data[coarsest.diag]))
+        self.coarse = np.linalg.inv(dense + shift / coarsest.n)
 
     def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:
         if level == len(self.levels):

@@ -86,13 +86,9 @@ def edge_rule(n_points: int = 4) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (gx + 1.0), 0.5 * gw
 
 
-DEFAULT_VOLUME_DEGREE = 4
-ORACLE_VOLUME_DEGREE = 10
-
-
 def physical_points(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
     """Quadrature points mapped to every triangle, shape (m, q, 2)."""
-    return np.einsum("ql,mld->mqd", rule.points, mesh.tri_coords())
+    return rule.points @ mesh.tri_coords()
 
 
 # ---------------------------------------------------------------------------

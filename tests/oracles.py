@@ -195,3 +195,14 @@ def assemble_step(mesh, problem, u_prev, alpha, volume_degree=4,
     asm = Assembler(mesh, problem, volume_degree, edge_quad_points)
     system = asm.step(u_prev.values, alpha)
     return system.blocks, DivergenceCoupling(asm.b), system
+
+
+def einsum_schur(asm, weights):
+    """S = B W B^T with the local blocks from one three-operand einsum,
+    scattered through the Assembler's pattern; ``Assembler._schur`` must give
+    the same bytes."""
+    local = np.einsum("mja,mab,mkb->mjk", asm.b, weights, asm.b)
+    s = asm._s.copy()
+    s.data = np.bincount(asm._scatter, weights=local.ravel(),
+                         minlength=asm._s.data.size)
+    return s

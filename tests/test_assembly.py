@@ -12,11 +12,12 @@ from darcyfem.assembly import (Assembler, CompatibilityError, ElementBlocks,
                                LinearSolverError, PressureSystem, darcy_solve,
                                deflated_cg)
 from darcyfem.mesh import generate_lshape, generate_structured, refine
-from darcyfem.multigrid import MAX_COARSE
+from darcyfem.multigrid import MAX_COARSE, VCycle
 from darcyfem.spaces import P0VectorField, p1_gradients
 
 from conftest import random_affine_problem as _random_problem, rng_loop
-from oracles import DivergenceCoupling, assemble_step, dense_step_solve
+from oracles import (DivergenceCoupling, assemble_step, dense_step_solve,
+                     einsum_schur)
 
 
 def test_element_blocks_identity_case():
@@ -152,6 +153,27 @@ def test_step_solution_satisfies_both_equations():
     res = bu - asm.h
     res -= res.mean()
     assert np.linalg.norm(res) <= 1e-10 * max(1.0, np.linalg.norm(asm.h))
+
+
+@pytest.mark.parametrize("case", ["random_w", "graded_lshape"])
+def test_schur_is_byte_identical_to_einsum(case):
+    if case == "random_w":
+        rng = np.random.default_rng(12)
+        asm = Assembler(generate_structured(12), _random_problem(rng))
+        weights = rng.standard_normal((asm.mesh.n_triangles, 2, 2))
+    else:
+        prob = problems.reentrant_corner(beta=10.0)
+        assert not prob.k_constant
+        asm = Assembler(_graded_lshape(), prob)
+        rng = np.random.default_rng(13)
+        weights = asm.element_blocks(
+            rng.standard_normal((asm.mesh.n_triangles, 2)), 3.0).inverses
+        assert np.abs(weights[:, 0, 1]).min() > 0
+    s = asm._schur(weights)
+    ref = einsum_schur(asm, weights)
+    assert np.array_equal(s.indptr, ref.indptr)
+    assert np.array_equal(s.indices, ref.indices)
+    assert s.data.tobytes() == ref.data.tobytes()
 
 
 def test_solve_pressure_zero_rhs():
@@ -311,6 +333,52 @@ def test_true_residual_of_returned_pressure(case):
     res -= res.mean()
     g = system.g - system.g.mean()
     assert np.linalg.norm(res) <= 10 * cg_tol * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("case", ["n1", "n2", "n40", "graded_lshape"])
+def test_galerkin_maps_give_the_sparse_products(case):
+    """Each level's operator built by the hierarchy's maps equals R A P, and
+    the coarsest dense inverse is that of the shifted operator."""
+    if case == "graded_lshape":
+        prob = problems.reentrant_corner(beta=10.0)
+        mesh = _graded_lshape()
+    else:
+        prob = problems.gaussian_vortex(beta=10.0)
+        mesh = problems.initial_mesh(prob, int(case[1:]))
+    asm, system = _first_step(mesh, prob, alpha=3.0)
+    hierarchy = asm.hierarchy
+    assert len(hierarchy.maps) == len(hierarchy.sizes) - 1
+    assert (len(hierarchy.sizes) > 2) == (case in ("n40", "graded_lshape"))
+    data = system.s.data
+    a = system.s
+    for level, (p, r) in enumerate(hierarchy.prolongators):
+        data = hierarchy.maps[level] @ data
+        a = r @ a @ p
+        pattern = hierarchy.patterns[level + 1]
+        ref = a.toarray()
+        got = pattern.dense(data)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(pattern.matrix(data).toarray(), got)
+        assert np.abs(np.diagonal(got) - data[pattern.diag]).max() == 0.0
+    dense = a.toarray()
+    shifted = dense + np.mean(np.diagonal(dense)) / dense.shape[0]
+    coarse = VCycle(hierarchy, system.s).coarse
+    assert np.abs(coarse @ shifted - np.eye(dense.shape[0])).max() < 1e-10
+
+
+def test_vcycle_rejects_a_matrix_with_another_pattern():
+    prob = problems.gaussian_vortex(beta=10.0)
+    asm = Assembler(problems.initial_mesh(prob, 12), prob)
+    s0 = asm._reference_schur()
+    VCycle(asm.hierarchy, s0)
+    # Same values, but the exact zeros on the diagonal edges are dropped.
+    pruned = s0.copy()
+    pruned.eliminate_zeros()
+    assert pruned.nnz < s0.nnz
+    assert np.array_equal(pruned.toarray(), s0.toarray())
+    for other in (pruned, spm.identity(s0.shape[0], format="csr")):
+        with pytest.raises(ValueError, match="sparsity pattern"):
+            VCycle(asm.hierarchy, other)
 
 
 def test_two_solves_through_one_assembler_are_byte_identical():

@@ -193,6 +193,25 @@ def test_incompatible_data_exits_3_with_error_file(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_nonconverged_solve_exits_4_and_writes_outputs(tmp_path, capsys):
+    # beta = 1000 with alpha = 0.1 settles into a period-2 cycle.
+    code, out = _run(tmp_path, "solve", "--beta", "1000", "--alpha", "0.1",
+                     "--N", "10", "--max-iter", "200")
+    assert code == 4
+    assert "converged=False iterations=200" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name in manifest["outputs"]:
+        assert (out / name).exists(), name
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + 200
+
+
+def test_nonconverged_last_adapt_level_exits_4(tmp_path):
+    code, out = _run(tmp_path, "adapt", "--problem", "reentrant-corner",
+                     "--N", "4", "--levels", "2", "--max-iter", "2")
+    assert code == 4
+    assert len((out / "study.csv").read_text().splitlines()) == 1 + 2
+
+
 def test_bad_n_exits_2(tmp_path):
     code, _ = _run(tmp_path, "solve", "--N", "0")
     assert code == 2

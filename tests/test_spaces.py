@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from darcyfem import spaces as sp
-from darcyfem.mesh import generate_structured
+from darcyfem.mesh import generate_structured, refine
 
 from conftest import rng_loop
 
@@ -64,6 +64,19 @@ def test_project_mean_zero():
     again = sp.project_mean_zero(z)
     assert np.allclose(again.values, z.values, atol=1e-14)
     assert np.allclose(sp.p1_gradients(z), sp.p1_gradients(q), atol=1e-14)
+
+
+def test_physical_points_match_einsum_mapping():
+    m = refine(generate_structured(3, rect=((-1.0, 0.5), (2.0, 1.5))),
+               [0, 5, 11])
+    coords = m.tri_coords()
+    for deg in (1, 2, 4, 10):
+        rule = sp.triangle_rule(deg)
+        pts = sp.physical_points(m, rule)
+        ref = np.einsum("ql,mld->mqd", rule.points, coords)
+        assert pts.shape == ref.shape == (m.n_triangles, len(rule.weights), 2)
+        assert np.abs(pts - ref).max() <= 4 * np.finfo(float).eps \
+            * np.abs(coords).max()
 
 
 def test_element_means():
