@@ -28,13 +28,17 @@ from .problems import ProblemSpec, eval_k_inverse
 from .spaces import (
     P0VectorField,
     P1ScalarField,
-    QuadratureRule,
-    edge_points,
-    edge_rule,
+    boundary_samples,
     physical_points,
+    project_mean_zero,
+    sample,
     triangle_rule,
-    vertex_weights,
 )
+
+# Mixed absolute/relative tolerance of the compatibility check: near-zero
+# data (e.g. analytically divergence-free flux with exponentially small
+# boundary tails) must not trip it on quadrature crumbs.
+COMPAT_TOL = 1e-8
 
 
 class CompatibilityError(ValueError):
@@ -128,12 +132,10 @@ class Assembler:
     """
 
     def __init__(self, mesh: Mesh, problem: ProblemSpec,
-                 volume_degree: int = 4, edge_quad_points: int = 4,
-                 compat_tol: float = 1e-8):
+                 volume_degree: int = 4, edge_quad_points: int = 4):
         self.mesh = mesh
         self.problem = problem
         self.rule = triangle_rule(volume_degree)
-        self.edge_quad_points = edge_quad_points
 
         m = mesh.n_triangles
         n = mesh.n_vertices
@@ -151,20 +153,16 @@ class Assembler:
             self.k_term = (problem.mu / problem.rho) \
                 * np.einsum("abmq,q,m->mab", kk, w, areas)
 
-        fx, fy = problem.f(pts[..., 0], pts[..., 1])
-        self.f_int = np.stack([
-            np.broadcast_to(fx, pts.shape[:2]) @ w,
-            np.broadcast_to(fy, pts.shape[:2]) @ w,
-        ], axis=1) * areas[:, None]
+        fx, fy = sample(pts, problem.f)
+        self.f_int = np.stack([fx @ w, fy @ w], axis=1) * areas[:, None]
 
         self.b = mesh.grads * areas[:, None, None]          # (m, 3, 2)
         # The same coupling as contiguous rows: _bt[a, j] = b[:, j, a].
         self._bt = np.ascontiguousarray(self.b.transpose(2, 1, 0))
 
         # Load vector H_j = -INT b phi_j + INT_bdy g phi_j and the
-        # compatibility bookkeeping, then G = B A^-1 F - H.
-        b_vals = np.broadcast_to(problem.b(pts[..., 0], pts[..., 1]),
-                                 pts.shape[:2])
+        # compatibility check INT b = INT_bdy g, then G = B A^-1 F - H.
+        b_vals = sample(pts, problem.b)
         b_phi = np.einsum("mq,q,ql->ml", b_vals, w, self.rule.points) \
             * areas[:, None]
         h = np.zeros(n)
@@ -172,27 +170,19 @@ class Assembler:
         int_b = float(b_phi.sum())
         abs_b = float(areas @ (np.abs(b_vals) @ w))
 
-        ts, ews = edge_rule(edge_quad_points)
-        bedges = mesh.boundary_edges
-        epts = edge_points(mesh, bedges, ts)
-        int_g = 0.0
-        abs_g = 0.0
-        for j, e in enumerate(bedges):
-            gv = np.broadcast_to(
-                problem.g(epts[j, :, 0], epts[j, :, 1], mesh.edge_normals[e]),
-                (len(ts),))
-            le = mesh.edge_lengths[e]
-            va, vb = mesh.edge_vertices[e]
-            h[va] += le * float((gv * (1.0 - ts)) @ ews)
-            h[vb] += le * float((gv * ts) @ ews)
-            int_g += le * float(gv @ ews)
-            abs_g += le * float(np.abs(gv) @ ews)
+        edges, ts, ews, gv = boundary_samples(mesh, problem.g,
+                                              edge_quad_points)
+        le = mesh.edge_lengths[edges]
+        # Endpoint terms interleaved per edge, so every vertex adds its
+        # terms in edge order.
+        ends = np.stack([le * ((gv * (1.0 - ts)) @ ews),
+                         le * ((gv * ts) @ ews)], axis=1)
+        np.add.at(h, mesh.edge_vertices[edges].ravel(), ends.ravel())
+        int_g = float(le @ (gv @ ews))
+        abs_g = float(le @ (np.abs(gv) @ ews))
 
-        # Mixed absolute/relative test: near-zero data (e.g. analytically
-        # divergence-free flux with exponentially small boundary tails) must
-        # not trip the check on quadrature crumbs.
         scale = 1.0 + abs_b + abs_g
-        if abs(int_b - int_g) > compat_tol * scale:
+        if abs(int_b - int_g) > COMPAT_TOL * scale:
             raise CompatibilityError(
                 f"mass source and boundary flux are incompatible: "
                 f"INT b - INT g = {int_b - int_g:.6e} "
@@ -209,9 +199,6 @@ class Assembler:
         indptr = np.searchsorted(unique_keys // n, np.arange(n + 1)).astype(np.int32)
         self._s = sp.csr_matrix(
             (np.zeros(unique_keys.size), indices, indptr), shape=(n, n))
-
-        self.vertex_w = vertex_weights(mesh)
-        self.area_total = float(areas.sum())
         self._hierarchy: SmoothedAggregation | None = None
 
     # -- per-step assembly --------------------------------------------------
@@ -294,8 +281,7 @@ class Assembler:
         pressure and the number of CG iterations."""
         raw, iters = self._solve(system.s, system.g, x0=x0, tol=tol,
                                  maxiter=maxiter)
-        raw = raw - (self.vertex_w @ raw) / self.area_total
-        return P1ScalarField(self.mesh, raw), iters
+        return project_mean_zero(P1ScalarField(self.mesh, raw)), iters
 
     def recover_velocity(self, system: PressureSystem,
                          p: P1ScalarField) -> P0VectorField:

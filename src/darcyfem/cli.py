@@ -27,14 +27,11 @@ from . import __version__
 from . import problems
 from .adaptivity import AdaptConfig, adaptive_loop, uniform_study
 from .assembly import CompatibilityError, LinearSolverError
-from .indicators import IndicatorContext
 from .mesh import MeshConformityError, MeshFormatError, load_mesh
 from .nonlinear_solver import (SolverConfig, alpha_diagnostics, alpha_sweep,
                                solve)
 from .render import render_mesh_svg
 from .spaces import dump_p0, dump_p1
-
-BUILTIN_PROBLEMS = ("gaussian-vortex", "reentrant-corner", "trivial-zero")
 
 
 class ConfigError(ValueError):
@@ -89,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("fixed-tol", "indicator-balance"))
     common.add_argument("--out", help="output directory "
                         "(default $DARCYFEM_OUT or ./darcyfem-out)")
-    common.add_argument("--seed", type=int)
     common.add_argument("--threads", type=int)
 
     sub.add_parser("solve", parents=[common],
@@ -124,7 +120,6 @@ _DEFAULTS = {
     "guess": "zero",
     "stopping": "fixed-tol",
     "out": None,
-    "seed": 0,
     "threads": 1,
     "alphas": None,
     "ns": None,
@@ -167,7 +162,7 @@ def _resolve_problem(cfg):
     name = cfg["problem"]
     if isinstance(name, dict):
         return problems.problem_from_config(name)
-    if name in BUILTIN_PROBLEMS:
+    if str(name) in problems.BUILTIN_PROBLEMS:
         beta = cfg["beta"]
         if name == "gaussian-vortex":
             return problems.gaussian_vortex(beta=1.0 if beta is None else beta)
@@ -185,7 +180,7 @@ def _resolve_problem(cfg):
             spec.setdefault("beta", cfg["beta"])
         return problems.problem_from_config(spec)
     raise ConfigError(f"unknown problem {name!r} "
-                      f"(builtins: {', '.join(BUILTIN_PROBLEMS)})")
+                      f"(builtins: {', '.join(problems.BUILTIN_PROBLEMS)})")
 
 
 def _resolve_mesh(cfg, problem):

@@ -25,15 +25,20 @@ from .problems import ProblemSpec, eval_k_inverse
 from .spaces import (
     P0VectorField,
     P1ScalarField,
-    edge_points,
-    edge_rule,
+    boundary_samples,
+    element_lp,
     gradient_lp_norm,
     lp_norm,
-    p0_error_element_norms,
     p1_gradients,
     physical_points,
+    sample,
     triangle_rule,
 )
+
+# Quadrature of the data means and oscillation terms: a degree-10 volume
+# rule and 8 Gauss points per boundary edge.
+OSCILLATION_DEGREE = 10
+EDGE_QUAD_POINTS = 8
 
 
 @dataclass
@@ -93,46 +98,37 @@ class IndicatorContext:
     """
 
     def __init__(self, mesh: Mesh, problem: ProblemSpec,
-                 volume_degree: int = 4, oscillation_degree: int = 10,
-                 edge_quad_points: int = 8):
+                 volume_degree: int = 4):
         self.mesh = mesh
         self.problem = problem
         areas = mesh.areas
 
-        rule = triangle_rule(oscillation_degree)
+        rule = triangle_rule(OSCILLATION_DEGREE)
         pts = physical_points(mesh, rule)
         w = rule.weights
-        shape = pts.shape[:2]
 
-        fx = np.broadcast_to(problem.f(pts[..., 0], pts[..., 1])[0], shape)
-        fy = np.broadcast_to(problem.f(pts[..., 0], pts[..., 1])[1], shape)
+        fx, fy = sample(pts, problem.f)
         self.f_means = np.stack([fx @ w, fy @ w], axis=1)
         df = (fx - self.f_means[:, :1]) ** 2 + (fy - self.f_means[:, 1:]) ** 2
         self.osc_f = np.sqrt(areas * (df @ w))
 
-        bv = np.broadcast_to(problem.b(pts[..., 0], pts[..., 1]), shape)
+        bv = sample(pts, problem.b)
         self.b_means = bv @ w
         self.osc_b = mesh.h_tri * np.cbrt(
             areas * (np.abs(bv - self.b_means[:, None]) ** 3 @ w))
 
         # boundary data: edge means and edge oscillation, scattered to the
         # (unique) triangle owning each boundary edge
-        ts, ews = edge_rule(edge_quad_points)
-        bedges = mesh.boundary_edges
+        edges, _, ews, gv = boundary_samples(mesh, problem.g,
+                                             EDGE_QUAD_POINTS)
+        means = gv @ ews
         self.g_h = np.zeros(mesh.n_edges)
+        self.g_h[edges] = means
+        le = mesh.edge_lengths[edges]
+        osc = le ** (1.0 / 3.0) * np.cbrt(
+            le * (np.abs(gv - means[:, None]) ** 3 @ ews))
         self.osc_g = np.zeros(mesh.n_triangles)
-        if bedges.size:
-            epts = edge_points(mesh, bedges, ts)
-            for j, e in enumerate(bedges):
-                gv = np.broadcast_to(
-                    problem.g(epts[j, :, 0], epts[j, :, 1],
-                              mesh.edge_normals[e]), ts.shape)
-                mean = float(gv @ ews)
-                self.g_h[e] = mean
-                le = mesh.edge_lengths[e]
-                osc = le ** (1.0 / 3.0) * np.cbrt(
-                    le * float(np.abs(gv - mean) ** 3 @ ews))
-                self.osc_g[mesh.edge_tris[e, 0]] += osc
+        np.add.at(self.osc_g, mesh.edge_tris[edges, 0], osc)
 
         # permeability samples for the momentum residual
         self._res_rule = triangle_rule(volume_degree)
@@ -182,16 +178,6 @@ class IndicatorContext:
                                  osc_g=self.osc_g)
 
 
-def compute_indicators(mesh: Mesh, problem: ProblemSpec,
-                       u_new: P0VectorField, u_prev: P0VectorField,
-                       p_new: P1ScalarField, alpha: float,
-                       context: IndicatorContext | None = None) -> ElementIndicators:
-    """One-shot indicator evaluation (builds a throwaway context)."""
-    if context is None:
-        context = IndicatorContext(mesh, problem)
-    return context.compute(u_new, u_prev, p_new, alpha)
-
-
 def effectivity_index(ind: ElementIndicators, u_exact_err_l3: float,
                       p_exact_grad_err_l32: float) -> float:
     """Estimated-over-true error ratio.
@@ -233,8 +219,14 @@ def lower_bound_check(mesh: Mesh, problem: ProblemSpec,
     if problem.exact_u is None:
         raise ValueError(f"problem {problem.name!r} has no reference velocity")
     rule = triangle_rule(degree)
-    err_new = p0_error_element_norms(u_new, problem.exact_u, 2.0, rule)
-    err_prev = p0_error_element_norms(u_prev, problem.exact_u, 2.0, rule)
+    ux, uy = sample(physical_points(mesh, rule), problem.exact_u)
+
+    def err(u):
+        return element_lp(mesh, rule, ux - u.values[:, None, 0],
+                          uy - u.values[:, None, 1], 2.0) ** (1.0 / 2.0)
+
+    err_new = err(u_new)
+    err_prev = err(u_prev)
     eta_l = np.sqrt(mesh.areas) * np.linalg.norm(
         u_new.values - u_prev.values, axis=1)
     bound = err_prev + err_new

@@ -11,7 +11,7 @@ hands the two old non-refinement edges down to the children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class Mesh:
     edge_lengths: np.ndarray
     edge_normals: np.ndarray
     vertex_on_boundary: np.ndarray
-    _vertex_tris: list[list[int]] | None = field(default=None, repr=False)
 
     # -- basic counts ------------------------------------------------------
 
@@ -110,24 +109,6 @@ class Mesh:
                + np.linalg.norm(self.xy[a] - self.xy[c], axis=1))
         return self.h_tri * per / (4.0 * self.areas)
 
-    def vertex_triangles(self) -> list[list[int]]:
-        """Triangle ids incident to each vertex."""
-        if self._vertex_tris is None:
-            inc: list[list[int]] = [[] for _ in range(self.n_vertices)]
-            for k, tri in enumerate(self.tris):
-                for v in tri:
-                    inc[v].append(k)
-            self._vertex_tris = inc
-        return self._vertex_tris
-
-    def element_patch(self, k: int) -> list[int]:
-        """Ids of all triangles sharing at least a vertex with triangle k."""
-        inc = self.vertex_triangles()
-        patch: set[int] = set()
-        for v in self.tris[k]:
-            patch.update(inc[v])
-        return sorted(patch)
-
     def tri_coords(self) -> np.ndarray:
         """Vertex coordinates per triangle, shape (m, 3, 2)."""
         return self.xy[self.tris]
@@ -171,9 +152,11 @@ def _build(xy, tris, seed_refinement_edges=False) -> Mesh:
     if tris.min() < 0 or tris.max() >= n:
         k = int(np.flatnonzero((tris < 0).any(axis=1) | (tris >= n).any(axis=1))[0])
         raise MeshConformityError(f"triangle {k} references a vertex out of range")
-    for k in range(m):
-        if len(set(tris[k])) != 3:
-            raise MeshConformityError(f"triangle {k} has a repeated vertex")
+    repeated = (tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2]) \
+        | (tris[:, 2] == tris[:, 0])
+    if repeated.any():
+        k = int(np.flatnonzero(repeated)[0])
+        raise MeshConformityError(f"triangle {k} has a repeated vertex")
 
     used = np.zeros(n, dtype=bool)
     used[tris.ravel()] = True

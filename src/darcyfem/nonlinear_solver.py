@@ -27,11 +27,13 @@ from .problems import ProblemSpec, validate
 from .spaces import (
     P0VectorField,
     P1ScalarField,
-    function_lp_norm,
+    QuadratureRule,
+    element_lp,
     gradient_lp_norm,
     lp_norm,
-    p0_error_lp_norm,
-    p1_gradient_error_lp_norm,
+    p1_gradients,
+    physical_points,
+    sample,
     triangle_rule,
 )
 
@@ -195,19 +197,34 @@ class ErrorReport:
             + _guarded_ratio(self.grad_p_l32, self.exact_grad_p_l32)
 
 
+def _lp(mesh: Mesh, rule: QuadratureRule, vx, vy, p: float) -> float:
+    return float(element_lp(mesh, rule, vx, vy, p).sum() ** (1.0 / p))
+
+
 def true_error(mesh: Mesh, problem: ProblemSpec, u: P0VectorField,
                p: P1ScalarField, degree: int = ERROR_QUAD_DEGREE) -> ErrorReport:
     """Quadrature errors of (u, p) against the problem's reference solution."""
     if not problem.has_exact():
         raise ValueError(f"problem {problem.name!r} has no reference solution")
     rule = triangle_rule(degree)
-    return ErrorReport(
-        u_l2=p0_error_lp_norm(u, problem.exact_u, 2.0, rule),
-        u_l3=p0_error_lp_norm(u, problem.exact_u, 3.0, rule),
-        grad_p_l32=p1_gradient_error_lp_norm(p, problem.exact_grad_p, 1.5, rule),
-        exact_u_l3=function_lp_norm(mesh, problem.exact_u, 3.0, rule),
-        exact_grad_p_l32=function_lp_norm(mesh, problem.exact_grad_p, 1.5, rule),
-    )
+    pts = physical_points(mesh, rule)
+    # The velocity samples are dropped before the gradient is sampled, which
+    # keeps the peak memory at one field's samples.
+    ux, uy = sample(pts, problem.exact_u)
+    exact_u_l3 = _lp(mesh, rule, ux, uy, 3.0)
+    dx = ux - u.values[:, None, 0]
+    dy = uy - u.values[:, None, 1]
+    del ux, uy
+    u_l2 = _lp(mesh, rule, dx, dy, 2.0)
+    u_l3 = _lp(mesh, rule, dx, dy, 3.0)
+    del dx, dy
+    gx, gy = sample(pts, problem.exact_grad_p)
+    exact_grad_p_l32 = _lp(mesh, rule, gx, gy, 1.5)
+    gh = p1_gradients(p)
+    grad_p_l32 = _lp(mesh, rule, gx - gh[:, None, 0], gy - gh[:, None, 1], 1.5)
+    return ErrorReport(u_l2=u_l2, u_l3=u_l3, grad_p_l32=grad_p_l32,
+                       exact_u_l3=exact_u_l3,
+                       exact_grad_p_l32=exact_grad_p_l32)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +350,9 @@ def alpha_diagnostics(mesh: Mesh, problem: ProblemSpec,
     u_l = compute_lifting(mesh, problem)
     l2 = lp_norm(u_l, 2.0)
     l3 = lp_norm(u_l, 3.0)
-    f_l2 = function_lp_norm(mesh, problem.f, 2.0,
-                            triangle_rule(ERROR_QUAD_DEGREE))
+    rule = triangle_rule(ERROR_QUAD_DEGREE)
+    fx, fy = sample(physical_points(mesh, rule), problem.f)
+    f_l2 = _lp(mesh, rule, fx, fy, 2.0)
 
     ratio_sq = (2.0 * rho / (mu * km)) ** 2
     ell0 = ratio_sq * ((1.5 * rho / (mu * km) + 0.5) * f_l2 ** 2

@@ -6,8 +6,8 @@ source f, mass source b, normal flux g) and, when available, the exact
 solution used for error reporting.  All data callables are numpy-vectorized:
 scalar data maps point arrays to arrays, vector data returns an (fx, fy)
 pair, and K^-1 returns something broadcastable to shape (2, 2) + x.shape.
-The boundary flux g takes the outward unit normal of the edge being
-integrated as a third argument.
+The boundary flux g takes the outward unit normals as a third argument; see
+:class:`ProblemSpec` for the shapes.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import numpy as np
 
 from . import mesh as _mesh
 from .expressions import ExpressionError, compile_expression
-from .spaces import QuadratureRule, boundary_edge_means, edge_rule, edge_points, \
-    physical_points, triangle_rule
+from .spaces import physical_points, triangle_rule
 
 
 class ProblemConfigError(ValueError):
@@ -29,7 +28,14 @@ class ProblemConfigError(ValueError):
 
 @dataclass
 class ProblemSpec:
-    """Coefficients, data and (optional) exact solution of one flow problem."""
+    """Coefficients, data and (optional) exact solution of one flow problem.
+
+    ``g(x, y, normal)`` is called once for all boundary edges: x and y have
+    shape (nb, q), one row of q edge quadrature points per boundary edge,
+    and ``normal`` is the (2, nb, 1) array of outward unit normals, so
+    ``normal[0]`` and ``normal[1]`` broadcast against x and y.  The result
+    must broadcast to x.shape.
+    """
 
     name: str
     domain: str                    # "unit-square" or "l-shape"
@@ -197,18 +203,15 @@ BUILTIN_PROBLEMS = {
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate(problem: ProblemSpec, mesh: _mesh.Mesh,
-             rule: QuadratureRule | None = None,
-             edge_points_n: int = 4) -> dict:
-    """Sample-based checks of a problem on a mesh.
+def validate(problem: ProblemSpec, mesh: _mesh.Mesh) -> dict:
+    """Sample-based check of K^-1 on a mesh.
 
-    Returns the eigenvalue bounds of K^-1 over the quadrature points (K_m,
-    K_M), the compatibility residual INT(b) - INT_bdy(g), and the relative
-    compatibility defect.  Raises if K^-1 is not symmetric positive definite
-    at a sample point.
+    Returns the eigenvalue bounds of K^-1 over degree-6 quadrature points
+    (K_m, K_M).  Raises if K^-1 is not symmetric positive definite at a
+    sample point.  The compatibility of b and g is checked by
+    :class:`~darcyfem.assembly.Assembler`.
     """
-    rule = rule or triangle_rule(6)
-    pts = physical_points(mesh, rule)
+    pts = physical_points(mesh, triangle_rule(6))
     kk = eval_k_inverse(problem, pts[..., 0], pts[..., 1])
     asym = np.abs(kk[0, 1] - kk[1, 0]).max()
     if asym > 1e-12:
@@ -222,33 +225,7 @@ def validate(problem: ProblemSpec, mesh: _mesh.Mesh,
     if lam_min <= 0.0:
         raise ProblemConfigError(
             f"K^-1 is not positive definite (min eigenvalue {lam_min:.3e})")
-
-    bw = rule.weights
-    b_vals = np.broadcast_to(problem.b(pts[..., 0], pts[..., 1]), pts.shape[:2])
-    int_b = float(mesh.areas @ (b_vals @ bw))
-    abs_b = float(mesh.areas @ (np.abs(b_vals) @ bw))
-
-    ts, ws = edge_rule(edge_points_n)
-    bedges = mesh.boundary_edges
-    epts = edge_points(mesh, bedges, ts)
-    int_g = 0.0
-    abs_g = 0.0
-    for j, e in enumerate(bedges):
-        gv = np.broadcast_to(
-            problem.g(epts[j, :, 0], epts[j, :, 1], mesh.edge_normals[e]),
-            (len(ts),))
-        int_g += mesh.edge_lengths[e] * float(gv @ ws)
-        abs_g += mesh.edge_lengths[e] * float(np.abs(gv) @ ws)
-
-    residual = int_b - int_g
-    scale = abs_b + abs_g
-    return {
-        "K_m": float(lam_min),
-        "K_M": float(lam_max),
-        "compatibility_residual": residual,
-        "compatibility_scale": scale,
-        "compatibility_relative": abs(residual) / scale if scale > 0.0 else 0.0,
-    }
+    return {"K_m": float(lam_min), "K_M": float(lam_max)}
 
 
 # ---------------------------------------------------------------------------

@@ -156,131 +156,55 @@ def p1_gradients(field: P1ScalarField) -> np.ndarray:
 # Norms
 # ---------------------------------------------------------------------------
 
-def lp_norm(field: P0VectorField, p: float, elements=None) -> float:
+def lp_norm(field: P0VectorField, p: float) -> float:
     """Exact Lp norm of a piecewise-constant vector field."""
-    mags = field.magnitudes()
-    areas = field.mesh.areas
-    if elements is not None:
-        mags = mags[elements]
-        areas = areas[elements]
-    return float((areas @ mags ** p) ** (1.0 / p))
+    return float((field.mesh.areas @ field.magnitudes() ** p) ** (1.0 / p))
 
 
-def gradient_lp_norm(field: P1ScalarField, p: float, elements=None) -> float:
+def gradient_lp_norm(field: P1ScalarField, p: float) -> float:
     """Exact Lp norm of the (piecewise-constant) gradient of a P1 field."""
     g = np.linalg.norm(p1_gradients(field), axis=1)
-    areas = field.mesh.areas
-    if elements is not None:
-        g = g[elements]
-        areas = areas[elements]
-    return float((areas @ g ** p) ** (1.0 / p))
+    return float((field.mesh.areas @ g ** p) ** (1.0 / p))
 
 
-def element_means(mesh: Mesh, fn, rule: QuadratureRule) -> np.ndarray:
-    """Mean value of a function on every triangle; (m,) or (m, 2).
+def sample(pts: np.ndarray, fn):
+    """Values of ``fn(x, y)`` at mapped quadrature points ``pts`` (m, q, 2).
 
-    ``fn(x, y)`` must broadcast over arrays; vector-valued functions return a
-    pair ``(fx, fy)``.
+    A scalar function gives one (m, q) array, a vector function the pair
+    ``(fx, fy)`` of (m, q) arrays; constant returns are broadcast.
     """
-    pts = physical_points(mesh, rule)
     out = fn(pts[..., 0], pts[..., 1])
     if isinstance(out, tuple):
-        fx = np.broadcast_to(out[0], pts.shape[:2])
-        fy = np.broadcast_to(out[1], pts.shape[:2])
-        return np.stack([fx @ rule.weights, fy @ rule.weights], axis=1)
-    return np.broadcast_to(out, pts.shape[:2]) @ rule.weights
+        return tuple(np.broadcast_to(c, pts.shape[:2]) for c in out)
+    return np.broadcast_to(out, pts.shape[:2])
 
 
-def function_lp_norm(mesh: Mesh, fn, p: float, rule: QuadratureRule,
-                     elements=None) -> float:
-    """Lp norm of a scalar or vector function by quadrature."""
-    pts = physical_points(mesh, rule)
-    out = fn(pts[..., 0], pts[..., 1])
-    if isinstance(out, tuple):
-        fx = np.broadcast_to(out[0], pts.shape[:2])
-        fy = np.broadcast_to(out[1], pts.shape[:2])
-        mag = np.hypot(fx, fy)
-    else:
-        mag = np.abs(np.broadcast_to(out, pts.shape[:2]))
-    cell = (mag ** p) @ rule.weights * mesh.areas
-    if elements is not None:
-        cell = cell[elements]
-    return float(cell.sum() ** (1.0 / p))
-
-
-def p0_error_lp_norm(field: P0VectorField, fn, p: float,
-                     rule: QuadratureRule, elements=None) -> float:
-    """Lp norm of ``fn - field`` for a vector function fn, by quadrature."""
-    mesh = field.mesh
-    pts = physical_points(mesh, rule)
-    fx, fy = fn(pts[..., 0], pts[..., 1])
-    dx = np.broadcast_to(fx, pts.shape[:2]) - field.values[:, None, 0]
-    dy = np.broadcast_to(fy, pts.shape[:2]) - field.values[:, None, 1]
-    cell = (np.hypot(dx, dy) ** p) @ rule.weights * mesh.areas
-    if elements is not None:
-        cell = cell[elements]
-    return float(cell.sum() ** (1.0 / p))
-
-
-def p0_error_element_norms(field: P0VectorField, fn, p: float,
-                           rule: QuadratureRule) -> np.ndarray:
-    """Per-element Lp norms of ``fn - field``, shape (m,)."""
-    mesh = field.mesh
-    pts = physical_points(mesh, rule)
-    fx, fy = fn(pts[..., 0], pts[..., 1])
-    dx = np.broadcast_to(fx, pts.shape[:2]) - field.values[:, None, 0]
-    dy = np.broadcast_to(fy, pts.shape[:2]) - field.values[:, None, 1]
-    cell = (np.hypot(dx, dy) ** p) @ rule.weights * mesh.areas
-    return cell ** (1.0 / p)
-
-
-def p1_gradient_error_lp_norm(field: P1ScalarField, grad_fn, p: float,
-                              rule: QuadratureRule, elements=None) -> float:
-    """Lp norm of ``grad_fn - grad(field)`` by quadrature."""
-    mesh = field.mesh
-    pts = physical_points(mesh, rule)
-    gx, gy = grad_fn(pts[..., 0], pts[..., 1])
-    gh = p1_gradients(field)
-    dx = np.broadcast_to(gx, pts.shape[:2]) - gh[:, None, 0]
-    dy = np.broadcast_to(gy, pts.shape[:2]) - gh[:, None, 1]
-    cell = (np.hypot(dx, dy) ** p) @ rule.weights * mesh.areas
-    if elements is not None:
-        cell = cell[elements]
-    return float(cell.sum() ** (1.0 / p))
+def element_lp(mesh: Mesh, rule: QuadratureRule, vx: np.ndarray,
+               vy: np.ndarray, p: float) -> np.ndarray:
+    """Per-element INT_k |v|^p by quadrature of v sampled as (m, q) arrays."""
+    return (np.hypot(vx, vy) ** p) @ rule.weights * mesh.areas
 
 
 # ---------------------------------------------------------------------------
-# Edge means
+# Boundary data
 # ---------------------------------------------------------------------------
 
-def edge_points(mesh: Mesh, edges: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Points at parameters ``ts`` along each edge, shape (len(edges), len(ts), 2)."""
+def boundary_samples(mesh: Mesh, g, n_points: int):
+    """Samples of ``g(x, y, normal)`` at Gauss points of the boundary edges.
+
+    Returns ``(edges, ts, ws, vals)``: the boundary edge ids, the edge rule
+    on [0, 1] and the samples, shape (len(edges), n_points), from a single
+    call of g.  ``normal`` is the (2, len(edges), 1) array of outward unit
+    normals, so ``normal[0]`` and ``normal[1]`` broadcast against x and y.
+    """
+    edges = mesh.boundary_edges
+    ts, ws = edge_rule(n_points)
     a = mesh.xy[mesh.edge_vertices[edges, 0]]
     b = mesh.xy[mesh.edge_vertices[edges, 1]]
-    return a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
-
-
-def boundary_edge_means(mesh: Mesh, g, n_points: int = 4,
-                        edges=None) -> np.ndarray:
-    """Mean of a boundary function g(x, y, normal) on each boundary edge."""
-    if edges is None:
-        edges = mesh.boundary_edges
-    edges = np.asarray(edges)
-    if edges.size and (mesh.edge_tris[edges, 1] >= 0).any():
-        bad = int(edges[np.flatnonzero(mesh.edge_tris[edges, 1] >= 0)[0]])
-        raise ValueError(f"edge {bad} is interior; boundary data has no trace there")
-    ts, ws = edge_rule(n_points)
-    pts = edge_points(mesh, edges, ts)
-    vals = np.empty(pts.shape[:2])
-    for j, e in enumerate(edges):
-        vals[j] = np.broadcast_to(
-            g(pts[j, :, 0], pts[j, :, 1], mesh.edge_normals[e]), (len(ts),))
-    return vals @ ws
-
-
-def edge_mean(mesh: Mesh, g, edge_id: int, n_points: int = 4) -> float:
-    """Mean of a boundary function on a single boundary edge."""
-    return float(boundary_edge_means(mesh, g, n_points, np.array([edge_id]))[0])
+    pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
+    normal = mesh.edge_normals[edges].T[:, :, None]
+    vals = np.broadcast_to(g(pts[..., 0], pts[..., 1], normal), pts.shape[:2])
+    return edges, ts, ws, vals
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,8 @@ import pytest
 from darcyfem import problems
 from darcyfem.assembly import darcy_solve
 from darcyfem.indicators import (ElementIndicators, IndicatorContext,
-                                 compute_indicators, edge_flux,
-                                 effectivity_index, lower_bound_check,
-                                 total_relative_indicator)
+                                 edge_flux, effectivity_index,
+                                 lower_bound_check, total_relative_indicator)
 from darcyfem.mesh import from_arrays, generate_structured, refine_uniform
 from darcyfem.nonlinear_solver import SolverConfig, solve
 from darcyfem.spaces import P0VectorField, P1ScalarField
@@ -61,8 +60,8 @@ def test_eta_l_is_exact_p0_distance():
     un = rng.standard_normal((m.n_triangles, 2))
     up = rng.standard_normal((m.n_triangles, 2))
     p = P1ScalarField(m, np.zeros(m.n_vertices))
-    ind = compute_indicators(m, prob, P0VectorField(m, un),
-                             P0VectorField(m, up), p, alpha=1.0)
+    ind = IndicatorContext(m, prob).compute(
+        P0VectorField(m, un), P0VectorField(m, up), p, alpha=1.0)
     expected = np.sqrt(m.areas) * np.linalg.norm(un - up, axis=1)
     assert np.allclose(ind.eta_l, expected, rtol=0, atol=1e-14)
 
@@ -73,7 +72,7 @@ def test_converged_state_has_zero_eta_l():
     rng = np.random.default_rng(4)
     u = P0VectorField(m, rng.standard_normal((m.n_triangles, 2)))
     p = P1ScalarField(m, np.zeros(m.n_vertices))
-    ind = compute_indicators(m, prob, u, u, p, alpha=2.0)
+    ind = IndicatorContext(m, prob).compute(u, u, p, alpha=2.0)
     assert np.all(ind.eta_l == 0.0)
 
 
@@ -87,7 +86,7 @@ def test_momentum_residual_hand_example():
     u_new = P0VectorField(m, np.array([[1.0, 0.0]]))
     u_prev = P0VectorField.zero(m)
     p = P1ScalarField(m, m.xy[:, 0] + m.xy[:, 1])      # grad p = (1, 1)
-    ind = compute_indicators(m, prob, u_new, u_prev, p, alpha=1.0)
+    ind = IndicatorContext(m, prob).compute(u_new, u_prev, p, alpha=1.0)
     expected = math.sqrt(10.0) * math.sqrt(0.5)
     assert ind.eta_d1[0] == pytest.approx(expected, rel=1e-12)
 
@@ -101,7 +100,7 @@ def test_momentum_residual_uses_previous_speed():
     u_new = P0VectorField(m, np.array([[1.0, 0.0]]))
     u_prev = P0VectorField(m, np.array([[0.0, 2.0]]))
     p = P1ScalarField(m, m.xy[:, 0] + m.xy[:, 1])
-    ind = compute_indicators(m, prob, u_new, u_prev, p, alpha=1.0)
+    ind = IndicatorContext(m, prob).compute(u_new, u_prev, p, alpha=1.0)
     # residual = -grad p - alpha (u_new - u_prev) - u_new - 2 u_new
     r = -np.array([1.0, 1.0]) - (np.array([1.0, 0.0]) - np.array([0.0, 2.0])) \
         - np.array([1.0, 0.0]) - 2.0 * np.array([1.0, 0.0])
@@ -114,7 +113,7 @@ def test_exact_data_case_all_zero_oscillation():
     m = generate_structured(4)
     u = P0VectorField.zero(m)
     p = P1ScalarField(m, np.zeros(m.n_vertices))
-    ind = compute_indicators(m, prob, u, u, p, alpha=1.0)
+    ind = IndicatorContext(m, prob).compute(u, u, p, alpha=1.0)
     assert np.abs(ind.osc_f).max() < 1e-12
     assert np.all(ind.osc_b == 0.0)
     assert np.all(ind.osc_g == 0.0)
@@ -130,7 +129,7 @@ def test_resolved_solution_zeroes_every_indicator():
     prob = problems.problem_from_config({"f": ["1", "0"]})
     m = generate_structured(4)
     u, p, _ = darcy_solve(m, prob)
-    ind = compute_indicators(m, prob, u, u, p, alpha=0.5)
+    ind = IndicatorContext(m, prob).compute(u, u, p, alpha=0.5)
     assert np.abs(ind.eta_d1).max() < 1e-10
     assert np.abs(ind.eta_d2).max() < 1e-10
     assert np.all(ind.eta_l == 0.0)
@@ -165,10 +164,10 @@ def test_element_order_does_not_change_indicators():
     vals = np.array([[1.0, -0.5], [0.25, 2.0]])
     p1 = P1ScalarField(m1, xy[:, 0] * xy[:, 1])
     p2 = P1ScalarField(m2, xy[:, 0] * xy[:, 1])
-    i1 = compute_indicators(m1, prob, P0VectorField(m1, vals),
-                            P0VectorField.zero(m1), p1, alpha=1.0)
-    i2 = compute_indicators(m2, prob, P0VectorField(m2, vals[::-1]),
-                            P0VectorField.zero(m2), p2, alpha=1.0)
+    i1 = IndicatorContext(m1, prob).compute(
+        P0VectorField(m1, vals), P0VectorField.zero(m1), p1, alpha=1.0)
+    i2 = IndicatorContext(m2, prob).compute(
+        P0VectorField(m2, vals[::-1]), P0VectorField.zero(m2), p2, alpha=1.0)
     assert np.allclose(np.sort(i1.eta_d2), np.sort(i2.eta_d2), rtol=1e-13)
     assert np.allclose(np.sort(i1.eta_d1), np.sort(i2.eta_d1), rtol=1e-13)
 
@@ -203,10 +202,10 @@ def test_eta_d2_stable_under_uniform_refinement_transfer():
 
     p_par = P1ScalarField(parent, np.zeros(parent.n_vertices))
     p_chi = P1ScalarField(child, np.zeros(child.n_vertices))
-    i_par = compute_indicators(parent, prob, P0VectorField(parent, u_par),
-                               P0VectorField(parent, u_par), p_par, alpha=0.0)
-    i_chi = compute_indicators(child, prob, P0VectorField(child, u_chi),
-                               P0VectorField(child, u_chi), p_chi, alpha=0.0)
+    u_p = P0VectorField(parent, u_par)
+    u_c = P0VectorField(child, u_chi)
+    i_par = IndicatorContext(parent, prob).compute(u_p, u_p, p_par, alpha=0.0)
+    i_chi = IndicatorContext(child, prob).compute(u_c, u_c, p_chi, alpha=0.0)
 
     # new interior edges (both sides in the same parent) carry no jump
     flux = edge_flux(child, u_chi, np.zeros(child.n_edges))

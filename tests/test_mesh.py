@@ -113,35 +113,6 @@ def test_repeated_refinement_keeps_area_and_shape():
     assert m.shape_ratios().max() <= 2.0 * base_ratio + 1e-12
 
 
-def test_element_patch_two_triangles():
-    m = msh.generate_structured(1)
-    assert set(m.element_patch(0)) == {0, 1}
-
-
-def test_element_patch_brute_force():
-    for n in (2, 3):
-        m = msh.generate_structured(n)
-        for k in range(m.n_triangles):
-            expect = {j for j in range(m.n_triangles)
-                      if set(m.tris[j]) & set(m.tris[k])}
-            assert set(m.element_patch(k)) == expect
-
-
-def test_element_patch_corner_excludes_far_triangles():
-    m = msh.generate_structured(2)
-    # find the triangle touching (0,0)
-    corner = None
-    for k in range(m.n_triangles):
-        if 0 in m.tris[k] and (m.xy[m.tris[k]] == 0).all(axis=1).any():
-            corner = k
-            break
-    patch = set(m.element_patch(corner))
-    # triangles touching the opposite corner (1,1) but not the patch vertices
-    far = {k for k in range(m.n_triangles)
-           if any((m.xy[v] == 1.0).all() for v in m.tris[k])}
-    assert not (patch & far) or len(patch) < m.n_triangles
-
-
 def test_save_load_roundtrip():
     m = msh.generate_structured(3, rect=((-1.0, 0.0), (1.0, 2.0)))
     text = msh.save_mesh(m)
@@ -173,6 +144,14 @@ def test_load_rejects_duplicate_triangle():
     ])
     with pytest.raises(msh.MeshConformityError):
         msh.load_mesh(text)
+
+
+def test_rejects_repeated_vertex_naming_first_bad_triangle():
+    xy = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    tris = [[0, 1, 2], [0, 2, 2], [3, 3, 0]]
+    with pytest.raises(msh.MeshConformityError,
+                       match="triangle 1 has a repeated vertex"):
+        msh.from_arrays(xy, tris)
 
 
 def test_load_rejects_clockwise_triangle():

@@ -1,9 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from darcyfem import problems
+from darcyfem.assembly import Assembler
+from darcyfem.indicators import IndicatorContext
 from darcyfem.mesh import generate_structured
-from darcyfem.spaces import physical_points, triangle_rule
+from darcyfem.nonlinear_solver import true_error
+from darcyfem.spaces import (P0VectorField, P1ScalarField, physical_points,
+                             triangle_rule)
 
 from conftest import rng_loop
 
@@ -135,7 +141,6 @@ def test_validate_identity_k():
     report = problems.validate(prob, m)
     assert report["K_m"] == pytest.approx(1.0, abs=1e-13)
     assert report["K_M"] == pytest.approx(1.0, abs=1e-13)
-    assert report["compatibility_residual"] == 0.0
 
 
 def test_validate_rejects_non_spd():
@@ -203,3 +208,27 @@ def test_expression_randomized_polynomials():
         y = rng.uniform(0, 1, size=16)
         want = c[0] + c[1] * x + c[2] * x * y
         assert np.allclose(np.asarray(prob.b(x, y)), want, atol=1e-12)
+
+
+def test_each_data_function_is_sampled_once():
+    """g once per Assembler and per IndicatorContext, f once per
+    IndicatorContext, the exact fields once each per true_error."""
+    base = problems.gaussian_vortex(beta=10.0)
+    calls = dict.fromkeys(("f", "g", "exact_u", "exact_grad_p"), 0)
+
+    def counted(name):
+        fn = getattr(base, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    prob = replace(base, **{name: counted(name) for name in calls})
+    m = problems.initial_mesh(prob, 4)
+    Assembler(m, prob)
+    assert calls == {"f": 1, "g": 1, "exact_u": 0, "exact_grad_p": 0}
+    IndicatorContext(m, prob)
+    assert calls == {"f": 2, "g": 2, "exact_u": 0, "exact_grad_p": 0}
+    true_error(m, prob, P0VectorField.zero(m), P1ScalarField.zero(m))
+    assert calls == {"f": 2, "g": 2, "exact_u": 1, "exact_grad_p": 1}

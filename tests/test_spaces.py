@@ -82,11 +82,14 @@ def test_physical_points_match_einsum_mapping():
 def test_element_means():
     m = generate_structured(2)
     rule = sp.triangle_rule(4)
-    c = sp.element_means(m, lambda x, y: np.full(np.shape(x), 2.0), rule)
-    assert np.allclose(c, 2.0, atol=1e-14)
-    mx = sp.element_means(m, lambda x, y: x, rule)
+    pts = sp.physical_points(m, rule)
+    c = sp.sample(pts, lambda x, y: 2.0)
+    assert c.shape == pts.shape[:2]
+    assert np.allclose(c @ rule.weights, 2.0, atol=1e-14)
+    mx, my = sp.sample(pts, lambda x, y: (x, 3.0))
     cent = m.xy[m.tris].mean(axis=1)
-    assert np.allclose(mx, cent[:, 0], atol=1e-13)
+    assert np.allclose(mx @ rule.weights, cent[:, 0], atol=1e-13)
+    assert my.shape == pts.shape[:2] and (my == 3.0).all()
 
 
 def test_element_means_sharp_function_against_degree10():
@@ -96,8 +99,9 @@ def test_element_means_sharp_function_against_degree10():
     def sharp(x, y):
         return np.exp(-gam * (x ** 2 + y ** 2))
 
-    lo = sp.element_means(m, sharp, sp.triangle_rule(4))
-    hi = sp.element_means(m, sharp, sp.triangle_rule(10))
+    lo_rule, hi_rule = sp.triangle_rule(4), sp.triangle_rule(10)
+    lo = sp.sample(sp.physical_points(m, lo_rule), sharp) @ lo_rule.weights
+    hi = sp.sample(sp.physical_points(m, hi_rule), sharp) @ hi_rule.weights
     # ballpark agreement on the coarse mesh; exponential tails compared
     # against the peak, not against themselves
     assert np.allclose(lo, hi, rtol=0.2, atol=1e-6 * hi.max())
@@ -105,16 +109,23 @@ def test_element_means_sharp_function_against_degree10():
 
 def test_edge_mean_values():
     m = generate_structured(1)
-    for e in m.boundary_edges:
-        assert sp.edge_mean(m, lambda x, y, n: np.zeros(np.shape(x)), e) == 0.0
-        assert sp.edge_mean(m, lambda x, y, n: np.ones(np.shape(x)), e) == \
-            pytest.approx(1.0, abs=1e-14)
+    edges, ts, ws, zero = sp.boundary_samples(
+        m, lambda x, y, n: np.zeros(np.shape(x)), 4)
+    assert (edges == m.boundary_edges).all()
+    assert zero.shape == (edges.size, 4) and (zero @ ws == 0.0).all()
+    _, _, _, one = sp.boundary_samples(m, lambda x, y, n: 1.0, 4)
+    assert np.allclose(one @ ws, 1.0, atol=1e-14)
     # g = x on the bottom edge of the unit square -> mean 1/2
-    for e in m.boundary_edges:
-        va, vb = m.edge_vertices[e]
-        if (m.xy[va, 1] == 0.0) and (m.xy[vb, 1] == 0.0):
-            got = sp.edge_mean(m, lambda x, y, n: x, e)
-            assert got == pytest.approx(0.5, abs=1e-14)
+    _, _, _, gx = sp.boundary_samples(m, lambda x, y, n: x, 4)
+    bottom = [j for j, e in enumerate(edges)
+              if (m.xy[m.edge_vertices[e], 1] == 0.0).all()]
+    assert len(bottom) == 1
+    assert gx[bottom[0]] @ ws == pytest.approx(0.5, abs=1e-14)
+    # the normals broadcast against the points, one row per edge
+    for n_points in (1, 4):
+        _, _, _, nx = sp.boundary_samples(m, lambda x, y, n: n[0], n_points)
+        assert (nx == m.edge_normals[edges, 0][:, None]).all()
+        assert nx.shape == (edges.size, n_points)
 
 
 def test_lp_norm_p0():
