@@ -4,7 +4,8 @@ Each level runs the nonlinear solver with the indicator-balanced stopping
 rule, so the iteration stops as soon as the linearization error is dominated
 by the discretization error on the current mesh.  Elements are then marked
 on the discretization indicator (bulk criterion by default) and refined by
-newest-vertex bisection, and the loop moves to the next mesh.
+newest-vertex bisection, and the loop moves to the next mesh, starting there
+from the iterate it stopped at (nested iteration).
 """
 
 from __future__ import annotations
@@ -107,16 +108,33 @@ def _record_level(level: int, mesh: Mesh, problem: ProblemSpec,
     return rec
 
 
+def transfer(mesh: Mesh, u: np.ndarray, p: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Carry P0 velocities ``u`` and P1 pressures ``p`` of the coarse mesh
+    onto ``mesh``, which :func:`refine` made from it.
+
+    Each child takes its parent's velocity.  Old vertices keep their
+    pressure and each new midpoint vertex takes the mean of its edge's two
+    end values, which is exact P1 interpolation on a bisected mesh.
+    """
+    ends = mesh.split_edges
+    return u[mesh.parent], np.concatenate([p, 0.5 * (p[ends[:, 0]]
+                                                     + p[ends[:, 1]])])
+
+
 def adaptive_loop(problem: ProblemSpec, levels: int = 7, initial_n: int = 10,
                   solver: SolverConfig | None = None,
                   adapt: AdaptConfig | None = None,
                   mesh: Mesh | None = None) -> list[LevelState]:
     """Run ``levels`` solve-estimate-mark-refine rounds.
 
-    The solver defaults to the indicator-balanced stopping rule with the
-    linear solution as initial guess on every level.  The returned list has
+    The solver defaults to the indicator-balanced stopping rule.  The first
+    level starts from ``solver.initial_guess`` (the linear solution by
+    default); every later level starts from the previous level's iterate,
+    carried onto the refined mesh by :func:`transfer`.  The returned list has
     one entry per level, coarsest first; the last level is solved but not
-    refined.
+    refined.  A level whose iteration did not converge is the last one: it is
+    not marked, refined or used as a start.
     """
     cfg = solver or SolverConfig(stopping="indicator_balance",
                                  initial_guess="darcy")
@@ -124,18 +142,20 @@ def adaptive_loop(problem: ProblemSpec, levels: int = 7, initial_n: int = 10,
     current = mesh if mesh is not None else initial_mesh(problem, initial_n)
 
     states: list[LevelState] = []
+    start = None
     for level in range(levels):
-        result = solve(current, problem, cfg)
+        result = solve(current, problem, cfg, start=start)
         record = _record_level(level, current, problem, result)
         state = LevelState(mesh=current, result=result, record=record)
         states.append(state)
-        if level == levels - 1:
+        if level == levels - 1 or not result.converged:
             break
         marked = mark(result.indicators.eta_d, acfg.theta, acfg.marker)
         record.marked = int(marked.size)
         if marked.size == 0:
             break
         current = refine(current, marked)
+        start = transfer(current, result.u.values, result.p.values)
     return states
 
 

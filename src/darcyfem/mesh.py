@@ -11,7 +11,7 @@ hands the two old non-refinement edges down to the children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +46,15 @@ class Mesh:
         Unit normals pointing out of the first adjacent triangle; on boundary
         edges this is the outward normal of the domain.
 
+    parent : (m,) int array or None
+        On a mesh returned by :func:`refine`: per triangle, the triangle of
+        the coarser mesh it came from (the same triangle when that one was
+        not bisected).  None on meshes not made by refinement.
+    split_edges : (s, 2) int array or None
+        On a mesh returned by :func:`refine`: the end vertices of each
+        bisected edge of the coarser mesh; the midpoint of row ``i`` is
+        vertex ``n_coarse + i``.  None on meshes not made by refinement.
+
     The remaining arrays cache areas, element diameters, edge lengths, P1 hat
     function gradients and boundary flags.  Instances are treated as
     immutable; refinement returns a new mesh.
@@ -62,6 +71,8 @@ class Mesh:
     edge_lengths: np.ndarray
     edge_normals: np.ndarray
     vertex_on_boundary: np.ndarray
+    parent: np.ndarray | None = None
+    split_edges: np.ndarray | None = None
 
     # -- basic counts ------------------------------------------------------
 
@@ -92,11 +103,6 @@ class Mesh:
     @property
     def h_max(self) -> float:
         return float(self.h_tri.max())
-
-    @property
-    def refinement_edges(self) -> np.ndarray:
-        """Local refinement-edge index per triangle (always edge 0)."""
-        return np.zeros(self.n_triangles, dtype=np.int8)
 
     def domain_area(self) -> float:
         return float(self.areas.sum())
@@ -138,6 +144,57 @@ def _rotate_longest_edge_first(xy, tris):
     return rolled
 
 
+def _edge_tables(tris, n):
+    """``(tri_edges, edge_vertices, edge_tris)`` of a counter-clockwise mesh.
+
+    Edges get ids in order of first traversal (triangle by triangle, local
+    edge by local edge); a conforming mesh traverses every interior edge
+    exactly twice, in opposite directions.  A stable sort on the sorted
+    endpoint key lists each edge's traversals in traversal order; the first
+    bad traversal in that order is reported.
+    """
+    m = tris.shape[0]
+    a = tris.ravel()                       # traversal j = 3 k + i runs a -> b
+    b = tris[:, (1, 2, 0)].ravel()
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    starts = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
+    sizes = np.diff(np.r_[starts, skey.size])
+    group = np.repeat(np.arange(starts.size), sizes)
+    rank = np.arange(skey.size) - starts[group]
+    first = order[starts]                  # first traversal of each edge
+
+    # A third traversal, or a second one in the first one's direction.
+    bad = (rank >= 2) | ((rank == 1) & (a[order] == a[first[group]]))
+    if bad.any():
+        pos = np.flatnonzero(bad)
+        p = pos[np.argmin(order[pos])]
+        j = int(order[p])
+        edge = (int(min(a[j], b[j])), int(max(a[j], b[j])))
+        if rank[p] >= 2:
+            raise MeshConformityError(
+                f"edge {edge} is shared by more than two triangles")
+        raise MeshConformityError(
+            f"edge {edge} is traversed twice in the same direction "
+            f"(triangles {int(first[group[p]]) // 3} and {j // 3} overlap or "
+            f"one of them is misoriented)")
+
+    by_first = np.argsort(first)           # edge id -> group
+    edge_id = np.empty(starts.size, dtype=np.int64)
+    edge_id[by_first] = np.arange(starts.size)
+    tri_edges = np.empty(3 * m, dtype=np.int64)
+    tri_edges[order] = edge_id[group]
+
+    j0 = first[by_first]
+    edge_vertices = np.stack([a[j0], b[j0]], axis=1)
+    second = np.full(starts.size, -1, dtype=np.int64)
+    paired = sizes[by_first] == 2
+    second[paired] = order[starts[by_first][paired] + 1] // 3
+    edge_tris = np.stack([j0 // 3, second], axis=1)
+    return tri_edges.reshape(m, 3), edge_vertices, edge_tris
+
+
 def _build(xy, tris, seed_refinement_edges=False) -> Mesh:
     xy = np.ascontiguousarray(np.asarray(xy, dtype=np.float64))
     tris = np.ascontiguousarray(np.asarray(tris, dtype=np.int64))
@@ -176,39 +233,7 @@ def _build(xy, tris, seed_refinement_edges=False) -> Mesh:
         tris = _rotate_longest_edge_first(xy, tris)
         p = xy[tris]
 
-    # Edge tables.  Edges get ids in order of first traversal; a conforming
-    # mesh traverses every interior edge exactly twice, in opposite
-    # directions, because all triangles are counter-clockwise.
-    edge_id: dict[tuple[int, int], int] = {}
-    first_dir: list[tuple[int, int]] = []
-    edge_tris_list: list[list[int]] = []
-    tri_edges = np.empty((m, 3), dtype=np.int64)
-    for k in range(m):
-        t = tris[k]
-        for i in range(3):
-            a, b = int(t[i]), int(t[(i + 1) % 3])
-            key = (a, b) if a < b else (b, a)
-            e = edge_id.get(key)
-            if e is None:
-                e = len(first_dir)
-                edge_id[key] = e
-                first_dir.append((a, b))
-                edge_tris_list.append([k, -1])
-            else:
-                if edge_tris_list[e][1] != -1:
-                    raise MeshConformityError(
-                        f"edge {key} is shared by more than two triangles")
-                if first_dir[e] == (a, b):
-                    raise MeshConformityError(
-                        f"edge {key} is traversed twice in the same direction "
-                        f"(triangles {edge_tris_list[e][0]} and {k} overlap or "
-                        f"one of them is misoriented)")
-                edge_tris_list[e][1] = k
-            tri_edges[k, i] = e
-
-    edge_vertices = np.array(first_dir, dtype=np.int64)
-    edge_tris = np.array(edge_tris_list, dtype=np.int64)
-
+    tri_edges, edge_vertices, edge_tris = _edge_tables(tris, n)
     areas = signed
     l0 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
     l1 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
@@ -408,13 +433,21 @@ def refine(mesh: Mesh, marked: "np.ndarray | list[int]") -> Mesh:
     then marks the refinement edge of every triangle that has any marked
     edge, until stable.  Each triangle is bisected according to which of its
     edges are marked (1, 2 or 3 marked edges give 2, 3 or 4 children), the
-    refinement edge always first, so the result has no hanging nodes.  New
-    midpoint vertices are appended in edge-id order; children replace their
-    parent in triangle order, making the output deterministic.
+    refinement edge always first, so the result has no hanging nodes.
+
+    The old vertices keep their ids and the midpoints of the split edges are
+    appended in edge-id order: ``split_edges[i]`` on the returned mesh holds
+    the endpoints of the edge whose midpoint is vertex
+    ``mesh.n_vertices + i``.  Children replace their parent in triangle
+    order, and ``parent[c]`` on the returned mesh is the triangle of ``mesh``
+    that child ``c`` came from (an unsplit triangle is its own single child).
+    The output is deterministic; with nothing marked it is a copy of
+    ``mesh`` with the identity parent map and no split edges.
     """
     marked = np.asarray(list(marked), dtype=np.int64)
     if marked.size == 0:
-        return mesh
+        return replace(mesh, parent=np.arange(mesh.n_triangles),
+                       split_edges=np.empty((0, 2), dtype=np.int64))
     if marked.min() < 0 or marked.max() >= mesh.n_triangles:
         raise ValueError("marked triangle id out of range")
 
@@ -429,38 +462,41 @@ def refine(mesh: Mesh, marked: "np.ndarray | list[int]") -> Mesh:
             break
         edge_marked[mesh.tri_edges[need, 0]] = True
 
-    n = mesh.n_vertices
+    split_edges = mesh.edge_vertices[edge_marked]
     midpoint = -np.ones(mesh.n_edges, dtype=np.int64)
-    split_edges = np.flatnonzero(edge_marked)
-    midpoint[split_edges] = n + np.arange(split_edges.size)
-    mid_xy = 0.5 * (mesh.xy[mesh.edge_vertices[split_edges, 0]]
-                    + mesh.xy[mesh.edge_vertices[split_edges, 1]])
-    new_xy = np.vstack([mesh.xy, mid_xy])
+    midpoint[edge_marked] = mesh.n_vertices + np.arange(split_edges.shape[0])
+    new_xy = np.vstack([mesh.xy, 0.5 * (mesh.xy[split_edges[:, 0]]
+                                        + mesh.xy[split_edges[:, 1]])])
 
-    new_tris: list[tuple[int, int, int]] = []
-    for k in range(mesh.n_triangles):
-        z1, z2, z3 = (int(v) for v in mesh.tris[k])
-        e0, e1, e2 = (int(e) for e in mesh.tri_edges[k])
-        if not edge_marked[e0]:
-            new_tris.append((z1, z2, z3))
-            continue
-        m01 = int(midpoint[e0])
-        # First bisection: children (z3, z1, m01) and (z2, z3, m01) inherit
-        # the parent's other edges as their refinement edges.
-        if edge_marked[e2]:
-            m20 = int(midpoint[e2])
-            new_tris.append((m01, z3, m20))
-            new_tris.append((z1, m01, m20))
-        else:
-            new_tris.append((z3, z1, m01))
-        if edge_marked[e1]:
-            m12 = int(midpoint[e1])
-            new_tris.append((m01, z2, m12))
-            new_tris.append((z3, m01, m12))
-        else:
-            new_tris.append((z2, z3, m01))
+    # Up to four child slots per parent.  The first bisection gives
+    # (z3, z1, m01) and (z2, z3, m01), which inherit the parent's other edges
+    # as their refinement edges; slots 0-1 hold the first child or its two
+    # halves when e2 is split too, slots 2-3 the second child or its halves
+    # when e1 is split.
+    z1, z2, z3 = mesh.tris.T
+    m01, m12, m20 = midpoint[mesh.tri_edges].T
+    split = edge_marked[mesh.tri_edges]
+    s0 = split[:, 0]
+    s1 = s0 & split[:, 1]
+    s2 = s0 & split[:, 2]
 
-    return _build(new_xy, np.array(new_tris), seed_refinement_edges=False)
+    def tri(*v):
+        return np.stack(v, axis=1)
+
+    def where(mask, yes, no):
+        return np.where(mask[:, None], yes, no)
+
+    slots = np.stack([
+        where(s2, tri(m01, z3, m20), where(s0, tri(z3, z1, m01), mesh.tris)),
+        tri(z1, m01, m20),
+        where(s1, tri(m01, z2, m12), tri(z2, z3, m01)),
+        tri(z3, m01, m12),
+    ], axis=1)                                       # (m, 4, 3)
+    keep = np.stack([np.ones_like(s0), s2, s0, s1], axis=1)
+    parent = np.nonzero(keep)[0]
+
+    out = _build(new_xy, slots[keep], seed_refinement_edges=False)
+    return replace(out, parent=parent, split_edges=split_edges)
 
 
 def refine_uniform(mesh: Mesh, rounds: int = 1) -> Mesh:

@@ -100,13 +100,17 @@ def _step_increment(u_new, u_prev, p_new, p_prev, mesh):
 
 def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
           assembler: Assembler | None = None,
-          context: IndicatorContext | None = None) -> SolveResult:
+          context: IndicatorContext | None = None,
+          start: tuple[np.ndarray, np.ndarray] | None = None) -> SolveResult:
     """Run the relaxed fixed-point iteration to convergence.
 
     ``assembler`` and ``context`` may be passed in to reuse the cached
     mesh/data integrals across several solves on the same mesh (the sweep
     below does this); they must have been built for the same mesh, problem
-    and quadrature degrees.
+    and quadrature degrees.  ``start = (u0, p0)``, element velocities of
+    shape (m, 2) and vertex pressures of shape (n,), is the iterate to start
+    from; it replaces ``config.initial_guess`` (the adaptive loop passes the
+    previous level's solution carried onto the refined mesh).
     """
     cfg = config or SolverConfig()
     asm = assembler or Assembler(mesh, problem, cfg.volume_degree,
@@ -114,7 +118,15 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     ctx = context or IndicatorContext(mesh, problem, cfg.volume_degree)
 
     zero_u = np.zeros((mesh.n_triangles, 2))
-    if cfg.initial_guess == "darcy":
+    if start is not None:
+        u0, p0 = (np.array(v, dtype=np.float64) for v in start)
+        if u0.shape != zero_u.shape or p0.shape != (mesh.n_vertices,):
+            raise ValueError(
+                f"start needs shapes {zero_u.shape} and ({mesh.n_vertices},), "
+                f"got {u0.shape} and {p0.shape}")
+        u_prev = P0VectorField(mesh, u0)
+        p_prev = P1ScalarField(mesh, p0)
+    elif cfg.initial_guess == "darcy":
         system = asm.step(zero_u, 0.0)
         p_prev, _ = asm.solve_pressure(system, tol=cfg.cg_tol)
         u_prev = asm.recover_velocity(system, p_prev)

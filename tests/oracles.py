@@ -3,7 +3,9 @@
 Everything here is deliberately written from first principles — dense
 matrices, per-element Python loops, hat-function gradients recovered from a
 Vandermonde solve instead of the mesh's cached arrays — so that agreement
-with the production code is meaningful.  The one exception is the last
+with the production code is meaningful.  The mesh section keeps the
+per-triangle loops that the vectorized edge tables and bisection in
+``darcyfem.mesh`` replaced.  The one exception is the last
 section: thin wrappers over the production ``Assembler`` that only tests
 use.
 """
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from darcyfem.assembly import Assembler
+from darcyfem.mesh import MeshConformityError
 
 GL4_T = np.array([0.069431844202974, 0.330009478207572,
                   0.669990521792428, 0.930568155797026])
@@ -176,6 +179,93 @@ def doerfler_prefix_bruteforce(eta, theta):
     if total == 0.0:
         return []
     return sorted(marked)
+
+
+# ---------------------------------------------------------------------------
+# Mesh layer: edge tables and bisection as per-triangle loops
+# ---------------------------------------------------------------------------
+
+def loop_edge_tables(tris):
+    """``(tri_edges, edge_vertices, edge_tris)`` from one pass over the
+    triangles with a dict keyed by sorted endpoints; ids in order of first
+    traversal.  Raises ``MeshConformityError`` at the first bad traversal."""
+    tris = np.asarray(tris, dtype=np.int64)
+    m = tris.shape[0]
+    edge_id: dict[tuple[int, int], int] = {}
+    first_dir: list[tuple[int, int]] = []
+    edge_tris_list: list[list[int]] = []
+    tri_edges = np.empty((m, 3), dtype=np.int64)
+    for k in range(m):
+        t = tris[k]
+        for i in range(3):
+            a, b = int(t[i]), int(t[(i + 1) % 3])
+            key = (a, b) if a < b else (b, a)
+            e = edge_id.get(key)
+            if e is None:
+                e = len(first_dir)
+                edge_id[key] = e
+                first_dir.append((a, b))
+                edge_tris_list.append([k, -1])
+            else:
+                if edge_tris_list[e][1] != -1:
+                    raise MeshConformityError(
+                        f"edge {key} is shared by more than two triangles")
+                if first_dir[e] == (a, b):
+                    raise MeshConformityError(
+                        f"edge {key} is traversed twice in the same direction "
+                        f"(triangles {edge_tris_list[e][0]} and {k} overlap or "
+                        f"one of them is misoriented)")
+                edge_tris_list[e][1] = k
+            tri_edges[k, i] = e
+    return (tri_edges, np.array(first_dir, dtype=np.int64),
+            np.array(edge_tris_list, dtype=np.int64))
+
+
+def loop_refine(mesh, marked):
+    """``(xy, tris, parent)`` of newest-vertex bisection with closure, built
+    child by child in parent order (the mesh's own edge tables are read)."""
+    marked = np.asarray(list(marked), dtype=np.int64)
+    edge_marked = np.zeros(mesh.n_edges, dtype=bool)
+    edge_marked[mesh.tri_edges[marked, 0]] = True
+    while True:
+        has_marked = edge_marked[mesh.tri_edges].any(axis=1)
+        need = has_marked & ~edge_marked[mesh.tri_edges[:, 0]]
+        if not need.any():
+            break
+        edge_marked[mesh.tri_edges[need, 0]] = True
+
+    n = mesh.n_vertices
+    midpoint = -np.ones(mesh.n_edges, dtype=np.int64)
+    split_edges = np.flatnonzero(edge_marked)
+    midpoint[split_edges] = n + np.arange(split_edges.size)
+    mid_xy = 0.5 * (mesh.xy[mesh.edge_vertices[split_edges, 0]]
+                    + mesh.xy[mesh.edge_vertices[split_edges, 1]])
+    new_xy = np.vstack([mesh.xy, mid_xy])
+
+    new_tris: list[tuple[int, int, int]] = []
+    parent: list[int] = []
+    for k in range(mesh.n_triangles):
+        z1, z2, z3 = (int(v) for v in mesh.tris[k])
+        e0, e1, e2 = (int(e) for e in mesh.tri_edges[k])
+        before = len(new_tris)
+        if not edge_marked[e0]:
+            new_tris.append((z1, z2, z3))
+        else:
+            m01 = int(midpoint[e0])
+            if edge_marked[e2]:
+                m20 = int(midpoint[e2])
+                new_tris.append((m01, z3, m20))
+                new_tris.append((z1, m01, m20))
+            else:
+                new_tris.append((z3, z1, m01))
+            if edge_marked[e1]:
+                m12 = int(midpoint[e1])
+                new_tris.append((m01, z2, m12))
+                new_tris.append((z3, m01, m12))
+            else:
+                new_tris.append((z2, z3, m01))
+        parent.extend([k] * (len(new_tris) - before))
+    return new_xy, np.array(new_tris), np.array(parent, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from darcyfem import problems
 from darcyfem.adaptivity import (AdaptConfig, LevelRecord, adaptive_loop,
                                  compare_adaptive_uniform, mark,
                                  observed_orders, pick_by_budget,
-                                 uniform_study)
+                                 transfer, uniform_study)
+from darcyfem.mesh import generate_lshape, refine
 from darcyfem.nonlinear_solver import SolverConfig
 
 from conftest import rng_loop
@@ -102,6 +103,82 @@ def test_adaptive_loop_structure_and_determinism():
         assert rec.marked > 0 if i < 3 else rec.marked == 0
     again = adaptive_loop(prob, levels=4, initial_n=5, solver=cfg)
     assert [s.record for s in again] == [s.record for s in states]
+
+
+def _random_refinement(rng, rounds=3):
+    coarse = generate_lshape(3)
+    for _ in range(rounds):
+        marked = rng.choice(coarse.n_triangles, replace=False,
+                            size=int(rng.integers(1, coarse.n_triangles // 4)))
+        fine = refine(coarse, marked)
+        yield coarse, fine
+        coarse = fine
+
+
+def test_transfer_is_exact_for_linear_pressure():
+    for rng in rng_loop(515, 4):
+        c0, cx, cy = rng.normal(size=3)
+        for coarse, fine in _random_refinement(rng):
+            u = rng.normal(size=(coarse.n_triangles, 2))
+            p = c0 + cx * coarse.xy[:, 0] + cy * coarse.xy[:, 1]
+            _, p_fine = transfer(fine, u, p)
+            exact = c0 + cx * fine.xy[:, 0] + cy * fine.xy[:, 1]
+            assert p_fine.shape == (fine.n_vertices,)
+            assert (p_fine[:coarse.n_vertices] == p).all()
+            assert np.allclose(p_fine, exact, rtol=0.0, atol=1e-14)
+
+
+def test_transfer_injects_velocity_into_children():
+    for rng in rng_loop(516, 4):
+        for coarse, fine in _random_refinement(rng):
+            u = rng.normal(size=(coarse.n_triangles, 2))
+            u_fine, _ = transfer(fine, u, np.zeros(coarse.n_vertices))
+            assert u_fine.shape == (fine.n_triangles, 2)
+            for k in range(coarse.n_triangles):
+                children = np.flatnonzero(fine.parent == k)
+                assert children.size in (1, 2, 3, 4)
+                assert (u_fine[children] == u[k]).all()
+                assert fine.areas[children].sum() == pytest.approx(
+                    coarse.areas[k], rel=1e-12)
+
+
+def test_adaptive_loop_starts_later_levels_from_the_previous_one():
+    prob = problems.reentrant_corner()
+    cfg = SolverConfig(alpha=10.0, stopping="indicator_balance",
+                       initial_guess="darcy")
+    states = adaptive_loop(prob, levels=5, initial_n=4, solver=cfg)
+    steps = [s.record.iterations for s in states]
+    assert len(steps) == 5 and all(s.record.converged for s in states)
+    assert max(steps[1:]) < steps[0]
+
+
+def test_adaptive_loop_reruns_are_byte_identical():
+    prob = problems.reentrant_corner()
+    cfg = SolverConfig(alpha=10.0, stopping="indicator_balance",
+                       initial_guess="darcy")
+    runs = [adaptive_loop(prob, levels=4, initial_n=4, solver=cfg)
+            for _ in range(2)]
+    for a, b in zip(*runs):
+        assert a.record == b.record
+        for x, y in ((a.mesh.xy, b.mesh.xy), (a.mesh.tris, b.mesh.tris),
+                     (a.result.u.values, b.result.u.values),
+                     (a.result.p.values, b.result.p.values)):
+            assert x.tobytes() == y.tobytes()
+        assert [(r.err_l, r.eta_l, r.eta_d, r.cg_iters)
+                for r in a.result.trace] == \
+            [(r.err_l, r.eta_l, r.eta_d, r.cg_iters) for r in b.result.trace]
+
+
+def test_adaptive_loop_stops_at_a_level_that_did_not_converge():
+    # beta = 1000 with alpha = 0.1 settles into a period-2 cycle.
+    prob = problems.gaussian_vortex(beta=1000.0)
+    cfg = SolverConfig(alpha=0.1, max_iter=40, stopping="indicator_balance",
+                       initial_guess="darcy")
+    states = adaptive_loop(prob, levels=3, initial_n=6, solver=cfg)
+    assert len(states) == 1
+    rec = states[0].record
+    assert not rec.converged and rec.iterations == 40
+    assert rec.marked == 0
 
 
 def test_adaptive_loop_refines_the_vortex_ring():

@@ -4,6 +4,19 @@ import pytest
 from darcyfem import mesh as msh
 
 from conftest import rng_loop
+from oracles import loop_edge_tables, loop_refine
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def _assert_edge_tables_match_loop(m):
+    tri_edges, edge_vertices, edge_tris = loop_edge_tables(m.tris)
+    assert _same_bytes(m.tri_edges, tri_edges)
+    assert _same_bytes(m.edge_vertices, edge_vertices)
+    assert _same_bytes(m.edge_tris, edge_tris)
 
 
 def test_structured_counts_and_h():
@@ -70,6 +83,9 @@ def test_refine_empty_is_noop():
     m = msh.generate_structured(2)
     r = msh.refine(m, [])
     assert r.n_triangles == m.n_triangles
+    assert _same_bytes(r.tris, m.tris)
+    assert (r.parent == np.arange(m.n_triangles)).all()
+    assert r.split_edges.shape == (0, 2)
 
 
 def test_refine_both_triangles():
@@ -214,3 +230,71 @@ def test_random_refinement_sequences_stay_conforming():
         assert 3 * m.n_triangles == 2 * len(m.interior_edges) + len(m.boundary_edges)
         assert m.domain_area() == pytest.approx(1.0, rel=1e-12)
         assert (m.areas > 0).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 112])
+@pytest.mark.parametrize("generate", [msh.generate_structured,
+                                      msh.generate_lshape])
+def test_edge_tables_match_loop_oracle(generate, n):
+    _assert_edge_tables_match_loop(generate(n))
+
+
+def test_refine_matches_loop_oracle_on_random_marking():
+    for rng in rng_loop(606, 8):
+        m = msh.generate_lshape(int(rng.integers(1, 5)))
+        for _ in range(5):
+            marked = rng.choice(m.n_triangles, replace=False,
+                                size=int(rng.integers(1, m.n_triangles // 3 + 2)))
+            xy, tris, parent = loop_refine(m, marked)
+            r = msh.refine(m, marked)
+            assert _same_bytes(r.xy, xy)
+            assert _same_bytes(r.tris, tris)
+            assert _same_bytes(r.parent, parent)
+            _assert_edge_tables_match_loop(r)
+            ends = r.split_edges
+            assert ends.shape == (r.n_vertices - m.n_vertices, 2)
+            assert (r.xy[m.n_vertices:]
+                    == 0.5 * (m.xy[ends[:, 0]] + m.xy[ends[:, 1]])).all()
+            m = r
+
+
+def _conformity_message(fn):
+    with pytest.raises(msh.MeshConformityError) as exc:
+        fn()
+    return str(exc.value)
+
+
+# Vertices 2 and 4 lie above the edge (0, 1), vertex 3 below it.
+_FAN_XY = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                    [0.5, 2.0]])
+
+
+@pytest.mark.parametrize("tris, message", [
+    ([[0, 1, 2], [1, 0, 3], [0, 1, 4]],
+     "edge (0, 1) is shared by more than two triangles"),
+    ([[1, 0, 3], [0, 1, 2], [0, 1, 4]],
+     "edge (0, 1) is shared by more than two triangles"),
+    ([[0, 1, 2], [0, 1, 4], [1, 0, 3]],
+     "edge (0, 1) is traversed twice in the same direction (triangles 0 "
+     "and 1 overlap or one of them is misoriented)"),
+])
+def test_conformity_errors_keep_the_loop_message(tris, message):
+    tris = np.array(tris)
+    assert _conformity_message(lambda: loop_edge_tables(tris)) == message
+    assert _conformity_message(lambda: msh._build(_FAN_XY, tris)) == message
+
+
+def test_conformity_errors_name_the_same_edge_as_the_loop():
+    """A copy of one triangle inserted anywhere makes either error, at the
+    first bad traversal; both paths must report the same one."""
+    base = msh.generate_structured(3)
+    kinds = set()
+    for rng in rng_loop(707, 40):
+        k = int(rng.integers(base.n_triangles))
+        tris = np.insert(base.tris, int(rng.integers(base.n_triangles + 1)),
+                         base.tris[k], axis=0)
+        expected = _conformity_message(lambda: loop_edge_tables(tris))
+        assert _conformity_message(lambda: msh._build(base.xy, tris)) \
+            == expected
+        kinds.add("shared by more" in expected)
+    assert kinds == {True, False}

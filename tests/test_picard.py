@@ -22,6 +22,22 @@ def test_solver_config_rejects_unknown_modes():
         SolverConfig(stopping="never")
 
 
+def test_solve_start_checks_shapes_and_replaces_the_guess():
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = generate_structured(4)
+    u0 = np.zeros((m.n_triangles, 2))
+    p0 = np.zeros(m.n_vertices)
+    for bad in ((u0[1:], p0), (u0.ravel(), p0), (u0, p0[1:]),
+                (u0, p0[:, None])):
+        with pytest.raises(ValueError, match="start needs shapes"):
+            solve(m, prob, start=bad)
+    cfg = SolverConfig(alpha=10.0, initial_guess="darcy", max_iter=3)
+    from_zero = solve(m, prob, SolverConfig(alpha=10.0, max_iter=3))
+    started = solve(m, prob, cfg, start=(u0, p0))
+    assert started.u.values.tobytes() == from_zero.u.values.tobytes()
+    assert started.trace == from_zero.trace
+
+
 def test_zero_data_converges_immediately():
     prob = problems.trivial_zero()
     m = generate_structured(4)
