@@ -17,6 +17,7 @@ u_k = A_k^-1 (F_k - |k| grad p|_k) then satisfies the momentum rows exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,36 +72,51 @@ class PressureSystem:
     blocks: ElementBlocks
 
 
-def deflated_cg(s, rhs, x0=None, tol=1e-12, maxiter=None, precond=None):
+def _require_finite(value: float, what: str, history) -> None:
+    if not math.isfinite(value):
+        raise LinearSolverError(f"pressure solve has a non-finite {what}",
+                                history)
+
+
+def deflated_cg(s, rhs, x0=None, tol=1e-12, maxiter=None, precond=None,
+                forcing=0.0):
     """Conjugate gradients on the constants-deflected subspace.
 
     The right side, the initial guess and every residual are projected
     against the constant vector (the kernel of S), which keeps the iteration
     in the subspace where S is positive definite.  ``precond`` maps a
     residual to a mean-zero search direction and must be symmetric positive
-    definite on that subspace.  Returns ``(x, iterations)`` with the relative
-    residual ||r|| / ||rhs - mean|| below ``tol``; raises LinearSolverError
-    with the residual history otherwise.
+    definite on that subspace.  Returns ``(x, iterations)`` with the residual
+    ||r|| <= max(tol ||rhs - mean||, forcing ||r_0||), where r_0 is the
+    residual of the initial guess; ``forcing = 0`` solves to ``tol``, a
+    positive ``forcing`` stops an inexact solve once the residual has fallen
+    by that factor.  Raises LinearSolverError with the residual history if
+    the tolerance is not reached, or at once if the right side, a residual
+    or a curvature is not finite.
     """
     n = rhs.shape[0]
     if maxiter is None:
         maxiter = 10 * n
     b = rhs - rhs.mean()
     b_norm = float(np.linalg.norm(b))
+    _require_finite(b_norm, "right side", [])
     if b_norm == 0.0:
         return np.zeros(n), 0
     x = np.zeros(n) if x0 is None else x0 - x0.mean()
     r = b - s @ x
     r -= r.mean()
+    history = [float(np.linalg.norm(r))]
+    _require_finite(history[0], "initial residual", history)
+    stop = max(tol * b_norm, forcing * history[0])
+    if history[0] <= stop:
+        return x, 0
     z = precond(r) if precond is not None else r
     p = z.copy()
     rz = float(r @ z)
-    history = [float(np.linalg.norm(r))]
-    if history[0] <= tol * b_norm:
-        return x, 0
     for it in range(1, maxiter + 1):
         sp_vec = s @ p
         curv = float(p @ sp_vec)
+        _require_finite(curv, f"curvature at iteration {it}", history)
         if curv <= 0.0:
             raise LinearSolverError(
                 f"pressure system lost positive definiteness at iteration {it}",
@@ -111,7 +127,8 @@ def deflated_cg(s, rhs, x0=None, tol=1e-12, maxiter=None, precond=None):
         r -= r.mean()
         rn = float(np.linalg.norm(r))
         history.append(rn)
-        if rn <= tol * b_norm:
+        _require_finite(rn, f"residual at iteration {it}", history)
+        if rn <= stop:
             return x, it
         z = precond(r) if precond is not None else r
         rz_new = float(r @ z)
@@ -182,6 +199,10 @@ class Assembler:
         abs_g = float(le @ (np.abs(gv) @ ews))
 
         scale = 1.0 + abs_b + abs_g
+        if not math.isfinite(scale) or not math.isfinite(int_b - int_g):
+            raise CompatibilityError(
+                f"mass source or boundary flux data are non-finite: "
+                f"INT b = {int_b:.6e}, INT g = {int_g:.6e}")
         if abs(int_b - int_g) > COMPAT_TOL * scale:
             raise CompatibilityError(
                 f"mass source and boundary flux are incompatible: "
@@ -256,11 +277,11 @@ class Assembler:
             self._hierarchy = SmoothedAggregation(self._reference_schur())
         return self._hierarchy
 
-    def _solve(self, s, rhs, x0=None, tol=1e-12, maxiter=None):
+    def _solve(self, s, rhs, x0=None, tol=1e-12, maxiter=None, forcing=0.0):
         # The V-cycle holds this system's Galerkin operators; it stays local
         # so that concurrent solves through one Assembler do not share state.
         return deflated_cg(s, rhs, x0=x0, tol=tol, maxiter=maxiter,
-                           precond=VCycle(self.hierarchy, s))
+                           precond=VCycle(self.hierarchy, s), forcing=forcing)
 
     def step(self, u_prev: np.ndarray, alpha: float) -> PressureSystem:
         """Assemble the Schur system for one relaxed fixed-point step."""
@@ -275,12 +296,18 @@ class Assembler:
         return PressureSystem(s=s, g=g, f=f, blocks=blocks)
 
     def solve_pressure(self, system: PressureSystem, x0=None,
-                       tol: float = 1e-12,
-                       maxiter=None) -> tuple[P1ScalarField, int]:
+                       tol: float = 1e-12, maxiter=None,
+                       forcing: float = 0.0) -> tuple[P1ScalarField, int]:
         """Multigrid-preconditioned deflated-CG solve; returns the zero-mean
-        pressure and the number of CG iterations."""
+        pressure and the number of CG iterations.
+
+        The CG residual G - S p is the mass-row defect B u(p) - H of the
+        velocity recovered from p.  With ``forcing > 0`` the solve stops once
+        that defect is ``forcing`` times the defect of ``x0`` (see
+        :func:`deflated_cg`), which is how an inexact fixed-point step ends.
+        """
         raw, iters = self._solve(system.s, system.g, x0=x0, tol=tol,
-                                 maxiter=maxiter)
+                                 maxiter=maxiter, forcing=forcing)
         return project_mean_zero(P1ScalarField(self.mesh, raw)), iters
 
     def recover_velocity(self, system: PressureSystem,

@@ -220,7 +220,7 @@ def _out_dir(cfg):
     return out
 
 
-def _manifest(out, cfg, timings, outputs):
+def _manifest(out, cfg, timings, outputs, status=None):
     clean = {k: v for k, v in cfg.items() if v is not None}
     doc = {
         "config": clean,
@@ -233,6 +233,8 @@ def _manifest(out, cfg, timings, outputs):
         "timings_s": {k: round(v, 3) for k, v in timings.items()},
         "outputs": sorted(outputs),
     }
+    if status is not None:
+        doc["status"] = status
     path = os.path.join(out, "manifest.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -278,9 +280,10 @@ def _cmd_solve(cfg, out):
         with open(os.path.join(out, name), "w") as fh:
             fh.write(svg)
         outputs.append(name)
-    _manifest(out, cfg, {"solve": t_solve}, outputs + ["manifest.json"])
+    _manifest(out, cfg, {"solve": t_solve}, outputs + ["manifest.json"],
+              status=result.status)
     print(f"converged={result.converged} iterations={result.iterations} "
-          f"err_L={result.err_l:.3e}")
+          f"err_L={result.err_l:.3e} status={result.status}")
     return 0 if result.converged else 4
 
 

@@ -289,16 +289,15 @@ def generate_structured(n: int, rect=((0.0, 0.0), (1.0, 1.0))) -> Mesh:
     gx, gy = np.meshgrid(xs, ys)
     xy = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            bl = j * (n + 1) + i
-            br = bl + 1
-            tl = bl + (n + 1)
-            tr = tl + 1
-            tris.append((bl, br, tr))
-            tris.append((bl, tr, tl))
-    return _build(xy, np.array(tris), seed_refinement_edges=True)
+    j, i = np.divmod(np.arange(n * n), n)          # cells, row by row
+    bl = j * (n + 1) + i
+    return _build(xy, _cell_triangles(bl, bl + 1, bl + (n + 1), bl + (n + 2)),
+                  seed_refinement_edges=True)
+
+
+def _cell_triangles(bl, br, tl, tr):
+    """Two triangles per cell, cut along the bl-tr diagonal, cell by cell."""
+    return np.stack([bl, br, tr, bl, tr, tl], axis=1).reshape(-1, 3)
 
 
 def generate_lshape(n: int, size: float = 2.0) -> Mesh:
@@ -311,28 +310,19 @@ def generate_lshape(n: int, size: float = 2.0) -> Mesh:
     if n < 1:
         raise ValueError("n must be >= 1")
     step = size / (2 * n)
-    idx = -np.ones((2 * n + 1, 2 * n + 1), dtype=np.int64)
-    coords = []
-    for j in range(2 * n + 1):
-        for i in range(2 * n + 1):
-            if i > n and j > n:
-                continue        # strictly inside the notch
-            idx[j, i] = len(coords)
-            coords.append((i * step, j * step))
-    xy = np.array(coords)
+    j, i = np.divmod(np.arange((2 * n + 1) ** 2), 2 * n + 1)
+    kept = ~((i > n) & (j > n))          # drop vertices strictly in the notch
+    idx = np.full(kept.size, -1, dtype=np.int64)
+    idx[kept] = np.arange(np.count_nonzero(kept))
+    idx = idx.reshape(2 * n + 1, 2 * n + 1)
+    xy = np.stack([i[kept] * step, j[kept] * step], axis=1)
 
-    tris = []
-    for j in range(2 * n):
-        for i in range(2 * n):
-            if i >= n and j >= n:
-                continue        # cell lies in the notch
-            bl = idx[j, i]
-            br = idx[j, i + 1]
-            tl = idx[j + 1, i]
-            tr = idx[j + 1, i + 1]
-            tris.append((bl, br, tr))
-            tris.append((bl, tr, tl))
-    return _build(xy, np.array(tris), seed_refinement_edges=True)
+    j, i = np.divmod(np.arange(4 * n * n), 2 * n)
+    cell = ~((i >= n) & (j >= n))        # drop cells in the notch
+    j, i = j[cell], i[cell]
+    return _build(xy, _cell_triangles(idx[j, i], idx[j, i + 1],
+                                      idx[j + 1, i], idx[j + 1, i + 1]),
+                  seed_refinement_edges=True)
 
 
 # ---------------------------------------------------------------------------

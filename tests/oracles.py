@@ -182,8 +182,51 @@ def doerfler_prefix_bruteforce(eta, theta):
 
 
 # ---------------------------------------------------------------------------
-# Mesh layer: edge tables and bisection as per-triangle loops
+# Mesh layer: generators, edge tables and bisection as per-triangle loops
 # ---------------------------------------------------------------------------
+
+def loop_structured(n, rect=((0.0, 0.0), (1.0, 1.0))):
+    """``(xy, tris)`` of ``generate_structured`` filled cell by cell."""
+    (x0, y0), (x1, y1) = rect
+    gx, gy = np.meshgrid(np.linspace(x0, x1, n + 1), np.linspace(y0, y1, n + 1))
+    xy = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            bl = j * (n + 1) + i
+            br = bl + 1
+            tl = bl + (n + 1)
+            tr = tl + 1
+            tris.append((bl, br, tr))
+            tris.append((bl, tr, tl))
+    return xy, np.array(tris)
+
+
+def loop_lshape(n, size=2.0):
+    """``(xy, tris)`` of ``generate_lshape`` filled vertex by vertex and cell
+    by cell, skipping the notch."""
+    step = size / (2 * n)
+    idx = -np.ones((2 * n + 1, 2 * n + 1), dtype=np.int64)
+    coords = []
+    for j in range(2 * n + 1):
+        for i in range(2 * n + 1):
+            if i > n and j > n:
+                continue        # strictly inside the notch
+            idx[j, i] = len(coords)
+            coords.append((i * step, j * step))
+    tris = []
+    for j in range(2 * n):
+        for i in range(2 * n):
+            if i >= n and j >= n:
+                continue        # cell lies in the notch
+            bl = idx[j, i]
+            br = idx[j, i + 1]
+            tl = idx[j + 1, i]
+            tr = idx[j + 1, i + 1]
+            tris.append((bl, br, tr))
+            tris.append((bl, tr, tl))
+    return np.array(coords), np.array(tris)
+
 
 def loop_edge_tables(tris):
     """``(tri_edges, edge_vertices, edge_tris)`` from one pass over the
@@ -266,6 +309,42 @@ def loop_refine(mesh, marked):
                 new_tris.append((z2, z3, m01))
         parent.extend([k] * (len(new_tris) - before))
     return new_xy, np.array(new_tris), np.array(parent, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# Pressure solve: deflated CG that stops at ``tol`` only
+# ---------------------------------------------------------------------------
+
+def tol_only_cg(s, rhs, x0=None, tol=1e-12, precond=None):
+    """``(x, iterations)`` of deflated (preconditioned) CG stopped at
+    ||r|| <= tol ||rhs - mean||, with no forcing term and no finiteness
+    checks; ``deflated_cg(..., forcing=0)`` must give the same bytes."""
+    n = rhs.shape[0]
+    b = rhs - rhs.mean()
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return np.zeros(n), 0
+    x = np.zeros(n) if x0 is None else x0 - x0.mean()
+    r = b - s @ x
+    r -= r.mean()
+    z = precond(r) if precond is not None else r
+    p = z.copy()
+    rz = float(r @ z)
+    if float(np.linalg.norm(r)) <= tol * b_norm:
+        return x, 0
+    for it in range(1, 10 * n + 1):
+        sp_vec = s @ p
+        a = rz / float(p @ sp_vec)
+        x += a * p
+        r -= a * sp_vec
+        r -= r.mean()
+        if float(np.linalg.norm(r)) <= tol * b_norm:
+            return x, it
+        z = precond(r) if precond is not None else r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("tol_only_cg did not converge")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
 
 from conftest import random_affine_problem as _random_problem, rng_loop
 from oracles import (DivergenceCoupling, assemble_step, dense_step_solve,
-                     einsum_schur)
+                     einsum_schur, tol_only_cg)
 
 
 def test_element_blocks_identity_case():
@@ -211,6 +212,19 @@ def test_compatibility_rejection():
         Assembler(m, prob)
 
 
+@pytest.mark.parametrize("data", ["b", "g"])
+def test_compatibility_rejects_non_finite_data(data):
+    """NaN compares False, so a bare defect test would let NaN data pass."""
+    prob = problems.problem_from_config({"b": "1", "g": "0.25"})
+    Assembler(generate_structured(2), prob)             # compatible as given
+    if data == "b":
+        bad = replace(prob, b=lambda x, y: np.full(np.shape(x), np.nan))
+    else:
+        bad = replace(prob, g=lambda x, y, normal: np.full(np.shape(x), np.nan))
+    with pytest.raises(CompatibilityError, match="non-finite"):
+        Assembler(generate_structured(2), bad)
+
+
 def _graph_laplacian(rng, n):
     w = np.abs(rng.standard_normal((n, n)))
     w = 0.5 * (w + w.T)
@@ -260,6 +274,107 @@ def test_deflated_cg_failure_carries_history():
     with pytest.raises(LinearSolverError) as err:
         deflated_cg(s, rhs, maxiter=1)       # too few iterations
     assert len(err.value.residual_history) == 2
+
+
+def _deflated_residual(s, rhs, x):
+    r = rhs - rhs.mean() - s @ (x - x.mean())
+    return float(np.linalg.norm(r - r.mean()))
+
+
+def test_deflated_cg_forcing_stops_at_a_fraction_of_the_initial_residual():
+    rng = np.random.default_rng(13)
+    n = 40
+    s = _graph_laplacian(rng, n)
+    rhs = rng.standard_normal(n)
+    x0 = rng.standard_normal(n)
+    r0 = _deflated_residual(s, rhs, x0)
+    for forcing in (1e-1, 1e-3):
+        x, iters = deflated_cg(s, rhs, x0=x0, forcing=forcing)
+        assert iters >= 1
+        assert _deflated_residual(s, rhs, x) <= 1.0001 * forcing * r0
+        # one iteration fewer does not reach the forcing term
+        with pytest.raises(LinearSolverError) as err:
+            deflated_cg(s, rhs, x0=x0, forcing=forcing, maxiter=iters - 1)
+        assert err.value.residual_history[0] == pytest.approx(r0, rel=1e-12)
+        assert err.value.residual_history[-1] > forcing * r0
+    _, exact = deflated_cg(s, rhs, x0=x0)
+    _, loose = deflated_cg(s, rhs, x0=x0, forcing=1e-3)
+    assert loose < exact
+    # a forcing term below tol changes nothing
+    x_tiny, n_tiny = deflated_cg(s, rhs, x0=x0, forcing=1e-30)
+    x_zero, n_zero = deflated_cg(s, rhs, x0=x0)
+    assert n_tiny == n_zero and x_tiny.tobytes() == x_zero.tobytes()
+
+
+def test_deflated_cg_without_forcing_matches_tol_only_loop():
+    rng = np.random.default_rng(17)
+    s = _graph_laplacian(rng, 30)
+    rhs = rng.standard_normal(30)
+    x0 = rng.standard_normal(30)
+    for kw in ({}, {"x0": x0}):
+        x, iters = deflated_cg(s, rhs, forcing=0.0, **kw)
+        x_old, iters_old = tol_only_cg(s, rhs, **kw)
+        assert iters == iters_old and x.tobytes() == x_old.tobytes()
+    asm, system = _first_step(generate_structured(12),
+                              problems.gaussian_vortex(beta=10.0))
+    precond = VCycle(asm.hierarchy, system.s)
+    x, iters = deflated_cg(system.s, system.g, precond=precond, forcing=0.0)
+    x_old, iters_old = tol_only_cg(system.s, system.g, precond=precond)
+    assert iters == iters_old and x.tobytes() == x_old.tobytes()
+
+
+def test_deflated_cg_stops_at_once_on_non_finite_values():
+    rng = np.random.default_rng(19)
+    n = 20
+    s = _graph_laplacian(rng, n)
+    rhs = rng.standard_normal(n)
+    bad_rhs = rhs.copy()
+    bad_rhs[3] = np.nan
+    bad_s = s.copy()
+    bad_s.data[5] = np.nan
+    cases = [
+        (dict(s=s, rhs=bad_rhs), "right side"),
+        (dict(s=s, rhs=np.full(n, np.inf)), "right side"),
+        (dict(s=bad_s, rhs=rhs), "initial residual"),
+        (dict(s=s, rhs=rhs, x0=np.full(n, np.inf)), "initial residual"),
+        (dict(s=s, rhs=rhs, precond=lambda r: np.full(n, np.nan)),
+         "curvature"),
+        (dict(s=s, rhs=rhs, precond=lambda r: r * 1e300), "curvature"),
+    ]
+    for kw, what in cases:
+        with pytest.raises(LinearSolverError, match="non-finite " + what) \
+                as err, np.errstate(invalid="ignore", over="ignore"):
+            deflated_cg(**kw)
+        assert len(err.value.residual_history) <= 2
+
+
+class _FirstProductOverflows:
+    """Acts as S, except that the product with the first search direction
+    gets a huge entry where that direction is exactly 0: the curvature stays
+    finite and the residual update overflows."""
+
+    def __init__(self, s):
+        self.s, self.calls = s, 0
+
+    def __matmul__(self, v):
+        self.calls += 1
+        out = self.s @ v
+        if self.calls == 2:
+            assert v[0] == 0.0
+            out[0] = 1e308
+        return out
+
+
+def test_deflated_cg_non_finite_residual_stops_after_one_iteration():
+    rng = np.random.default_rng(23)
+    s = _graph_laplacian(rng, 5)
+    rhs = np.array([0.0, 1.0, -1.0, 2.0, -2.0])      # mean 0, so r_0[0] = 0
+    with pytest.raises(LinearSolverError,
+                       match="non-finite residual at iteration 1") as err, \
+            np.errstate(invalid="ignore", over="ignore"):
+        deflated_cg(_FirstProductOverflows(s), rhs)
+    assert len(err.value.residual_history) == 2
+    assert not np.isfinite(err.value.residual_history[-1])
 
 
 def test_multigrid_and_plain_cg_pressures_agree():

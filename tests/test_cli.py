@@ -126,6 +126,15 @@ def test_manifest_contents(tmp_path):
     assert "solve" in doc["timings_s"]
 
 
+def test_solve_reports_its_status(tmp_path, capsys):
+    code, out = _run(tmp_path, "solve", "--beta", "10", "--alpha", "10",
+                     "--N", "4")
+    assert code == 0
+    assert capsys.readouterr().out.rstrip().endswith("status=converged")
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["status"] == "converged"
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"alpha": 99.0, "N": 3, "tol": 1e-4}))
@@ -201,6 +210,7 @@ def test_nonconverged_solve_exits_4_and_writes_outputs(tmp_path, capsys):
     assert code == 4
     assert "converged=False iterations=200" in capsys.readouterr().out
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "max_iter"
     for name in manifest["outputs"]:
         assert (out / name).exists(), name
     assert len((out / "trace.csv").read_text().splitlines()) == 1 + 200

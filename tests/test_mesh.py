@@ -1,15 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from darcyfem import mesh as msh
 
 from conftest import rng_loop
-from oracles import loop_edge_tables, loop_refine
+from oracles import loop_edge_tables, loop_lshape, loop_refine, loop_structured
 
 
 def _same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape \
         and a.tobytes() == b.tobytes()
+
+
+def _assert_same_mesh(a, b):
+    for f in dataclasses.fields(msh.Mesh):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if x is None or y is None:
+            assert x is y, f.name
+        else:
+            assert _same_bytes(x, y), f.name
 
 
 def _assert_edge_tables_match_loop(m):
@@ -237,6 +248,26 @@ def test_random_refinement_sequences_stay_conforming():
                                       msh.generate_lshape])
 def test_edge_tables_match_loop_oracle(generate, n):
     _assert_edge_tables_match_loop(generate(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 112])
+@pytest.mark.parametrize("generate, loop", [
+    (msh.generate_structured, loop_structured),
+    (msh.generate_lshape, loop_lshape),
+], ids=["structured", "lshape"])
+def test_generators_match_loop_oracle(generate, loop, n):
+    xy, tris = loop(n)
+    m = generate(n)
+    assert _same_bytes(m.xy, xy)
+    _assert_same_mesh(m, msh.from_arrays(xy, tris))
+
+
+def test_generators_match_loop_oracle_off_the_defaults():
+    rect = ((-1.0, 0.5), (2.0, 3.7))
+    _assert_same_mesh(msh.generate_structured(7, rect=rect),
+                      msh.from_arrays(*loop_structured(7, rect)))
+    _assert_same_mesh(msh.generate_lshape(7, size=3.3),
+                      msh.from_arrays(*loop_lshape(7, size=3.3)))
 
 
 def test_refine_matches_loop_oracle_on_random_marking():

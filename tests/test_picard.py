@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from darcyfem import problems
+from darcyfem import nonlinear_solver, problems
+from darcyfem.adaptivity import adaptive_loop
 from darcyfem.assembly import Assembler
+from darcyfem.indicators import IndicatorContext
 from darcyfem.mesh import generate_lshape, generate_structured
 from darcyfem.nonlinear_solver import (AlphaDiagnostics, ErrorReport,
                                        SolverConfig, _positive_cubic_root,
@@ -36,6 +39,143 @@ def test_solve_start_checks_shapes_and_replaces_the_guess():
     started = solve(m, prob, cfg, start=(u0, p0))
     assert started.u.values.tobytes() == from_zero.u.values.tobytes()
     assert started.trace == from_zero.trace
+
+
+def _relative_pressure_residual(mesh, problem, res):
+    """||G - S p - mean|| / ||G - mean G|| of the final fields, with the
+    system rebuilt from ``u_before``, the iterate entering the last step."""
+    system = Assembler(mesh, problem).step(res.u_before.values, res.alpha)
+    g = system.g - system.g.mean()
+    r = g - system.s @ res.p.values
+    return float(np.linalg.norm(r - r.mean()) / np.linalg.norm(g))
+
+
+def _assert_finished(mesh, problem, res):
+    cfg = SolverConfig()
+    assert _relative_pressure_residual(mesh, problem, res) \
+        <= 10.0 * cfg.cg_tol
+    assert res.cg_total == sum(row.cg_iters for row in res.trace)
+
+
+def test_inexact_steps_keep_the_outer_count_and_cut_cg_work(monkeypatch):
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = generate_structured(12)
+    cfg = SolverConfig(alpha=10.0, tol=1e-5)
+    inexact = solve(m, prob, cfg)
+    monkeypatch.setattr(nonlinear_solver, "CG_FORCING", 0.0)
+    exact = solve(m, prob, cfg)
+    assert inexact.converged and exact.converged
+    assert inexact.iterations == exact.iterations
+    assert inexact.cg_total < exact.cg_total
+    assert inexact.indicators.eta_d_total == pytest.approx(
+        exact.indicators.eta_d_total, rel=1e-8)
+    for res in (inexact, exact):
+        _assert_finished(m, prob, res)
+    # only the last step is solved to cg_tol
+    assert inexact.trace[-2].cg_iters < exact.trace[-2].cg_iters
+
+
+def test_inexact_adaptive_levels_keep_counts_and_meshes(monkeypatch):
+    prob = problems.reentrant_corner()
+    cfg = SolverConfig(alpha=10.0, stopping="indicator_balance",
+                       initial_guess="darcy")
+
+    def run():
+        return adaptive_loop(prob, levels=4, initial_n=4, solver=cfg)
+
+    inexact = run()
+    monkeypatch.setattr(nonlinear_solver, "CG_FORCING", 0.0)
+    exact = run()
+    assert [s.result.iterations for s in inexact] \
+        == [s.result.iterations for s in exact]
+    assert [s.mesh.n_triangles for s in inexact] \
+        == [s.mesh.n_triangles for s in exact]
+    assert sum(s.result.cg_total for s in inexact) \
+        < sum(s.result.cg_total for s in exact)
+    for a, b in zip(inexact, exact):
+        assert a.result.converged
+        assert a.result.indicators.eta_d_total == pytest.approx(
+            b.result.indicators.eta_d_total, rel=1e-6)
+        _assert_finished(a.mesh, prob, a.result)
+
+
+class _FirstStepLooksBalanced:
+    """Indicator context that reports eta_L = 0 on its first call, so the
+    first step passes the balance test before it is finished; the
+    indicators recomputed after finishing are the real ones."""
+
+    def __init__(self, context):
+        self.context, self.calls = context, 0
+
+    def compute(self, *args):
+        self.calls += 1
+        ind = self.context.compute(*args)
+        if self.calls == 1:
+            ind = replace(ind, eta_l=np.zeros_like(ind.eta_l))
+        return ind
+
+
+def test_a_finished_step_that_fails_the_test_goes_on(monkeypatch):
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = generate_structured(8)
+    cfg = SolverConfig(alpha=10.0, stopping="indicator_balance",
+                       keep_iterates=True)
+    plain = solve(m, prob, cfg)
+    tricked = solve(m, prob, cfg, context=_FirstStepLooksBalanced(
+        IndicatorContext(m, prob, cfg.volume_degree)))
+    assert tricked.converged and tricked.iterations > 1
+    first = tricked.trace[0]
+    assert first.eta_l > cfg.gamma_tilde * first.eta_d
+    assert first.cg_iters > plain.trace[0].cg_iters
+    _assert_finished(m, prob, tricked)
+    # the finished first step is the exact first step
+    monkeypatch.setattr(nonlinear_solver, "CG_FORCING", 0.0)
+    exact = solve(m, prob, replace(cfg, max_iter=1))
+    assert np.abs(tricked.iterates[1] - exact.iterates[1]).max() \
+        <= 1e-9 * np.abs(exact.iterates[1]).max()
+
+
+def test_status_converged():
+    prob = problems.gaussian_vortex(beta=10.0)
+    res = solve(generate_structured(6), prob, SolverConfig(alpha=10.0))
+    assert res.converged and res.status == "converged"
+
+
+def test_status_max_iter_with_finished_fields():
+    """beta = 1000 with alpha = 0.1 settles into a period-2 cycle; the step
+    that runs out of iterations is finished all the same."""
+    prob = problems.gaussian_vortex(beta=1000.0)
+    m = generate_structured(10)
+    res = solve(m, prob, SolverConfig(alpha=0.1, max_iter=5,
+                                      keep_iterates=True))
+    assert not res.converged and res.status == "max_iter"
+    assert res.iterations == 5
+    assert np.array_equal(res.iterates[-2], res.u_before.values)
+    _assert_finished(m, prob, res)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2000])
+def test_status_nonfinite(max_iter, monkeypatch):
+    """A huge start velocity overflows the step increment on step 1; that
+    step is reported as it is, not finished, even as the last step."""
+    forcings = []
+    solve_pressure = Assembler.solve_pressure
+
+    def recording(self, system, **kw):
+        forcings.append(kw.get("forcing", 0.0))
+        return solve_pressure(self, system, **kw)
+
+    monkeypatch.setattr(Assembler, "solve_pressure", recording)
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = generate_structured(6)
+    start = (np.full((m.n_triangles, 2), 1e110), np.zeros(m.n_vertices))
+    with np.errstate(over="ignore"):
+        res = solve(m, prob, SolverConfig(alpha=10.0, max_iter=max_iter),
+                    start=start)
+    assert not res.converged and res.status == "nonfinite"
+    assert res.iterations == 1 and math.isinf(res.err_l)
+    assert forcings == [nonlinear_solver.CG_FORCING]
+    assert res.cg_total == res.trace[0].cg_iters
 
 
 def test_zero_data_converges_immediately():
