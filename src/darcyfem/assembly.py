@@ -13,6 +13,8 @@ pressure is afterwards shifted to zero mean.  CG is preconditioned by a
 smoothed-aggregation V-cycle (:mod:`.multigrid`) whose hierarchy is built
 once per mesh from S0 = B diag(1/|k|) B^T.  Velocity recovery
 u_k = A_k^-1 (F_k - |k| grad p|_k) then satisfies the momentum rows exactly.
+Each step's system keeps its V-cycle, so a step whose solve is continued
+(the finishing solve of an inexact step) builds it once.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from .spaces import (
     P0VectorField,
     P1ScalarField,
     boundary_samples,
+    p1_gradients,
     physical_points,
     project_mean_zero,
+    row_norms,
     sample,
     triangle_rule,
 )
@@ -56,7 +60,11 @@ class LinearSolverError(RuntimeError):
 
 @dataclass
 class ElementBlocks:
-    """Per-element velocity blocks A_k and their inverses, shape (m, 2, 2)."""
+    """Per-element velocity blocks A_k and their inverses, shape (m, 2, 2).
+
+    Both are views of (4, m) arrays holding the entries 00, 01, 10, 11 as
+    contiguous rows, the layout the per-element products read.
+    """
 
     blocks: np.ndarray
     inverses: np.ndarray
@@ -64,12 +72,33 @@ class ElementBlocks:
 
 @dataclass
 class PressureSystem:
-    """Assembled Schur system S p = G plus the step right side F."""
+    """Assembled Schur system S p = G plus the step right side F.
+
+    ``vcycle`` is the multigrid preconditioner of S, built by the first
+    solve of this system and reused by later ones.
+    """
 
     s: sp.csr_matrix
     g: np.ndarray
     f: np.ndarray               # (m, 2) element right sides
     blocks: ElementBlocks
+    vcycle: VCycle | None = None
+
+
+def _combine(coef, v: np.ndarray) -> np.ndarray:
+    """out[:, i] = coef[0][i] v[:, 0] + coef[1][i] v[:, 1] for (m, 2)
+    vectors v and coefficients given as contiguous (m,) rows."""
+    out = np.empty((v.shape[0], len(coef[0])))
+    for i in range(len(coef[0])):
+        np.multiply(coef[0][i], v[:, 0], out=out[:, i])
+        out[:, i] += coef[1][i] * v[:, 1]
+    return out
+
+
+def _apply_blocks(inverses: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-element products W_k v_k of (m, 2, 2) blocks and (m, 2) vectors."""
+    w = inverses.reshape(-1, 4).T          # rows W_00, W_01, W_10, W_11
+    return _combine((w[0::2], w[1::2]), v)
 
 
 def _require_finite(value: float, what: str, history) -> None:
@@ -169,6 +198,7 @@ class Assembler:
             kk = eval_k_inverse(problem, pts[..., 0], pts[..., 1])
             self.k_term = (problem.mu / problem.rho) \
                 * np.einsum("abmq,q,m->mab", kk, w, areas)
+        self._k_rows = np.ascontiguousarray(self.k_term.reshape(-1, 4).T)
 
         fx, fy = sample(pts, problem.f)
         self.f_int = np.stack([fx @ w, fy @ w], axis=1) * areas[:, None]
@@ -225,21 +255,16 @@ class Assembler:
     # -- per-step assembly --------------------------------------------------
 
     def element_blocks(self, u_prev: np.ndarray, alpha: float) -> ElementBlocks:
-        mesh = self.mesh
         pr = self.problem
-        speed = np.linalg.norm(u_prev, axis=1)
-        diag = (alpha + (pr.beta / pr.rho) * speed) * mesh.areas
-        blocks = self.k_term.copy()
-        blocks[:, 0, 0] += diag
-        blocks[:, 1, 1] += diag
-        det = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
-        inv = np.empty_like(blocks)
-        inv[:, 0, 0] = blocks[:, 1, 1]
-        inv[:, 1, 1] = blocks[:, 0, 0]
-        inv[:, 0, 1] = -blocks[:, 0, 1]
-        inv[:, 1, 0] = -blocks[:, 1, 0]
-        inv /= det[:, None, None]
-        return ElementBlocks(blocks, inv)
+        diag = (alpha + (pr.beta / pr.rho) * row_norms(u_prev)) \
+            * self.mesh.areas
+        a = self._k_rows.copy()                # rows A_00, A_01, A_10, A_11
+        a[0] += diag
+        a[3] += diag
+        det = a[0] * a[3] - a[1] * a[2]
+        inv = np.stack([a[3], -a[1], -a[2], a[0]])
+        inv /= det
+        return ElementBlocks(a.T.reshape(-1, 2, 2), inv.T.reshape(-1, 2, 2))
 
     def _schur(self, inverses: np.ndarray) -> sp.csr_matrix:
         """B W B^T for per-element 2x2 weights W_k, shape (m, 2, 2).
@@ -277,20 +302,13 @@ class Assembler:
             self._hierarchy = SmoothedAggregation(self._reference_schur())
         return self._hierarchy
 
-    def _solve(self, s, rhs, x0=None, tol=1e-12, maxiter=None, forcing=0.0):
-        # The V-cycle holds this system's Galerkin operators; it stays local
-        # so that concurrent solves through one Assembler do not share state.
-        return deflated_cg(s, rhs, x0=x0, tol=tol, maxiter=maxiter,
-                           precond=VCycle(self.hierarchy, s), forcing=forcing)
-
     def step(self, u_prev: np.ndarray, alpha: float) -> PressureSystem:
         """Assemble the Schur system for one relaxed fixed-point step."""
         blocks = self.element_blocks(u_prev, alpha)
         s = self._schur(blocks.inverses)
 
         f = self.f_int + alpha * self.mesh.areas[:, None] * u_prev
-        ainv_f = np.einsum("mab,mb->ma", blocks.inverses, f)
-        baf = np.einsum("mja,ma->mj", self.b, ainv_f)
+        baf = _combine(self._bt, _apply_blocks(blocks.inverses, f))
         g = np.bincount(self.mesh.tris.ravel(), weights=baf.ravel(),
                         minlength=self.mesh.n_vertices) - self.h
         return PressureSystem(s=s, g=g, f=f, blocks=blocks)
@@ -305,17 +323,29 @@ class Assembler:
         velocity recovered from p.  With ``forcing > 0`` the solve stops once
         that defect is ``forcing`` times the defect of ``x0`` (see
         :func:`deflated_cg`), which is how an inexact fixed-point step ends.
+        The V-cycle is built on the first solve of ``system`` and kept
+        there; each step owns its system, so concurrent solves through one
+        Assembler share no state.
         """
-        raw, iters = self._solve(system.s, system.g, x0=x0, tol=tol,
-                                 maxiter=maxiter, forcing=forcing)
+        if system.vcycle is None:
+            system.vcycle = VCycle(self.hierarchy, system.s)
+        raw, iters = deflated_cg(system.s, system.g, x0=x0, tol=tol,
+                                 maxiter=maxiter, precond=system.vcycle,
+                                 forcing=forcing)
         return project_mean_zero(P1ScalarField(self.mesh, raw)), iters
 
-    def recover_velocity(self, system: PressureSystem,
-                         p: P1ScalarField) -> P0VectorField:
-        """Eliminate back: u_k = A_k^-1 (F_k - B_k^T p)."""
-        btp = np.einsum("mja,mj->ma", self.b, p.values[self.mesh.tris])
-        u = np.einsum("mab,mb->ma", system.blocks.inverses, system.f - btp)
-        return P0VectorField(self.mesh, u)
+    def recover_velocity(self, system: PressureSystem, p: P1ScalarField,
+                         grads: np.ndarray | None = None) -> P0VectorField:
+        """Eliminate back: u_k = A_k^-1 (F_k - B_k^T p).
+
+        B_k^T p = |k| grad p|_k; ``grads`` are the elementwise gradients of
+        p, shape (m, 2), when the caller has formed them already.
+        """
+        if grads is None:
+            grads = p1_gradients(p)
+        rhs = system.f - self.mesh.areas[:, None] * grads
+        return P0VectorField(self.mesh,
+                             _apply_blocks(system.blocks.inverses, rhs))
 
     def lifting(self, tol: float = 1e-12) -> tuple[P0VectorField, int]:
         """Minimal-L2-norm piecewise-constant field with B u = H.
@@ -323,25 +353,10 @@ class Assembler:
         This is the discrete lifting of the divergence/flux data: u = A0^-1
         B^T lam with A0 the area-weighted identity and B A0^-1 B^T lam = H.
         """
-        lam, iters = self._solve(self._reference_schur(), self.h, tol=tol)
+        s0 = self._reference_schur()
+        lam, iters = deflated_cg(s0, self.h, tol=tol,
+                                 precond=VCycle(self.hierarchy, s0))
         u = np.einsum("mja,mj->ma", self.b, lam[self.mesh.tris]) \
             / self.mesh.areas[:, None]
         return P0VectorField(self.mesh, u), iters
 
-
-# ---------------------------------------------------------------------------
-# One-shot conveniences
-# ---------------------------------------------------------------------------
-
-def darcy_solve(mesh: Mesh, problem: ProblemSpec, volume_degree: int = 4,
-                edge_quad_points: int = 4, cg_tol: float = 1e-12):
-    """Solve the linear problem (alpha = 0, inertia term dropped).
-
-    Used both as the beta = 0 solver and as the 'darcy' initial guess for
-    the nonlinear iteration.  Returns (u, p, cg_iterations).
-    """
-    asm = Assembler(mesh, problem, volume_degree, edge_quad_points)
-    system = asm.step(np.zeros((mesh.n_triangles, 2)), 0.0)
-    p, iters = asm.solve_pressure(system, tol=cg_tol)
-    u = asm.recover_velocity(system, p)
-    return u, p, iters

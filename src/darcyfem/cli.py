@@ -220,7 +220,7 @@ def _out_dir(cfg):
     return out
 
 
-def _manifest(out, cfg, timings, outputs, status=None):
+def _manifest(out, cfg, timings, outputs, status=None, phases=None):
     clean = {k: v for k, v in cfg.items() if v is not None}
     doc = {
         "config": clean,
@@ -235,6 +235,8 @@ def _manifest(out, cfg, timings, outputs, status=None):
     }
     if status is not None:
         doc["status"] = status
+    if phases is not None:
+        doc["phases_s"] = {k: round(v, 6) for k, v in phases.items()}
     path = os.path.join(out, "manifest.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -280,8 +282,13 @@ def _cmd_solve(cfg, out):
         with open(os.path.join(out, name), "w") as fh:
             fh.write(svg)
         outputs.append(name)
+    # Per-phase totals of the fixed-point steps; they stay out of trace.csv
+    # so that reruns write the same bytes.
+    phases = {name: sum(getattr(r, name) for r in result.trace)
+              for name in ("t_assemble", "t_solve", "t_recover",
+                           "t_indicators")}
     _manifest(out, cfg, {"solve": t_solve}, outputs + ["manifest.json"],
-              status=result.status)
+              status=result.status, phases=phases)
     print(f"converged={result.converged} iterations={result.iterations} "
           f"err_L={result.err_l:.3e} status={result.status}")
     return 0 if result.converged else 4

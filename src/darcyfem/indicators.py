@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import Mesh
 from .problems import ProblemSpec, eval_k_inverse
@@ -31,7 +32,9 @@ from .spaces import (
     lp_norm,
     p1_gradients,
     physical_points,
+    row_norms,
     sample,
+    sample_blocks,
     triangle_rule,
 )
 
@@ -43,7 +46,11 @@ EDGE_QUAD_POINTS = 8
 
 @dataclass
 class ElementIndicators:
-    """Per-element indicator and oscillation values, one float per triangle."""
+    """Per-element indicator and oscillation values, one float per triangle.
+
+    ``du`` is |u_new - u_prev| per element, the step's velocity change that
+    eta_L scales, kept for the step increment of the fixed-point loop.
+    """
 
     eta_l: np.ndarray
     eta_d1: np.ndarray
@@ -51,6 +58,7 @@ class ElementIndicators:
     osc_f: np.ndarray
     osc_b: np.ndarray
     osc_g: np.ndarray
+    du: np.ndarray | None = None
 
     @property
     def eta_d(self) -> np.ndarray:
@@ -71,24 +79,6 @@ class ElementIndicators:
                               + self.osc_g ** 2).sum()))
 
 
-def edge_flux(mesh: Mesh, u_values: np.ndarray, g_h: np.ndarray) -> np.ndarray:
-    """Normal-flux defect per edge.
-
-    Interior edges carry half the jump of u.n across the edge; boundary
-    edges carry u.n - g_h.  Signs follow the edge's stored normal, which is
-    irrelevant for the indicators (only magnitudes enter).
-    """
-    first = mesh.edge_tris[:, 0]
-    second = mesh.edge_tris[:, 1]
-    un_first = np.einsum("ed,ed->e", u_values[first], mesh.edge_normals)
-    flux = un_first - g_h
-    interior = second >= 0
-    un_second = np.einsum("ed,ed->e", u_values[second[interior]],
-                          mesh.edge_normals[interior])
-    flux[interior] = 0.5 * (un_first[interior] - un_second)
-    return flux
-
-
 class IndicatorContext:
     """Mesh- and data-bound precomputations reused across iterations.
 
@@ -101,21 +91,28 @@ class IndicatorContext:
                  volume_degree: int = 4):
         self.mesh = mesh
         self.problem = problem
+        m = mesh.n_triangles
         areas = mesh.areas
 
         rule = triangle_rule(OSCILLATION_DEGREE)
-        pts = physical_points(mesh, rule)
         w = rule.weights
-
-        fx, fy = sample(pts, problem.f)
-        self.f_means = np.stack([fx @ w, fy @ w], axis=1)
-        df = (fx - self.f_means[:, :1]) ** 2 + (fy - self.f_means[:, 1:]) ** 2
-        self.osc_f = np.sqrt(areas * (df @ w))
-
-        bv = sample(pts, problem.b)
-        self.b_means = bv @ w
-        self.osc_b = mesh.h_tri * np.cbrt(
-            areas * (np.abs(bv - self.b_means[:, None]) ** 3 @ w))
+        self.f_means = np.empty((m, 2))
+        self.osc_f = np.empty(m)
+        self.b_means = np.empty(m)
+        self.osc_b = np.empty(m)
+        for blk in sample_blocks(mesh):
+            pts = physical_points(mesh, rule, blk)
+            fx, fy = sample(pts, problem.f)
+            fm = np.stack([fx @ w, fy @ w], axis=1)
+            df = (fx - fm[:, :1]) ** 2 + (fy - fm[:, 1:]) ** 2
+            self.f_means[blk] = fm
+            self.osc_f[blk] = np.sqrt(areas[blk] * (df @ w))
+            del fx, fy, df
+            bv = sample(pts, problem.b)
+            bm = bv @ w
+            self.b_means[blk] = bm
+            self.osc_b[blk] = mesh.h_tri[blk] * np.cbrt(
+                areas[blk] * (np.abs(bv - bm[:, None]) ** 3 @ w))
 
         # boundary data: edge means and edge oscillation, scattered to the
         # (unique) triangle owning each boundary edge
@@ -127,7 +124,7 @@ class IndicatorContext:
         le = mesh.edge_lengths[edges]
         osc = le ** (1.0 / 3.0) * np.cbrt(
             le * (np.abs(gv - means[:, None]) ** 3 @ ews))
-        self.osc_g = np.zeros(mesh.n_triangles)
+        self.osc_g = np.zeros(m)
         np.add.at(self.osc_g, mesh.edge_tris[edges, 0], osc)
 
         # permeability samples for the momentum residual
@@ -141,41 +138,68 @@ class IndicatorContext:
             self.k_const = None
             self.k_samples = eval_k_inverse(problem, rpts[..., 0], rpts[..., 1])
 
+        self._sqrt_areas = np.sqrt(areas)
         self._b_l3 = mesh.h_tri * np.abs(self.b_means) * np.cbrt(areas)
-        self._edge_weight = mesh.edge_lengths ** (2.0 / 3.0)
+
+        # Normal-flux defect per edge, flux = F u - g_h on the interleaved
+        # velocities (u_0x, u_0y, u_1x, ...): on interior edges half the jump
+        # of u.n across the edge, on boundary edges u.n - g_h.  Signs follow
+        # the edge's stored normal; only magnitudes enter the indicators.
+        first, second = mesh.edge_tris.T
+        interior = np.flatnonzero(second >= 0)
+        scaled = mesh.edge_normals.copy()
+        scaled[interior] *= 0.5
+        rows = np.concatenate([np.repeat(np.arange(mesh.n_edges), 2),
+                               np.repeat(interior, 2)])
+        cols = np.concatenate([(2 * first[:, None] + [0, 1]).ravel(),
+                               (2 * second[interior, None] + [0, 1]).ravel()])
+        self._flux = sp.csr_matrix(
+            (np.concatenate([scaled.ravel(), -scaled[interior].ravel()]),
+             (rows, cols)), shape=(mesh.n_edges, 2 * m))
+        # Per-element sum of h_e^(1/3) ||flux||_L3(e) = |e|^(2/3) |flux_e|
+        # over the element's three edges, in local edge order.
+        self._edge_sum = sp.csr_matrix(
+            ((mesh.edge_lengths ** (2.0 / 3.0))[mesh.tri_edges].ravel(),
+             mesh.tri_edges.ravel().astype(np.int32),
+             np.arange(0, 3 * m + 1, 3, dtype=np.int32)),
+            shape=(m, mesh.n_edges))
 
     def compute(self, u_new: P0VectorField, u_prev: P0VectorField,
-                p_new: P1ScalarField, alpha: float) -> ElementIndicators:
-        """Evaluate all indicators for one completed fixed-point step."""
-        mesh = self.mesh
+                p_new: P1ScalarField, alpha: float,
+                grads: np.ndarray | None = None) -> ElementIndicators:
+        """Evaluate all indicators for one completed fixed-point step.
+
+        ``grads`` are the elementwise gradients of ``p_new``, shape (m, 2),
+        when the caller has formed them already.
+        """
         pr = self.problem
-        areas = mesh.areas
         un = u_new.values
         up = u_prev.values
         du = un - up
+        du_norm = row_norms(du)
+        eta_l = self._sqrt_areas * du_norm
 
-        eta_l = np.sqrt(areas) * np.linalg.norm(du, axis=1)
-
-        grads = p1_gradients(p_new)
-        speed = np.linalg.norm(up, axis=1)
-        c = self.f_means - grads - alpha * du \
-            - (pr.beta / pr.rho) * speed[:, None] * un
+        if grads is None:
+            grads = p1_gradients(p_new)
+        c = self.f_means - grads
+        c -= alpha * du
+        c -= ((pr.beta / pr.rho) * row_norms(up))[:, None] * un
         if self.k_const is not None:
-            r = c - (pr.mu / pr.rho) * un @ self.k_const.T
-            eta_d1 = np.sqrt(areas) * np.linalg.norm(r, axis=1)
+            c -= (pr.mu / pr.rho) * un @ self.k_const.T
+            eta_d1 = self._sqrt_areas * row_norms(c)
         else:
             ku = np.einsum("abmq,mb->mqa", self.k_samples, un)
             r = c[:, None, :] - (pr.mu / pr.rho) * ku
             sq = np.einsum("mqa,mqa->mq", r, r)
-            eta_d1 = np.sqrt(areas * (sq @ self._res_rule.weights))
+            eta_d1 = np.sqrt(self.mesh.areas * (sq @ self._res_rule.weights))
 
-        flux = edge_flux(mesh, un, self.g_h)
-        edge_term = self._edge_weight * np.abs(flux)
-        eta_d2 = self._b_l3 + edge_term[mesh.tri_edges].sum(axis=1)
+        flux = self._flux @ un.ravel()
+        flux -= self.g_h
+        eta_d2 = self._b_l3 + self._edge_sum @ np.abs(flux, out=flux)
 
         return ElementIndicators(eta_l=eta_l, eta_d1=eta_d1, eta_d2=eta_d2,
                                  osc_f=self.osc_f, osc_b=self.osc_b,
-                                 osc_g=self.osc_g)
+                                 osc_g=self.osc_g, du=du_norm)
 
 
 def effectivity_index(ind: ElementIndicators, u_exact_err_l3: float,

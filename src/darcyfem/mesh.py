@@ -12,8 +12,10 @@ hands the two old non-refinement edges down to the children.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class MeshFormatError(ValueError):
@@ -118,6 +120,21 @@ class Mesh:
     def tri_coords(self) -> np.ndarray:
         """Vertex coordinates per triangle, shape (m, 3, 2)."""
         return self.xy[self.tris]
+
+    @cached_property
+    def gradient_operator(self) -> sp.csr_matrix:
+        """Sparse (2m, n) map from vertex values to the elementwise P1
+        gradients, rows ordered (k, x), (k, y); built on first use.
+
+        Each row keeps the triangle's local vertex order, so a product sums
+        the three hat-gradient terms in that order.
+        """
+        m, n = self.n_triangles, self.n_vertices
+        return sp.csr_matrix(
+            (self.grads.transpose(0, 2, 1).ravel(),
+             np.repeat(self.tris, 2, axis=0).ravel().astype(np.int32),
+             np.arange(0, 6 * m + 1, 3, dtype=np.int32)),
+            shape=(2 * m, n))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ argument lives.  Both are evaluated for the planar case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,11 +30,12 @@ from .spaces import (
     P1ScalarField,
     QuadratureRule,
     element_lp,
-    gradient_lp_norm,
     lp_norm,
     p1_gradients,
     physical_points,
+    row_norms,
     sample,
+    sample_blocks,
     triangle_rule,
 )
 
@@ -76,11 +78,23 @@ class SolverConfig:
 
 @dataclass
 class TraceRow:
+    """One fixed-point step: its step error, indicator totals and CG
+    iterations, and the wall time (``time.perf_counter`` seconds) of its
+    phases: ``t_assemble`` the Schur system, ``t_solve`` the pressure
+    solves, ``t_recover`` the pressure gradients and velocity recovery,
+    ``t_indicators`` the step increment and the indicators.  A finished
+    step counts both of its solves and evaluations.  Rows compare equal on
+    their deterministic fields; the timings are left out."""
+
     iteration: int
     err_l: float
     eta_l: float
     eta_d: float
     cg_iters: int
+    t_assemble: float = field(default=0.0, compare=False)
+    t_solve: float = field(default=0.0, compare=False)
+    t_recover: float = field(default=0.0, compare=False)
+    t_indicators: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -99,10 +113,27 @@ class SolveResult:
     iterates: list[np.ndarray] | None = None
 
 
-def _step_increment(u_new, u_prev, p_new, p_prev, mesh):
-    du = P0VectorField(mesh, u_new.values - u_prev.values)
-    dp = P1ScalarField(mesh, p_new.values - p_prev.values)
-    return lp_norm(du, 3.0) + gradient_lp_norm(dp, 1.5)
+def _l3(areas, a):
+    return float(areas @ (a * a * a)) ** (1.0 / 3.0)
+
+
+def _l32(areas, a):
+    return float(areas @ (a * np.sqrt(a))) ** (2.0 / 3.0)
+
+
+def relative_increment(areas, u_new, g_new, g_prev, du) -> float:
+    """The step error err_L of one fixed-point step.
+
+    ||u_new - u_prev||_L3 + ||grad(p_new - p_prev)||_L3/2 over
+    ||u_new||_L3 + ||grad p_new||_L3/2, from the element velocities
+    ``u_new``, the elementwise pressure gradients ``g_new`` and ``g_prev``
+    (all (m, 2)) and ``du = |u_new - u_prev|`` per element.  0 when the
+    denominator vanishes.
+    """
+    denom = _l3(areas, row_norms(u_new)) + _l32(areas, row_norms(g_new))
+    if denom < 1e-300:
+        return 0.0
+    return (_l3(areas, du) + _l32(areas, row_norms(g_new - g_prev))) / denom
 
 
 def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
@@ -153,45 +184,60 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     cg_total = 0
     converged = False
     err_l = math.inf
-    u_new, p_new, ind = u_prev, p_prev, None
+    g_prev = p1_gradients(p_prev)
+    u_new, p_new, g_new, ind = u_prev, p_prev, g_prev, None
 
-    def evaluate(system, p_new, u_prev, p_prev):
-        """Velocity, step error and indicators of a step's pressure, and
-        whether they pass the stopping test."""
-        u_new = asm.recover_velocity(system, p_new)
-        denom = lp_norm(u_new, 3.0) + gradient_lp_norm(p_new, 1.5)
-        if denom < 1e-300:
-            err_l = 0.0
-        else:
-            err_l = _step_increment(u_new, u_prev, p_new, p_prev, mesh) / denom
-        ind = ctx.compute(u_new, u_prev, p_new, cfg.alpha)
+    def evaluate(system, p_new, u_prev, g_prev, row):
+        """Gradients, velocity, step error and indicators of a step's
+        pressure, and whether they pass the stopping test; the phase times
+        are added to ``row``."""
+        t0 = time.perf_counter()
+        g_new = p1_gradients(p_new)
+        u_new = asm.recover_velocity(system, p_new, g_new)
+        t1 = time.perf_counter()
+        ind = ctx.compute(u_new, u_prev, p_new, cfg.alpha, g_new)
+        err_l = relative_increment(mesh.areas, u_new.values, g_new, g_prev,
+                                   ind.du)
         if cfg.stopping == "fixed_tol":
             passed = err_l < cfg.tol
         else:
             passed = ind.eta_l_total <= cfg.gamma_tilde * ind.eta_d_total
-        return u_new, err_l, ind, passed
+        row.t_recover += t1 - t0
+        row.t_indicators += time.perf_counter() - t1
+        return u_new, g_new, err_l, ind, passed
 
     for it in range(1, cfg.max_iter + 1):
+        row = TraceRow(it, math.nan, math.nan, math.nan, 0)
+        t0 = time.perf_counter()
         system = asm.step(u_prev.values, cfg.alpha)
+        t1 = time.perf_counter()
         p_new, cg_it = asm.solve_pressure(system, x0=p_prev.values,
                                           tol=cfg.cg_tol, forcing=CG_FORCING)
-        u_new, err_l, ind, converged = evaluate(system, p_new, u_prev, p_prev)
+        row.t_assemble = t1 - t0
+        row.t_solve = time.perf_counter() - t1
+        u_new, g_new, err_l, ind, converged = evaluate(system, p_new, u_prev,
+                                                       g_prev, row)
         if CG_FORCING > 0.0 and math.isfinite(err_l) \
                 and (converged or it == cfg.max_iter):
             # Finish the step the iteration would stop on, and test it again.
+            t0 = time.perf_counter()
             p_new, extra = asm.solve_pressure(system, x0=p_new.values,
                                               tol=cfg.cg_tol)
+            row.t_solve += time.perf_counter() - t0
             cg_it += extra
-            u_new, err_l, ind, converged = evaluate(system, p_new, u_prev,
-                                                    p_prev)
+            u_new, g_new, err_l, ind, converged = evaluate(
+                system, p_new, u_prev, g_prev, row)
 
         cg_total += cg_it
-        trace.append(TraceRow(it, err_l, ind.eta_l_total, ind.eta_d_total, cg_it))
+        row.err_l, row.eta_l, row.eta_d = \
+            err_l, ind.eta_l_total, ind.eta_d_total
+        row.cg_iters = cg_it
+        trace.append(row)
         if iterates is not None:
             iterates.append(u_new.values.copy())
         if converged or not math.isfinite(err_l) or it == cfg.max_iter:
             break
-        u_prev, p_prev = u_new, p_new
+        u_prev, p_prev, g_prev = u_new, p_new, g_new
 
     if converged:
         status = "converged"
@@ -251,21 +297,28 @@ def true_error(mesh: Mesh, problem: ProblemSpec, u: P0VectorField,
     if not problem.has_exact():
         raise ValueError(f"problem {problem.name!r} has no reference solution")
     rule = triangle_rule(degree)
-    pts = physical_points(mesh, rule)
-    # The velocity samples are dropped before the gradient is sampled, which
-    # keeps the peak memory at one field's samples.
-    ux, uy = sample(pts, problem.exact_u)
-    exact_u_l3 = _lp(mesh, rule, ux, uy, 3.0)
-    dx = ux - u.values[:, None, 0]
-    dy = uy - u.values[:, None, 1]
-    del ux, uy
-    u_l2 = _lp(mesh, rule, dx, dy, 2.0)
-    u_l3 = _lp(mesh, rule, dx, dy, 3.0)
-    del dx, dy
-    gx, gy = sample(pts, problem.exact_grad_p)
-    exact_grad_p_l32 = _lp(mesh, rule, gx, gy, 1.5)
     gh = p1_gradients(p)
-    grad_p_l32 = _lp(mesh, rule, gx - gh[:, None, 0], gy - gh[:, None, 1], 1.5)
+    # Per-element integrals of |u|^3, |u - u_h|^2, |u - u_h|^3,
+    # |grad p|^3/2 and |grad p - grad p_h|^3/2, sampled block by block to
+    # bound the peak memory and summed once over all elements.
+    parts = np.empty((5, mesh.n_triangles))
+    for blk in sample_blocks(mesh):
+        pts = physical_points(mesh, rule, blk)
+        ux, uy = sample(pts, problem.exact_u)
+        parts[0, blk] = element_lp(mesh, rule, ux, uy, 3.0, blk)
+        dx = ux - u.values[blk, None, 0]
+        dy = uy - u.values[blk, None, 1]
+        del ux, uy
+        parts[1, blk] = element_lp(mesh, rule, dx, dy, 2.0, blk)
+        parts[2, blk] = element_lp(mesh, rule, dx, dy, 3.0, blk)
+        del dx, dy
+        gx, gy = sample(pts, problem.exact_grad_p)
+        parts[3, blk] = element_lp(mesh, rule, gx, gy, 1.5, blk)
+        parts[4, blk] = element_lp(mesh, rule, gx - gh[blk, None, 0],
+                                   gy - gh[blk, None, 1], 1.5, blk)
+    exact_u_l3, u_l2, u_l3, exact_grad_p_l32, grad_p_l32 = (
+        float(parts[i].sum() ** (1.0 / q))
+        for i, q in enumerate((3.0, 2.0, 3.0, 1.5, 1.5)))
     return ErrorReport(u_l2=u_l2, u_l3=u_l3, grad_p_l32=grad_p_l32,
                        exact_u_l3=exact_u_l3,
                        exact_grad_p_l32=exact_grad_p_l32)

@@ -86,14 +86,41 @@ def edge_rule(n_points: int = 4) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (gx + 1.0), 0.5 * gw
 
 
-def physical_points(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
-    """Quadrature points mapped to every triangle, shape (m, q, 2)."""
-    return rule.points @ mesh.tri_coords()
+def physical_points(mesh: Mesh, rule: QuadratureRule,
+                    elements=slice(None)) -> np.ndarray:
+    """Quadrature points mapped to the selected triangles (all by default),
+    shape (m, q, 2)."""
+    return rule.points @ mesh.xy[mesh.tris[elements]]
+
+
+# Elements per block where data are sampled at many points per element
+# (the degree-10 rules): bounds the peak memory.  A multiple of the row
+# grouping of BLAS matrix-vector products, so every per-element value has
+# the same bytes as from one sampling of all elements.
+SAMPLE_BLOCK = 1024
+
+
+def sample_blocks(mesh: Mesh) -> list[slice]:
+    """Slices of at most ``SAMPLE_BLOCK`` consecutive elements covering the
+    mesh."""
+    return [slice(lo, lo + SAMPLE_BLOCK)
+            for lo in range(0, mesh.n_triangles, SAMPLE_BLOCK)]
 
 
 # ---------------------------------------------------------------------------
 # Fields
 # ---------------------------------------------------------------------------
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row of an (m, 2) array.
+
+    The same values as ``np.linalg.norm(v, axis=1)`` (and faster than it
+    and than ``np.hypot``); like it, no scaling against overflow.
+    """
+    out = v[:, 0] * v[:, 0]
+    out += v[:, 1] * v[:, 1]
+    return np.sqrt(out, out=out)
+
 
 @dataclass
 class P0VectorField:
@@ -110,7 +137,7 @@ class P0VectorField:
         return P0VectorField(self.mesh, self.values.copy())
 
     def magnitudes(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=1)
+        return row_norms(self.values)
 
 
 @dataclass
@@ -148,8 +175,7 @@ def project_mean_zero(field: P1ScalarField) -> P1ScalarField:
 
 def p1_gradients(field: P1ScalarField) -> np.ndarray:
     """Elementwise (constant) gradient of a piecewise-linear field, (m, 2)."""
-    mesh = field.mesh
-    return np.einsum("mld,ml->md", mesh.grads, field.values[mesh.tris])
+    return (field.mesh.gradient_operator @ field.values).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +189,7 @@ def lp_norm(field: P0VectorField, p: float) -> float:
 
 def gradient_lp_norm(field: P1ScalarField, p: float) -> float:
     """Exact Lp norm of the (piecewise-constant) gradient of a P1 field."""
-    g = np.linalg.norm(p1_gradients(field), axis=1)
+    g = row_norms(p1_gradients(field))
     return float((field.mesh.areas @ g ** p) ** (1.0 / p))
 
 
@@ -180,9 +206,10 @@ def sample(pts: np.ndarray, fn):
 
 
 def element_lp(mesh: Mesh, rule: QuadratureRule, vx: np.ndarray,
-               vy: np.ndarray, p: float) -> np.ndarray:
-    """Per-element INT_k |v|^p by quadrature of v sampled as (m, q) arrays."""
-    return (np.hypot(vx, vy) ** p) @ rule.weights * mesh.areas
+               vy: np.ndarray, p: float, elements=slice(None)) -> np.ndarray:
+    """Per-element INT_k |v|^p by quadrature of v sampled as (m, q) arrays
+    on the selected elements (all by default)."""
+    return (np.hypot(vx, vy) ** p) @ rule.weights * mesh.areas[elements]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ matrices, per-element Python loops, hat-function gradients recovered from a
 Vandermonde solve instead of the mesh's cached arrays — so that agreement
 with the production code is meaningful.  The mesh section keeps the
 per-triangle loops that the vectorized edge tables and bisection in
-``darcyfem.mesh`` replaced.  The one exception is the last
-section: thin wrappers over the production ``Assembler`` that only tests
-use.
+``darcyfem.mesh`` replaced; the per-step section keeps the gathered,
+per-edge forms of the gradients, edge fluxes, step error, indicators and
+velocity recovery that the fused step path replaced.  The one exception is
+the last section: thin wrappers over the production ``Assembler`` that only
+tests use.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from darcyfem.assembly import Assembler
+from darcyfem.indicators import OSCILLATION_DEGREE
 from darcyfem.mesh import MeshConformityError
+from darcyfem.spaces import physical_points, sample, triangle_rule
 
 GL4_T = np.array([0.069431844202974, 0.330009478207572,
                   0.669990521792428, 0.930568155797026])
@@ -345,6 +349,91 @@ def tol_only_cg(s, rhs, x0=None, tol=1e-12, precond=None):
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise AssertionError("tol_only_cg did not converge")
+
+
+# ---------------------------------------------------------------------------
+# Per-step quantities in the forms the fused step path replaced
+# ---------------------------------------------------------------------------
+
+def einsum_gradients(mesh, p_values):
+    """Elementwise P1 gradients by gathering the vertex values, (m, 2)."""
+    return np.einsum("mld,ml->md", mesh.grads, p_values[mesh.tris])
+
+
+def edge_flux(mesh, u_values, g_h):
+    """Normal-flux defect per edge: half the jump of u.n across interior
+    edges, u.n - g_h on boundary edges, signs after the stored normal."""
+    first = mesh.edge_tris[:, 0]
+    second = mesh.edge_tris[:, 1]
+    un_first = np.einsum("ed,ed->e", u_values[first], mesh.edge_normals)
+    flux = un_first - g_h
+    interior = second >= 0
+    un_second = np.einsum("ed,ed->e", u_values[second[interior]],
+                          mesh.edge_normals[interior])
+    flux[interior] = 0.5 * (un_first[interior] - un_second)
+    return flux
+
+
+def _lp(mesh, v, q):
+    return float(mesh.areas @ np.linalg.norm(v, axis=1) ** q) ** (1.0 / q)
+
+
+def step_error(mesh, u_new, u_prev, p_new, p_prev):
+    """err_L from the two fields' differences: ||u_new - u_prev||_L3 +
+    ||grad(p_new - p_prev)||_L3/2 over ||u_new||_L3 + ||grad p_new||_L3/2."""
+    denom = _lp(mesh, u_new, 3.0) \
+        + _lp(mesh, einsum_gradients(mesh, p_new), 1.5)
+    if denom < 1e-300:
+        return 0.0
+    return (_lp(mesh, u_new - u_prev, 3.0)
+            + _lp(mesh, einsum_gradients(mesh, p_new - p_prev), 1.5)) / denom
+
+
+def step_indicators(ctx, u_new, u_prev, p_new, alpha):
+    """``(eta_l, eta_d1, eta_d2)`` per element from the context's data, with
+    the gradients gathered, the edge fluxes from :func:`edge_flux` and the
+    edge terms gathered per triangle."""
+    mesh, pr = ctx.mesh, ctx.problem
+    du = u_new - u_prev
+    eta_l = np.sqrt(mesh.areas) * np.linalg.norm(du, axis=1)
+    c = ctx.f_means - einsum_gradients(mesh, p_new) - alpha * du \
+        - (pr.beta / pr.rho) * np.linalg.norm(u_prev, axis=1)[:, None] * u_new
+    if ctx.k_const is not None:
+        r = c - (pr.mu / pr.rho) * u_new @ ctx.k_const.T
+        eta_d1 = np.sqrt(mesh.areas) * np.linalg.norm(r, axis=1)
+    else:
+        ku = np.einsum("abmq,mb->mqa", ctx.k_samples, u_new)
+        r = c[:, None, :] - (pr.mu / pr.rho) * ku
+        sq = np.einsum("mqa,mqa->mq", r, r)
+        eta_d1 = np.sqrt(mesh.areas * (sq @ ctx._res_rule.weights))
+    edge_term = mesh.edge_lengths ** (2.0 / 3.0) \
+        * np.abs(edge_flux(mesh, u_new, ctx.g_h))
+    eta_d2 = mesh.h_tri * np.abs(ctx.b_means) * np.cbrt(mesh.areas) \
+        + edge_term[mesh.tri_edges].sum(axis=1)
+    return eta_l, eta_d1, eta_d2
+
+
+def einsum_recover(asm, system, p_values):
+    """u_k = A_k^-1 (F_k - B_k^T p) with B^T p gathered per element."""
+    btp = np.einsum("mja,mj->ma", asm.b, p_values[asm.mesh.tris])
+    return np.einsum("mab,mb->ma", system.blocks.inverses, system.f - btp)
+
+
+def whole_data_means(mesh, problem):
+    """``(f_means, osc_f, b_means, osc_b)`` of ``IndicatorContext`` from one
+    sampling of all elements at once."""
+    rule = triangle_rule(OSCILLATION_DEGREE)
+    pts = physical_points(mesh, rule)
+    w = rule.weights
+    fx, fy = sample(pts, problem.f)
+    f_means = np.stack([fx @ w, fy @ w], axis=1)
+    df = (fx - f_means[:, :1]) ** 2 + (fy - f_means[:, 1:]) ** 2
+    osc_f = np.sqrt(mesh.areas * (df @ w))
+    bv = sample(pts, problem.b)
+    b_means = bv @ w
+    osc_b = mesh.h_tri * np.cbrt(
+        mesh.areas * (np.abs(bv - b_means[:, None]) ** 3 @ w))
+    return f_means, osc_f, b_means, osc_b
 
 
 # ---------------------------------------------------------------------------

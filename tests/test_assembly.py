@@ -8,12 +8,12 @@ import pytest
 import scipy.sparse as spm
 
 import darcyfem
-from darcyfem import problems
+from darcyfem import assembly, problems
 from darcyfem.assembly import (Assembler, CompatibilityError, ElementBlocks,
-                               LinearSolverError, PressureSystem, darcy_solve,
-                               deflated_cg)
+                               LinearSolverError, PressureSystem, deflated_cg)
 from darcyfem.mesh import generate_lshape, generate_structured, refine
 from darcyfem.multigrid import MAX_COARSE, VCycle
+from darcyfem.nonlinear_solver import SolverConfig, solve
 from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
                               project_mean_zero)
 
@@ -188,10 +188,16 @@ def test_solve_pressure_zero_rhs():
     assert np.allclose(p.values, 0.0, atol=1e-14)
 
 
+def _darcy_start(m, prob):
+    """The Darcy start of the fixed-point solve, then one step from it."""
+    res = solve(m, prob, SolverConfig(initial_guess="darcy", max_iter=1))
+    return res.u, res.p
+
+
 def test_darcy_solve_trivial():
     prob = problems.trivial_zero()
     m = generate_structured(2)
-    u, p, _ = darcy_solve(m, prob)
+    u, p = _darcy_start(m, prob)
     assert np.allclose(u.values, 0.0, atol=1e-13)
     assert np.allclose(p.values, 0.0, atol=1e-13)
 
@@ -200,7 +206,7 @@ def test_darcy_conservative_forcing_gives_linear_pressure():
     """f = (1, 0) with zero flux data: u = 0 and p = x - 1/2."""
     prob = problems.problem_from_config({"f": ["1", "0"]})
     m = generate_structured(2)
-    u, p, _ = darcy_solve(m, prob)
+    u, p = _darcy_start(m, prob)
     assert np.abs(u.values).max() < 1e-11
     assert np.allclose(p.values, m.xy[:, 0] - 0.5, atol=1e-11)
 
@@ -577,3 +583,43 @@ def test_forchheimer_pairing_monotone_with_cubic_bound():
         diff_l3_cubed = float(np.sum(
             m.areas * np.linalg.norm(v - w, axis=1) ** 3))
         assert pair >= 0.25 * diff_l3_cubed - 1e-12
+
+
+def test_one_vcycle_per_step(monkeypatch):
+    """A solve builds one V-cycle per fixed-point step: the finishing solve
+    of the last step reuses its step's V-cycle."""
+    built, solves = [], []
+
+    class CountingVCycle(VCycle):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    solve_pressure = Assembler.solve_pressure
+
+    def counted(self, system, *args, **kwargs):
+        solves.append(1)
+        return solve_pressure(self, system, *args, **kwargs)
+
+    monkeypatch.setattr(assembly, "VCycle", CountingVCycle)
+    monkeypatch.setattr(Assembler, "solve_pressure", counted)
+    prob = problems.gaussian_vortex(beta=10.0)
+    res = solve(generate_structured(8), prob, SolverConfig(alpha=10.0))
+    assert res.converged
+    assert len(solves) == res.iterations + 1      # the last step is finished
+    assert len(built) == res.iterations
+
+
+def test_kept_vcycle_gives_the_bytes_of_a_fresh_one():
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = generate_structured(8)
+    asm = Assembler(m, prob)
+    u = np.random.default_rng(4).standard_normal((m.n_triangles, 2))
+    system = asm.step(u, 10.0)
+    inexact, _ = asm.solve_pressure(system, forcing=1e-3)
+    kept = system.vcycle
+    finished, _ = asm.solve_pressure(system, x0=inexact.values)
+    assert system.vcycle is kept
+    fresh, _ = asm.solve_pressure(replace(system, vcycle=None),
+                                  x0=inexact.values)
+    assert finished.values.tobytes() == fresh.values.tobytes()

@@ -126,6 +126,17 @@ def test_manifest_contents(tmp_path):
     assert "solve" in doc["timings_s"]
 
 
+def test_solve_manifest_has_phase_totals(tmp_path):
+    code, out = _run(tmp_path, "solve", "--N", "4", "--alpha", "2.3")
+    assert code == 0
+    phases = json.loads((out / "manifest.json").read_text())["phases_s"]
+    assert set(phases) == {"t_assemble", "t_solve", "t_recover",
+                           "t_indicators"}
+    assert all(v >= 0.0 for v in phases.values())
+    assert (out / "trace.csv").read_text().splitlines()[0] \
+        == "iter,err_L,eta_L,eta_D,nbr_cg_iters"
+
+
 def test_solve_reports_its_status(tmp_path, capsys):
     code, out = _run(tmp_path, "solve", "--beta", "10", "--alpha", "10",
                      "--N", "4")

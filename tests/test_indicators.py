@@ -1,18 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from darcyfem import problems
-from darcyfem.assembly import darcy_solve
+from darcyfem import problems, spaces
+from darcyfem.assembly import Assembler, ElementBlocks
 from darcyfem.indicators import (ElementIndicators, IndicatorContext,
-                                 edge_flux, effectivity_index,
-                                 lower_bound_check, total_relative_indicator)
-from darcyfem.mesh import from_arrays, generate_structured, refine_uniform
-from darcyfem.nonlinear_solver import SolverConfig, solve
-from darcyfem.spaces import P0VectorField, P1ScalarField
+                                 effectivity_index, lower_bound_check,
+                                 total_relative_indicator)
+from darcyfem.mesh import (from_arrays, generate_structured, refine,
+                           refine_uniform)
+from darcyfem.nonlinear_solver import SolverConfig, relative_increment, solve
+from darcyfem.spaces import P0VectorField, P1ScalarField, p1_gradients
 
 from conftest import rng_loop
+from oracles import (edge_flux, einsum_gradients, einsum_recover, step_error,
+                     step_indicators, whole_data_means)
 
 
 def _two_triangles_vertical_edge():
@@ -128,7 +132,8 @@ def test_resolved_solution_zeroes_every_indicator():
     residual characterization forces eta_D1 = 0 (and everything else)."""
     prob = problems.problem_from_config({"f": ["1", "0"]})
     m = generate_structured(4)
-    u, p, _ = darcy_solve(m, prob)
+    res = solve(m, prob, SolverConfig(initial_guess="darcy", max_iter=1))
+    u, p = res.u, res.p
     ind = IndicatorContext(m, prob).compute(u, u, p, alpha=0.5)
     assert np.abs(ind.eta_d1).max() < 1e-10
     assert np.abs(ind.eta_d2).max() < 1e-10
@@ -274,3 +279,95 @@ def test_lower_bound_check_needs_reference():
     u = P0VectorField.zero(m)
     with pytest.raises(ValueError):
         lower_bound_check(m, prob, u, u)
+
+
+# -- the fused step path against the gathered forms it replaced -------------
+
+def _step_cases():
+    """Three meshes and problems: constant K, variable K on a graded mesh,
+    and a non-zero boundary flux g = x - 1/2 (compatible with b = 0)."""
+    vortex = problems.gaussian_vortex(beta=10.0)
+    corner = problems.reentrant_corner(beta=10.0)
+    flux = problems.problem_from_config(
+        {"beta": 3.0, "f": ["sin(3*x)", "x*y"], "b": "0", "g": "x - 0.5"})
+    graded = problems.initial_mesh(corner, 6)
+    graded = refine(graded, np.arange(0, graded.n_triangles, 5))
+    return {"vortex": (vortex, generate_structured(9)),
+            "corner": (corner, graded),
+            "boundary_flux": (flux, generate_structured(7))}
+
+
+def _close(got, want, rel=1e-13):
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", ["vortex", "corner", "boundary_flux"])
+def test_step_quantities_match_gathered_oracles(case):
+    """err_L, eta_L, eta_D1 and eta_D2 of real fixed-point steps agree with
+    the forms built from gathered gradients and per-edge fluxes."""
+    prob, m = _step_cases()[case]
+    alpha = 4.0
+    asm = Assembler(m, prob)
+    ctx = IndicatorContext(m, prob)
+    rng = np.random.default_rng(5)
+    u_prev = P0VectorField(m, rng.standard_normal((m.n_triangles, 2)))
+    p_prev = P1ScalarField(m, rng.standard_normal(m.n_vertices))
+    g_prev = p1_gradients(p_prev)
+    assert np.abs(ctx.g_h).max() > 0.0 or case == "corner"
+    for _ in range(3):
+        system = asm.step(u_prev.values, alpha)
+        p_new, _ = asm.solve_pressure(system, x0=p_prev.values)
+        g_new = p1_gradients(p_new)
+        assert _close(g_new, einsum_gradients(m, p_new.values))
+        u_new = asm.recover_velocity(system, p_new, g_new)
+        ind = ctx.compute(u_new, u_prev, p_new, alpha, g_new)
+        eta_l, eta_d1, eta_d2 = step_indicators(
+            ctx, u_new.values, u_prev.values, p_new.values, alpha)
+        assert _close(ind.eta_l, eta_l)
+        assert _close(ind.eta_d1, eta_d1)
+        assert _close(ind.eta_d2, eta_d2)
+        err = relative_increment(m.areas, u_new.values, g_new, g_prev, ind.du)
+        want = step_error(m, u_new.values, u_prev.values, p_new.values,
+                          p_prev.values)
+        assert err == pytest.approx(want, rel=1e-13)
+        # without the fifth argument the gradients are formed inside
+        again = ctx.compute(u_new, u_prev, p_new, alpha)
+        for name in ("eta_l", "eta_d1", "eta_d2", "du"):
+            assert np.array_equal(getattr(again, name), getattr(ind, name))
+        u_prev, p_prev, g_prev = u_new, p_new, g_new
+
+
+@pytest.mark.parametrize("case", ["vortex", "corner"])
+def test_recover_velocity_matches_einsum_form(case):
+    prob, m = _step_cases()[case]
+    asm = Assembler(m, prob)
+    rng = np.random.default_rng(6)
+    system = asm.step(rng.standard_normal((m.n_triangles, 2)), 2.0)
+    p = P1ScalarField(m, rng.standard_normal(m.n_vertices))
+    u = asm.recover_velocity(system, p)
+    assert _close(u.values, einsum_recover(asm, system, p.values))
+    assert np.array_equal(
+        asm.recover_velocity(system, p, p1_gradients(p)).values, u.values)
+    # blocks without symmetry, in the plain (m, 2, 2) layout
+    skew = replace(system, blocks=ElementBlocks(
+        system.blocks.blocks, rng.standard_normal((m.n_triangles, 2, 2))))
+    assert _close(asm.recover_velocity(skew, p).values,
+                  einsum_recover(asm, skew, p.values))
+
+
+@pytest.mark.parametrize("case", ["vortex", "corner", "boundary_flux"])
+def test_blocked_data_sampling_matches_whole_array(case, monkeypatch):
+    """Sampling the degree-10 data over element blocks gives the same bytes
+    as one sampling of all elements (block sizes are multiples of the BLAS
+    matrix-vector row grouping)."""
+    prob, m = _step_cases()[case]
+    if case == "boundary_flux":
+        prob = problems.problem_from_config(
+            {"f": ["exp(x)*sin(5*y)", "x*x*y"], "b": "sin(7*x*y) + x"})
+    monkeypatch.setattr(spaces, "SAMPLE_BLOCK", 64)
+    assert m.n_triangles > 64 and m.n_triangles % 64
+    ctx = IndicatorContext(m, prob)
+    want = whole_data_means(m, prob)
+    got = (ctx.f_means, ctx.osc_f, ctx.b_means, ctx.osc_b)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()

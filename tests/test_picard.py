@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from darcyfem import nonlinear_solver, problems
+from darcyfem import nonlinear_solver, problems, spaces
 from darcyfem.adaptivity import adaptive_loop
 from darcyfem.assembly import Assembler
 from darcyfem.indicators import IndicatorContext
@@ -13,7 +13,8 @@ from darcyfem.nonlinear_solver import (AlphaDiagnostics, ErrorReport,
                                        SolverConfig, _positive_cubic_root,
                                        alpha_diagnostics, alpha_sweep,
                                        compute_lifting, solve, true_error)
-from darcyfem.spaces import field_mean, lp_norm, p1_gradients
+from darcyfem.spaces import (P0VectorField, P1ScalarField, field_mean,
+                             lp_norm, p1_gradients)
 
 from conftest import rng_loop
 
@@ -354,6 +355,36 @@ def test_true_error_vanishes_for_exact_zero():
     res = solve(m, prob)
     rep = true_error(m, prob, res.u, res.p)
     assert rep.u_l2 < 1e-13 and rep.u_l3 < 1e-13 and rep.grad_p_l32 < 1e-13
+
+
+def test_true_error_matches_closed_forms():
+    """u = (x, 0) and p = x y against u_h = 0 and p_h = 0 on the unit
+    square: every norm is a polynomial integral the degree-10 rule
+    integrates exactly (the gradient terms are compared with each other)."""
+    prob = problems.problem_from_config(
+        {"exact_u": ["x", "0"], "exact_p": "x*y",
+         "exact_grad_p": ["y", "x"]})
+    m = generate_structured(5)
+    rep = true_error(m, prob, P0VectorField.zero(m), P1ScalarField.zero(m))
+    assert rep.u_l2 == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-13)
+    assert rep.u_l3 == pytest.approx(0.25 ** (1.0 / 3.0), rel=1e-13)
+    assert rep.exact_u_l3 == rep.u_l3
+    assert rep.grad_p_l32 == rep.exact_grad_p_l32 > 0.0
+
+
+def test_true_error_blocked_sampling_matches_one_block(monkeypatch):
+    """Sampling the reference fields over element blocks gives the same
+    bytes as one block holding every element."""
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = generate_structured(7)
+    rng = np.random.default_rng(3)
+    u = P0VectorField(m, rng.standard_normal((m.n_triangles, 2)))
+    p = P1ScalarField(m, rng.standard_normal(m.n_vertices))
+    monkeypatch.setattr(spaces, "SAMPLE_BLOCK", m.n_triangles)
+    whole = true_error(m, prob, u, p)
+    monkeypatch.setattr(spaces, "SAMPLE_BLOCK", 64)
+    assert m.n_triangles > 64 and m.n_triangles % 64
+    assert true_error(m, prob, u, p) == whole
 
 
 def test_positive_cubic_root_values():
