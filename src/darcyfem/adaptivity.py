@@ -172,14 +172,6 @@ def uniform_study(problem: ProblemSpec, ns, solver: SolverConfig | None = None
     return states
 
 
-def observed_orders(errors, hs) -> list[float]:
-    """Convergence rates from successive (error, h) pairs."""
-    rates = []
-    for (e0, h0), (e1, h1) in zip(zip(errors, hs), zip(errors[1:], hs[1:])):
-        rates.append(math.log(e0 / e1) / math.log(h0 / h1))
-    return rates
-
-
 def pick_by_budget(records: list[LevelRecord], budget: int) -> LevelRecord | None:
     """Last record whose vertex count fits the budget (None if none do)."""
     fitting = [r for r in records if r.vertices <= budget]

@@ -7,7 +7,10 @@ decay on structured meshes), ``adapt`` (solve-estimate-mark-refine loop) and
 
 Every run writes ``manifest.json`` echoing the merged configuration plus
 library versions, so a single-threaded rerun from the manifest reproduces
-the CSV outputs byte for byte.  Exit codes: 0 success, 2 configuration
+the CSV outputs byte for byte.  The manifests of ``solve``, ``adapt`` and
+``uniform-study`` also carry the run status (the last level's, for the
+studies), and those of the studies the triangles, outer iterations, CG
+iterations and status of every level.  Exit codes: 0 success, 2 configuration
 error, 3 numerical failure (details land in ``error.txt``), 4 the nonlinear
 iteration of ``solve``, or of the last ``adapt`` level, did not converge
 (all outputs are still written).
@@ -220,7 +223,8 @@ def _out_dir(cfg):
     return out
 
 
-def _manifest(out, cfg, timings, outputs, status=None, phases=None):
+def _manifest(out, cfg, timings, outputs, status=None, phases=None,
+              levels=None):
     clean = {k: v for k, v in cfg.items() if v is not None}
     doc = {
         "config": clean,
@@ -237,6 +241,8 @@ def _manifest(out, cfg, timings, outputs, status=None, phases=None):
         doc["status"] = status
     if phases is not None:
         doc["phases_s"] = {k: round(v, 6) for k, v in phases.items()}
+    if levels is not None:
+        doc["levels"] = levels
     path = os.path.join(out, "manifest.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -328,6 +334,17 @@ _STUDY_HEADER = ("level", "vertices", "triangles", "eta_L", "eta_D",
                  "err", "EI", "E_tot")
 
 
+def _study_manifest(out, cfg, timings, outputs, states):
+    """Manifest of a multi-level study: the last level's status and, per
+    level, its triangles, outer iterations, CG iterations and status."""
+    levels = [{"triangles": s.mesh.n_triangles,
+               "iterations": s.result.iterations,
+               "cg_total": s.result.cg_total,
+               "status": s.result.status} for s in states]
+    _manifest(out, cfg, timings, outputs, status=states[-1].result.status,
+              levels=levels)
+
+
 def _cmd_uniform(cfg, out):
     if not cfg["ns"]:
         raise ConfigError("uniform-study needs --Ns")
@@ -340,7 +357,8 @@ def _cmd_uniform(cfg, out):
     t_run = time.perf_counter() - t0
     _write_csv(os.path.join(out, "study.csv"), _STUDY_HEADER,
                _study_rows(states))
-    _manifest(out, cfg, {"study": t_run}, ["study.csv", "manifest.json"])
+    _study_manifest(out, cfg, {"study": t_run},
+                    ["study.csv", "manifest.json"], states)
     return 0
 
 
@@ -361,7 +379,7 @@ def _cmd_adapt(cfg, out):
         with open(os.path.join(out, name), "w") as fh:
             fh.write(render_mesh_svg(s.mesh, title=f"level {s.record.level}"))
         outputs.append(name)
-    _manifest(out, cfg, {"adapt": t_run}, outputs)
+    _study_manifest(out, cfg, {"adapt": t_run}, outputs, states)
     last = states[-1].record
     print(f"levels={len(states)} final_vertices={last.vertices} "
           f"final_eta_D={last.eta_d:.3e}")

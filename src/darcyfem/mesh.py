@@ -109,14 +109,6 @@ class Mesh:
     def domain_area(self) -> float:
         return float(self.areas.sum())
 
-    def shape_ratios(self) -> np.ndarray:
-        """Diameter over inscribed-circle diameter, per triangle."""
-        a, b, c = (self.tris[:, i] for i in range(3))
-        per = (np.linalg.norm(self.xy[b] - self.xy[a], axis=1)
-               + np.linalg.norm(self.xy[c] - self.xy[b], axis=1)
-               + np.linalg.norm(self.xy[a] - self.xy[c], axis=1))
-        return self.h_tri * per / (4.0 * self.areas)
-
     def tri_coords(self) -> np.ndarray:
         """Vertex coordinates per triangle, shape (m, 3, 2)."""
         return self.xy[self.tris]
@@ -504,10 +496,3 @@ def refine(mesh: Mesh, marked: "np.ndarray | list[int]") -> Mesh:
 
     out = _build(new_xy, slots[keep], seed_refinement_edges=False)
     return replace(out, parent=parent, split_edges=split_edges)
-
-
-def refine_uniform(mesh: Mesh, rounds: int = 1) -> Mesh:
-    """Bisect every triangle, ``rounds`` times."""
-    for _ in range(rounds):
-        mesh = refine(mesh, np.arange(mesh.n_triangles))
-    return mesh

@@ -11,6 +11,7 @@ import pytest
 
 from darcyfem import problems
 from darcyfem.adaptivity import adaptive_loop, uniform_study
+from darcyfem.mesh import refine
 from darcyfem.nonlinear_solver import SolverConfig, alpha_sweep
 
 TABLE1_ALPHAS = [0.001, 0.01, 0.1, 1, 1.4, 1.9, 2.1, 2.3, 2.5, 2.7,
@@ -102,6 +103,13 @@ def pytest_terminal_summary(terminalreporter):
     for name in sorted(_acceptance):
         outcome = _acceptance[name].upper()
         terminalreporter.write_line(f"  {name}: {outcome}")
+
+
+def refine_uniform(mesh, rounds=1):
+    """Bisect every triangle, ``rounds`` times."""
+    for _ in range(rounds):
+        mesh = refine(mesh, np.arange(mesh.n_triangles))
+    return mesh
 
 
 def rng_loop(seed, n):

@@ -7,7 +7,8 @@ with the production code is meaningful.  The mesh section keeps the
 per-triangle loops that the vectorized edge tables and bisection in
 ``darcyfem.mesh`` replaced; the per-step section keeps the gathered,
 per-edge forms of the gradients, edge fluxes, step error, indicators and
-velocity recovery that the fused step path replaced.  The one exception is
+velocity recovery that the fused step path replaced; the multigrid section
+keeps the one-stage Galerkin map that the two-stage maps replaced.  The one exception is
 the last section: thin wrappers over the production ``Assembler`` that only
 tests use.
 """
@@ -15,10 +16,12 @@ tests use.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from darcyfem.assembly import Assembler
 from darcyfem.indicators import OSCILLATION_DEGREE
 from darcyfem.mesh import MeshConformityError
+from darcyfem.multigrid import _Pattern
 from darcyfem.spaces import physical_points, sample, triangle_rule
 
 GL4_T = np.array([0.069431844202974, 0.330009478207572,
@@ -349,6 +352,45 @@ def tol_only_cg(s, rhs, x0=None, tol=1e-12, precond=None):
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise AssertionError("tol_only_cg did not converge")
+
+
+# ---------------------------------------------------------------------------
+# Multigrid: the one-stage Galerkin map
+# ---------------------------------------------------------------------------
+
+def one_stage_galerkin_map(fine: _Pattern, p: sp.csr_matrix):
+    """Pattern of P^T A P for any A with pattern ``fine``, and the sparse map
+    Q with data(P^T A P) = Q @ data(A).
+
+    The entry A_ij in slot e contributes P_iI A_ij P_jJ to (I, J) for every
+    stored P_iI and P_jJ, so Q[slot(I, J), e] = P_iI P_jJ; each (slot, e)
+    pair arises once.
+    """
+    n_coarse = p.shape[1]
+    deg = np.diff(p.indptr)
+    deg_i = deg[fine.rows]
+    deg_j = deg[fine.indices]
+    count = deg_i * deg_j
+    entry = np.repeat(np.arange(fine.indices.size, dtype=np.int32), count)
+    # k enumerates the P_iI P_jJ pairs of one entry, I-major.
+    k = np.arange(entry.size) - np.repeat(np.cumsum(count) - count, count)
+    deg_j = deg_j[entry]
+    ki = p.indptr[fine.rows[entry]] + k // deg_j
+    kj = p.indptr[fine.indices[entry]] + k % deg_j
+    # There is one term per entry of Q; free each term-sized temporary as
+    # soon as it is used, to keep the peak memory of the build down.
+    del k, deg_j
+    values = p.data[ki] * p.data[kj]
+    keys = p.indices[ki].astype(np.int64) * n_coarse + p.indices[kj]
+    del ki, kj
+    unique_keys, slot = np.unique(keys, return_inverse=True)
+    del keys
+    indptr = np.searchsorted(unique_keys // n_coarse,
+                             np.arange(n_coarse + 1)).astype(np.int32)
+    coarse = _Pattern(indptr, (unique_keys % n_coarse).astype(np.int32))
+    q = sp.csr_matrix((values, (slot, entry)),
+                      shape=(unique_keys.size, fine.indices.size))
+    return coarse, q
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,13 @@ from darcyfem.adaptivity import compare_adaptive_uniform, uniform_study
 from darcyfem.assembly import Assembler
 from darcyfem.cli import main
 from darcyfem.indicators import lower_bound_check
-from darcyfem.mesh import (generate_lshape, generate_structured, refine,
-                           refine_uniform)
+from darcyfem.mesh import generate_lshape, generate_structured, refine
 from darcyfem.nonlinear_solver import SolverConfig, alpha_sweep, solve
 from darcyfem.spaces import P0VectorField, P1ScalarField, p1_gradients
 
 from conftest import (SHARED1_ALPHAS, SHARED2_ALPHAS, TABLE1_ALPHAS,
-                      TABLE2_ALPHAS, random_affine_problem, rng_loop)
+                      TABLE2_ALPHAS, random_affine_problem, refine_uniform,
+                      rng_loop)
 from oracles import dense_step_solve
 
 

@@ -6,8 +6,7 @@ import pytest
 from darcyfem import problems
 from darcyfem.adaptivity import (AdaptConfig, LevelRecord, adaptive_loop,
                                  compare_adaptive_uniform, mark,
-                                 observed_orders, pick_by_budget,
-                                 transfer, uniform_study)
+                                 pick_by_budget, transfer, uniform_study)
 from darcyfem.mesh import generate_lshape, refine
 from darcyfem.nonlinear_solver import SolverConfig
 
@@ -204,6 +203,14 @@ def test_adaptive_loop_eta_d_decreases():
     for a, b in zip(eta, eta[1:]):
         assert b <= 1.05 * a
     assert eta[-1] < eta[0]
+
+
+def observed_orders(errors, hs):
+    """Convergence rates from successive (error, h) pairs."""
+    rates = []
+    for (e0, h0), (e1, h1) in zip(zip(errors, hs), zip(errors[1:], hs[1:])):
+        rates.append(math.log(e0 / e1) / math.log(h0 / h1))
+    return rates
 
 
 def test_uniform_study_first_order_rates():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,14 +13,14 @@ from darcyfem import assembly, problems
 from darcyfem.assembly import (Assembler, CompatibilityError, ElementBlocks,
                                LinearSolverError, PressureSystem, deflated_cg)
 from darcyfem.mesh import generate_lshape, generate_structured, refine
-from darcyfem.multigrid import MAX_COARSE, VCycle
+from darcyfem.multigrid import MAX_COARSE, SmoothedAggregation, VCycle
 from darcyfem.nonlinear_solver import SolverConfig, solve
 from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
                               project_mean_zero)
 
 from conftest import random_affine_problem as _random_problem, rng_loop
 from oracles import (DivergenceCoupling, assemble_step, dense_step_solve,
-                     einsum_schur, tol_only_cg)
+                     einsum_schur, one_stage_galerkin_map, tol_only_cg)
 
 
 def test_element_blocks_identity_case():
@@ -457,24 +458,29 @@ def test_true_residual_of_returned_pressure(case):
     assert np.linalg.norm(res) <= 10 * cg_tol * np.linalg.norm(g)
 
 
-@pytest.mark.parametrize("case", ["n1", "n2", "n40", "graded_lshape"])
-def test_galerkin_maps_give_the_sparse_products(case):
-    """Each level's operator built by the hierarchy's maps equals R A P, and
-    the coarsest dense inverse is that of the shifted operator."""
+def _hierarchy_case(case):
     if case == "graded_lshape":
         prob = problems.reentrant_corner(beta=10.0)
         mesh = _graded_lshape()
     else:
         prob = problems.gaussian_vortex(beta=10.0)
         mesh = problems.initial_mesh(prob, int(case[1:]))
-    asm, system = _first_step(mesh, prob, alpha=3.0)
+    return _first_step(mesh, prob, alpha=3.0)
+
+
+@pytest.mark.parametrize("case", ["n1", "n2", "n40", "graded_lshape"])
+def test_galerkin_maps_give_the_sparse_products(case):
+    """Each level's operator built by the hierarchy's maps equals R A P, and
+    the coarsest dense inverse is that of the shifted operator."""
+    asm, system = _hierarchy_case(case)
     hierarchy = asm.hierarchy
     assert len(hierarchy.maps) == len(hierarchy.sizes) - 1
     assert (len(hierarchy.sizes) > 2) == (case in ("n40", "graded_lshape"))
     data = system.s.data
     a = system.s
     for level, (p, r) in enumerate(hierarchy.prolongators):
-        data = hierarchy.maps[level] @ data
+        q1, q2 = hierarchy.maps[level]
+        data = q2 @ (q1 @ data)
         a = r @ a @ p
         pattern = hierarchy.patterns[level + 1]
         ref = a.toarray()
@@ -486,6 +492,54 @@ def test_galerkin_maps_give_the_sparse_products(case):
     shifted = dense + np.mean(np.diagonal(dense)) / dense.shape[0]
     coarse = VCycle(hierarchy, system.s).coarse
     assert np.abs(coarse @ shifted - np.eye(dense.shape[0])).max() < 1e-10
+
+
+@pytest.mark.parametrize("case",
+                         ["n1", "n2", "n40", "graded_lshape", "n112"])
+def test_two_stage_maps_match_the_one_stage_oracle(case):
+    """Each level keeps the maps Q1 (A to A P) and Q2 (A P to P^T A P), not
+    their product; the coarse pattern and Q2 Q1 have the bytes of the
+    one-stage map."""
+    asm, _ = _hierarchy_case(case)
+    hierarchy = asm.hierarchy
+    assert len(hierarchy.maps) == len(hierarchy.prolongators)
+    for level, (p, _) in enumerate(hierarchy.prolongators):
+        fine = hierarchy.patterns[level]
+        coarse, q = one_stage_galerkin_map(fine, p)
+        got = hierarchy.patterns[level + 1]
+        for want_arr, got_arr in ((coarse.indptr, got.indptr),
+                                  (coarse.indices, got.indices)):
+            assert got_arr.dtype == want_arr.dtype
+            assert got_arr.tobytes() == want_arr.tobytes()
+        q1, q2 = hierarchy.maps[level]
+        assert q1.shape[1] == fine.indices.size
+        assert q2.shape == (got.indices.size, q1.shape[0])
+        product = (q2 @ q1).tocsr()
+        product.sort_indices()
+        assert product.shape == q.shape
+        for want_arr, got_arr in ((q.indptr, product.indptr),
+                                  (q.indices, product.indices),
+                                  (q.data, product.data)):
+            assert got_arr.dtype == want_arr.dtype
+            assert got_arr.tobytes() == want_arr.tobytes()
+
+
+def test_hierarchy_build_peak_memory():
+    """The traced peak of a hierarchy build at N = 112, above its entry, stays
+    under 20 MiB; the one-stage map took it to 34.5 MiB."""
+    prob = problems.gaussian_vortex(beta=10.0)
+    asm = Assembler(problems.initial_mesh(prob, 112), prob)
+    s0 = asm._reference_schur()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        hierarchy = SmoothedAggregation(s0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hierarchy.sizes) > 3
+    assert peak - entry <= 20 * 2 ** 20
 
 
 def test_vcycle_rejects_a_matrix_with_another_pattern():

@@ -235,6 +235,48 @@ def test_nonconverged_last_adapt_level_exits_4(tmp_path):
     assert len((out / "study.csv").read_text().splitlines()) == 1 + 1
 
 
+_STUDIES = {
+    "adapt": ("adapt", "--problem", "reentrant-corner", "--N", "4",
+              "--levels", "2"),
+    # 35 outer steps at N = 4 and 37 at N = 16
+    "uniform-study": ("uniform-study", "--Ns", "4,16", "--beta", "10",
+                      "--alpha", "10"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_STUDIES))
+def test_study_manifest_has_status_and_levels(tmp_path, command):
+    code, out = _run(tmp_path, *_STUDIES[command])
+    assert code == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    rows = [line.split(",")
+            for line in (out / "study.csv").read_text().splitlines()[1:]]
+    assert doc["status"] == "converged"
+    assert len(doc["levels"]) == len(rows) == 2
+    for level, row in zip(doc["levels"], rows):
+        assert set(level) == {"triangles", "iterations", "cg_total",
+                              "status"}
+        assert level["triangles"] == int(row[2])
+        assert 1 <= level["iterations"] <= level["cg_total"]
+        assert level["status"] == "converged"
+    assert sum(level["cg_total"] for level in doc["levels"]) \
+        > sum(level["iterations"] for level in doc["levels"])
+
+
+@pytest.mark.parametrize("command, max_iter, statuses", [
+    ("adapt", "2", ["max_iter"]),       # the loop stops at level 0
+    ("uniform-study", "36", ["converged", "max_iter"]),
+], ids=["adapt", "uniform-study"])
+def test_study_manifest_status_on_max_iter(tmp_path, command, max_iter,
+                                           statuses):
+    code, out = _run(tmp_path, *_STUDIES[command], "--max-iter", max_iter)
+    assert code == (4 if command == "adapt" else 0)
+    doc = json.loads((out / "manifest.json").read_text())
+    assert [level["status"] for level in doc["levels"]] == statuses
+    assert doc["levels"][-1]["iterations"] == int(max_iter)
+    assert doc["status"] == "max_iter"
+
+
 def test_bad_n_exits_2(tmp_path):
     code, _ = _run(tmp_path, "solve", "--N", "0")
     assert code == 2

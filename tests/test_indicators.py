@@ -9,12 +9,11 @@ from darcyfem.assembly import Assembler, ElementBlocks
 from darcyfem.indicators import (ElementIndicators, IndicatorContext,
                                  effectivity_index, lower_bound_check,
                                  total_relative_indicator)
-from darcyfem.mesh import (from_arrays, generate_structured, refine,
-                           refine_uniform)
+from darcyfem.mesh import from_arrays, generate_structured, refine
 from darcyfem.nonlinear_solver import SolverConfig, relative_increment, solve
 from darcyfem.spaces import P0VectorField, P1ScalarField, p1_gradients
 
-from conftest import rng_loop
+from conftest import refine_uniform, rng_loop
 from oracles import (edge_flux, einsum_gradients, einsum_recover, step_error,
                      step_indicators, whole_data_means)
 

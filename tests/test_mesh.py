@@ -127,17 +127,26 @@ def test_refine_marked_strictly_subdivided():
     assert r.areas.min() >= areas_before.min() / 4 - 1e-15
 
 
+def _shape_ratios(m):
+    """Diameter over inscribed-circle diameter, per triangle."""
+    a, b, c = (m.tris[:, i] for i in range(3))
+    per = (np.linalg.norm(m.xy[b] - m.xy[a], axis=1)
+           + np.linalg.norm(m.xy[c] - m.xy[b], axis=1)
+           + np.linalg.norm(m.xy[a] - m.xy[c], axis=1))
+    return m.h_tri * per / (4.0 * m.areas)
+
+
 def test_repeated_refinement_keeps_area_and_shape():
     rng = np.random.default_rng(11)
     m = msh.generate_structured(2, rect=((-1.0, -1.0), (1.0, 1.0)))
-    base_ratio = m.shape_ratios().max()
+    base_ratio = _shape_ratios(m).max()
     area = m.domain_area()
     for _ in range(6):
         marked = rng.choice(m.n_triangles, size=max(1, m.n_triangles // 5),
                             replace=False)
         m = msh.refine(m, marked)
     assert m.domain_area() == pytest.approx(area, rel=1e-12)
-    assert m.shape_ratios().max() <= 2.0 * base_ratio + 1e-12
+    assert _shape_ratios(m).max() <= 2.0 * base_ratio + 1e-12
 
 
 def test_save_load_roundtrip():
