@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh
-from .multigrid import SmoothedAggregation, VCycle
+from .multigrid import Pattern, SmoothedAggregation, VCycle, product_map
 from .problems import ProblemSpec, eval_k_inverse
 from .spaces import (
     P0VectorField,
@@ -240,16 +240,16 @@ class Assembler:
                 f"(relative defect {abs(int_b - int_g) / scale:.3e})")
         self.h = h
 
-        # Sparsity pattern of S = B A^-1 B^T, with a flat index that maps the
-        # 9 m local entries straight into csr data slots.
-        rows = mesh.tris[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
-        cols = mesh.tris[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
-        keys = rows.astype(np.int64) * n + cols
-        unique_keys, self._scatter = np.unique(keys, return_inverse=True)
-        indices = (unique_keys % n).astype(np.int32)
-        indptr = np.searchsorted(unique_keys // n, np.arange(n + 1)).astype(np.int32)
-        self._s = sp.csr_matrix(
-            (np.zeros(unique_keys.size), indices, indptr), shape=(n, n))
+        # Pattern of S = B A^-1 B^T and the 0/1 map Q0 from the (3, 3, m)
+        # local blocks to its data.  Terms run element by element, entry
+        # (a, b) of element k at a*3m + b*m + k, so Q0 adds in element order
+        # while its rows stay as built: never sort them or convert Q0.
+        tris = mesh.tris.astype(np.int64)
+        keys = (np.repeat(tris, 3, axis=1) * n + np.tile(tris, 3)).ravel()
+        entry = np.arange(9 * m, dtype=np.int32).reshape(9, m).T.ravel()
+        indptr, indices, self._q0 = product_map(
+            keys, np.ones(keys.size), entry, 9 * m, n, n)
+        self._pattern = Pattern(indptr, indices)
         self._hierarchy: SmoothedAggregation | None = None
 
     # -- per-step assembly --------------------------------------------------
@@ -271,7 +271,8 @@ class Assembler:
 
         The local blocks sum_ab (b_ja W_ab) b_kb are formed on contiguous
         (3, m) rows, adding the four (a, b) terms in the order a three-operand
-        einsum does, so S is the same to the last bit.
+        einsum does, and carried to the data of S by the map Q0, which adds
+        them in element order; S shares its index arrays with the pattern.
         """
         bt = self._bt
         w = np.ascontiguousarray(inverses.reshape(-1, 4).T)
@@ -279,11 +280,7 @@ class Assembler:
         local += (bt[0] * w[1])[:, None, :] * bt[1][None, :, :]
         local += (bt[1] * w[2])[:, None, :] * bt[0][None, :, :]
         local += (bt[1] * w[3])[:, None, :] * bt[1][None, :, :]
-        s = self._s.copy()
-        s.data = np.bincount(self._scatter,
-                             weights=local.transpose(2, 0, 1).ravel(),
-                             minlength=self._s.data.size)
-        return s
+        return self._pattern.matrix(self._q0 @ local.ravel())
 
     def _reference_schur(self) -> sp.csr_matrix:
         """S0 = B diag(1/|k|) B^T: the Schur matrix of the L2 lifting."""

@@ -120,8 +120,8 @@ _DEFAULTS = {
     "tol": 1e-5,
     "gamma_tilde": 1e-3,
     "max_iter": 2000,
-    "guess": "zero",
-    "stopping": "fixed-tol",
+    "guess": None,
+    "stopping": None,
     "out": None,
     "threads": 1,
     "alphas": None,
@@ -145,15 +145,22 @@ def merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError("config file must hold a JSON object")
         for key, val in file_cfg.items():
             k = key.replace("-", "_").lower()
-            if k == "N":
-                k = "n"
-            if k not in cfg and k != "problem_spec":
+            if k not in cfg:
                 raise ConfigError(f"unknown config key {key!r}")
             cfg[k] = val
     for key in cfg:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
+    # adapt always runs from the Darcy start to the indicator balance.
+    fixed = args.command == "adapt"
+    for key, default, mode in (("guess", "zero", "darcy"),
+                               ("stopping", "fixed-tol", "indicator-balance")):
+        asked = cfg[key]
+        if fixed and asked and str(asked).replace("_", "-") != mode:
+            raise ConfigError(f"adapt always runs with {key} {mode!r}, "
+                              f"not {asked!r}")
+        cfg[key] = mode if fixed else asked or default
     if getattr(args, "n", None) is not None and \
             getattr(args, "mesh", None) is not None:
         raise ConfigError("give exactly one mesh source: --N or --mesh")
@@ -199,14 +206,14 @@ def _resolve_mesh(cfg, problem):
     return problems.initial_mesh(problem, n)
 
 
-def _solver_config(cfg, stopping=None, guess=None) -> SolverConfig:
+def _solver_config(cfg) -> SolverConfig:
     return SolverConfig(
         alpha=float(cfg["alpha"]),
         tol=float(cfg["tol"]),
         gamma_tilde=float(cfg["gamma_tilde"]),
         max_iter=int(cfg["max_iter"]),
-        initial_guess=guess or cfg["guess"],
-        stopping=(stopping or cfg["stopping"]).replace("-", "_"),
+        initial_guess=cfg["guess"],
+        stopping=cfg["stopping"].replace("-", "_"),
     )
 
 
@@ -365,7 +372,7 @@ def _cmd_uniform(cfg, out):
 def _cmd_adapt(cfg, out):
     problem = _resolve_problem(cfg)
     mesh = _resolve_mesh(cfg, problem)
-    solver = _solver_config(cfg, stopping="indicator-balance", guess="darcy")
+    solver = _solver_config(cfg)
     adapt = AdaptConfig(theta=float(cfg["theta"]), marker=cfg["marker"])
     t0 = time.perf_counter()
     states = adaptive_loop(problem, levels=int(cfg["levels"]),

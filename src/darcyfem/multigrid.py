@@ -18,12 +18,13 @@ Q1 @ data(S) and Q2 with data(P^T (S P)) = Q2 @ data(S P).  Only the two
 factors are built: their product lists every P_iI S_ij P_jJ, 547 019 terms
 on the finest level at N = 112 against 387 066 in Q1 and Q2 together, and
 the factors take less than half the time and peak memory to build.
-Each system S that is solved must have that pattern, as every fixed-point
-step's Schur matrix does; it gets its own Galerkin operators,
-Q2 @ (Q1 @ data) per level, and a dense inverse of the coarsest one
-(:class:`VCycle`), so a hierarchy can serve concurrent solves.  P carries
-constants to constants and every Galerkin operator keeps them as its
-kernel, which the coarsest solve removes with a rank-one shift.
+Every coarse operator, of S0 while the hierarchy is built and of each
+solved S (which must have the pattern of S0, as every fixed-point step's
+Schur matrix does), is Q2 @ (Q1 @ data) per level; each S gets its own and a
+dense inverse of the coarsest one (:class:`VCycle`), so a hierarchy can
+serve concurrent solves.  P carries constants to constants and every
+Galerkin operator keeps them as its kernel, which the coarsest solve removes
+with a rank-one shift.
 
 Only numpy and ``scipy.sparse`` are used: ``scipy.sparse.linalg`` and
 ``scipy.linalg`` would add about 10 MiB and 0.13 s to every process.
@@ -39,13 +40,7 @@ STRENGTH_THETA = 0.08
 SMOOTHING_SWEEPS = 2
 
 
-def _jacobi_weights(diag: np.ndarray, abs_row_sums: np.ndarray) -> np.ndarray:
-    """omega D^-1, with omega = 4 / (3 rho) and rho the Gershgorin bound of
-    D^-1 A, so that damped Jacobi reduces every error mode."""
-    return 4.0 / (3.0 * float(np.max(abs_row_sums / diag))) / diag
-
-
-class _Pattern:
+class Pattern:
     """Sparsity pattern of one level's square operator: CSR index arrays plus
     the row of every stored entry and the slots of the diagonal."""
 
@@ -67,9 +62,12 @@ class _Pattern:
                              shape=(self.n, self.n))
 
     def jacobi_weights(self, data: np.ndarray) -> np.ndarray:
-        return _jacobi_weights(data[self.diag],
-                               np.bincount(self.rows, weights=np.abs(data),
-                                           minlength=self.n))
+        """omega D^-1, with omega = 4 / (3 rho) and rho the Gershgorin bound
+        of D^-1 A, so that damped Jacobi reduces every error mode."""
+        diag = data[self.diag]
+        rho = np.max(np.bincount(self.rows, weights=np.abs(data),
+                                 minlength=self.n) / diag)
+        return 4.0 / (3.0 * float(rho)) / diag
 
     def dense(self, data: np.ndarray) -> np.ndarray:
         out = np.zeros((self.n, self.n))
@@ -91,15 +89,15 @@ def _terms(rows: np.ndarray, cols: np.ndarray, indptr: np.ndarray,
     return left, right, keys
 
 
-def _product_map(keys: np.ndarray, values: np.ndarray, entry: np.ndarray,
-                 n_entries: int, n_rows: int, n_cols: int):
+def product_map(keys: np.ndarray, values: np.ndarray, entry: np.ndarray,
+                n_entries: int, n_rows: int, n_cols: int):
     """Pattern and map of a sparse product from its terms.
 
     Term t adds ``values[t]`` times stored entry ``entry[t]`` of the variable
     factor to the product's entry with the row-major key ``keys[t]``.
     Returns the product's CSR ``indptr`` and ``indices`` and the map Q with
     data(product) = Q @ data(variable factor).  A stable sort of the keys
-    lays the terms out as Q's rows, each in increasing ``entry`` order.
+    lays the terms out as Q's rows, keeping the given order within each row.
     """
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -114,7 +112,7 @@ def _product_map(keys: np.ndarray, values: np.ndarray, entry: np.ndarray,
     return indptr, indices, q
 
 
-def _galerkin_maps(fine: _Pattern, p: sp.csr_matrix, r: sp.csr_matrix):
+def _galerkin_maps(fine: Pattern, p: sp.csr_matrix, r: sp.csr_matrix):
     """Pattern of P^T A P for any A with pattern ``fine``, and the sparse
     maps Q1 and Q2 with data(P^T A P) = Q2 @ (Q1 @ data(A)), given P and
     R = P^T in CSR form.
@@ -131,7 +129,7 @@ def _galerkin_maps(fine: _Pattern, p: sp.csr_matrix, r: sp.csr_matrix):
                             n_coarse)
     values = p.data[k]
     del k
-    ap_indptr, ap_indices, q1 = _product_map(
+    ap_indptr, ap_indices, q1 = product_map(
         keys, values, entry, fine.indices.size, fine.n, n_coarse)
     del entry, keys, values
     r_rows = np.repeat(np.arange(n_coarse, dtype=np.int32), np.diff(r.indptr))
@@ -139,13 +137,13 @@ def _galerkin_maps(fine: _Pattern, p: sp.csr_matrix, r: sp.csr_matrix):
                             n_coarse)
     values = r.data[k]
     del k
-    indptr, indices, q2 = _product_map(
+    indptr, indices, q2 = product_map(
         keys, values, entry, ap_indices.size, n_coarse, n_coarse)
-    return _Pattern(indptr, indices), q1, q2
+    return Pattern(indptr, indices), q1, q2
 
 
-def _aggregate(a: sp.csr_matrix) -> np.ndarray:
-    """Greedy aggregation of the strong-connection graph of ``a``.
+def _aggregate(pattern: Pattern, data: np.ndarray) -> np.ndarray:
+    """Greedy aggregation of the strong-connection graph of (pattern, data).
 
     j is a strong neighbour of i when |a_ij| >= theta sqrt(a_ii a_jj).
     Pass 1 makes every vertex whose strong neighbours are all free the root
@@ -153,13 +151,12 @@ def _aggregate(a: sp.csr_matrix) -> np.ndarray:
     vertex to the aggregate of a pass-1 neighbour; pass 3 groups what is left
     around itself.  Returns the aggregate index of every vertex.
     """
-    n = a.shape[0]
-    coo = a.tocoo()
-    diag = np.abs(a.diagonal())
-    strong = (coo.row != coo.col) & (np.abs(coo.data) >= STRENGTH_THETA
-                                     * np.sqrt(diag[coo.row] * diag[coo.col]))
+    n, rows, cols = pattern.n, pattern.rows, pattern.indices
+    diag = np.abs(data[pattern.diag])
+    strong = (rows != cols) & (np.abs(data) >= STRENGTH_THETA
+                               * np.sqrt(diag[rows] * diag[cols]))
     graph = sp.csr_matrix((np.ones(int(strong.sum())),
-                           (coo.row[strong], coo.col[strong])), shape=(n, n))
+                           (rows[strong], cols[strong])), shape=(n, n))
     ptr = graph.indptr.tolist()
     nbrs = [graph.indices[ptr[i]:ptr[i + 1]].tolist() for i in range(n)]
     agg = [-1] * n
@@ -196,36 +193,34 @@ class SmoothedAggregation:
     any S with the pattern of ``s0``.  ``maps[l]`` is the pair (Q1, Q2) that
     carries the stored entries of level l to those of level l + 1 as
     Q2 @ (Q1 @ data): Q1 to the entries of A P, Q2 from those to the entries
-    of P^T (A P).  The next level's ``s0`` is still formed as R A P.
+    of P^T (A P); the same maps form the coarser levels of ``s0`` itself.
     """
 
     def __init__(self, s0: sp.csr_matrix):
         prolongators = []
-        a = s0.tocsr()
-        patterns = [_Pattern(a.indptr, a.indices)]
+        patterns = [Pattern(s0.indptr, s0.indices)]
         maps = []
-        while a.shape[0] > MAX_COARSE:
-            n = a.shape[0]
-            agg = _aggregate(a)
+        data = s0.data
+        while patterns[-1].n > MAX_COARSE:
+            fine = patterns[-1]
+            agg = _aggregate(fine, data)
             n_coarse = int(agg.max()) + 1
-            if n_coarse >= n:
+            if n_coarse >= fine.n:
                 break
-            t = sp.csr_matrix((np.ones(n), (np.arange(n), agg)),
-                              shape=(n, n_coarse))
-            weights = _jacobi_weights(a.diagonal(),
-                                      np.asarray(abs(a).sum(axis=1)).ravel())
-            p = (t - sp.diags(weights) @ (a @ t)).tocsr()
+            t = sp.csr_matrix((np.ones(fine.n), (np.arange(fine.n), agg)),
+                              shape=(fine.n, n_coarse))
+            weights = fine.jacobi_weights(data)
+            p = (t - sp.diags(weights) @ (fine.matrix(data) @ t)).tocsr()
             r = p.T.tocsr()
             prolongators.append((p, r))
-            coarse, q1, q2 = _galerkin_maps(patterns[-1], p, r)
+            coarse, q1, q2 = _galerkin_maps(fine, p, r)
             patterns.append(coarse)
             maps.append((q1, q2))
-            a = (r @ a @ p).tocsr()
+            data = q2 @ (q1 @ data)
         self.prolongators = tuple(prolongators)
         self.patterns = tuple(patterns)
         self.maps = tuple(maps)
-        self.sizes = tuple([s0.shape[0]] + [p.shape[1]
-                                            for p, _ in prolongators])
+        self.sizes = tuple(pattern.n for pattern in patterns)
 
 
 class VCycle:
@@ -244,10 +239,10 @@ class VCycle:
                              "the multigrid hierarchy was built on")
         self.levels = []
         data = s.data
-        for level, (p, r) in enumerate(hierarchy.prolongators):
-            a = s if level == 0 else patterns[level].matrix(data)
-            self.levels.append((a, patterns[level].jacobi_weights(data), p, r))
-            q1, q2 = hierarchy.maps[level]
+        for pattern, (p, r), (q1, q2) in zip(patterns, hierarchy.prolongators,
+                                              hierarchy.maps):
+            self.levels.append((pattern.matrix(data),
+                                pattern.jacobi_weights(data), p, r))
             data = q2 @ (q1 @ data)
         # Shifting along the constants makes the coarsest operator regular
         # without changing its action on mean-zero vectors.

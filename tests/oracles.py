@@ -8,9 +8,11 @@ per-triangle loops that the vectorized edge tables and bisection in
 ``darcyfem.mesh`` replaced; the per-step section keeps the gathered,
 per-edge forms of the gradients, edge fluxes, step error, indicators and
 velocity recovery that the fused step path replaced; the multigrid section
-keeps the one-stage Galerkin map that the two-stage maps replaced.  The one exception is
-the last section: thin wrappers over the production ``Assembler`` that only
-tests use.
+keeps the one-stage Galerkin map that the two-stage maps replaced, the
+SciPy SpGEMM build of the hierarchy and the ``np.unique`` + ``bincount``
+scatter of the Schur matrix, which the maps of :mod:`darcyfem.multigrid`
+replaced.  The one exception is the last section: thin wrappers over the
+production ``Assembler`` that only tests use.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ import scipy.sparse as sp
 from darcyfem.assembly import Assembler
 from darcyfem.indicators import OSCILLATION_DEGREE
 from darcyfem.mesh import MeshConformityError
-from darcyfem.multigrid import _Pattern
+from darcyfem.multigrid import MAX_COARSE, Pattern, _aggregate
 from darcyfem.spaces import physical_points, sample, triangle_rule
 
 GL4_T = np.array([0.069431844202974, 0.330009478207572,
@@ -355,10 +357,10 @@ def tol_only_cg(s, rhs, x0=None, tol=1e-12, precond=None):
 
 
 # ---------------------------------------------------------------------------
-# Multigrid: the one-stage Galerkin map
+# Multigrid and Schur assembly: the forms the sparse maps replaced
 # ---------------------------------------------------------------------------
 
-def one_stage_galerkin_map(fine: _Pattern, p: sp.csr_matrix):
+def one_stage_galerkin_map(fine: Pattern, p: sp.csr_matrix):
     """Pattern of P^T A P for any A with pattern ``fine``, and the sparse map
     Q with data(P^T A P) = Q @ data(A).
 
@@ -387,10 +389,62 @@ def one_stage_galerkin_map(fine: _Pattern, p: sp.csr_matrix):
     del keys
     indptr = np.searchsorted(unique_keys // n_coarse,
                              np.arange(n_coarse + 1)).astype(np.int32)
-    coarse = _Pattern(indptr, (unique_keys % n_coarse).astype(np.int32))
+    coarse = Pattern(indptr, (unique_keys % n_coarse).astype(np.int32))
     q = sp.csr_matrix((values, (slot, entry)),
                       shape=(unique_keys.size, fine.indices.size))
     return coarse, q
+
+
+def spgemm_hierarchy(s0: sp.csr_matrix):
+    """Sizes and prolongators ``(P, R)`` of the smoothed-aggregation
+    hierarchy of ``s0``, with every coarser level formed by the SpGEMM
+    R A P and the Jacobi weights from the diagonal and the absolute row sums
+    of that product."""
+    prolongators = []
+    a = s0.tocsr()
+    while a.shape[0] > MAX_COARSE:
+        n = a.shape[0]
+        agg = _aggregate(Pattern(a.indptr, a.indices), a.data)
+        n_coarse = int(agg.max()) + 1
+        if n_coarse >= n:
+            break
+        t = sp.csr_matrix((np.ones(n), (np.arange(n), agg)),
+                          shape=(n, n_coarse))
+        diag = a.diagonal()
+        abs_row_sums = np.asarray(abs(a).sum(axis=1)).ravel()
+        weights = 4.0 / (3.0 * float(np.max(abs_row_sums / diag))) / diag
+        p = (t - sp.diags(weights) @ (a @ t)).tocsr()
+        r = p.T.tocsr()
+        prolongators.append((p, r))
+        a = (r @ a @ p).tocsr()
+    sizes = tuple([s0.shape[0]] + [p.shape[1] for p, _ in prolongators])
+    return sizes, tuple(prolongators)
+
+
+def unique_scatter(mesh):
+    """Pattern of S = B A^-1 B^T as a zero-data CSR template, and the data
+    slot of every local entry, element by element and (a, b) within one,
+    from the inverse of ``np.unique`` on the row-major keys."""
+    n = mesh.n_vertices
+    rows = mesh.tris[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
+    cols = mesh.tris[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
+    keys = rows.astype(np.int64) * n + cols
+    unique_keys, scatter = np.unique(keys, return_inverse=True)
+    indices = (unique_keys % n).astype(np.int32)
+    indptr = np.searchsorted(unique_keys // n, np.arange(n + 1)).astype(np.int32)
+    template = sp.csr_matrix(
+        (np.zeros(unique_keys.size), indices, indptr), shape=(n, n))
+    return template, scatter
+
+
+def scatter_schur(mesh, local):
+    """S from its (m, 3, 3) local blocks, added slot by slot in element order
+    by ``np.bincount`` through :func:`unique_scatter`."""
+    template, scatter = unique_scatter(mesh)
+    s = template.copy()
+    s.data = np.bincount(scatter, weights=local.ravel(),
+                         minlength=template.data.size)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +553,7 @@ def assemble_step(mesh, problem, u_prev, alpha, volume_degree=4,
 
 def einsum_schur(asm, weights):
     """S = B W B^T with the local blocks from one three-operand einsum,
-    scattered through the Assembler's pattern; ``Assembler._schur`` must give
-    the same bytes."""
+    added by :func:`scatter_schur`; ``Assembler._schur`` must give the same
+    bytes."""
     local = np.einsum("mja,mab,mkb->mjk", asm.b, weights, asm.b)
-    s = asm._s.copy()
-    s.data = np.bincount(asm._scatter, weights=local.ravel(),
-                         minlength=asm._s.data.size)
-    return s
+    return scatter_schur(asm.mesh, local)

@@ -20,7 +20,8 @@ from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
 
 from conftest import random_affine_problem as _random_problem, rng_loop
 from oracles import (DivergenceCoupling, assemble_step, dense_step_solve,
-                     einsum_schur, one_stage_galerkin_map, tol_only_cg)
+                     einsum_schur, one_stage_galerkin_map, spgemm_hierarchy,
+                     tol_only_cg)
 
 
 def test_element_blocks_identity_case():
@@ -158,11 +159,18 @@ def test_step_solution_satisfies_both_equations():
     assert np.linalg.norm(res) <= 1e-10 * max(1.0, np.linalg.norm(asm.h))
 
 
-@pytest.mark.parametrize("case", ["random_w", "graded_lshape"])
+@pytest.mark.parametrize("case", ["random_w", "graded_lshape", "n112"])
 def test_schur_is_byte_identical_to_einsum(case):
+    """``_schur`` has the bytes, dtypes included, of the einsum local blocks
+    added by the ``np.unique`` + ``bincount`` oracle scatter."""
     if case == "random_w":
         rng = np.random.default_rng(12)
         asm = Assembler(generate_structured(12), _random_problem(rng))
+        weights = rng.standard_normal((asm.mesh.n_triangles, 2, 2))
+    elif case == "n112":
+        prob = problems.gaussian_vortex(beta=10.0)
+        asm = Assembler(problems.initial_mesh(prob, 112), prob)
+        rng = np.random.default_rng(14)
         weights = rng.standard_normal((asm.mesh.n_triangles, 2, 2))
     else:
         prob = problems.reentrant_corner(beta=10.0)
@@ -174,9 +182,31 @@ def test_schur_is_byte_identical_to_einsum(case):
         assert np.abs(weights[:, 0, 1]).min() > 0
     s = asm._schur(weights)
     ref = einsum_schur(asm, weights)
-    assert np.array_equal(s.indptr, ref.indptr)
-    assert np.array_equal(s.indices, ref.indices)
-    assert s.data.tobytes() == ref.data.tobytes()
+    assert s.shape == ref.shape
+    for got, want in ((s.indptr, ref.indptr), (s.indices, ref.indices),
+                      (s.data, ref.data)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_schur_peak_memory():
+    """The traced peak of one ``_schur`` call at N = 112, above its entry,
+    stays under 4.6 MiB; the transposed copy and ``bincount`` of the
+    ``np.unique`` scatter took it to 5.2 MiB."""
+    prob = problems.gaussian_vortex(beta=10.0)
+    asm = Assembler(problems.initial_mesh(prob, 112), prob)
+    weights = asm.element_blocks(
+        np.zeros((asm.mesh.n_triangles, 2)), 10.0).inverses
+    asm._schur(weights)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        asm._schur(weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 4.6 * 2 ** 20
 
 
 def test_solve_pressure_zero_rhs():
@@ -522,6 +552,25 @@ def test_two_stage_maps_match_the_one_stage_oracle(case):
                                   (q.data, product.data)):
             assert got_arr.dtype == want_arr.dtype
             assert got_arr.tobytes() == want_arr.tobytes()
+
+
+@pytest.mark.parametrize("case",
+                         ["n1", "n2", "n40", "graded_lshape", "n112"])
+def test_hierarchy_matches_the_spgemm_oracle(case):
+    """Forming every coarser level of S0 by the maps gives the levels and
+    prolongators of the SpGEMM build R A P, to rounding."""
+    asm, _ = _hierarchy_case(case)
+    hierarchy = asm.hierarchy
+    sizes, prolongators = spgemm_hierarchy(asm._reference_schur())
+    assert hierarchy.sizes == sizes
+    for got_pair, want_pair in zip(hierarchy.prolongators, prolongators):
+        for got, want in zip(got_pair, want_pair):
+            got = got.sorted_indices()
+            want = want.sorted_indices()
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.abs(got.data - want.data).max() \
+                <= 1e-14 * np.abs(want.data).max()
 
 
 def test_hierarchy_build_peak_memory():

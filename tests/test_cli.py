@@ -292,6 +292,52 @@ def test_merge_config_normalizes_keys(tmp_path):
     assert cfg["command"] == "solve"
 
 
+def test_problem_spec_config_key_exits_2(tmp_path):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"problem_spec": {"domain": "l-shape"}}))
+    code, out = _run(tmp_path, "solve", "--N", "3", "--config", str(cfg_file))
+    assert code == 2
+    assert not (out / "manifest.json").exists()
+
+
+def test_adapt_manifest_records_the_run_modes_it_used(tmp_path):
+    code, out = _run(tmp_path, *_STUDIES["adapt"])
+    assert code == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["guess"] == "darcy"
+    assert config["stopping"] == "indicator-balance"
+    code, out = _run(tmp_path / "solve", "solve", "--N", "3")
+    assert code == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["guess"] == "zero"
+    assert config["stopping"] == "fixed-tol"
+
+
+@pytest.mark.parametrize("request_", [
+    ("--guess", "zero"), ("--stopping", "fixed-tol"),
+    {"guess": "zero"}, {"stopping": "fixed_tol"},
+], ids=["guess-flag", "stopping-flag", "guess-key", "stopping-key"])
+def test_adapt_rejects_other_run_modes(tmp_path, request_):
+    argv = ["adapt", "--N", "3", "--levels", "2"]
+    if isinstance(request_, dict):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps(request_))
+        argv += ["--config", str(cfg_file)]
+    else:
+        argv += list(request_)
+    code, out = _run(tmp_path, *argv)
+    assert code == 2
+    assert not (out / "study.csv").exists()
+
+
+def test_adapt_accepts_its_own_run_modes():
+    for argv in (["--guess", "darcy"], ["--stopping", "indicator-balance"]):
+        args = build_parser().parse_args(["adapt", *argv])
+        cfg = merge_config(args)
+        assert (cfg["guess"], cfg["stopping"]) \
+            == ("darcy", "indicator-balance")
+
+
 def test_module_entry_point_reports_version():
     res = subprocess.run([sys.executable, "-m", "darcyfem.cli", "--version"],
                          capture_output=True, text=True)

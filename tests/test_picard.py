@@ -17,6 +17,7 @@ from darcyfem.spaces import (P0VectorField, P1ScalarField, field_mean,
                              lp_norm, p1_gradients)
 
 from conftest import rng_loop
+from oracles import scatter_schur
 
 
 def test_solver_config_rejects_unknown_modes():
@@ -448,9 +449,7 @@ def test_compute_lifting_minimal_norm():
     asm = Assembler(m, prob)
     inv_area = 1.0 / m.areas
     local = np.einsum("mja,m,mka->mjk", asm.b, inv_area, asm.b)
-    s0 = asm._s.copy()
-    s0.data = np.bincount(asm._scatter, weights=local.ravel(),
-                          minlength=s0.data.size)
+    s0 = scatter_schur(m, local)
     for rng in rng_loop(55, 5):
         w0 = rng.standard_normal((m.n_triangles, 2))
         bw = np.zeros(m.n_vertices)
