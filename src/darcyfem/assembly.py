@@ -29,6 +29,7 @@ from .mesh import Mesh
 from .multigrid import Pattern, SmoothedAggregation, VCycle, product_map
 from .problems import ProblemSpec, eval_k_inverse
 from .spaces import (
+    ElementCarry,
     P0VectorField,
     P1ScalarField,
     boundary_samples,
@@ -175,18 +176,34 @@ class Assembler:
     permeability and source integrals, the load vector and the sparsity
     pattern of S are computed once, and ``step`` only rebuilds what depends
     on the previous velocity iterate and the relaxation weight.
+
+    ``parent``, an Assembler for the same problem and degree on the mesh
+    that ``mesh`` was refined from, lets the set-up pay only for what
+    changed: each unsplit child copies its parent's sampled rows (``k_term``,
+    ``f_int`` and the per-element integrals of b phi_j and |b|), and only the
+    new children are sampled (see :class:`~darcyfem.spaces.ElementCarry`,
+    which keeps every value's bytes).  Everything global (the load vector,
+    the compatibility check, the coupling, the pattern of S and the
+    multigrid hierarchy) is still formed over the whole mesh.
     """
 
     def __init__(self, mesh: Mesh, problem: ProblemSpec,
-                 volume_degree: int = 4, edge_quad_points: int = 4):
+                 volume_degree: int = 4, edge_quad_points: int = 4,
+                 parent: Assembler | None = None):
         self.mesh = mesh
         self.problem = problem
         self.rule = triangle_rule(volume_degree)
+        if parent is not None and (parent.problem is not problem
+                                   or parent.rule.degree != self.rule.degree):
+            raise ValueError("the parent Assembler was built for another "
+                             "problem or quadrature degree")
+        carry = ElementCarry(mesh, None if parent is None else parent.mesh)
 
         m = mesh.n_triangles
         n = mesh.n_vertices
         areas = mesh.areas
-        pts = physical_points(mesh, self.rule)
+        rows = carry.sampled
+        pts = physical_points(mesh, self.rule, rows)
         w = self.rule.weights
 
         # (mu/rho) INT_k K^-1 dx, one 2x2 block per element
@@ -196,12 +213,15 @@ class Assembler:
                 * kc[None, :, :]
         else:
             kk = eval_k_inverse(problem, pts[..., 0], pts[..., 1])
-            self.k_term = (problem.mu / problem.rho) \
-                * np.einsum("abmq,q,m->mab", kk, w, areas)
+            self.k_term = carry.start(parent and parent.k_term, (m, 2, 2))
+            self.k_term[rows] = (problem.mu / problem.rho) \
+                * np.einsum("abmq,q,m->mab", kk, w, areas[rows])
         self._k_rows = np.ascontiguousarray(self.k_term.reshape(-1, 4).T)
 
         fx, fy = sample(pts, problem.f)
-        self.f_int = np.stack([fx @ w, fy @ w], axis=1) * areas[:, None]
+        self.f_int = carry.start(parent and parent.f_int, (m, 2))
+        self.f_int[rows] = np.stack([fx @ w, fy @ w], axis=1) \
+            * areas[rows, None]
 
         self.b = mesh.grads * areas[:, None, None]          # (m, 3, 2)
         # The same coupling as contiguous rows: _bt[a, j] = b[:, j, a].
@@ -210,12 +230,15 @@ class Assembler:
         # Load vector H_j = -INT b phi_j + INT_bdy g phi_j and the
         # compatibility check INT b = INT_bdy g, then G = B A^-1 F - H.
         b_vals = sample(pts, problem.b)
-        b_phi = np.einsum("mq,q,ql->ml", b_vals, w, self.rule.points) \
-            * areas[:, None]
+        self._b_phi = carry.start(parent and parent._b_phi, (m, 3))
+        self._b_phi[rows] = np.einsum("mq,q,ql->ml", b_vals, w,
+                                      self.rule.points) * areas[rows, None]
+        self._b_abs = carry.start(parent and parent._b_abs, (m,))
+        self._b_abs[rows] = np.abs(b_vals) @ w
         h = np.zeros(n)
-        np.subtract.at(h, mesh.tris.ravel(), b_phi.ravel())
-        int_b = float(b_phi.sum())
-        abs_b = float(areas @ (np.abs(b_vals) @ w))
+        np.subtract.at(h, mesh.tris.ravel(), self._b_phi.ravel())
+        int_b = float(self._b_phi.sum())
+        abs_b = float(areas @ self._b_abs)
 
         edges, ts, ews, gv = boundary_samples(mesh, problem.g,
                                               edge_quad_points)

@@ -10,10 +10,10 @@ library versions, so a single-threaded rerun from the manifest reproduces
 the CSV outputs byte for byte.  The manifests of ``solve``, ``adapt`` and
 ``uniform-study`` also carry the run status (the last level's, for the
 studies), and those of the studies the triangles, outer iterations, CG
-iterations and status of every level.  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure (details land in ``error.txt``), 4 the nonlinear
-iteration of ``solve``, or of the last ``adapt`` level, did not converge
-(all outputs are still written).
+iterations, status and phase timings of every level.  Exit codes: 0
+success, 2 configuration error, 3 numerical failure (details land in
+``error.txt``), 4 the nonlinear iteration of ``solve``, or of the last
+``adapt`` level, did not converge (all outputs are still written).
 """
 from __future__ import annotations
 
@@ -230,6 +230,18 @@ def _out_dir(cfg):
     return out
 
 
+def _phase_totals(trace) -> dict:
+    """Per-phase wall-time totals of the fixed-point steps; timings stay out
+    of the CSV files so that reruns write the same bytes."""
+    return {name: sum(getattr(r, name) for r in trace)
+            for name in ("t_assemble", "t_solve", "t_recover",
+                         "t_indicators")}
+
+
+def _rounded(phases: dict) -> dict:
+    return {k: round(v, 6) for k, v in phases.items()}
+
+
 def _manifest(out, cfg, timings, outputs, status=None, phases=None,
               levels=None):
     clean = {k: v for k, v in cfg.items() if v is not None}
@@ -247,7 +259,7 @@ def _manifest(out, cfg, timings, outputs, status=None, phases=None,
     if status is not None:
         doc["status"] = status
     if phases is not None:
-        doc["phases_s"] = {k: round(v, 6) for k, v in phases.items()}
+        doc["phases_s"] = _rounded(phases)
     if levels is not None:
         doc["levels"] = levels
     path = os.path.join(out, "manifest.json")
@@ -295,13 +307,8 @@ def _cmd_solve(cfg, out):
         with open(os.path.join(out, name), "w") as fh:
             fh.write(svg)
         outputs.append(name)
-    # Per-phase totals of the fixed-point steps; they stay out of trace.csv
-    # so that reruns write the same bytes.
-    phases = {name: sum(getattr(r, name) for r in result.trace)
-              for name in ("t_assemble", "t_solve", "t_recover",
-                           "t_indicators")}
     _manifest(out, cfg, {"solve": t_solve}, outputs + ["manifest.json"],
-              status=result.status, phases=phases)
+              status=result.status, phases=_phase_totals(result.trace))
     print(f"converged={result.converged} iterations={result.iterations} "
           f"err_L={result.err_l:.3e} status={result.status}")
     return 0 if result.converged else 4
@@ -343,11 +350,15 @@ _STUDY_HEADER = ("level", "vertices", "triangles", "eta_L", "eta_D",
 
 def _study_manifest(out, cfg, timings, outputs, states):
     """Manifest of a multi-level study: the last level's status and, per
-    level, its triangles, outer iterations, CG iterations and status."""
+    level, its triangles, outer iterations, CG iterations, status and
+    ``phases_s``, the phase totals of its steps plus the ``setup`` time of
+    its Assembler and IndicatorContext."""
     levels = [{"triangles": s.mesh.n_triangles,
                "iterations": s.result.iterations,
                "cg_total": s.result.cg_total,
-               "status": s.result.status} for s in states]
+               "status": s.result.status,
+               "phases_s": _rounded({**_phase_totals(s.result.trace),
+                                     "setup": s.setup_s})} for s in states]
     _manifest(out, cfg, timings, outputs, status=states[-1].result.status,
               levels=levels)
 

@@ -24,6 +24,7 @@ import scipy.sparse as sp
 from .mesh import Mesh
 from .problems import ProblemSpec, eval_k_inverse
 from .spaces import (
+    ElementCarry,
     P0VectorField,
     P1ScalarField,
     boundary_samples,
@@ -34,7 +35,6 @@ from .spaces import (
     physical_points,
     row_norms,
     sample,
-    sample_blocks,
     triangle_rule,
 )
 
@@ -85,22 +85,38 @@ class IndicatorContext:
     Holds the element means of f and b, the boundary edge means of g, the
     oscillation terms (fixed once per mesh) and the permeability samples
     needed by the momentum residual.
+
+    ``parent``, a context for the same problem and degree on the mesh that
+    ``mesh`` was refined from, lets the set-up pay only for what changed:
+    each unsplit child copies its parent's sampled rows (``f_means``,
+    ``osc_f``, ``b_means``, ``osc_b`` and ``k_samples``), and only the new
+    children are sampled (see :class:`~darcyfem.spaces.ElementCarry`, which
+    keeps every value's bytes).  The boundary data and the flux matrices
+    are still formed over the whole mesh.
     """
 
     def __init__(self, mesh: Mesh, problem: ProblemSpec,
-                 volume_degree: int = 4):
+                 volume_degree: int = 4,
+                 parent: IndicatorContext | None = None):
         self.mesh = mesh
         self.problem = problem
+        self._res_rule = triangle_rule(volume_degree)
+        if parent is not None and (
+                parent.problem is not problem
+                or parent._res_rule.degree != self._res_rule.degree):
+            raise ValueError("the parent IndicatorContext was built for "
+                             "another problem or quadrature degree")
+        carry = ElementCarry(mesh, None if parent is None else parent.mesh)
         m = mesh.n_triangles
         areas = mesh.areas
 
         rule = triangle_rule(OSCILLATION_DEGREE)
         w = rule.weights
-        self.f_means = np.empty((m, 2))
-        self.osc_f = np.empty(m)
-        self.b_means = np.empty(m)
-        self.osc_b = np.empty(m)
-        for blk in sample_blocks(mesh):
+        self.f_means = carry.start(parent and parent.f_means, (m, 2))
+        self.osc_f = carry.start(parent and parent.osc_f, (m,))
+        self.b_means = carry.start(parent and parent.b_means, (m,))
+        self.osc_b = carry.start(parent and parent.osc_b, (m,))
+        for blk in carry.blocks():
             pts = physical_points(mesh, rule, blk)
             fx, fy = sample(pts, problem.f)
             fm = np.stack([fx @ w, fy @ w], axis=1)
@@ -128,15 +144,19 @@ class IndicatorContext:
         np.add.at(self.osc_g, mesh.edge_tris[edges, 0], osc)
 
         # permeability samples for the momentum residual
-        self._res_rule = triangle_rule(volume_degree)
         if problem.k_constant:
             self.k_const = eval_k_inverse(
                 problem, np.zeros(1), np.zeros(1))[..., 0]
             self.k_samples = None
         else:
-            rpts = physical_points(mesh, self._res_rule)
+            rows = carry.sampled
+            rpts = physical_points(mesh, self._res_rule, rows)
             self.k_const = None
-            self.k_samples = eval_k_inverse(problem, rpts[..., 0], rpts[..., 1])
+            self.k_samples = carry.start(
+                parent and parent.k_samples,
+                (2, 2, m, self._res_rule.weights.size), axis=2)
+            self.k_samples[:, :, rows] = eval_k_inverse(
+                problem, rpts[..., 0], rpts[..., 1])
 
         self._sqrt_areas = np.sqrt(areas)
         self._b_l3 = mesh.h_tri * np.abs(self.b_means) * np.cbrt(areas)
@@ -188,9 +208,16 @@ class IndicatorContext:
             c -= (pr.mu / pr.rho) * un @ self.k_const.T
             eta_d1 = self._sqrt_areas * row_norms(c)
         else:
-            ku = np.einsum("abmq,mb->mqa", self.k_samples, un)
-            r = c[:, None, :] - (pr.mu / pr.rho) * ku
-            sq = np.einsum("mqa,mqa->mq", r, r)
+            # K^-1 u and |r|^2 on (m, q) rows, in the order of the einsums
+            # "abmq,mb->mqa" and "mqa,mqa->mq", so with their bytes.
+            k = self.k_samples
+            u0, u1 = un[:, 0, None], un[:, 1, None]
+            r0 = c[:, 0, None] - (pr.mu / pr.rho) * (k[0, 0] * u0
+                                                     + k[0, 1] * u1)
+            r1 = c[:, 1, None] - (pr.mu / pr.rho) * (k[1, 0] * u0
+                                                     + k[1, 1] * u1)
+            sq = r0 * r0
+            sq += r1 * r1
             eta_d1 = np.sqrt(self.mesh.areas * (sq @ self._res_rule.weights))
 
         flux = self._flux @ un.ravel()

@@ -158,26 +158,29 @@ def _aggregate(pattern: Pattern, data: np.ndarray) -> np.ndarray:
     graph = sp.csr_matrix((np.ones(int(strong.sum())),
                            (rows[strong], cols[strong])), shape=(n, n))
     ptr = graph.indptr.tolist()
-    nbrs = [graph.indices[ptr[i]:ptr[i + 1]].tolist() for i in range(n)]
+    col = graph.indices.tolist()
     agg = [-1] * n
     count = 0
     for i in range(n):
-        if agg[i] < 0 and all(agg[j] < 0 for j in nbrs[i]):
-            agg[i] = count
-            for j in nbrs[i]:
-                agg[j] = count
-            count += 1
+        if agg[i] < 0:
+            nbrs = col[ptr[i]:ptr[i + 1]]
+            if all(agg[j] < 0 for j in nbrs):
+                agg[i] = count
+                for j in nbrs:
+                    agg[j] = count
+                count += 1
+    # Passes 2 and 3 visit only the vertices pass 1 left, in order.
+    rest = [i for i in range(n) if agg[i] < 0]
     first = list(agg)
-    for i in range(n):
-        if agg[i] < 0:
-            for j in nbrs[i]:
-                if first[j] >= 0:
-                    agg[i] = first[j]
-                    break
-    for i in range(n):
+    for i in rest:
+        for j in col[ptr[i]:ptr[i + 1]]:
+            if first[j] >= 0:
+                agg[i] = first[j]
+                break
+    for i in rest:
         if agg[i] < 0:
             agg[i] = count
-            for j in nbrs[i]:
+            for j in col[ptr[i]:ptr[i + 1]]:
                 if agg[j] < 0:
                     agg[j] = count
             count += 1

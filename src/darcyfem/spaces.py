@@ -12,6 +12,7 @@ quadrature rule of configurable exactness degree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,8 @@ class QuadratureRule:
 
     ``points`` has shape (q, 3) with rows summing to one, ``weights`` shape
     (q,) summing to one; the integral over a physical triangle is
-    ``area * sum_i w_i f(x_i)``.
+    ``area * sum_i w_i f(x_i)``.  Rules are cached and shared, so both
+    arrays are read-only.
     """
 
     name: str
@@ -56,8 +58,20 @@ def _duffy_rule(degree: int) -> QuadratureRule:
     return QuadratureRule(f"duffy{npts}x{npts}", degree, points, weights)
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadratureRule:
     """Symmetric rule exact for polynomials up to the given total degree."""
+    rule = _triangle_rule(degree)
+    _read_only(rule.points, rule.weights)
+    return rule
+
+
+def _triangle_rule(degree: int) -> QuadratureRule:
     if degree <= 1:
         return QuadratureRule("centroid", 1,
                               np.array([[1 / 3, 1 / 3, 1 / 3]]),
@@ -80,10 +94,14 @@ def triangle_rule(degree: int) -> QuadratureRule:
     return _duffy_rule(degree)
 
 
+@functools.lru_cache(maxsize=None)
 def edge_rule(n_points: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1] (weights sum to one)."""
+    """Gauss-Legendre nodes and weights on [0, 1] (weights sum to one);
+    cached and shared, so both arrays are read-only."""
     gx, gw = np.polynomial.legendre.leggauss(n_points)
-    return 0.5 * (gx + 1.0), 0.5 * gw
+    ts, ws = 0.5 * (gx + 1.0), 0.5 * gw
+    _read_only(ts, ws)
+    return ts, ws
 
 
 def physical_points(mesh: Mesh, rule: QuadratureRule,
@@ -105,6 +123,91 @@ def sample_blocks(mesh: Mesh) -> list[slice]:
     mesh."""
     return [slice(lo, lo + SAMPLE_BLOCK)
             for lo in range(0, mesh.n_triangles, SAMPLE_BLOCK)]
+
+
+# BLAS matrix-vector kernels form the rows of a product in groups (4 at a
+# time in OpenBLAS on Haswell) and the rows after the last whole group apart,
+# and numpy forms a one-row product as a dot product.  So a row's bytes
+# depend on which of the three it is in its call, not on where it sits.
+# ROW_GROUP is a multiple of the grouping and a divisor of SAMPLE_BLOCK.
+ROW_GROUP = 16
+
+
+class ElementCarry:
+    """Which per-element rows of a set-up on ``mesh`` are sampled, and which
+    are copied from the same set-up on ``coarse``, the mesh that
+    :func:`~darcyfem.mesh.refine` made ``mesh`` from.
+
+    Without ``coarse`` every element is sampled: a fresh build, in one call
+    (``sampled``) or in ``SAMPLE_BLOCK`` blocks (``blocks``).  With it, each
+    unsplit child (the single child of its parent, which keeps the parent's
+    row of ``tris``) copies its parent's rows, and only the other children
+    are sampled, in compact calls laid out so that every row is formed as it
+    is in the fresh build (see ``ROW_GROUP``):
+
+    * the new children below the mesh's last two ``ROW_GROUP``s, padded to
+      whole groups by repeating the last one: every row is in a whole group;
+    * then every element from there on, so that the mesh's last, partial
+      group ends the call after at least one whole group, or, in
+      ``blocks``, is sampled alone when it is the whole-mesh sampling's last
+      block.
+
+    Unsplit children of the coarse mesh's last, partial group are sampled
+    again, and so are the carried rows of the last call.  So each value,
+    carried or sampled, has the bytes of a fresh build.  Raises ValueError
+    when ``mesh`` was not refined from ``coarse``.
+    """
+
+    def __init__(self, mesh: Mesh, coarse: Mesh | None = None):
+        self.mesh = mesh
+        self.kept = self.src = np.empty(0, dtype=np.int64)
+        self.sampled: slice | np.ndarray = slice(None)
+        if coarse is None:
+            return
+        m = mesh.n_triangles
+        parent = mesh.parent
+        if parent is None or parent.shape != (m,) \
+                or mesh.n_vertices < coarse.n_vertices \
+                or parent.min() < 0 or parent.max() >= coarse.n_triangles:
+            raise ValueError("the mesh was not refined from the parent's mesh")
+        single = np.bincount(parent, minlength=coarse.n_triangles)[parent] == 1
+        if not (np.array_equal(mesh.tris[single], coarse.tris[parent[single]])
+                and np.array_equal(mesh.xy[:coarse.n_vertices], coarse.xy)):
+            raise ValueError("the mesh was not refined from the parent's mesh")
+        # Rows of the coarse mesh's last, partial group may have been formed
+        # apart there; they are sampled again.
+        n = coarse.n_triangles
+        kept = single & (parent < n - n % ROW_GROUP)
+        end = max(m - m % ROW_GROUP - ROW_GROUP, 0)
+        new = np.flatnonzero(~kept[:end])
+        self._main = np.concatenate(
+            [new, np.repeat(new[-1:], -new.size % ROW_GROUP)])
+        self._final = np.arange(end, m)
+        self.kept = np.flatnonzero(kept)
+        self.src = parent[self.kept]
+        self.sampled = np.concatenate([self._main, self._final])
+
+    def blocks(self) -> list:
+        """The sampled elements in calls of at most ``SAMPLE_BLOCK``."""
+        if isinstance(self.sampled, slice):
+            return sample_blocks(self.mesh)
+        main = self._main
+        cut = max(sample_blocks(self.mesh)[-1].start - self._final[0], 0)
+        return [main[lo:lo + SAMPLE_BLOCK]
+                for lo in range(0, main.size, SAMPLE_BLOCK)] \
+            + [part for part in (self._final[:cut], self._final[cut:])
+               if part.size]
+
+    def start(self, coarse_values: np.ndarray | None, shape: tuple,
+              axis: int = 0) -> np.ndarray:
+        """A new array of ``shape``, elements along ``axis``, whose kept
+        elements hold their parents' values from ``coarse_values``; the
+        caller fills the sampled ones."""
+        out = np.empty(shape)
+        if self.kept.size:
+            at = (slice(None),) * axis
+            out[at + (self.kept,)] = coarse_values[at + (self.src,)]
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ per-triangle loops that the vectorized edge tables and bisection in
 per-edge forms of the gradients, edge fluxes, step error, indicators and
 velocity recovery that the fused step path replaced; the multigrid section
 keeps the one-stage Galerkin map that the two-stage maps replaced, the
-SciPy SpGEMM build of the hierarchy and the ``np.unique`` + ``bincount``
+SciPy SpGEMM build of the hierarchy, the aggregation loop with one neighbour
+list per vertex and the ``np.unique`` + ``bincount``
 scatter of the Schur matrix, which the maps of :mod:`darcyfem.multigrid`
 replaced.  The one exception is the last section: thin wrappers over the
 production ``Assembler`` that only tests use.
@@ -23,7 +24,7 @@ import scipy.sparse as sp
 from darcyfem.assembly import Assembler
 from darcyfem.indicators import OSCILLATION_DEGREE
 from darcyfem.mesh import MeshConformityError
-from darcyfem.multigrid import MAX_COARSE, Pattern, _aggregate
+from darcyfem.multigrid import MAX_COARSE, STRENGTH_THETA, Pattern, _aggregate
 from darcyfem.spaces import physical_points, sample, triangle_rule
 
 GL4_T = np.array([0.069431844202974, 0.330009478207572,
@@ -421,6 +422,42 @@ def spgemm_hierarchy(s0: sp.csr_matrix):
     return sizes, tuple(prolongators)
 
 
+def loop_aggregate(pattern: Pattern, data: np.ndarray) -> np.ndarray:
+    """``multigrid._aggregate`` with one neighbour list per vertex and every
+    pass over all vertices: the aggregates must have the same bytes."""
+    n, rows, cols = pattern.n, pattern.rows, pattern.indices
+    diag = np.abs(data[pattern.diag])
+    strong = (rows != cols) & (np.abs(data) >= STRENGTH_THETA
+                               * np.sqrt(diag[rows] * diag[cols]))
+    graph = sp.csr_matrix((np.ones(int(strong.sum())),
+                           (rows[strong], cols[strong])), shape=(n, n))
+    ptr = graph.indptr.tolist()
+    nbrs = [graph.indices[ptr[i]:ptr[i + 1]].tolist() for i in range(n)]
+    agg = [-1] * n
+    count = 0
+    for i in range(n):
+        if agg[i] < 0 and all(agg[j] < 0 for j in nbrs[i]):
+            agg[i] = count
+            for j in nbrs[i]:
+                agg[j] = count
+            count += 1
+    first = list(agg)
+    for i in range(n):
+        if agg[i] < 0:
+            for j in nbrs[i]:
+                if first[j] >= 0:
+                    agg[i] = first[j]
+                    break
+    for i in range(n):
+        if agg[i] < 0:
+            agg[i] = count
+            for j in nbrs[i]:
+                if agg[j] < 0:
+                    agg[j] = count
+            count += 1
+    return np.asarray(agg)
+
+
 def unique_scatter(mesh):
     """Pattern of S = B A^-1 B^T as a zero-data CSR template, and the data
     slot of every local entry, element by element and (a, b) within one,
@@ -557,3 +594,4 @@ def einsum_schur(asm, weights):
     bytes."""
     local = np.einsum("mja,mab,mkb->mjk", asm.b, weights, asm.b)
     return scatter_schur(asm.mesh, local)
+

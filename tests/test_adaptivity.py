@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,12 @@ from darcyfem import problems
 from darcyfem.adaptivity import (AdaptConfig, LevelRecord, adaptive_loop,
                                  compare_adaptive_uniform, mark,
                                  pick_by_budget, transfer, uniform_study)
-from darcyfem.mesh import generate_lshape, refine
+from darcyfem.assembly import Assembler, CompatibilityError
+from darcyfem.indicators import IndicatorContext
+from darcyfem.mesh import generate_lshape, generate_structured, refine
 from darcyfem.nonlinear_solver import SolverConfig
+from darcyfem.spaces import (ROW_GROUP, SAMPLE_BLOCK, ElementCarry,
+                             physical_points, triangle_rule)
 
 from conftest import rng_loop
 from oracles import doerfler_prefix_bruteforce
@@ -203,6 +208,142 @@ def test_adaptive_loop_eta_d_decreases():
     for a, b in zip(eta, eta[1:]):
         assert b <= 1.05 * a
     assert eta[-1] < eta[0]
+
+
+# -- set-up carried across refinement ----------------------------------------
+
+_CARRIED = {
+    Assembler: ("k_term", "_k_rows", "f_int", "_b_phi", "_b_abs", "h", "b"),
+    IndicatorContext: ("f_means", "osc_f", "b_means", "osc_b", "k_samples",
+                       "g_h", "osc_g", "_b_l3"),
+}
+
+
+def _assert_same_bytes(got, want):
+    for name in _CARRIED[type(want)]:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _rough(b):
+    """Data that vary within each element, so the degree-10 samples go
+    through BLAS matrix-vector products (constant data are broadcast)."""
+    return problems.problem_from_config({
+        "domain": "l-shape", "beta": 10.0, "b": b,
+        "f": ["exp(x)*sin(5*y)", "x*x*y"],
+        "k_inverse": [["1 + x*x", "0.1*y"], ["0.1*y", "2 + sin(3*x)"]]})
+
+
+@pytest.mark.parametrize("data", ["corner", "rough", "rough_b"])
+def test_carried_setup_has_the_bytes_of_a_fresh_build(corner_budget_runs,
+                                                      data):
+    """Along a reentrant-corner loop, each level's Assembler and
+    IndicatorContext carried from the previous level's equal fresh builds
+    bit for bit, S0 included, also on levels with more than SAMPLE_BLOCK
+    new children.  A non-zero b fails the compatibility check, so with it
+    only the contexts are built."""
+    states = corner_budget_runs[0][:21]
+    prob = {"corner": problems.reentrant_corner,
+            "rough": lambda: _rough("0"),
+            "rough_b": lambda: _rough("sin(7*x*y) + x")}[data]()
+    assert not prob.k_constant
+    asm = ctx = None
+    new_children = []
+    for state in states:
+        mesh = state.mesh
+        ctx = IndicatorContext(mesh, prob, parent=ctx)
+        _assert_same_bytes(ctx, IndicatorContext(mesh, prob))
+        if data != "rough_b":
+            asm = Assembler(mesh, prob, parent=asm)
+            fresh = Assembler(mesh, prob)
+            _assert_same_bytes(asm, fresh)
+            assert asm._reference_schur().data.tobytes() \
+                == fresh._reference_schur().data.tobytes()
+        if mesh.parent is not None:
+            new_children.append(
+                int((np.bincount(mesh.parent)[mesh.parent] > 1).sum()))
+    assert len(new_children) == 20
+    assert max(new_children) > SAMPLE_BLOCK
+
+
+def test_carry_samples_only_the_new_children():
+    prob = problems.reentrant_corner()
+    coarse = generate_lshape(6)
+    fine = refine(coarse, [0, 40, 41, 200])
+    carry = ElementCarry(fine, coarse)
+    split = np.bincount(fine.parent)[fine.parent] > 1
+    assert not split[carry.kept].any()
+    assert np.array_equal(fine.tris[carry.kept], coarse.tris[carry.src])
+    # every element not carried is sampled, plus at most a few whole groups
+    rest = np.setdiff1d(np.arange(fine.n_triangles), carry.kept)
+    assert set(rest) <= set(carry.sampled.tolist())
+    assert rest.size <= split.sum() + ROW_GROUP
+    assert carry.sampled.size <= split.sum() + 4 * ROW_GROUP
+    assert np.array_equal(np.sort(np.concatenate(carry.blocks())),
+                          np.sort(carry.sampled))
+    # Refining nothing keeps every row; of 96 triangles, only the last
+    # whole group is sampled again, as the call that ends the mesh.
+    coarse = generate_lshape(4)
+    same = refine(coarse, [])
+    carry = ElementCarry(same, coarse)
+    assert carry.kept.size == same.n_triangles == 96
+    assert carry.sampled.tolist() == list(range(96 - ROW_GROUP, 96))
+    _assert_same_bytes(Assembler(same, prob, parent=Assembler(coarse, prob)),
+                       Assembler(same, prob))
+    _assert_same_bytes(
+        IndicatorContext(same, prob, parent=IndicatorContext(coarse, prob)),
+        IndicatorContext(same, prob))
+
+
+def test_carry_rejects_a_mesh_not_refined_from_the_parent():
+    prob = problems.reentrant_corner()
+    coarse = generate_lshape(4)
+    asm, ctx = Assembler(coarse, prob), IndicatorContext(coarse, prob)
+    other = refine(coarse, [3])
+    moved = replace(coarse, xy=2.0 * coarse.xy)
+    for mesh in (generate_lshape(5),        # no parent map
+                 refine(other, [0, 7]),     # refined from a finer mesh
+                 refine(moved, [3])):       # same triangles, other vertices
+        with pytest.raises(ValueError, match="not refined from"):
+            Assembler(mesh, prob, parent=asm)
+        with pytest.raises(ValueError, match="not refined from"):
+            IndicatorContext(mesh, prob, parent=ctx)
+    with pytest.raises(ValueError, match="another problem"):
+        Assembler(other, problems.reentrant_corner(), parent=asm)
+    with pytest.raises(ValueError, match="another problem"):
+        IndicatorContext(other, prob, volume_degree=6, parent=ctx)
+
+
+def test_compatibility_error_fires_on_a_carried_level():
+    """A narrow source that no coarse quadrature point sees passes the
+    check on the coarse mesh; once a new child's quadrature point sits on
+    it, the carried build rejects the data like a fresh one."""
+    base = problems.problem_from_config({"f": ["1", "0"]})
+    coarse = generate_structured(4)
+    fine = refine(coarse, [5])
+    child = int(np.flatnonzero(fine.parent == 5)[0])
+    rule = triangle_rule(4)
+    x0, y0 = physical_points(fine, rule, [child])[0, 0]
+    coarse_pts = physical_points(coarse, rule).reshape(-1, 2)
+    assert np.hypot(*(coarse_pts - (x0, y0)).T).min() > 0.02
+    prob = replace(base, b=lambda x, y: np.exp(
+        -((x - x0) ** 2 + (y - y0) ** 2) / 1e-6))
+    parent = Assembler(coarse, prob)
+    with pytest.raises(CompatibilityError, match="incompatible"):
+        Assembler(fine, prob, parent=parent)
+    with pytest.raises(CompatibilityError, match="incompatible"):
+        Assembler(fine, prob)
+
+
+def test_loop_records_setup_time_per_level():
+    prob = problems.reentrant_corner()
+    cfg = SolverConfig(alpha=10.0, stopping="indicator_balance",
+                       initial_guess="darcy")
+    states = adaptive_loop(prob, levels=3, initial_n=4, solver=cfg)
+    assert all(s.setup_s > 0.0 for s in states)
+    uniform = uniform_study(prob, [2, 3], SolverConfig(alpha=10.0))
+    assert all(s.setup_s > 0.0 for s in uniform)
 
 
 def observed_orders(errors, hs):

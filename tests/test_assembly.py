@@ -13,15 +13,16 @@ from darcyfem import assembly, problems
 from darcyfem.assembly import (Assembler, CompatibilityError, ElementBlocks,
                                LinearSolverError, PressureSystem, deflated_cg)
 from darcyfem.mesh import generate_lshape, generate_structured, refine
-from darcyfem.multigrid import MAX_COARSE, SmoothedAggregation, VCycle
+from darcyfem.multigrid import (MAX_COARSE, Pattern, SmoothedAggregation,
+                                VCycle, _aggregate)
 from darcyfem.nonlinear_solver import SolverConfig, solve
 from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
                               project_mean_zero)
 
 from conftest import random_affine_problem as _random_problem, rng_loop
 from oracles import (DivergenceCoupling, assemble_step, dense_step_solve,
-                     einsum_schur, one_stage_galerkin_map, spgemm_hierarchy,
-                     tol_only_cg)
+                     einsum_schur, loop_aggregate, one_stage_galerkin_map,
+                     spgemm_hierarchy, tol_only_cg)
 
 
 def test_element_blocks_identity_case():
@@ -552,6 +553,20 @@ def test_two_stage_maps_match_the_one_stage_oracle(case):
                                   (q.data, product.data)):
             assert got_arr.dtype == want_arr.dtype
             assert got_arr.tobytes() == want_arr.tobytes()
+
+
+def test_aggregates_match_the_loop_oracle(corner_budget_runs):
+    """The flat-list aggregation gives the aggregates of the per-vertex
+    neighbour-list loop on the corner levels and at N = 112."""
+    prob = problems.reentrant_corner()
+    vortex = problems.gaussian_vortex(beta=10.0)
+    cases = [(s.mesh, prob) for s in corner_budget_runs[0][:21]]
+    cases.append((problems.initial_mesh(vortex, 112), vortex))
+    for mesh, problem in cases:
+        s0 = Assembler(mesh, problem)._reference_schur()
+        pattern = Pattern(s0.indptr, s0.indices)
+        got = _aggregate(pattern, s0.data)
+        assert got.tobytes() == loop_aggregate(pattern, s0.data).tobytes()
 
 
 @pytest.mark.parametrize("case",

@@ -255,12 +255,26 @@ def test_study_manifest_has_status_and_levels(tmp_path, command):
     assert len(doc["levels"]) == len(rows) == 2
     for level, row in zip(doc["levels"], rows):
         assert set(level) == {"triangles", "iterations", "cg_total",
-                              "status"}
+                              "status", "phases_s"}
         assert level["triangles"] == int(row[2])
         assert 1 <= level["iterations"] <= level["cg_total"]
         assert level["status"] == "converged"
+        assert set(level["phases_s"]) == {"t_assemble", "t_solve",
+                                          "t_recover", "t_indicators",
+                                          "setup"}
+        assert all(v >= 0.0 for v in level["phases_s"].values())
+        assert level["phases_s"]["setup"] > 0.0
     assert sum(level["cg_total"] for level in doc["levels"]) \
         > sum(level["iterations"] for level in doc["levels"])
+
+
+@pytest.mark.parametrize("command", sorted(_STUDIES))
+def test_study_rerun_is_byte_identical(tmp_path, command):
+    """The per-level timings go to the manifest only, not to study.csv."""
+    first = _run(tmp_path / "a", *_STUDIES[command])[1]
+    second = _run(tmp_path / "b", *_STUDIES[command])[1]
+    assert (first / "study.csv").read_bytes() \
+        == (second / "study.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command, max_iter, statuses", [

@@ -370,3 +370,28 @@ def test_blocked_data_sampling_matches_whole_array(case, monkeypatch):
     got = (ctx.f_means, ctx.osc_f, ctx.b_means, ctx.osc_b)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("viscosity", [None, (0.37, 1.3)])
+def test_variable_k_residual_has_the_bytes_of_the_einsum_form(viscosity):
+    """eta_D1 with variable K, formed on (m, q) rows, equals the einsum form
+    of the oracle bit for bit on real reentrant-corner steps, also with
+    mu / rho != 1."""
+    prob, m = _step_cases()["corner"]
+    if viscosity is not None:
+        prob = replace(prob, mu=viscosity[0], rho=viscosity[1])
+    assert not prob.k_constant
+    alpha = 10.0
+    asm = Assembler(m, prob)
+    ctx = IndicatorContext(m, prob)
+    u_prev = P0VectorField.zero(m)
+    p_prev = P1ScalarField.zero(m)
+    for _ in range(3):
+        system = asm.step(u_prev.values, alpha)
+        p_new, _ = asm.solve_pressure(system, x0=p_prev.values)
+        u_new = asm.recover_velocity(system, p_new)
+        ind = ctx.compute(u_new, u_prev, p_new, alpha)
+        _, eta_d1, _ = step_indicators(ctx, u_new.values, u_prev.values,
+                                       p_new.values, alpha)
+        assert ind.eta_d1.tobytes() == eta_d1.tobytes()
+        u_prev, p_prev = u_new, p_new

@@ -16,6 +16,18 @@ def test_triangle_rule_weights_normalized():
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
 
 
+def test_rules_are_cached_and_read_only():
+    """Cached rules are shared by every caller, so none can change them."""
+    rule = sp.triangle_rule(10)
+    assert sp.triangle_rule(10) is rule
+    ts, ws = sp.edge_rule(8)
+    assert sp.edge_rule(8)[0] is ts
+    for a in (rule.points, rule.weights, ts, ws):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert ws.sum() == pytest.approx(1.0, abs=1e-14)
+
+
 def test_triangle_rule_monomial_exactness():
     """Each rule integrates x^a y^b exactly up to its stated degree."""
     for deg in (1, 2, 4, 6, 10):
