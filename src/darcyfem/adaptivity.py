@@ -10,11 +10,11 @@ from the iterate it stopped at (nested iteration).
 Each refined level also builds its ``Assembler`` and ``IndicatorContext``
 from the previous level's, through ``Mesh.parent``: an unsplit child copies
 its parent's sampled per-element data and only the new children are
-sampled.  They are sampled in one batch padded to whole BLAS row groups
-(``spaces.ElementCarry``), so every carried or sampled value has the bytes
-of a fresh build and the levels' outputs do not change.  Everything global
-(load vector, compatibility check, flux matrices, multigrid hierarchy) is
-still formed over the whole mesh.
+sampled (``spaces.ElementCarry``).  Each per-element value is summed row
+by row (``spaces.quadrature_sums``), so every carried or sampled value has
+the bytes of a fresh build and the levels' outputs do not change.
+Everything global (load vector, compatibility check, flux matrices,
+multigrid hierarchy) is still formed over the whole mesh.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from .spaces import (
     p1_gradients,
     physical_points,
     project_mean_zero,
+    quadrature_sums,
     row_norms,
     sample,
     triangle_rule,
@@ -181,10 +182,10 @@ class Assembler:
     that ``mesh`` was refined from, lets the set-up pay only for what
     changed: each unsplit child copies its parent's sampled rows (``k_term``,
     ``f_int`` and the per-element integrals of b phi_j and |b|), and only the
-    new children are sampled (see :class:`~darcyfem.spaces.ElementCarry`,
-    which keeps every value's bytes).  Everything global (the load vector,
-    the compatibility check, the coupling, the pattern of S and the
-    multigrid hierarchy) is still formed over the whole mesh.
+    new children are sampled (see :class:`~darcyfem.spaces.ElementCarry`);
+    every value keeps the bytes of a fresh build.  Everything global (the
+    load vector, the compatibility check, the coupling, the pattern of S and
+    the multigrid hierarchy) is still formed over the whole mesh.
     """
 
     def __init__(self, mesh: Mesh, problem: ProblemSpec,
@@ -220,7 +221,8 @@ class Assembler:
 
         fx, fy = sample(pts, problem.f)
         self.f_int = carry.start(parent and parent.f_int, (m, 2))
-        self.f_int[rows] = np.stack([fx @ w, fy @ w], axis=1) \
+        self.f_int[rows] = np.stack([quadrature_sums(fx, w),
+                                     quadrature_sums(fy, w)], axis=1) \
             * areas[rows, None]
 
         self.b = mesh.grads * areas[:, None, None]          # (m, 3, 2)
@@ -234,7 +236,7 @@ class Assembler:
         self._b_phi[rows] = np.einsum("mq,q,ql->ml", b_vals, w,
                                       self.rule.points) * areas[rows, None]
         self._b_abs = carry.start(parent and parent._b_abs, (m,))
-        self._b_abs[rows] = np.abs(b_vals) @ w
+        self._b_abs[rows] = quadrature_sums(np.abs(b_vals), w)
         h = np.zeros(n)
         np.subtract.at(h, mesh.tris.ravel(), self._b_phi.ravel())
         int_b = float(self._b_phi.sum())
@@ -315,8 +317,7 @@ class Assembler:
         """Multigrid hierarchy of S0, built on first use and never changed.
 
         S0 depends only on the mesh, so every solve sees the same hierarchy
-        whatever the order of calls; two threads racing here build the same
-        one twice.
+        whatever the order of calls.
         """
         if self._hierarchy is None:
             self._hierarchy = SmoothedAggregation(self._reference_schur())
@@ -344,8 +345,7 @@ class Assembler:
         that defect is ``forcing`` times the defect of ``x0`` (see
         :func:`deflated_cg`), which is how an inexact fixed-point step ends.
         The V-cycle is built on the first solve of ``system`` and kept
-        there; each step owns its system, so concurrent solves through one
-        Assembler share no state.
+        there.
         """
         if system.vcycle is None:
             system.vcycle = VCycle(self.hierarchy, system.s)

@@ -9,8 +9,9 @@ Every run writes ``manifest.json`` echoing the merged configuration plus
 library versions, so a single-threaded rerun from the manifest reproduces
 the CSV outputs byte for byte.  The manifests of ``solve``, ``adapt`` and
 ``uniform-study`` also carry the run status (the last level's, for the
-studies), and those of the studies the triangles, outer iterations, CG
-iterations, status and phase timings of every level.  Exit codes: 0
+studies), those of the studies the triangles, outer iterations, CG
+iterations, status and phase timings of every level, and that of ``sweep``
+the status of every alpha (``runs``).  Exit codes: 0
 success, 2 configuration error, 3 numerical failure (details land in
 ``error.txt``), 4 the nonlinear iteration of ``solve``, or of the last
 ``adapt`` level, did not converge (all outputs are still written).
@@ -89,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("fixed-tol", "indicator-balance"))
     common.add_argument("--out", help="output directory "
                         "(default $DARCYFEM_OUT or ./darcyfem-out)")
-    common.add_argument("--threads", type=int)
 
     sub.add_parser("solve", parents=[common],
                    help="single solve; fields, trace and indicators")
@@ -123,7 +123,6 @@ _DEFAULTS = {
     "guess": None,
     "stopping": None,
     "out": None,
-    "threads": 1,
     "alphas": None,
     "ns": None,
     "levels": 7,
@@ -243,7 +242,7 @@ def _rounded(phases: dict) -> dict:
 
 
 def _manifest(out, cfg, timings, outputs, status=None, phases=None,
-              levels=None):
+              levels=None, runs=None):
     clean = {k: v for k, v in cfg.items() if v is not None}
     doc = {
         "config": clean,
@@ -262,6 +261,8 @@ def _manifest(out, cfg, timings, outputs, status=None, phases=None,
         doc["phases_s"] = _rounded(phases)
     if levels is not None:
         doc["levels"] = levels
+    if runs is not None:
+        doc["runs"] = runs
     path = os.path.join(out, "manifest.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -323,14 +324,14 @@ def _cmd_sweep(cfg, out):
     problem = _resolve_problem(cfg)
     mesh = _resolve_mesh(cfg, problem)
     t0 = time.perf_counter()
-    rows = alpha_sweep(mesh, problem, alphas, _solver_config(cfg),
-                       threads=int(cfg["threads"]))
+    rows = alpha_sweep(mesh, problem, alphas, _solver_config(cfg))
     t_sweep = time.perf_counter() - t0
     _write_csv(os.path.join(out, "sweep.csv"),
                ("alpha", "nbr", "converged", "err", "log10_err"),
                [(r.alpha, r.iterations, r.converged, r.err, r.log10_err)
                 for r in rows])
-    _manifest(out, cfg, {"sweep": t_sweep}, ["sweep.csv", "manifest.json"])
+    _manifest(out, cfg, {"sweep": t_sweep}, ["sweep.csv", "manifest.json"],
+              runs=[{"alpha": r.alpha, "status": r.status} for r in rows])
     best = min((r for r in rows if r.converged),
                key=lambda r: r.iterations, default=None)
     if best is not None:

@@ -33,6 +33,7 @@ from .spaces import (
     lp_norm,
     p1_gradients,
     physical_points,
+    quadrature_sums,
     row_norms,
     sample,
     triangle_rule,
@@ -90,9 +91,9 @@ class IndicatorContext:
     ``mesh`` was refined from, lets the set-up pay only for what changed:
     each unsplit child copies its parent's sampled rows (``f_means``,
     ``osc_f``, ``b_means``, ``osc_b`` and ``k_samples``), and only the new
-    children are sampled (see :class:`~darcyfem.spaces.ElementCarry`, which
-    keeps every value's bytes).  The boundary data and the flux matrices
-    are still formed over the whole mesh.
+    children are sampled (see :class:`~darcyfem.spaces.ElementCarry`); every
+    value keeps the bytes of a fresh build.  The boundary data and the flux
+    matrices are still formed over the whole mesh.
     """
 
     def __init__(self, mesh: Mesh, problem: ProblemSpec,
@@ -119,16 +120,17 @@ class IndicatorContext:
         for blk in carry.blocks():
             pts = physical_points(mesh, rule, blk)
             fx, fy = sample(pts, problem.f)
-            fm = np.stack([fx @ w, fy @ w], axis=1)
+            fm = np.stack([quadrature_sums(fx, w), quadrature_sums(fy, w)],
+                          axis=1)
             df = (fx - fm[:, :1]) ** 2 + (fy - fm[:, 1:]) ** 2
             self.f_means[blk] = fm
-            self.osc_f[blk] = np.sqrt(areas[blk] * (df @ w))
+            self.osc_f[blk] = np.sqrt(areas[blk] * quadrature_sums(df, w))
             del fx, fy, df
             bv = sample(pts, problem.b)
-            bm = bv @ w
+            bm = quadrature_sums(bv, w)
             self.b_means[blk] = bm
-            self.osc_b[blk] = mesh.h_tri[blk] * np.cbrt(
-                areas[blk] * (np.abs(bv - bm[:, None]) ** 3 @ w))
+            self.osc_b[blk] = mesh.h_tri[blk] * np.cbrt(areas[blk] * (
+                quadrature_sums(np.abs(bv - bm[:, None]) ** 3, w)))
 
         # boundary data: edge means and edge oscillation, scattered to the
         # (unique) triangle owning each boundary edge

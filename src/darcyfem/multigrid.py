@@ -21,10 +21,9 @@ the factors take less than half the time and peak memory to build.
 Every coarse operator, of S0 while the hierarchy is built and of each
 solved S (which must have the pattern of S0, as every fixed-point step's
 Schur matrix does), is Q2 @ (Q1 @ data) per level; each S gets its own and a
-dense inverse of the coarsest one (:class:`VCycle`), so a hierarchy can
-serve concurrent solves.  P carries constants to constants and every
-Galerkin operator keeps them as its kernel, which the coarsest solve removes
-with a rank-one shift.
+dense inverse of the coarsest one (:class:`VCycle`).  P carries constants
+to constants and every Galerkin operator keeps them as its kernel, which
+the coarsest solve removes with a rank-one shift.
 
 Only numpy and ``scipy.sparse`` are used: ``scipy.sparse.linalg`` and
 ``scipy.linalg`` would add about 10 MiB and 0.13 s to every process.

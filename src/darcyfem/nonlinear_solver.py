@@ -335,6 +335,7 @@ class SweepRow:
     converged: bool
     err: float                   # relative error, nan without a reference
     log10_err: float
+    status: str                  # SolveResult.status or "linear_solver_error"
 
     @classmethod
     def from_solve(cls, alpha, result, error):
@@ -342,38 +343,36 @@ class SweepRow:
         return cls(alpha=alpha, iterations=result.iterations,
                    converged=result.converged, err=rel,
                    log10_err=math.log10(rel) if rel and math.isfinite(rel)
-                   else math.nan)
+                   else math.nan, status=result.status)
 
 
 def alpha_sweep(mesh: Mesh, problem: ProblemSpec, alphas,
-                config: SolverConfig | None = None,
-                threads: int = 1) -> list[SweepRow]:
+                config: SolverConfig | None = None) -> list[SweepRow]:
     """Solve once per relaxation weight, reusing the cached assembly.
 
     Iteration counts trace the characteristic U shape: small weights barely
-    damp the convection update, large ones barely move the iterate.
+    damp the convection update, large ones barely move the iterate.  A
+    solve whose pressure solve fails gives a row with status
+    ``linear_solver_error``.
     """
     cfg = config or SolverConfig()
     asm = Assembler(mesh, problem, cfg.volume_degree, cfg.edge_quad_points)
     ctx = IndicatorContext(mesh, problem, cfg.volume_degree)
-
-    def run(a):
+    rows = []
+    for a in map(float, alphas):
         try:
-            res = solve(mesh, problem, replace(cfg, alpha=float(a)),
+            res = solve(mesh, problem, replace(cfg, alpha=a),
                         assembler=asm, context=ctx)
         except LinearSolverError:
-            return SweepRow(alpha=float(a), iterations=cfg.max_iter,
-                            converged=False, err=math.nan, log10_err=math.nan)
-        error = true_error(mesh, problem, res.u, res.p) \
-            if problem.has_exact() else None
-        return SweepRow.from_solve(float(a), res, error)
-
-    alphas = list(alphas)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, alphas))
-    return [run(a) for a in alphas]
+            rows.append(SweepRow(alpha=a, iterations=cfg.max_iter,
+                                 converged=False, err=math.nan,
+                                 log10_err=math.nan,
+                                 status="linear_solver_error"))
+        else:
+            error = true_error(mesh, problem, res.u, res.p) \
+                if problem.has_exact() else None
+            rows.append(SweepRow.from_solve(a, res, error))
+    return rows
 
 
 # ---------------------------------------------------------------------------

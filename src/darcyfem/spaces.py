@@ -111,10 +111,20 @@ def physical_points(mesh: Mesh, rule: QuadratureRule,
     return rule.points @ mesh.xy[mesh.tris[elements]]
 
 
+def quadrature_sums(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-element sums ``sum_i w_i v_ki`` of samples ``values`` (m, q)
+    against a rule's ``weights`` (q,).
+
+    ``np.einsum`` adds each row on its own, in the order of its q samples,
+    so a row's sum has the same bytes whichever call, block or batch it is
+    formed in.  A BLAS matrix-vector product (``values @ weights``) does
+    not: it forms rows in groups and a one-row product as a dot product.
+    """
+    return np.einsum("mq,q->m", values, weights)
+
+
 # Elements per block where data are sampled at many points per element
-# (the degree-10 rules): bounds the peak memory.  A multiple of the row
-# grouping of BLAS matrix-vector products, so every per-element value has
-# the same bytes as from one sampling of all elements.
+# (the degree-10 rules): bounds the peak memory.
 SAMPLE_BLOCK = 1024
 
 
@@ -125,14 +135,6 @@ def sample_blocks(mesh: Mesh) -> list[slice]:
             for lo in range(0, mesh.n_triangles, SAMPLE_BLOCK)]
 
 
-# BLAS matrix-vector kernels form the rows of a product in groups (4 at a
-# time in OpenBLAS on Haswell) and the rows after the last whole group apart,
-# and numpy forms a one-row product as a dot product.  So a row's bytes
-# depend on which of the three it is in its call, not on where it sits.
-# ROW_GROUP is a multiple of the grouping and a divisor of SAMPLE_BLOCK.
-ROW_GROUP = 16
-
-
 class ElementCarry:
     """Which per-element rows of a set-up on ``mesh`` are sampled, and which
     are copied from the same set-up on ``coarse``, the mesh that
@@ -140,22 +142,12 @@ class ElementCarry:
 
     Without ``coarse`` every element is sampled: a fresh build, in one call
     (``sampled``) or in ``SAMPLE_BLOCK`` blocks (``blocks``).  With it, each
-    unsplit child (the single child of its parent, which keeps the parent's
-    row of ``tris``) copies its parent's rows, and only the other children
-    are sampled, in compact calls laid out so that every row is formed as it
-    is in the fresh build (see ``ROW_GROUP``):
-
-    * the new children below the mesh's last two ``ROW_GROUP``s, padded to
-      whole groups by repeating the last one: every row is in a whole group;
-    * then every element from there on, so that the mesh's last, partial
-      group ends the call after at least one whole group, or, in
-      ``blocks``, is sampled alone when it is the whole-mesh sampling's last
-      block.
-
-    Unsplit children of the coarse mesh's last, partial group are sampled
-    again, and so are the carried rows of the last call.  So each value,
-    carried or sampled, has the bytes of a fresh build.  Raises ValueError
-    when ``mesh`` was not refined from ``coarse``.
+    unsplit child (``kept``: the single child of its parent, which keeps
+    the parent's row of ``tris``) copies its parent's rows, and only the
+    other children (``sampled``) are sampled.  Every per-element value is
+    formed row by row (:func:`quadrature_sums`), so carried and sampled
+    values have the bytes of a fresh build.  Raises ValueError when
+    ``mesh`` was not refined from ``coarse``.
     """
 
     def __init__(self, mesh: Mesh, coarse: Mesh | None = None):
@@ -174,29 +166,16 @@ class ElementCarry:
         if not (np.array_equal(mesh.tris[single], coarse.tris[parent[single]])
                 and np.array_equal(mesh.xy[:coarse.n_vertices], coarse.xy)):
             raise ValueError("the mesh was not refined from the parent's mesh")
-        # Rows of the coarse mesh's last, partial group may have been formed
-        # apart there; they are sampled again.
-        n = coarse.n_triangles
-        kept = single & (parent < n - n % ROW_GROUP)
-        end = max(m - m % ROW_GROUP - ROW_GROUP, 0)
-        new = np.flatnonzero(~kept[:end])
-        self._main = np.concatenate(
-            [new, np.repeat(new[-1:], -new.size % ROW_GROUP)])
-        self._final = np.arange(end, m)
-        self.kept = np.flatnonzero(kept)
+        self.kept = np.flatnonzero(single)
         self.src = parent[self.kept]
-        self.sampled = np.concatenate([self._main, self._final])
+        self.sampled = np.flatnonzero(~single)
 
     def blocks(self) -> list:
         """The sampled elements in calls of at most ``SAMPLE_BLOCK``."""
         if isinstance(self.sampled, slice):
             return sample_blocks(self.mesh)
-        main = self._main
-        cut = max(sample_blocks(self.mesh)[-1].start - self._final[0], 0)
-        return [main[lo:lo + SAMPLE_BLOCK]
-                for lo in range(0, main.size, SAMPLE_BLOCK)] \
-            + [part for part in (self._final[:cut], self._final[cut:])
-               if part.size]
+        return [self.sampled[lo:lo + SAMPLE_BLOCK]
+                for lo in range(0, self.sampled.size, SAMPLE_BLOCK)]
 
     def start(self, coarse_values: np.ndarray | None, shape: tuple,
               axis: int = 0) -> np.ndarray:
@@ -312,7 +291,8 @@ def element_lp(mesh: Mesh, rule: QuadratureRule, vx: np.ndarray,
                vy: np.ndarray, p: float, elements=slice(None)) -> np.ndarray:
     """Per-element INT_k |v|^p by quadrature of v sampled as (m, q) arrays
     on the selected elements (all by default)."""
-    return (np.hypot(vx, vy) ** p) @ rule.weights * mesh.areas[elements]
+    return quadrature_sums(np.hypot(vx, vy) ** p, rule.weights) \
+        * mesh.areas[elements]
 
 
 # ---------------------------------------------------------------------------

@@ -554,18 +554,23 @@ def einsum_recover(asm, system, p_values):
 
 def whole_data_means(mesh, problem):
     """``(f_means, osc_f, b_means, osc_b)`` of ``IndicatorContext`` from one
-    sampling of all elements at once."""
+    sampling of all elements at once, each quadrature sum a written-out
+    ``np.einsum`` over all rows."""
     rule = triangle_rule(OSCILLATION_DEGREE)
     pts = physical_points(mesh, rule)
     w = rule.weights
+
+    def sums(v):
+        return np.einsum("mq,q->m", v, w)
+
     fx, fy = sample(pts, problem.f)
-    f_means = np.stack([fx @ w, fy @ w], axis=1)
+    f_means = np.stack([sums(fx), sums(fy)], axis=1)
     df = (fx - f_means[:, :1]) ** 2 + (fy - f_means[:, 1:]) ** 2
-    osc_f = np.sqrt(mesh.areas * (df @ w))
+    osc_f = np.sqrt(mesh.areas * sums(df))
     bv = sample(pts, problem.b)
-    b_means = bv @ w
+    b_means = sums(bv)
     osc_b = mesh.h_tri * np.cbrt(
-        mesh.areas * (np.abs(bv - b_means[:, None]) ** 3 @ w))
+        mesh.areas * sums(np.abs(bv - b_means[:, None]) ** 3))
     return f_means, osc_f, b_means, osc_b
 
 

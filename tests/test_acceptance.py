@@ -244,7 +244,7 @@ def test_divergence_coupling_duality():
 
 
 def test_single_threaded_rerun_is_byte_identical(tmp_path):
-    argv = ["solve", "--N", "5", "--alpha", "2.3", "--threads", "1"]
+    argv = ["solve", "--N", "5", "--alpha", "2.3"]
     outs = []
     for sub in ("a", "b"):
         out = tmp_path / sub

@@ -12,8 +12,8 @@ from darcyfem.assembly import Assembler, CompatibilityError
 from darcyfem.indicators import IndicatorContext
 from darcyfem.mesh import generate_lshape, generate_structured, refine
 from darcyfem.nonlinear_solver import SolverConfig
-from darcyfem.spaces import (ROW_GROUP, SAMPLE_BLOCK, ElementCarry,
-                             physical_points, triangle_rule)
+from darcyfem.spaces import (SAMPLE_BLOCK, ElementCarry, physical_points,
+                             triangle_rule)
 
 from conftest import rng_loop
 from oracles import doerfler_prefix_bruteforce
@@ -268,32 +268,30 @@ def test_carried_setup_has_the_bytes_of_a_fresh_build(corner_budget_runs,
 
 
 def test_carry_samples_only_the_new_children():
-    prob = problems.reentrant_corner()
     coarse = generate_lshape(6)
     fine = refine(coarse, [0, 40, 41, 200])
     carry = ElementCarry(fine, coarse)
     split = np.bincount(fine.parent)[fine.parent] > 1
-    assert not split[carry.kept].any()
+    # the split children are sampled, exactly once and in order, and every
+    # other element is carried from its parent
+    assert np.array_equal(carry.sampled, np.flatnonzero(split))
+    assert np.array_equal(carry.kept, np.flatnonzero(~split))
+    assert np.array_equal(carry.src, fine.parent[carry.kept])
     assert np.array_equal(fine.tris[carry.kept], coarse.tris[carry.src])
-    # every element not carried is sampled, plus at most a few whole groups
-    rest = np.setdiff1d(np.arange(fine.n_triangles), carry.kept)
-    assert set(rest) <= set(carry.sampled.tolist())
-    assert rest.size <= split.sum() + ROW_GROUP
-    assert carry.sampled.size <= split.sum() + 4 * ROW_GROUP
-    assert np.array_equal(np.sort(np.concatenate(carry.blocks())),
-                          np.sort(carry.sampled))
-    # Refining nothing keeps every row; of 96 triangles, only the last
-    # whole group is sampled again, as the call that ends the mesh.
+    assert np.array_equal(np.concatenate(carry.blocks()), carry.sampled)
+    # Refining nothing keeps every row and samples none.
     coarse = generate_lshape(4)
     same = refine(coarse, [])
     carry = ElementCarry(same, coarse)
     assert carry.kept.size == same.n_triangles == 96
-    assert carry.sampled.tolist() == list(range(96 - ROW_GROUP, 96))
-    _assert_same_bytes(Assembler(same, prob, parent=Assembler(coarse, prob)),
-                       Assembler(same, prob))
-    _assert_same_bytes(
-        IndicatorContext(same, prob, parent=IndicatorContext(coarse, prob)),
-        IndicatorContext(same, prob))
+    assert carry.sampled.size == 0 and carry.blocks() == []
+    for prob in (problems.reentrant_corner(), _rough("0")):
+        _assert_same_bytes(
+            Assembler(same, prob, parent=Assembler(coarse, prob)),
+            Assembler(same, prob))
+        parent = IndicatorContext(coarse, prob)
+        _assert_same_bytes(IndicatorContext(same, prob, parent=parent),
+                           IndicatorContext(same, prob))
 
 
 def test_carry_rejects_a_mesh_not_refined_from_the_parent():

@@ -630,33 +630,6 @@ def test_two_solves_through_one_assembler_are_byte_identical():
     assert p1.values.tobytes() == p2.values.tobytes()
 
 
-def test_concurrent_solves_share_one_hierarchy():
-    """Threads racing on the lazy hierarchy and solving at once all return
-    the serial result."""
-    from concurrent.futures import ThreadPoolExecutor
-    prob = problems.gaussian_vortex(beta=10.0)
-    mesh = problems.initial_mesh(prob, 24)
-    rng = np.random.default_rng(3)
-    velocities = [rng.standard_normal((mesh.n_triangles, 2)) for _ in range(8)]
-
-    def run(asm, u):
-        return asm.solve_pressure(asm.step(u, 2.0))[0].values.tobytes()
-
-    serial = Assembler(mesh, prob)
-    expected = [run(serial, u) for u in velocities]
-    shared = Assembler(mesh, prob)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(run, shared, u) for u in velocities]
-            got = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == expected
-    assert shared.hierarchy.sizes == serial.hierarchy.sizes
-
-
 def test_solver_imports_no_dense_or_sparse_linalg():
     """scipy.linalg and scipy.sparse.linalg cost ~10 MiB and ~0.13 s per
     process; the solver must not pull them in."""

@@ -67,7 +67,7 @@ def test_sweep_csv_schema_and_best_line(tmp_path, capsys):
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path):
-    argv = ("sweep", "--N", "4", "--alphas", "1,2.3", "--threads", "1")
+    argv = ("sweep", "--N", "4", "--alphas", "1,2.3")
     _, out1 = _run(tmp_path / "a", *argv)
     _, out2 = _run(tmp_path / "b", *argv)
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
@@ -312,6 +312,49 @@ def test_problem_spec_config_key_exits_2(tmp_path):
     code, out = _run(tmp_path, "solve", "--N", "3", "--config", str(cfg_file))
     assert code == 2
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "key"])
+def test_threads_option_exits_2(tmp_path, how):
+    """Sweeps run serially; neither ``--threads`` nor a ``threads`` config
+    key is an option any more."""
+    argv = ["sweep", "--N", "3", "--alphas", "1"]
+    if how == "flag":
+        argv += ["--threads", "2"]
+        with pytest.raises(SystemExit) as exc:
+            _run(tmp_path, *argv)
+        code = exc.value.code
+    else:
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"threads": 2}))
+        code, _ = _run(tmp_path, *argv, "--config", str(cfg_file))
+    assert code == 2
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_sweep_manifest_lists_a_status_per_alpha(tmp_path, monkeypatch):
+    """One ``runs`` entry per alpha, in order, with the solve's status, or
+    ``linear_solver_error`` when its pressure solve raised."""
+    from darcyfem import nonlinear_solver
+    from darcyfem.assembly import LinearSolverError
+    real = nonlinear_solver.solve
+
+    def solve(mesh, problem, config, **kw):
+        if config.alpha == 5.0:
+            raise LinearSolverError("injected", [1.0])
+        return real(mesh, problem, config, **kw)
+
+    monkeypatch.setattr(nonlinear_solver, "solve", solve)
+    code, out = _run(tmp_path, "sweep", "--N", "4", "--alphas", "2.3,5,0.01",
+                     "--max-iter", "20")
+    assert code == 0
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    assert runs == [{"alpha": 2.3, "status": "converged"},
+                    {"alpha": 5.0, "status": "linear_solver_error"},
+                    {"alpha": 0.01, "status": "max_iter"}]
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "alpha,nbr,converged,err,log10_err"
+    assert [l.split(",")[2] for l in lines[1:]] == ["1", "0", "0"]
 
 
 def test_adapt_manifest_records_the_run_modes_it_used(tmp_path):

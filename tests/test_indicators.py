@@ -357,19 +357,20 @@ def test_recover_velocity_matches_einsum_form(case):
 @pytest.mark.parametrize("case", ["vortex", "corner", "boundary_flux"])
 def test_blocked_data_sampling_matches_whole_array(case, monkeypatch):
     """Sampling the degree-10 data over element blocks gives the same bytes
-    as one sampling of all elements (block sizes are multiples of the BLAS
-    matrix-vector row grouping)."""
+    as one sampling of all elements, whatever the block size: blocks of
+    one element, of 64, and of m - 1, whose last block holds one element."""
     prob, m = _step_cases()[case]
     if case == "boundary_flux":
         prob = problems.problem_from_config(
             {"f": ["exp(x)*sin(5*y)", "x*x*y"], "b": "sin(7*x*y) + x"})
-    monkeypatch.setattr(spaces, "SAMPLE_BLOCK", 64)
-    assert m.n_triangles > 64 and m.n_triangles % 64
-    ctx = IndicatorContext(m, prob)
     want = whole_data_means(m, prob)
-    got = (ctx.f_means, ctx.osc_f, ctx.b_means, ctx.osc_b)
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
+    for block in (1, 64, m.n_triangles - 1):
+        monkeypatch.setattr(spaces, "SAMPLE_BLOCK", block)
+        assert block < m.n_triangles
+        ctx = IndicatorContext(m, prob)
+        got = (ctx.f_means, ctx.osc_f, ctx.b_means, ctx.osc_b)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), block
 
 
 @pytest.mark.parametrize("viscosity", [None, (0.37, 1.3)])

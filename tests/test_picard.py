@@ -309,14 +309,6 @@ def test_alpha_sweep_u_shape_and_growth():
         assert r.log10_err == pytest.approx(math.log10(r.err))
 
 
-def test_alpha_sweep_threads_match_serial():
-    prob = problems.gaussian_vortex(beta=1.0)
-    m = generate_structured(10)
-    alphas = [1.0, 2.3, 10.0]
-    assert alpha_sweep(m, prob, alphas) \
-        == alpha_sweep(m, prob, alphas, threads=3)
-
-
 def test_alpha_sweep_without_reference_reports_nan():
     prob = problems.reentrant_corner(beta=10.0)
     m = generate_lshape(4)
@@ -375,7 +367,9 @@ def test_true_error_matches_closed_forms():
 
 def test_true_error_blocked_sampling_matches_one_block(monkeypatch):
     """Sampling the reference fields over element blocks gives the same
-    bytes as one block holding every element."""
+    bytes as one block holding every element, whatever the block size:
+    blocks of one element, of 64, and of m - 1, whose last block holds one
+    element."""
     prob = problems.gaussian_vortex(beta=10.0)
     m = generate_structured(7)
     rng = np.random.default_rng(3)
@@ -383,9 +377,10 @@ def test_true_error_blocked_sampling_matches_one_block(monkeypatch):
     p = P1ScalarField(m, rng.standard_normal(m.n_vertices))
     monkeypatch.setattr(spaces, "SAMPLE_BLOCK", m.n_triangles)
     whole = true_error(m, prob, u, p)
-    monkeypatch.setattr(spaces, "SAMPLE_BLOCK", 64)
-    assert m.n_triangles > 64 and m.n_triangles % 64
-    assert true_error(m, prob, u, p) == whole
+    for block in (1, 64, m.n_triangles - 1):
+        monkeypatch.setattr(spaces, "SAMPLE_BLOCK", block)
+        assert block < m.n_triangles
+        assert true_error(m, prob, u, p) == whole, block
 
 
 def test_positive_cubic_root_values():

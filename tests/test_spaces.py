@@ -28,6 +28,36 @@ def test_rules_are_cached_and_read_only():
     assert ws.sum() == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("degree", [1, 2, 4, 6, 10])
+def test_quadrature_sums_keep_each_rows_bytes(degree):
+    """A row's quadrature sum has the same bytes whichever rows share its
+    call: random row subsets, single rows and permuted rows of random
+    (m, q) arrays, and broadcast constant rows of any height.  It is the
+    weighted sum of the row, up to rounding."""
+    w = sp.triangle_rule(degree).weights
+    for rng in rng_loop(11 + degree, 6):
+        m = int(rng.integers(1, 300))
+        v = rng.standard_normal((m, w.size)) * 10.0 ** rng.integers(-3, 4)
+        whole = sp.quadrature_sums(v, w)
+        assert whole.shape == (m,)
+        assert np.allclose(whole, (v * w).sum(axis=1), rtol=1e-13,
+                           atol=1e-13 * np.abs(v).max())
+        subset = np.flatnonzero(rng.random(m) < 0.3)
+        assert sp.quadrature_sums(v[subset], w).tobytes() \
+            == whole[subset].tobytes()
+        perm = rng.permutation(m)
+        assert sp.quadrature_sums(v[perm], w).tobytes() \
+            == whole[perm].tobytes()
+        for k in rng.integers(0, m, size=3):
+            assert sp.quadrature_sums(v[k:k + 1], w).tobytes() \
+                == whole[k:k + 1].tobytes()
+        c = rng.standard_normal()
+        const = sp.quadrature_sums(np.broadcast_to(c, (m, w.size)), w)
+        assert np.all(const == const[0])
+        assert sp.quadrature_sums(np.broadcast_to(c, (1, w.size)), w) \
+            .tobytes() == const[:1].tobytes()
+
+
 def test_triangle_rule_monomial_exactness():
     """Each rule integrates x^a y^b exactly up to its stated degree."""
     for deg in (1, 2, 4, 6, 10):
