@@ -53,11 +53,17 @@ class CompatibilityError(ValueError):
 
 
 class LinearSolverError(RuntimeError):
-    """Raised when the pressure solve fails; carries the residual history."""
+    """Raised when the pressure solve fails; carries the residual history.
+
+    ``step`` is the fixed-point step whose pressure solve raised, which
+    :func:`~darcyfem.nonlinear_solver.solve` records; 0 outside the
+    iteration (the Darcy start, the lifting, a direct call).
+    """
 
     def __init__(self, message: str, residual_history):
         super().__init__(message)
         self.residual_history = list(residual_history)
+        self.step = 0
 
 
 @dataclass

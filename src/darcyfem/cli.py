@@ -11,7 +11,8 @@ the CSV outputs byte for byte.  The manifests of ``solve``, ``adapt`` and
 ``uniform-study`` also carry the run status (the last level's, for the
 studies), those of the studies the triangles, outer iterations, CG
 iterations, status and phase timings of every level, and that of ``sweep``
-the status of every alpha (``runs``).  Exit codes: 0
+the status and phase timings of every alpha (``runs``).  Timings stay out
+of the CSV files, so that reruns write the same bytes.  Exit codes: 0
 success, 2 configuration error, 3 numerical failure (details land in
 ``error.txt``), 4 the nonlinear iteration of ``solve``, or of the last
 ``adapt`` level, did not converge (all outputs are still written).
@@ -33,7 +34,7 @@ from .adaptivity import AdaptConfig, adaptive_loop, uniform_study
 from .assembly import CompatibilityError, LinearSolverError
 from .mesh import MeshConformityError, MeshFormatError, load_mesh
 from .nonlinear_solver import (SolverConfig, alpha_diagnostics, alpha_sweep,
-                               solve)
+                               phase_totals, solve)
 from .render import render_mesh_svg
 from .spaces import dump_p0, dump_p1
 
@@ -229,14 +230,6 @@ def _out_dir(cfg):
     return out
 
 
-def _phase_totals(trace) -> dict:
-    """Per-phase wall-time totals of the fixed-point steps; timings stay out
-    of the CSV files so that reruns write the same bytes."""
-    return {name: sum(getattr(r, name) for r in trace)
-            for name in ("t_assemble", "t_solve", "t_recover",
-                         "t_indicators")}
-
-
 def _rounded(phases: dict) -> dict:
     return {k: round(v, 6) for k, v in phases.items()}
 
@@ -309,7 +302,7 @@ def _cmd_solve(cfg, out):
             fh.write(svg)
         outputs.append(name)
     _manifest(out, cfg, {"solve": t_solve}, outputs + ["manifest.json"],
-              status=result.status, phases=_phase_totals(result.trace))
+              status=result.status, phases=phase_totals(result.trace))
     print(f"converged={result.converged} iterations={result.iterations} "
           f"err_L={result.err_l:.3e} status={result.status}")
     return 0 if result.converged else 4
@@ -331,7 +324,8 @@ def _cmd_sweep(cfg, out):
                [(r.alpha, r.iterations, r.converged, r.err, r.log10_err)
                 for r in rows])
     _manifest(out, cfg, {"sweep": t_sweep}, ["sweep.csv", "manifest.json"],
-              runs=[{"alpha": r.alpha, "status": r.status} for r in rows])
+              runs=[{"alpha": r.alpha, "status": r.status,
+                     "phases_s": _rounded(r.phases_s)} for r in rows])
     best = min((r for r in rows if r.converged),
                key=lambda r: r.iterations, default=None)
     if best is not None:
@@ -358,7 +352,7 @@ def _study_manifest(out, cfg, timings, outputs, states):
                "iterations": s.result.iterations,
                "cg_total": s.result.cg_total,
                "status": s.result.status,
-               "phases_s": _rounded({**_phase_totals(s.result.trace),
+               "phases_s": _rounded({**phase_totals(s.result.trace),
                                      "setup": s.setup_s})} for s in states]
     _manifest(out, cfg, timings, outputs, status=states[-1].result.status,
               levels=levels)

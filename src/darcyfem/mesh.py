@@ -58,8 +58,9 @@ class Mesh:
         vertex ``n_coarse + i``.  None on meshes not made by refinement.
 
     The remaining arrays cache areas, element diameters, edge lengths, P1 hat
-    function gradients and boundary flags.  Instances are treated as
-    immutable; refinement returns a new mesh.
+    function gradients and boundary flags; the domain area, the P1 vertex
+    weights and the gradient operator are formed on first use.  Instances
+    are treated as immutable; refinement returns a new mesh.
     """
 
     xy: np.ndarray
@@ -106,8 +107,19 @@ class Mesh:
     def h_max(self) -> float:
         return float(self.h_tri.max())
 
+    @cached_property
     def domain_area(self) -> float:
+        """Sum of the triangle areas, formed on first use."""
         return float(self.areas.sum())
+
+    @cached_property
+    def vertex_weights(self) -> np.ndarray:
+        """Integral of each P1 hat function, the sum of |k|/3 over the
+        triangles k at the vertex; formed on first use and read-only."""
+        w = np.zeros(self.n_vertices)
+        np.add.at(w, self.tris.ravel(), np.repeat(self.areas / 3.0, 3))
+        w.flags.writeable = False
+        return w
 
     def tri_coords(self) -> np.ndarray:
         """Vertex coordinates per triangle, shape (m, 3, 2)."""

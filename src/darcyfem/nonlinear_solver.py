@@ -97,6 +97,14 @@ class TraceRow:
     t_indicators: float = field(default=0.0, compare=False)
 
 
+def phase_totals(trace: list[TraceRow]) -> dict:
+    """Per-phase wall-time totals of the fixed-point steps, keyed by the
+    ``TraceRow`` field names."""
+    return {name: sum(getattr(r, name) for r in trace)
+            for name in ("t_assemble", "t_solve", "t_recover",
+                         "t_indicators")}
+
+
 @dataclass
 class SolveResult:
     u: P0VectorField
@@ -155,7 +163,9 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     ``max_iter``-th, is finished: its CG continues to ``cfg.cg_tol``, and
     the step's increment and indicators are recomputed and tested again.
     So the returned fields always come from a pressure solved to
-    ``cfg.cg_tol``, unless the step increment was not finite.
+    ``cfg.cg_tol``, unless the step increment was not finite.  A
+    LinearSolverError from a pressure solve records the step whose solve
+    raised as ``step`` (0 for the Darcy start).
     """
     cfg = config or SolverConfig()
     asm = assembler or Assembler(mesh, problem, cfg.volume_degree,
@@ -187,6 +197,15 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     g_prev = p1_gradients(p_prev)
     u_new, p_new, g_new, ind = u_prev, p_prev, g_prev, None
 
+    def solve_pressure(system, x0, forcing=0.0):
+        """The step's pressure solve; an error records the step ``it``."""
+        try:
+            return asm.solve_pressure(system, x0=x0, tol=cfg.cg_tol,
+                                      forcing=forcing)
+        except LinearSolverError as exc:
+            exc.step = it
+            raise
+
     def evaluate(system, p_new, u_prev, g_prev, row):
         """Gradients, velocity, step error and indicators of a step's
         pressure, and whether they pass the stopping test; the phase times
@@ -208,11 +227,13 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
 
     for it in range(1, cfg.max_iter + 1):
         row = TraceRow(it, math.nan, math.nan, math.nan, 0)
+        # Free the previous step's system and indicators before this step
+        # forms its own: only one step's arrays are alive at a time.
+        system = ind = None
         t0 = time.perf_counter()
         system = asm.step(u_prev.values, cfg.alpha)
         t1 = time.perf_counter()
-        p_new, cg_it = asm.solve_pressure(system, x0=p_prev.values,
-                                          tol=cfg.cg_tol, forcing=CG_FORCING)
+        p_new, cg_it = solve_pressure(system, p_prev.values, CG_FORCING)
         row.t_assemble = t1 - t0
         row.t_solve = time.perf_counter() - t1
         u_new, g_new, err_l, ind, converged = evaluate(system, p_new, u_prev,
@@ -221,8 +242,7 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
                 and (converged or it == cfg.max_iter):
             # Finish the step the iteration would stop on, and test it again.
             t0 = time.perf_counter()
-            p_new, extra = asm.solve_pressure(system, x0=p_new.values,
-                                              tol=cfg.cg_tol)
+            p_new, extra = solve_pressure(system, p_new.values)
             row.t_solve += time.perf_counter() - t0
             cg_it += extra
             u_new, g_new, err_l, ind, converged = evaluate(
@@ -330,20 +350,28 @@ def true_error(mesh: Mesh, problem: ProblemSpec, u: P0VectorField,
 
 @dataclass
 class SweepRow:
+    """One alpha of a sweep.  ``iterations`` is the step count of the solve,
+    or the step whose pressure solve raised.  ``phases_s`` holds the
+    solve's :func:`phase_totals` plus ``true_error``, the time of the error
+    evaluation (empty when the pressure solve raised); rows compare equal
+    without it."""
+
     alpha: float
     iterations: int
     converged: bool
     err: float                   # relative error, nan without a reference
     log10_err: float
     status: str                  # SolveResult.status or "linear_solver_error"
+    phases_s: dict = field(default_factory=dict, compare=False)
 
     @classmethod
-    def from_solve(cls, alpha, result, error):
+    def from_solve(cls, alpha, result, error, phases_s):
         rel = error.relative if error is not None else math.nan
         return cls(alpha=alpha, iterations=result.iterations,
                    converged=result.converged, err=rel,
                    log10_err=math.log10(rel) if rel and math.isfinite(rel)
-                   else math.nan, status=result.status)
+                   else math.nan, status=result.status,
+                   phases_s=phases_s)
 
 
 def alpha_sweep(mesh: Mesh, problem: ProblemSpec, alphas,
@@ -353,7 +381,7 @@ def alpha_sweep(mesh: Mesh, problem: ProblemSpec, alphas,
     Iteration counts trace the characteristic U shape: small weights barely
     damp the convection update, large ones barely move the iterate.  A
     solve whose pressure solve fails gives a row with status
-    ``linear_solver_error``.
+    ``linear_solver_error`` and the step at which it failed.
     """
     cfg = config or SolverConfig()
     asm = Assembler(mesh, problem, cfg.volume_degree, cfg.edge_quad_points)
@@ -363,15 +391,18 @@ def alpha_sweep(mesh: Mesh, problem: ProblemSpec, alphas,
         try:
             res = solve(mesh, problem, replace(cfg, alpha=a),
                         assembler=asm, context=ctx)
-        except LinearSolverError:
-            rows.append(SweepRow(alpha=a, iterations=cfg.max_iter,
+        except LinearSolverError as exc:
+            rows.append(SweepRow(alpha=a, iterations=exc.step,
                                  converged=False, err=math.nan,
                                  log10_err=math.nan,
                                  status="linear_solver_error"))
         else:
+            t0 = time.perf_counter()
             error = true_error(mesh, problem, res.u, res.p) \
                 if problem.has_exact() else None
-            rows.append(SweepRow.from_solve(a, res, error))
+            phases = {**phase_totals(res.trace),
+                      "true_error": time.perf_counter() - t0}
+            rows.append(SweepRow.from_solve(a, res, error, phases))
     return rows
 
 

@@ -106,7 +106,7 @@ def gaussian_vortex(beta: float = 1.0, gamma: float = 50.0,
 
     def f(x, y):
         ux, uy = exact_u(x, y)
-        speed = np.hypot(ux, uy)
+        speed = np.sqrt(ux * ux + uy * uy)   # |u| as row_norms forms it
         px, py = exact_grad_p(x, y)
         return ux + beta * speed * ux + px, uy + beta * speed * uy + py
 

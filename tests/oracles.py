@@ -12,7 +12,9 @@ keeps the one-stage Galerkin map that the two-stage maps replaced, the
 SciPy SpGEMM build of the hierarchy, the aggregation loop with one neighbour
 list per vertex and the ``np.unique`` + ``bincount``
 scatter of the Schur matrix, which the maps of :mod:`darcyfem.multigrid`
-replaced.  The one exception is the last section: thin wrappers over the
+replaced; the norms section keeps the ``np.hypot`` norms and the per-call
+vertex weights that the sampled norms and the mesh's cache replaced.  The
+one exception is the last section: thin wrappers over the
 production ``Assembler`` that only tests use.
 """
 
@@ -25,7 +27,8 @@ from darcyfem.assembly import Assembler
 from darcyfem.indicators import OSCILLATION_DEGREE
 from darcyfem.mesh import MeshConformityError
 from darcyfem.multigrid import MAX_COARSE, STRENGTH_THETA, Pattern, _aggregate
-from darcyfem.spaces import physical_points, sample, triangle_rule
+from darcyfem.spaces import (physical_points, quadrature_sums, sample,
+                             triangle_rule)
 
 GL4_T = np.array([0.069431844202974, 0.330009478207572,
                   0.669990521792428, 0.930568155797026])
@@ -572,6 +575,26 @@ def whole_data_means(mesh, problem):
     osc_b = mesh.h_tri * np.cbrt(
         mesh.areas * sums(np.abs(bv - b_means[:, None]) ** 3))
     return f_means, osc_f, b_means, osc_b
+
+
+# ---------------------------------------------------------------------------
+# Sampled norms and vertex weights in the forms the faster kernels replaced
+# ---------------------------------------------------------------------------
+
+def hypot_element_lp(mesh, rule, vx, vy, p, elements=slice(None)):
+    """``spaces.element_lp`` with |v| from ``np.hypot`` and then raised to
+    the power p, the form that ``(vx^2 + vy^2)^(p/2)`` replaced."""
+    return quadrature_sums(np.hypot(vx, vy) ** p, rule.weights) \
+        * mesh.areas[elements]
+
+
+def add_at_vertex_weights(mesh):
+    """Integral of each P1 hat function, scattered with ``np.add.at`` on
+    every call, as ``spaces.vertex_weights`` formed it before the mesh
+    cached it."""
+    w = np.zeros(mesh.n_vertices)
+    np.add.at(w, mesh.tris.ravel(), np.repeat(mesh.areas / 3.0, 3))
+    return w
 
 
 # ---------------------------------------------------------------------------

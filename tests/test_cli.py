@@ -349,12 +349,57 @@ def test_sweep_manifest_lists_a_status_per_alpha(tmp_path, monkeypatch):
                      "--max-iter", "20")
     assert code == 0
     runs = json.loads((out / "manifest.json").read_text())["runs"]
-    assert runs == [{"alpha": 2.3, "status": "converged"},
-                    {"alpha": 5.0, "status": "linear_solver_error"},
-                    {"alpha": 0.01, "status": "max_iter"}]
+    assert [{k: r[k] for k in ("alpha", "status")} for r in runs] \
+        == [{"alpha": 2.3, "status": "converged"},
+            {"alpha": 5.0, "status": "linear_solver_error"},
+            {"alpha": 0.01, "status": "max_iter"}]
+    # Phase timings of each solve plus its true error; none for the alpha
+    # whose pressure solve raised.
+    phases = {"t_assemble", "t_solve", "t_recover", "t_indicators",
+              "true_error"}
+    for r in (runs[0], runs[2]):
+        assert set(r["phases_s"]) == phases
+        assert all(v >= 0.0 for v in r["phases_s"].values())
+    assert runs[0]["phases_s"]["true_error"] > 0.0
+    assert runs[1]["phases_s"] == {}
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "alpha,nbr,converged,err,log10_err"
     assert [l.split(",")[2] for l in lines[1:]] == ["1", "0", "0"]
+
+
+@pytest.mark.parametrize("guess, fail_on, step",
+                         [("zero", 3, 3), ("darcy", 1, 0), ("darcy", 4, 3)])
+def test_sweep_nbr_is_the_step_whose_pressure_solve_raised(
+        tmp_path, monkeypatch, guess, fail_on, step):
+    """The real solve fails on its ``fail_on``-th pressure solve, which
+    belongs to ``step`` (0 for the Darcy start, one solve per step before
+    the last); ``nbr`` reports that step, and the next alpha runs as
+    usual."""
+    from darcyfem import nonlinear_solver
+    from darcyfem.assembly import Assembler, LinearSolverError
+    real = Assembler.solve_pressure
+    calls = []
+
+    def failing(self, system, **kw):
+        calls.append(kw.get("forcing", 0.0))
+        if len(calls) == fail_on:
+            raise LinearSolverError("injected", [1.0])
+        return real(self, system, **kw)
+
+    monkeypatch.setattr(Assembler, "solve_pressure", failing)
+    code, out = _run(tmp_path, "sweep", "--N", "4", "--alphas", "2.3,2.3",
+                     "--guess", guess, "--max-iter", "20")
+    assert code == 0
+    # one inexact solve per step up to the failure, after the Darcy start's
+    expected = [nonlinear_solver.CG_FORCING] * fail_on
+    if guess == "darcy":
+        expected[0] = 0.0
+    assert calls[:fail_on] == expected
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    assert [r["status"] for r in runs] == ["linear_solver_error", "converged"]
+    rows = [l.split(",") for l in (out / "sweep.csv").read_text().splitlines()]
+    assert rows[1][1:3] == [str(step), "0"]
+    assert int(rows[2][1]) > fail_on and rows[2][2] == "1"
 
 
 def test_adapt_manifest_records_the_run_modes_it_used(tmp_path):

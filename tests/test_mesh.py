@@ -42,7 +42,7 @@ def test_structured_minimal():
     m = msh.generate_structured(1)
     assert m.n_triangles == 2
     assert m.n_vertices == 4
-    assert m.domain_area() == pytest.approx(1.0, abs=1e-14)
+    assert m.domain_area == pytest.approx(1.0, abs=1e-14)
 
 
 def test_structured_rejects_degenerate_rect():
@@ -103,14 +103,14 @@ def test_refine_both_triangles():
     m = msh.generate_structured(1)
     r = msh.refine(m, [0, 1])
     assert r.n_triangles == 4
-    assert r.domain_area() == pytest.approx(1.0, abs=1e-14)
+    assert r.domain_area == pytest.approx(1.0, abs=1e-14)
 
 
 def test_refine_single_triangle_forces_closure():
     m = msh.generate_structured(1)
     r = msh.refine(m, [0])
     assert r.n_triangles == 4
-    assert r.domain_area() == pytest.approx(1.0, abs=1e-14)
+    assert r.domain_area == pytest.approx(1.0, abs=1e-14)
     # conforming: census must still hold
     assert 3 * r.n_triangles == 2 * len(r.interior_edges) + len(r.boundary_edges)
 
@@ -140,12 +140,12 @@ def test_repeated_refinement_keeps_area_and_shape():
     rng = np.random.default_rng(11)
     m = msh.generate_structured(2, rect=((-1.0, -1.0), (1.0, 1.0)))
     base_ratio = _shape_ratios(m).max()
-    area = m.domain_area()
+    area = m.domain_area
     for _ in range(6):
         marked = rng.choice(m.n_triangles, size=max(1, m.n_triangles // 5),
                             replace=False)
         m = msh.refine(m, marked)
-    assert m.domain_area() == pytest.approx(area, rel=1e-12)
+    assert m.domain_area == pytest.approx(area, rel=1e-12)
     assert _shape_ratios(m).max() <= 2.0 * base_ratio + 1e-12
 
 
@@ -168,7 +168,7 @@ def test_load_two_triangle_file_matches_structured():
     m = msh.load_mesh(text)
     assert m.n_triangles == 2
     assert m.n_vertices == 4
-    assert m.domain_area() == pytest.approx(1.0, abs=1e-14)
+    assert m.domain_area == pytest.approx(1.0, abs=1e-14)
 
 
 def test_load_rejects_duplicate_triangle():
@@ -214,7 +214,7 @@ def test_load_rejects_dangling_vertex():
 
 def test_lshape_counts_and_census():
     m = msh.generate_lshape(4)
-    assert m.domain_area() == pytest.approx(3.0, rel=1e-12)
+    assert m.domain_area == pytest.approx(3.0, rel=1e-12)
     assert 3 * m.n_triangles == 2 * len(m.interior_edges) + len(m.boundary_edges)
 
 
@@ -248,7 +248,7 @@ def test_random_refinement_sequences_stay_conforming():
             k = int(rng.integers(m.n_triangles))
             m = msh.refine(m, [k])
         assert 3 * m.n_triangles == 2 * len(m.interior_edges) + len(m.boundary_edges)
-        assert m.domain_area() == pytest.approx(1.0, rel=1e-12)
+        assert m.domain_area == pytest.approx(1.0, rel=1e-12)
         assert (m.areas > 0).all()
 
 

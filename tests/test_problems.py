@@ -60,6 +60,25 @@ def test_vortex_f_consistency_finite_differences():
         assert np.abs(fy - (uy + beta * speed * uy + gpy)).max() < 1e-5
 
 
+@pytest.mark.parametrize("beta", [1.0, 10.0, 100.0])
+def test_vortex_f_is_the_hypot_form_within_one_ulp(beta):
+    """f forms |u| as sqrt(ux^2 + uy^2), within 1 ulp of hypot(ux, uy).
+    Every later operation of f is monotone in |u|, so f lies between the
+    hypot forms with |u| moved one ulp down and one ulp up."""
+    prob = problems.gaussian_vortex(beta=beta)
+    pts = physical_points(generate_structured(12), triangle_rule(10))
+    x, y = pts[..., 0], pts[..., 1]
+    ux, uy = prob.exact_u(x, y)
+    px, py = prob.exact_grad_p(x, y)
+    speed = np.hypot(ux, uy)
+    assert (np.abs(np.sqrt(ux * ux + uy * uy) - speed)
+            <= np.spacing(speed)).all()
+    lo, hi = np.nextafter(speed, 0.0), np.nextafter(speed, np.inf)
+    for f, u, g in zip(prob.f(x, y), (ux, uy), (px, py)):
+        ends = [u + beta * s * u + g for s in (lo, hi)]
+        assert (np.minimum(*ends) <= f).all() and (f <= np.maximum(*ends)).all()
+
+
 def test_vortex_exact_grad_p_matches_fd():
     prob = problems.gaussian_vortex()
     rng = np.random.default_rng(3)
@@ -157,10 +176,10 @@ def test_initial_mesh_domains():
     v = problems.gaussian_vortex()
     m = problems.initial_mesh(v, 10)
     assert m.n_vertices == 121
-    assert m.domain_area() == pytest.approx(1.0, rel=1e-12)
+    assert m.domain_area == pytest.approx(1.0, rel=1e-12)
     c = problems.reentrant_corner()
     ml = problems.initial_mesh(c, 4)
-    assert ml.domain_area() == pytest.approx(3.0, rel=1e-12)
+    assert ml.domain_area == pytest.approx(3.0, rel=1e-12)
 
 
 def test_problem_from_config_expressions():

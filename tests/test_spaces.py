@@ -7,6 +7,7 @@ from darcyfem import spaces as sp
 from darcyfem.mesh import generate_structured, refine
 
 from conftest import rng_loop
+from oracles import add_at_vertex_weights, hypot_element_lp
 
 
 def test_triangle_rule_weights_normalized():
@@ -106,6 +107,47 @@ def test_project_mean_zero():
     again = sp.project_mean_zero(z)
     assert np.allclose(again.values, z.values, atol=1e-14)
     assert np.allclose(sp.p1_gradients(z), sp.p1_gradients(q), atol=1e-14)
+
+
+def test_vertex_weights_are_cached_read_only_and_keep_their_bytes():
+    """The mesh forms its P1 vertex weights once, with the bytes of the
+    per-call ``np.add.at`` scatter, and no caller can change them; the
+    mean-zero projection keeps the bytes it had with per-call weights."""
+    m = refine(generate_structured(5), [0, 7, 30])
+    w = m.vertex_weights
+    assert m.vertex_weights is w
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    ref = add_at_vertex_weights(m)
+    assert w.tobytes() == ref.tobytes()
+    assert m.domain_area == float(m.areas.sum())
+    for rng in rng_loop(29, 5):
+        q = sp.P1ScalarField(m, rng.standard_normal(m.n_vertices))
+        old = q.values - float(ref @ q.values / m.areas.sum())
+        assert sp.project_mean_zero(q).values.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_element_lp_matches_the_hypot_form(p):
+    """|v|^p as (vx^2 + vy^2)^(p/2) agrees with hypot(vx, vy)^p to 1e-14
+    relative per element, zero vectors included (0^(p/2) = 0)."""
+    m = generate_structured(6)
+    rule = sp.triangle_rule(10)
+    q = rule.weights.size
+    for rng in rng_loop(31, 4):
+        vx = rng.standard_normal((m.n_triangles, q)) \
+            * 10.0 ** rng.uniform(-3, 3, (m.n_triangles, 1))
+        vy = rng.standard_normal((m.n_triangles, q))
+        zero = rng.random((m.n_triangles, q)) < 0.2
+        vx[zero] = vy[zero] = 0.0
+        vx[0] = vy[0] = 0.0
+        got = sp.element_lp(m, rule, vx, vy, p)
+        ref = hypot_element_lp(m, rule, vx, vy, p)
+        assert got[0] == ref[0] == 0.0
+        assert (np.abs(got - ref) <= 1e-14 * ref).all()
+        blk = slice(3, 11)
+        assert np.array_equal(
+            sp.element_lp(m, rule, vx[blk], vy[blk], p, blk), got[blk])
 
 
 def test_physical_points_match_einsum_mapping():
