@@ -155,7 +155,7 @@ def adaptive_loop(problem: ProblemSpec, levels: int = 7, initial_n: int = 10,
                   solver: SolverConfig | None = None,
                   adapt: AdaptConfig | None = None,
                   mesh: Mesh | None = None) -> list[LevelState]:
-    """Run ``levels`` solve-estimate-mark-refine rounds.
+    """Run ``levels`` (at least 1) solve-estimate-mark-refine rounds.
 
     The solver defaults to the indicator-balanced stopping rule.  The first
     level starts from ``solver.initial_guess`` (the linear solution by
@@ -166,6 +166,8 @@ def adaptive_loop(problem: ProblemSpec, levels: int = 7, initial_n: int = 10,
     solved but not refined.  A level whose iteration did not converge is the
     last one: it is not marked, refined or used as a start.
     """
+    if levels < 1:
+        raise ValueError(f"levels must be at least 1, not {levels!r}")
     cfg = solver or SolverConfig(stopping="indicator_balance",
                                  initial_guess="darcy")
     acfg = adapt or AdaptConfig()

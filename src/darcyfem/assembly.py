@@ -243,8 +243,10 @@ class Assembler:
                                       self.rule.points) * areas[rows, None]
         self._b_abs = carry.start(parent and parent._b_abs, (m,))
         self._b_abs[rows] = quadrature_sums(np.abs(b_vals), w)
-        h = np.zeros(n)
-        np.subtract.at(h, mesh.tris.ravel(), self._b_phi.ravel())
+        # 0 - sum, not -sum: a vertex whose terms sum to +0 keeps +0, as a
+        # running subtraction from zero gives.
+        h = 0.0 - np.bincount(mesh.tris.ravel(), weights=self._b_phi.ravel(),
+                              minlength=n)
         int_b = float(self._b_phi.sum())
         abs_b = float(areas @ self._b_abs)
 

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
@@ -58,11 +60,38 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _parse_float_list(text, what):
-    try:
-        vals = [float(t) for t in str(text).split(",") if t.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad {what} list: {text!r}") from exc
+def _real(value, what: str) -> float:
+    """A setting that must be a number: an int or a float (not a bool), or a
+    string holding one."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{what} must be a number, not {value!r}")
+
+
+def _integer(value, what: str) -> int:
+    """A setting that must be an integer: an int (not a bool), or a string
+    holding one.  A float is refused, so that 6.5 does not run as 6."""
+    if isinstance(value, str):
+        try:
+            return int(value.strip())
+        except ValueError:
+            pass
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{what} must be an integer, not {value!r}")
+
+
+def _list(value, what: str, convert) -> list:
+    """A comma-separated string or a JSON list of settings, each converted
+    by ``convert``."""
+    items = value.split(",") if isinstance(value, str) else value
+    if not isinstance(items, list):
+        raise ConfigError(f"bad {what} list: {value!r}")
+    vals = [convert(v, what) for v in items
+            if not (isinstance(v, str) and not v.strip())]
     if not vals:
         raise ConfigError(f"empty {what} list")
     return vals
@@ -168,12 +197,62 @@ def merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _resolve_problem(cfg):
+@dataclass(frozen=True)
+class _Settings:
+    """The numeric settings of a merged configuration, converted and checked
+    before anything runs or is written; ``alphas`` and ``ns`` are None when
+    not given."""
+
+    solver: SolverConfig
+    adapt: AdaptConfig
+    levels: int
+    n: int
+    beta: float | None
+    alphas: list[float] | None
+    ns: list[int] | None
+
+
+def _settings(cfg: dict) -> _Settings:
+    """Build the solver and marking configs and check every numeric setting
+    of ``cfg``.  A value of the wrong type or out of range, including one
+    that a config's own check refuses, is a ConfigError."""
+    try:
+        solver = SolverConfig(
+            alpha=_real(cfg["alpha"], "alpha"),
+            tol=_real(cfg["tol"], "tol"),
+            gamma_tilde=_real(cfg["gamma_tilde"], "gamma_tilde"),
+            max_iter=_integer(cfg["max_iter"], "max_iter"),
+            initial_guess=cfg["guess"],
+            stopping=str(cfg["stopping"]).replace("-", "_"),
+        )
+        adapt = AdaptConfig(theta=_real(cfg["theta"], "theta"),
+                            marker=cfg["marker"])
+        alphas = _list(cfg["alphas"], "alpha", _real) if cfg["alphas"] \
+            else None
+        for a in alphas or ():
+            replace(solver, alpha=a)        # SolverConfig checks each alpha
+        levels = _integer(cfg["levels"], "levels")
+        n = _integer(cfg["n"], "N")
+        ns = _list(cfg["ns"], "N", _integer) if cfg["ns"] else None
+        beta = None if cfg["beta"] is None else _real(cfg["beta"], "beta")
+        if levels < 1:
+            raise ValueError(f"levels must be at least 1, not {levels}")
+        if min([n, *(ns or ())]) < 1:
+            raise ValueError("N must be positive")
+        if beta is not None and not (math.isfinite(beta) and beta >= 0.0):
+            raise ValueError(f"beta must be finite and >= 0, not {beta!r}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return _Settings(solver=solver, adapt=adapt, levels=levels, n=n,
+                     beta=beta, alphas=alphas, ns=ns)
+
+
+def _resolve_problem(cfg, run: _Settings):
     name = cfg["problem"]
     if isinstance(name, dict):
         return problems.problem_from_config(name)
     if str(name) in problems.BUILTIN_PROBLEMS:
-        beta = cfg["beta"]
+        beta = run.beta
         if name == "gaussian-vortex":
             return problems.gaussian_vortex(beta=1.0 if beta is None else beta)
         if name == "reentrant-corner":
@@ -186,35 +265,21 @@ def _resolve_problem(cfg):
                 spec = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read problem file {name}: {exc}")
-        if cfg["beta"] is not None:
-            spec.setdefault("beta", cfg["beta"])
+        if run.beta is not None:
+            spec.setdefault("beta", run.beta)
         return problems.problem_from_config(spec)
     raise ConfigError(f"unknown problem {name!r} "
                       f"(builtins: {', '.join(problems.BUILTIN_PROBLEMS)})")
 
 
-def _resolve_mesh(cfg, problem):
+def _resolve_mesh(cfg, run: _Settings, problem):
     if cfg["mesh"]:
         try:
             with open(cfg["mesh"]) as fh:
                 return load_mesh(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read mesh {cfg['mesh']}: {exc}")
-    n = int(cfg["n"])
-    if n < 1:
-        raise ConfigError("--N must be positive")
-    return problems.initial_mesh(problem, n)
-
-
-def _solver_config(cfg) -> SolverConfig:
-    return SolverConfig(
-        alpha=float(cfg["alpha"]),
-        tol=float(cfg["tol"]),
-        gamma_tilde=float(cfg["gamma_tilde"]),
-        max_iter=int(cfg["max_iter"]),
-        initial_guess=cfg["guess"],
-        stopping=cfg["stopping"].replace("-", "_"),
-    )
+    return problems.initial_mesh(problem, run.n)
 
 
 def _out_dir(cfg):
@@ -264,11 +329,11 @@ def _manifest(out, cfg, timings, outputs, status=None, phases=None,
 
 # -- subcommands -------------------------------------------------------------
 
-def _cmd_solve(cfg, out):
-    problem = _resolve_problem(cfg)
-    mesh = _resolve_mesh(cfg, problem)
+def _cmd_solve(cfg, run, out):
+    problem = _resolve_problem(cfg, run)
+    mesh = _resolve_mesh(cfg, run, problem)
     t0 = time.perf_counter()
-    result = solve(mesh, problem, _solver_config(cfg))
+    result = solve(mesh, problem, run.solver)
     t_solve = time.perf_counter() - t0
 
     files = {}
@@ -308,16 +373,13 @@ def _cmd_solve(cfg, out):
     return 0 if result.converged else 4
 
 
-def _cmd_sweep(cfg, out):
-    if not cfg["alphas"]:
+def _cmd_sweep(cfg, run, out):
+    if run.alphas is None:
         raise ConfigError("sweep needs --alphas")
-    alphas = cfg["alphas"]
-    if isinstance(alphas, str):
-        alphas = _parse_float_list(alphas, "alpha")
-    problem = _resolve_problem(cfg)
-    mesh = _resolve_mesh(cfg, problem)
+    problem = _resolve_problem(cfg, run)
+    mesh = _resolve_mesh(cfg, run, problem)
     t0 = time.perf_counter()
-    rows = alpha_sweep(mesh, problem, alphas, _solver_config(cfg))
+    rows = alpha_sweep(mesh, problem, run.alphas, run.solver)
     t_sweep = time.perf_counter() - t0
     _write_csv(os.path.join(out, "sweep.csv"),
                ("alpha", "nbr", "converged", "err", "log10_err"),
@@ -358,15 +420,12 @@ def _study_manifest(out, cfg, timings, outputs, states):
               levels=levels)
 
 
-def _cmd_uniform(cfg, out):
-    if not cfg["ns"]:
+def _cmd_uniform(cfg, run, out):
+    if run.ns is None:
         raise ConfigError("uniform-study needs --Ns")
-    ns = cfg["ns"]
-    if isinstance(ns, str):
-        ns = [int(v) for v in _parse_float_list(ns, "N")]
-    problem = _resolve_problem(cfg)
+    problem = _resolve_problem(cfg, run)
     t0 = time.perf_counter()
-    states = uniform_study(problem, ns, _solver_config(cfg))
+    states = uniform_study(problem, run.ns, run.solver)
     t_run = time.perf_counter() - t0
     _write_csv(os.path.join(out, "study.csv"), _STUDY_HEADER,
                _study_rows(states))
@@ -375,14 +434,12 @@ def _cmd_uniform(cfg, out):
     return 0
 
 
-def _cmd_adapt(cfg, out):
-    problem = _resolve_problem(cfg)
-    mesh = _resolve_mesh(cfg, problem)
-    solver = _solver_config(cfg)
-    adapt = AdaptConfig(theta=float(cfg["theta"]), marker=cfg["marker"])
+def _cmd_adapt(cfg, run, out):
+    problem = _resolve_problem(cfg, run)
+    mesh = _resolve_mesh(cfg, run, problem)
     t0 = time.perf_counter()
-    states = adaptive_loop(problem, levels=int(cfg["levels"]),
-                           solver=solver, adapt=adapt, mesh=mesh)
+    states = adaptive_loop(problem, levels=run.levels, solver=run.solver,
+                           adapt=run.adapt, mesh=mesh)
     t_run = time.perf_counter() - t0
     outputs = ["study.csv", "manifest.json"]
     _write_csv(os.path.join(out, "study.csv"), _STUDY_HEADER,
@@ -399,9 +456,9 @@ def _cmd_adapt(cfg, out):
     return 0 if last.converged else 4
 
 
-def _cmd_diagnostics(cfg, out):
-    problem = _resolve_problem(cfg)
-    mesh = _resolve_mesh(cfg, problem)
+def _cmd_diagnostics(cfg, run, out):
+    problem = _resolve_problem(cfg, run)
+    mesh = _resolve_mesh(cfg, run, problem)
     t0 = time.perf_counter()
     diag = alpha_diagnostics(mesh, problem)
     t_run = time.perf_counter() - t0
@@ -429,13 +486,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = merge_config(args)
+        run = _settings(cfg)
         out = _out_dir(cfg)
     except (ConfigError, problems.ProblemConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         try:
-            return _DISPATCH[args.command](cfg, out)
+            return _DISPATCH[args.command](cfg, run, out)
         except (ConfigError, problems.ProblemConfigError,
                 MeshFormatError, MeshConformityError) as exc:
             print(f"error: {exc}", file=sys.stderr)

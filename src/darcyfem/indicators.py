@@ -166,18 +166,27 @@ class IndicatorContext:
         # Normal-flux defect per edge, flux = F u - g_h on the interleaved
         # velocities (u_0x, u_0y, u_1x, ...): on interior edges half the jump
         # of u.n across the edge, on boundary edges u.n - g_h.  Signs follow
-        # the edge's stored normal; only magnitudes enter the indicators.
+        # the edge's stored normal (+ for the first triangle); only
+        # magnitudes enter the indicators.  F is written in CSR directly,
+        # each row's columns ascending: the lower-numbered triangle's pair
+        # first, and on boundary edges only the first triangle's.
         first, second = mesh.edge_tris.T
-        interior = np.flatnonzero(second >= 0)
-        scaled = mesh.edge_normals.copy()
-        scaled[interior] *= 0.5
-        rows = np.concatenate([np.repeat(np.arange(mesh.n_edges), 2),
-                               np.repeat(interior, 2)])
-        cols = np.concatenate([(2 * first[:, None] + [0, 1]).ravel(),
-                               (2 * second[interior, None] + [0, 1]).ravel()])
+        interior = second >= 0
+        ahead = second > first
+        lo = np.where(ahead, first, second)
+        hi = np.where(ahead, second, first)
+        weight = np.where(interior, 0.5, 1.0) * np.where(ahead, 1.0, -1.0)
+        nx, ny = mesh.edge_normals.T
+        cols = np.stack([2 * lo, 2 * lo + 1, 2 * hi, 2 * hi + 1], axis=1)
+        vals = np.stack([weight * nx, weight * ny,
+                         -weight * nx, -weight * ny], axis=1)
+        every = np.ones_like(interior)
+        stored = np.stack([interior, interior, every, every], axis=1)
+        indptr = np.zeros(mesh.n_edges + 1, dtype=np.int32)
+        np.cumsum(np.where(interior, 4, 2), out=indptr[1:])
         self._flux = sp.csr_matrix(
-            (np.concatenate([scaled.ravel(), -scaled[interior].ravel()]),
-             (rows, cols)), shape=(mesh.n_edges, 2 * m))
+            (vals[stored], cols[stored].astype(np.int32), indptr),
+            shape=(mesh.n_edges, 2 * m))
         # Per-element sum of h_e^(1/3) ||flux||_L3(e) = |e|^(2/3) |flux_e|
         # over the element's three edges, in local edge order.
         self._edge_sum = sp.csr_matrix(

@@ -7,7 +7,11 @@ velocity iterate:
 * the strong-connection graph of S0 is split greedily into aggregates;
 * the tentative prolongator T injects the constant vector aggregate by
   aggregate, and one damped-Jacobi step P = (I - omega D^-1 S0) T smooths
-  it, with omega = 4 / (3 rho) and rho the Gershgorin bound of D^-1 S0;
+  it, with omega = 4 / (3 rho) and rho the Gershgorin bound of D^-1 S0.
+  P is formed from the level's pattern and the aggregates by index
+  arithmetic, not by sparse products: row i holds the distinct aggregates
+  of the columns of row i, stored in ascending order, and R = P^T is its
+  stable counting transpose;
 * the same is repeated on P^T S0 P until at most ``MAX_COARSE`` unknowns
   are left.
 
@@ -52,8 +56,16 @@ class Pattern:
         self.diag = np.flatnonzero(indices == self.rows)
 
     def matches(self, a: sp.csr_matrix) -> bool:
-        return (a.shape == (self.n, self.n)
-                and np.array_equal(a.indptr, self.indptr)
+        """Whether ``a`` is a square CSR matrix with this pattern.  A matrix
+        made by :meth:`matrix` holds this pattern's own index arrays (scipy
+        keeps ``indices`` as a view of all of the given array), which is
+        accepted without comparing the entries."""
+        if a.shape != (self.n, self.n):
+            return False
+        if (a.indptr is self.indptr and a.indices.__array_interface__
+                == self.indices.__array_interface__):
+            return True
+        return (np.array_equal(a.indptr, self.indptr)
                 and np.array_equal(a.indices, self.indices))
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
@@ -145,45 +157,80 @@ def _aggregate(pattern: Pattern, data: np.ndarray) -> np.ndarray:
     """Greedy aggregation of the strong-connection graph of (pattern, data).
 
     j is a strong neighbour of i when |a_ij| >= theta sqrt(a_ii a_jj).
-    Pass 1 makes every vertex whose strong neighbours are all free the root
-    of an aggregate with those neighbours; pass 2 attaches each remaining
-    vertex to the aggregate of a pass-1 neighbour; pass 3 groups what is left
-    around itself.  Returns the aggregate index of every vertex.
+    Pass 1 takes the vertices in order and makes every vertex whose strong
+    neighbours are all free the root of an aggregate with those neighbours;
+    pass 2 attaches each remaining vertex to the aggregate of its first
+    pass-1 neighbour.  Neighbours are taken in ascending column order,
+    whatever the storage order of the pattern.  A vertex pass 1 leaves has a
+    neighbour pass 1 placed, or it would have become a root, so pass 2
+    places every vertex and the usual third pass, which groups what is left,
+    has nothing to do.  Returns the aggregate index of every vertex.
     """
     n, rows, cols = pattern.n, pattern.rows, pattern.indices
     diag = np.abs(data[pattern.diag])
     strong = (rows != cols) & (np.abs(data) >= STRENGTH_THETA
                                * np.sqrt(diag[rows] * diag[cols]))
-    graph = sp.csr_matrix((np.ones(int(strong.sum())),
-                           (rows[strong], cols[strong])), shape=(n, n))
+    before = np.concatenate(([0], np.cumsum(strong)))
+    graph = sp.csr_matrix((np.ones(int(before[-1])), cols[strong],
+                           before[pattern.indptr]), shape=(n, n))
+    graph.sort_indices()
     ptr = graph.indptr.tolist()
     col = graph.indices.tolist()
-    agg = [-1] * n
-    count = 0
+    is_root = np.zeros(n, dtype=bool)
+    taken = set()
     for i in range(n):
-        if agg[i] < 0:
+        if i not in taken:
             nbrs = col[ptr[i]:ptr[i + 1]]
-            if all(agg[j] < 0 for j in nbrs):
-                agg[i] = count
-                for j in nbrs:
-                    agg[j] = count
-                count += 1
-    # Passes 2 and 3 visit only the vertices pass 1 left, in order.
-    rest = [i for i in range(n) if agg[i] < 0]
-    first = list(agg)
-    for i in rest:
-        for j in col[ptr[i]:ptr[i + 1]]:
-            if first[j] >= 0:
-                agg[i] = first[j]
-                break
-    for i in rest:
-        if agg[i] < 0:
-            agg[i] = count
-            for j in col[ptr[i]:ptr[i + 1]]:
-                if agg[j] < 0:
-                    agg[j] = count
-            count += 1
-    return np.asarray(agg)
+            if taken.isdisjoint(nbrs):
+                is_root[i] = True
+                taken.add(i)
+                taken.update(nbrs)
+    # Pass-1 aggregates do not overlap, so they are one scatter; pass 2 reads
+    # only them, so it attaches every remaining vertex at once.
+    src = np.repeat(np.arange(n), np.diff(graph.indptr))
+    number = np.cumsum(is_root) - 1
+    first = np.where(is_root, number, -1)
+    member = is_root[src]
+    first[graph.indices[member]] = number[src[member]]
+    attach = np.flatnonzero((first[src] < 0) & (first[graph.indices] >= 0))
+    lead = attach[np.diff(src[attach], prepend=-1) != 0]
+    agg = first.copy()
+    agg[src[lead]] = first[graph.indices[lead]]
+    return agg
+
+
+def _prolongators(fine: Pattern, data: np.ndarray, agg: np.ndarray,
+                  n_coarse: int):
+    """P = T - omega D^-1 A T and R = P^T, for A = (fine, data) and the
+    tentative prolongator T with T_iJ = 1 when agg[i] = J, formed from A's
+    pattern by index arithmetic.
+
+    The columns of row i of P are the distinct aggregates of the columns of
+    row i of A, stored in ascending order.  (A T)_iJ sums the A_ij with
+    agg[j] = J in storage order, from zero, and entries that come out
+    exactly zero are dropped: the values and the pattern of the sparse
+    products (t - diags(omega D^-1) @ (A @ t)), whose rows scipy leaves
+    unsorted.  R holds each column of P in ascending row order.
+    """
+    keys = fine.rows * np.int64(n_coarse) + agg[fine.indices]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    # The sort is stable, so every sum runs in storage order.
+    at = np.bincount(np.cumsum(new) - 1, weights=data[order])
+    keys = keys[new]
+    rows = keys // n_coarse
+    cols = keys - rows * n_coarse
+    t = cols == agg[rows]
+    values = t - fine.jacobi_weights(data)[rows] * at
+    keep = values != 0
+    indptr = np.zeros(fine.n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows[keep], minlength=fine.n), out=indptr[1:])
+    p = sp.csr_matrix((values[keep], cols[keep].astype(np.int32), indptr),
+                      shape=(fine.n, n_coarse))
+    return p, p.T.tocsr()
 
 
 class SmoothedAggregation:
@@ -209,11 +256,7 @@ class SmoothedAggregation:
             n_coarse = int(agg.max()) + 1
             if n_coarse >= fine.n:
                 break
-            t = sp.csr_matrix((np.ones(fine.n), (np.arange(fine.n), agg)),
-                              shape=(fine.n, n_coarse))
-            weights = fine.jacobi_weights(data)
-            p = (t - sp.diags(weights) @ (fine.matrix(data) @ t)).tocsr()
-            r = p.T.tocsr()
+            p, r = _prolongators(fine, data, agg, n_coarse)
             prolongators.append((p, r))
             coarse, q1, q2 = _galerkin_maps(fine, p, r)
             patterns.append(coarse)
@@ -241,10 +284,10 @@ class VCycle:
                              "the multigrid hierarchy was built on")
         self.levels = []
         data = s.data
-        for pattern, (p, r), (q1, q2) in zip(patterns, hierarchy.prolongators,
-                                              hierarchy.maps):
-            self.levels.append((pattern.matrix(data),
-                                pattern.jacobi_weights(data), p, r))
+        for level, (pattern, (p, r), (q1, q2)) in enumerate(
+                zip(patterns, hierarchy.prolongators, hierarchy.maps)):
+            a = s if level == 0 else pattern.matrix(data)
+            self.levels.append((a, pattern.jacobi_weights(data), p, r))
             data = q2 @ (q1 @ data)
         # Shifting along the constants makes the coarsest operator regular
         # without changing its action on mean-zero vectors.

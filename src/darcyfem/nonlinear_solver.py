@@ -55,7 +55,10 @@ class SolverConfig:
     ``stopping`` selects the convergence test: ``"fixed_tol"`` stops when the
     relative step increment falls below ``tol``; ``"indicator_balance"``
     stops when the linearization indicator is dominated by the
-    discretization indicator, eta_L <= gamma_tilde * eta_D.
+    discretization indicator, eta_L <= gamma_tilde * eta_D.  Construction
+    raises ValueError for a negative or non-finite ``alpha``, a ``tol``,
+    ``gamma_tilde`` or ``cg_tol`` that is not finite and positive, and a
+    ``max_iter`` below 1.
     """
 
     alpha: float = 1.0
@@ -74,6 +77,17 @@ class SolverConfig:
             raise ValueError(f"unknown initial guess {self.initial_guess!r}")
         if self.stopping not in ("fixed_tol", "indicator_balance"):
             raise ValueError(f"unknown stopping rule {self.stopping!r}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"alpha must be finite and >= 0, "
+                             f"not {self.alpha!r}")
+        for name in ("tol", "gamma_tilde", "cg_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"not {value!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, "
+                             f"not {self.max_iter!r}")
 
 
 @dataclass

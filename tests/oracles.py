@@ -13,9 +13,11 @@ SciPy SpGEMM build of the hierarchy, the aggregation loop with one neighbour
 list per vertex and the ``np.unique`` + ``bincount``
 scatter of the Schur matrix, which the maps of :mod:`darcyfem.multigrid`
 replaced; the norms section keeps the ``np.hypot`` norms and the per-call
-vertex weights that the sampled norms and the mesh's cache replaced.  The
-one exception is the last section: thin wrappers over the
-production ``Assembler`` that only tests use.
+vertex weights that the sampled norms and the mesh's cache replaced; the
+per-level set-up section keeps the sparse products that formed the
+prolongators, the ``np.subtract.at`` load vector and the COO flux matrix,
+which index arithmetic replaced.  The one exception is the last section:
+thin wrappers over the production ``Assembler`` that only tests use.
 """
 
 from dataclasses import dataclass
@@ -27,8 +29,8 @@ from darcyfem.assembly import Assembler
 from darcyfem.indicators import OSCILLATION_DEGREE
 from darcyfem.mesh import MeshConformityError
 from darcyfem.multigrid import MAX_COARSE, STRENGTH_THETA, Pattern, _aggregate
-from darcyfem.spaces import (physical_points, quadrature_sums, sample,
-                             triangle_rule)
+from darcyfem.spaces import (boundary_samples, physical_points,
+                             quadrature_sums, sample, triangle_rule)
 
 GL4_T = np.array([0.069431844202974, 0.330009478207572,
                   0.669990521792428, 0.930568155797026])
@@ -426,8 +428,10 @@ def spgemm_hierarchy(s0: sp.csr_matrix):
 
 
 def loop_aggregate(pattern: Pattern, data: np.ndarray) -> np.ndarray:
-    """``multigrid._aggregate`` with one neighbour list per vertex and every
-    pass over all vertices: the aggregates must have the same bytes."""
+    """``multigrid._aggregate`` with one neighbour list per vertex, every
+    pass over all vertices and the third pass of the usual algorithm, which
+    groups what passes 1 and 2 left: the aggregates must have the same
+    bytes."""
     n, rows, cols = pattern.n, pattern.rows, pattern.indices
     diag = np.abs(data[pattern.diag])
     strong = (rows != cols) & (np.abs(data) >= STRENGTH_THETA
@@ -595,6 +599,55 @@ def add_at_vertex_weights(mesh):
     w = np.zeros(mesh.n_vertices)
     np.add.at(w, mesh.tris.ravel(), np.repeat(mesh.areas / 3.0, 3))
     return w
+
+
+# ---------------------------------------------------------------------------
+# Per-level set-up in the forms that direct index arithmetic replaced
+# ---------------------------------------------------------------------------
+
+def spgemm_prolongators(fine: Pattern, data: np.ndarray, agg: np.ndarray):
+    """P = T - diags(omega D^-1) @ (A @ T) and R = P^T by scipy's sparse
+    products, with T built from COO triplets; P's rows are left in the
+    order the products leave them."""
+    n = fine.n
+    t = sp.csr_matrix((np.ones(n), (np.arange(n), agg)),
+                      shape=(n, int(agg.max()) + 1))
+    weights = fine.jacobi_weights(data)
+    p = (t - sp.diags(weights) @ (fine.matrix(data) @ t)).tocsr()
+    return p, p.T.tocsr()
+
+
+def subtract_at_load(asm, edge_quad_points=4):
+    """The load vector H of ``asm``: the interior terms subtracted from zero
+    one by one with ``np.subtract.at``, then the boundary endpoint terms
+    added in edge order."""
+    mesh = asm.mesh
+    h = np.zeros(mesh.n_vertices)
+    np.subtract.at(h, mesh.tris.ravel(), asm._b_phi.ravel())
+    edges, ts, ews, gv = boundary_samples(mesh, asm.problem.g,
+                                          edge_quad_points)
+    le = mesh.edge_lengths[edges]
+    ends = np.stack([le * ((gv * (1.0 - ts)) @ ews),
+                     le * ((gv * ts) @ ews)], axis=1)
+    np.add.at(h, mesh.edge_vertices[edges].ravel(), ends.ravel())
+    return h
+
+
+def coo_flux(mesh):
+    """The edge-flux matrix F of :class:`IndicatorContext` from COO
+    triplets: every edge's first triangle with the normal (halved on
+    interior edges), the second with its negative."""
+    first, second = mesh.edge_tris.T
+    interior = np.flatnonzero(second >= 0)
+    scaled = mesh.edge_normals.copy()
+    scaled[interior] *= 0.5
+    rows = np.concatenate([np.repeat(np.arange(mesh.n_edges), 2),
+                           np.repeat(interior, 2)])
+    cols = np.concatenate([(2 * first[:, None] + [0, 1]).ravel(),
+                           (2 * second[interior, None] + [0, 1]).ravel()])
+    return sp.csr_matrix(
+        (np.concatenate([scaled.ravel(), -scaled[interior].ravel()]),
+         (rows, cols)), shape=(mesh.n_edges, 2 * mesh.n_triangles))
 
 
 # ---------------------------------------------------------------------------

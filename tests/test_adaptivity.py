@@ -29,6 +29,11 @@ def test_adapt_config_validation():
     assert AdaptConfig(theta=1.0).theta == 1.0
 
 
+def test_adaptive_loop_rejects_no_levels():
+    with pytest.raises(ValueError, match="levels"):
+        adaptive_loop(problems.gaussian_vortex(), levels=0, initial_n=2)
+
+
 def test_mark_theta_one_marks_all_positive():
     marked = mark(np.array([1.0, 0.0, 2.0, 3.0]), theta=1.0)
     assert marked.tolist() == [0, 2, 3]

@@ -12,6 +12,7 @@ import darcyfem
 from darcyfem import assembly, problems
 from darcyfem.assembly import (Assembler, CompatibilityError, ElementBlocks,
                                LinearSolverError, PressureSystem, deflated_cg)
+from darcyfem.indicators import IndicatorContext
 from darcyfem.mesh import generate_lshape, generate_structured, refine
 from darcyfem.multigrid import (MAX_COARSE, Pattern, SmoothedAggregation,
                                 VCycle, _aggregate)
@@ -20,9 +21,10 @@ from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
                               project_mean_zero)
 
 from conftest import random_affine_problem as _random_problem, rng_loop
-from oracles import (DivergenceCoupling, assemble_step, dense_step_solve,
-                     einsum_schur, loop_aggregate, one_stage_galerkin_map,
-                     spgemm_hierarchy, tol_only_cg)
+from oracles import (DivergenceCoupling, assemble_step, coo_flux,
+                     dense_step_solve, einsum_schur, loop_aggregate,
+                     one_stage_galerkin_map, spgemm_hierarchy,
+                     spgemm_prolongators, subtract_at_load, tol_only_cg)
 
 
 def test_element_blocks_identity_case():
@@ -569,6 +571,58 @@ def test_aggregates_match_the_loop_oracle(corner_budget_runs):
         assert got.tobytes() == loop_aggregate(pattern, s0.data).tobytes()
 
 
+def test_unconnected_matrix_gives_a_single_level():
+    """Without strong connections every vertex is its own aggregate, so
+    coarsening stops at once."""
+    eye = spm.identity(MAX_COARSE + 10, format="csr")
+    pattern = Pattern(eye.indptr, eye.indices)
+    agg = _aggregate(pattern, eye.data)
+    assert agg.tobytes() == loop_aggregate(pattern, eye.data).tobytes()
+    assert agg.tolist() == list(range(eye.shape[0]))
+    assert SmoothedAggregation(eye).sizes == (eye.shape[0],)
+
+
+def _assert_same_arrays(got, want):
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        _assert_same_arrays(getattr(got, name), getattr(want, name))
+
+
+def test_per_level_setup_matches_the_replaced_forms(corner_budget_runs):
+    """The prolongators P and R, the load vector H and the flux matrix F,
+    formed by index arithmetic, have the bytes of the sparse products, the
+    ``np.subtract.at`` scatter and the COO build on the corner levels and at
+    N = 112.  P is stored with ascending columns, the oracle's P only after
+    sorting."""
+    prob = problems.reentrant_corner()
+    vortex = problems.gaussian_vortex(beta=10.0)
+    cases = [(s.mesh, prob) for s in corner_budget_runs[0][:21]]
+    cases.append((problems.initial_mesh(vortex, 112), vortex))
+    levels = 0
+    for mesh, problem in cases:
+        asm = Assembler(mesh, problem)
+        _assert_same_arrays(asm.h, subtract_at_load(asm))
+        _assert_same_csr(IndicatorContext(mesh, problem)._flux,
+                         coo_flux(mesh))
+        hierarchy = asm.hierarchy
+        data = asm._reference_schur().data
+        for level, (p, r) in enumerate(hierarchy.prolongators):
+            fine = hierarchy.patterns[level]
+            want_p, want_r = spgemm_prolongators(fine, data,
+                                                 _aggregate(fine, data))
+            assert p.has_sorted_indices
+            _assert_same_csr(p, want_p.sorted_indices())
+            _assert_same_csr(r, want_r)
+            q1, q2 = hierarchy.maps[level]
+            data = q2 @ (q1 @ data)
+            levels += 1
+    assert levels > len(cases)
+
+
 @pytest.mark.parametrize("case",
                          ["n1", "n2", "n40", "graded_lshape", "n112"])
 def test_hierarchy_matches_the_spgemm_oracle(case):
@@ -619,6 +673,23 @@ def test_vcycle_rejects_a_matrix_with_another_pattern():
     for other in (pruned, spm.identity(s0.shape[0], format="csr")):
         with pytest.raises(ValueError, match="sparsity pattern"):
             VCycle(asm.hierarchy, other)
+
+
+def test_vcycle_takes_the_matrix_on_its_pattern_as_the_finest_level():
+    """A matrix holding the pattern's own index arrays is accepted as it is
+    and used as the finest level; one with copies of them is compared entry
+    by entry and gives the same bytes."""
+    prob = problems.reentrant_corner(beta=10.0)
+    asm, system = _first_step(_graded_lshape(), prob)
+    hierarchy = asm.hierarchy
+    assert system.s.indptr is hierarchy.patterns[0].indptr
+    vcycle = VCycle(hierarchy, system.s)
+    assert vcycle.levels[0][0] is system.s
+    copied = system.s.copy()
+    assert not np.shares_memory(copied.indices,
+                                hierarchy.patterns[0].indices)
+    r = np.random.default_rng(5).standard_normal(system.s.shape[0])
+    assert VCycle(hierarchy, copied)(r).tobytes() == vcycle(r).tobytes()
 
 
 def test_two_solves_through_one_assembler_are_byte_identical():

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import darcyfem
 from darcyfem import problems
 from darcyfem.cli import main, merge_config, build_parser
 from darcyfem.mesh import save_mesh
@@ -296,6 +297,38 @@ def test_bad_n_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, file_cfg", [
+    (["solve"], {"alpha": "x"}),
+    (["adapt"], {"levels": "many"}),
+    (["solve"], {"max_iter": 2.5}),
+    (["solve"], {"guess": "random"}),
+    (["solve", "--max-iter", "0"], None),
+    (["solve", "--alpha", "-1"], None),
+    (["solve", "--tol", "0"], None),
+    (["solve", "--beta", "-1"], None),
+    (["adapt", "--theta", "2"], None),
+    (["adapt", "--levels", "0"], None),
+    (["uniform-study", "--Ns", "4,6.5"], None),
+    (["sweep", "--alphas", "1,-2"], None),
+    (["sweep", "--alphas", "1,inf"], None),
+], ids=["alpha-key", "levels-key", "max-iter-key", "guess-key", "max-iter",
+        "alpha", "tol", "beta", "theta", "levels", "ns", "alphas-negative",
+        "alphas-inf"])
+def test_malformed_settings_exit_2_before_running(tmp_path, capsys, argv,
+                                                  file_cfg):
+    """A setting of the wrong type or out of range is a configuration
+    error: exit 2 with one error line, nothing run and no manifest."""
+    argv = [*argv, "--N", "3"]
+    if file_cfg is not None:
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps(file_cfg))
+        argv += ["--config", str(cfg_file)]
+    code, out = _run(tmp_path, *argv)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_merge_config_normalizes_keys(tmp_path):
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps({"gamma-tilde": 0.5, "max-iter": 9}))
@@ -438,6 +471,20 @@ def test_adapt_accepts_its_own_run_modes():
         cfg = merge_config(args)
         assert (cfg["guess"], cfg["stopping"]) \
             == ("darcy", "indicator-balance")
+
+
+def test_distribution_is_named_after_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(darcyfem.__file__))))
+    path = os.path.join(root, "pyproject.toml")
+    if not os.path.exists(path):
+        pytest.skip("darcyfem is not run from a source checkout")
+    with open(path, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["name"] == "darcyfem"
+    assert project["version"] == darcyfem.__version__
+    assert project["scripts"]["darcyfem"] == "darcyfem.cli:main"
 
 
 def test_module_entry_point_reports_version():

@@ -28,6 +28,20 @@ def test_solver_config_rejects_unknown_modes():
         SolverConfig(stopping="never")
 
 
+@pytest.mark.parametrize("setting", [
+    {"alpha": -1.0}, {"alpha": math.inf}, {"alpha": math.nan},
+    {"tol": 0.0}, {"tol": math.inf}, {"gamma_tilde": -1e-3},
+    {"gamma_tilde": math.nan}, {"cg_tol": 0.0}, {"max_iter": 0},
+])
+def test_solver_config_rejects_out_of_range_settings(setting):
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        SolverConfig(**setting)
+
+
+def test_solver_config_accepts_alpha_zero_and_one_step():
+    assert SolverConfig(alpha=0.0, max_iter=1).max_iter == 1
+
+
 def test_solve_start_checks_shapes_and_replaces_the_guess():
     prob = problems.gaussian_vortex(beta=10.0)
     m = generate_structured(4)
