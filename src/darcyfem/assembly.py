@@ -115,8 +115,31 @@ def _require_finite(value: float, what: str, history) -> None:
                                 history)
 
 
+def _projected_start(s, basis, x, r):
+    """The S-energy-minimal point of x + span(basis) and its residual, or
+    None when it does not lower the residual norm.
+
+    ``basis`` is a row-major (k, n) array.  The correction D c solves the
+    k x k Gram system (D^T S D) c = D^T r; no centring of D is needed,
+    because S 1 = 0.  A singular Gram matrix, or a residual that is not
+    below |r|, gives None; so does a non-finite c, whose residual norm is
+    not finite either.
+    """
+    sd = (s @ basis.T).T
+    try:
+        c = np.linalg.solve(basis @ sd.T, basis @ r)
+    except np.linalg.LinAlgError:
+        return None
+    r_new = r - c @ sd
+    r_new -= r_new.mean()
+    rn = float(np.linalg.norm(r_new))
+    if not rn < float(np.linalg.norm(r)):        # also false for nan
+        return None
+    return x + c @ basis, r_new, rn
+
+
 def deflated_cg(s, rhs, x0=None, tol=1e-12, maxiter=None, precond=None,
-                forcing=0.0):
+                forcing=0.0, basis=None):
     """Conjugate gradients on the constants-deflected subspace.
 
     The right side, the initial guess and every residual are projected
@@ -127,9 +150,20 @@ def deflated_cg(s, rhs, x0=None, tol=1e-12, maxiter=None, precond=None,
     ||r|| <= max(tol ||rhs - mean||, forcing ||r_0||), where r_0 is the
     residual of the initial guess; ``forcing = 0`` solves to ``tol``, a
     positive ``forcing`` stops an inexact solve once the residual has fallen
-    by that factor.  Raises LinearSolverError with the residual history if
-    the tolerance is not reached, or at once if the right side, a residual
-    or a curvature is not finite.
+    by that factor.
+
+    ``basis``, a row-major (k, n) array of directions (Fischer's projection,
+    CMAME 163, 1998), moves the start to the S-energy-minimal point of
+    x0 + span(basis) before the first iteration.  The move is taken only
+    when it lowers the residual norm, so the start is never worse than x0;
+    otherwise CG runs from x0 exactly as without a basis.  The stop stays
+    measured against r_0, the residual of x0, so a better start makes the
+    solve shorter, not more accurate.  A start that moved adds its residual
+    to the history after r_0.  An empty basis is no basis.
+
+    Raises LinearSolverError with the residual history if the tolerance is
+    not reached, or at once if the right side, a residual or a curvature is
+    not finite.
     """
     n = rhs.shape[0]
     if maxiter is None:
@@ -147,6 +181,13 @@ def deflated_cg(s, rhs, x0=None, tol=1e-12, maxiter=None, precond=None,
     stop = max(tol * b_norm, forcing * history[0])
     if history[0] <= stop:
         return x, 0
+    if basis is not None and len(basis):
+        projected = _projected_start(s, basis, x, r)
+        if projected is not None:
+            x, r, rn = projected
+            history.append(rn)
+            if rn <= stop:
+                return x, 0
     z = precond(r) if precond is not None else r
     p = z.copy()
     rz = float(r @ z)
@@ -344,7 +385,8 @@ class Assembler:
 
     def solve_pressure(self, system: PressureSystem, x0=None,
                        tol: float = 1e-12, maxiter=None,
-                       forcing: float = 0.0) -> tuple[P1ScalarField, int]:
+                       forcing: float = 0.0,
+                       basis=None) -> tuple[P1ScalarField, int]:
         """Multigrid-preconditioned deflated-CG solve; returns the zero-mean
         pressure and the number of CG iterations.
 
@@ -352,14 +394,15 @@ class Assembler:
         velocity recovered from p.  With ``forcing > 0`` the solve stops once
         that defect is ``forcing`` times the defect of ``x0`` (see
         :func:`deflated_cg`), which is how an inexact fixed-point step ends.
-        The V-cycle is built on the first solve of ``system`` and kept
-        there.
+        ``basis`` (k, n) projects the start onto x0 + span(basis) when that
+        lowers the defect.  The V-cycle is built on the first solve of
+        ``system`` and kept there.
         """
         if system.vcycle is None:
             system.vcycle = VCycle(self.hierarchy, system.s)
         raw, iters = deflated_cg(system.s, system.g, x0=x0, tol=tol,
                                  maxiter=maxiter, precond=system.vcycle,
-                                 forcing=forcing)
+                                 forcing=forcing, basis=basis)
         return project_mean_zero(P1ScalarField(self.mesh, raw)), iters
 
     def recover_velocity(self, system: PressureSystem, p: P1ScalarField,

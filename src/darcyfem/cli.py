@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -239,8 +238,6 @@ def _settings(cfg: dict) -> _Settings:
             raise ValueError(f"levels must be at least 1, not {levels}")
         if min([n, *(ns or ())]) < 1:
             raise ValueError("N must be positive")
-        if beta is not None and not (math.isfinite(beta) and beta >= 0.0):
-            raise ValueError(f"beta must be finite and >= 0, not {beta!r}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return _Settings(solver=solver, adapt=adapt, levels=levels, n=n,
@@ -258,7 +255,8 @@ def _resolve_problem(cfg, run: _Settings):
         if name == "reentrant-corner":
             return problems.reentrant_corner(
                 **({} if beta is None else {"beta": beta}))
-        return problems.trivial_zero()
+        zero = problems.trivial_zero()
+        return zero if beta is None else replace(zero, beta=beta)
     if os.path.exists(str(name)):
         try:
             with open(name) as fh:
@@ -329,8 +327,7 @@ def _manifest(out, cfg, timings, outputs, status=None, phases=None,
 
 # -- subcommands -------------------------------------------------------------
 
-def _cmd_solve(cfg, run, out):
-    problem = _resolve_problem(cfg, run)
+def _cmd_solve(cfg, run, problem, out):
     mesh = _resolve_mesh(cfg, run, problem)
     t0 = time.perf_counter()
     result = solve(mesh, problem, run.solver)
@@ -373,10 +370,9 @@ def _cmd_solve(cfg, run, out):
     return 0 if result.converged else 4
 
 
-def _cmd_sweep(cfg, run, out):
+def _cmd_sweep(cfg, run, problem, out):
     if run.alphas is None:
         raise ConfigError("sweep needs --alphas")
-    problem = _resolve_problem(cfg, run)
     mesh = _resolve_mesh(cfg, run, problem)
     t0 = time.perf_counter()
     rows = alpha_sweep(mesh, problem, run.alphas, run.solver)
@@ -420,10 +416,9 @@ def _study_manifest(out, cfg, timings, outputs, states):
               levels=levels)
 
 
-def _cmd_uniform(cfg, run, out):
+def _cmd_uniform(cfg, run, problem, out):
     if run.ns is None:
         raise ConfigError("uniform-study needs --Ns")
-    problem = _resolve_problem(cfg, run)
     t0 = time.perf_counter()
     states = uniform_study(problem, run.ns, run.solver)
     t_run = time.perf_counter() - t0
@@ -434,8 +429,7 @@ def _cmd_uniform(cfg, run, out):
     return 0
 
 
-def _cmd_adapt(cfg, run, out):
-    problem = _resolve_problem(cfg, run)
+def _cmd_adapt(cfg, run, problem, out):
     mesh = _resolve_mesh(cfg, run, problem)
     t0 = time.perf_counter()
     states = adaptive_loop(problem, levels=run.levels, solver=run.solver,
@@ -456,8 +450,7 @@ def _cmd_adapt(cfg, run, out):
     return 0 if last.converged else 4
 
 
-def _cmd_diagnostics(cfg, run, out):
-    problem = _resolve_problem(cfg, run)
+def _cmd_diagnostics(cfg, run, problem, out):
     mesh = _resolve_mesh(cfg, run, problem)
     t0 = time.perf_counter()
     diag = alpha_diagnostics(mesh, problem)
@@ -487,13 +480,14 @@ def main(argv=None) -> int:
     try:
         cfg = merge_config(args)
         run = _settings(cfg)
+        problem = _resolve_problem(cfg, run)
         out = _out_dir(cfg)
     except (ConfigError, problems.ProblemConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         try:
-            return _DISPATCH[args.command](cfg, run, out)
+            return _DISPATCH[args.command](cfg, run, problem, out)
         except (ConfigError, problems.ProblemConfigError,
                 MeshFormatError, MeshConformityError) as exc:
             print(f"error: {exc}", file=sys.stderr)

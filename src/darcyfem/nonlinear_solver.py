@@ -44,8 +44,13 @@ ERROR_QUAD_DEGREE = 10
 # Forcing term of the inexact pressure solves: each fixed-point step stops
 # its CG once the mass-row defect B u - H has fallen by this factor from the
 # defect of the previous pressure; only the step the iteration stops on is
-# finished to ``cg_tol``.  0 solves every step to ``cg_tol``.
+# finished to ``cg_tol``.  0 solves every step to ``cg_tol``.  CG starts
+# from the S-energy-minimal point of p_n + span of the last
+# PROJECTION_DEPTH pressure changes of the solve, if that lowers the
+# defect; the stop stays measured against the defect of p_n.  0 starts
+# every step from p_n.
 CG_FORCING = 1e-3
+PROJECTION_DEPTH = 3
 
 
 @dataclass
@@ -173,13 +178,15 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     previous level's solution carried onto the refined mesh).
 
     Each step solves its pressure inexactly, to the forcing term
-    ``CG_FORCING``.  A step that passes the stopping test, or is the
-    ``max_iter``-th, is finished: its CG continues to ``cfg.cg_tol``, and
-    the step's increment and indicators are recomputed and tested again.
-    So the returned fields always come from a pressure solved to
-    ``cfg.cg_tol``, unless the step increment was not finite.  A
-    LinearSolverError from a pressure solve records the step whose solve
-    raised as ``step`` (0 for the Darcy start).
+    ``CG_FORCING``, from a start projected onto the solve's last
+    ``PROJECTION_DEPTH`` pressure changes (see
+    :func:`~darcyfem.assembly.deflated_cg`).  A step that passes the
+    stopping test, or is the ``max_iter``-th, is finished: its CG continues
+    to ``cfg.cg_tol``, and the step's increment and indicators are
+    recomputed and tested again.  So the returned fields always come from
+    a pressure solved to ``cfg.cg_tol``, unless the step increment was not
+    finite.  A LinearSolverError from a pressure solve records the step
+    whose solve raised as ``step`` (0 for the Darcy start).
     """
     cfg = config or SolverConfig()
     asm = assembler or Assembler(mesh, problem, cfg.volume_degree,
@@ -210,12 +217,16 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     err_l = math.inf
     g_prev = p1_gradients(p_prev)
     u_new, p_new, g_new, ind = u_prev, p_prev, g_prev, None
+    # The last pressure changes p_k - p_(k-1) of this solve's steps, filled
+    # in place round the ring; the first ``filled`` rows are in use.
+    ring = np.empty((PROJECTION_DEPTH, mesh.n_vertices))
+    filled = 0
 
-    def solve_pressure(system, x0, forcing=0.0):
+    def solve_pressure(system, x0, forcing=0.0, basis=None):
         """The step's pressure solve; an error records the step ``it``."""
         try:
             return asm.solve_pressure(system, x0=x0, tol=cfg.cg_tol,
-                                      forcing=forcing)
+                                      forcing=forcing, basis=basis)
         except LinearSolverError as exc:
             exc.step = it
             raise
@@ -247,7 +258,8 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
         t0 = time.perf_counter()
         system = asm.step(u_prev.values, cfg.alpha)
         t1 = time.perf_counter()
-        p_new, cg_it = solve_pressure(system, p_prev.values, CG_FORCING)
+        p_new, cg_it = solve_pressure(system, p_prev.values, CG_FORCING,
+                                      ring[:filled])
         row.t_assemble = t1 - t0
         row.t_solve = time.perf_counter() - t1
         u_new, g_new, err_l, ind, converged = evaluate(system, p_new, u_prev,
@@ -271,6 +283,10 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
             iterates.append(u_new.values.copy())
         if converged or not math.isfinite(err_l) or it == cfg.max_iter:
             break
+        if PROJECTION_DEPTH > 0:
+            np.subtract(p_new.values, p_prev.values,
+                        out=ring[(it - 1) % PROJECTION_DEPTH])
+            filled = min(filled + 1, PROJECTION_DEPTH)
         u_prev, p_prev, g_prev = u_new, p_new, g_new
 
     if converged:

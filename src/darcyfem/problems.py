@@ -12,6 +12,7 @@ The boundary flux g takes the outward unit normals as a third argument; see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,7 +35,8 @@ class ProblemSpec:
     shape (nb, q), one row of q edge quadrature points per boundary edge,
     and ``normal`` is the (2, nb, 1) array of outward unit normals, so
     ``normal[0]`` and ``normal[1]`` broadcast against x and y.  The result
-    must broadcast to x.shape.
+    must broadcast to x.shape.  Construction raises ProblemConfigError
+    unless mu and rho are finite and > 0 and beta is finite and >= 0.
     """
 
     name: str
@@ -51,6 +53,15 @@ class ProblemSpec:
     exact_p: Callable | None = None
     exact_grad_p: Callable | None = None
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, rule, ok in (("mu", "> 0", self.mu > 0.0),
+                               ("rho", "> 0", self.rho > 0.0),
+                               ("beta", ">= 0", self.beta >= 0.0)):
+            value = getattr(self, name)
+            if not (ok and math.isfinite(value)):
+                raise ProblemConfigError(
+                    f"{name} must be finite and {rule}, not {value!r}")
 
     def has_exact(self) -> bool:
         return self.exact_u is not None and self.exact_grad_p is not None
@@ -255,8 +266,6 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
         mu = float(cfg.get("mu", 1.0))
         rho = float(cfg.get("rho", 1.0))
         beta = float(cfg.get("beta", 1.0))
-        if mu <= 0 or rho <= 0 or beta < 0:
-            raise ProblemConfigError("need mu > 0, rho > 0 and beta >= 0")
 
         kcfg = cfg.get("k_inverse", [["1", "0"], ["0", "1"]])
         rows = [[compile_expression(str(kcfg[i][j])) for j in range(2)]

@@ -327,7 +327,8 @@ def loop_refine(mesh, marked):
 
 
 # ---------------------------------------------------------------------------
-# Pressure solve: deflated CG that stops at ``tol`` only
+# Pressure solve: deflated CG that stops at ``tol`` only, and the dense
+# projected start
 # ---------------------------------------------------------------------------
 
 def tol_only_cg(s, rhs, x0=None, tol=1e-12, precond=None):
@@ -360,6 +361,21 @@ def tol_only_cg(s, rhs, x0=None, tol=1e-12, precond=None):
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise AssertionError("tol_only_cg did not converge")
+
+
+def dense_projected_start(s, rhs, x0, basis):
+    """``(x, r)``: the S-energy-minimal point x0 + D c of x0 + span(D), with
+    D = basis^T and c from the dense system D^T S D c = D^T r0, and its
+    mean-free residual; x0 and r0 as :func:`deflated_cg` forms them."""
+    s = np.asarray(s.toarray() if sp.issparse(s) else s)
+    d = np.asarray(basis, dtype=float).T
+    x = x0 - x0.mean()
+    r0 = (rhs - rhs.mean()) - s @ x
+    r0 -= r0.mean()
+    c = np.linalg.solve(d.T @ s @ d, d.T @ r0)
+    x = x + d @ c
+    r = (rhs - rhs.mean()) - s @ x
+    return x, r - r.mean()
 
 
 # ---------------------------------------------------------------------------

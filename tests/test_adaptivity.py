@@ -416,3 +416,23 @@ def test_compare_adaptive_uniform_indicator_fallback():
     rows = compare_adaptive_uniform(adaptive, uniform, [100])
     assert rows[0].adaptive_wins
     assert rows[0].measure(rows[0].adaptive) == pytest.approx(0.02)
+
+
+def test_projected_start_keeps_adaptive_levels_and_cuts_cg_work(monkeypatch):
+    from darcyfem import nonlinear_solver
+    prob = problems.reentrant_corner()
+    cfg = SolverConfig(alpha=10.0, stopping="indicator_balance",
+                       initial_guess="darcy")
+
+    def run():
+        states = adaptive_loop(prob, levels=3, initial_n=4, solver=cfg)
+        return [(s.result.iterations, s.result.converged, s.result.status,
+                 s.mesh.n_triangles) for s in states], \
+            [s.result.cg_total for s in states]
+
+    levels, cg = run()
+    monkeypatch.setattr(nonlinear_solver, "PROJECTION_DEPTH", 0)
+    plain_levels, plain_cg = run()
+    assert levels == plain_levels
+    assert all(converged for _, converged, _, _ in levels)
+    assert sum(cg) < sum(plain_cg)

@@ -22,7 +22,8 @@ from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
 
 from conftest import random_affine_problem as _random_problem, rng_loop
 from oracles import (DivergenceCoupling, assemble_step, coo_flux,
-                     dense_step_solve, einsum_schur, loop_aggregate,
+                     dense_projected_start, dense_step_solve, einsum_schur,
+                     loop_aggregate,
                      one_stage_galerkin_map, spgemm_hierarchy,
                      spgemm_prolongators, subtract_at_load, tol_only_cg)
 
@@ -344,6 +345,105 @@ def test_deflated_cg_forcing_stops_at_a_fraction_of_the_initial_residual():
     x_tiny, n_tiny = deflated_cg(s, rhs, x0=x0, forcing=1e-30)
     x_zero, n_zero = deflated_cg(s, rhs, x0=x0)
     assert n_tiny == n_zero and x_tiny.tobytes() == x_zero.tobytes()
+
+
+def _projection_case(seed, n=40):
+    """A graph Laplacian, a right side, a start x0 and the exact correction
+    x_true - x0 of that start."""
+    rng = np.random.default_rng(seed)
+    s = _graph_laplacian(rng, n)
+    x_true = rng.standard_normal(n)
+    rhs = s @ x_true
+    x0 = x_true + rng.standard_normal(n)
+    return rng, s, rhs, x0, x_true - x0
+
+
+def test_projected_start_matches_the_dense_oracle():
+    rng, s, rhs, x0, dx = _projection_case(29)
+    x = x0 - x0.mean()
+    r = rhs - rhs.mean() - s @ x
+    r -= r.mean()
+    for k in (1, 2, 3):
+        basis = dx + 0.3 * rng.standard_normal((k, dx.size))
+        moved, r_new, rn = assembly._projected_start(s, basis, x, r)
+        x_ref, r_ref = dense_projected_start(s, rhs, x0, basis)
+        assert np.abs(moved - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+        assert np.abs(r_new - r_ref).max() \
+            <= 1e-12 * np.linalg.norm(r) + 1e-12 * np.abs(r_ref).max()
+        assert rn == float(np.linalg.norm(r_new)) < np.linalg.norm(r)
+
+
+def test_no_basis_or_an_empty_one_keeps_the_bytes():
+    _, s, rhs, x0, _ = _projection_case(31)
+    for forcing in (0.0, 1e-3):
+        x, iters = deflated_cg(s, rhs, x0=x0, forcing=forcing)
+        for basis in (None, np.empty((0, rhs.size))):
+            xb, iters_b = deflated_cg(s, rhs, x0=x0, forcing=forcing,
+                                      basis=basis)
+            assert iters_b == iters and xb.tobytes() == x.tobytes()
+    x_old, iters_old = tol_only_cg(s, rhs, x0=x0)
+    x, iters = deflated_cg(s, rhs, x0=x0, basis=np.empty((0, rhs.size)))
+    assert iters == iters_old and x.tobytes() == x_old.tobytes()
+
+
+def test_a_basis_holding_the_correction_needs_no_iteration():
+    rng, s, rhs, x0, dx = _projection_case(37)
+    basis = np.stack([rng.standard_normal(dx.size), dx,
+                      rng.standard_normal(dx.size)])
+    x, iters = deflated_cg(s, rhs, x0=x0, forcing=1e-3, basis=basis)
+    assert iters == 0
+    assert _deflated_residual(s, rhs, x) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_projected_start_keeps_the_forcing_stop_of_x0():
+    """The stop stays forcing * |r(x0)|, not a fraction of the projected
+    start's residual."""
+    rng, s, rhs, x0, dx = _projection_case(41)
+    r0 = _deflated_residual(s, rhs, x0)
+    basis = dx + 0.5 * rng.standard_normal((2, dx.size))
+    for forcing in (1e-1, 1e-3):
+        x, iters = deflated_cg(s, rhs, x0=x0, forcing=forcing, basis=basis)
+        _, plain = deflated_cg(s, rhs, x0=x0, forcing=forcing)
+        assert 1 <= iters <= plain
+        assert _deflated_residual(s, rhs, x) <= 1.0001 * forcing * r0
+        # one iteration fewer does not reach the forcing term
+        with pytest.raises(LinearSolverError) as err:
+            deflated_cg(s, rhs, x0=x0, forcing=forcing, basis=basis,
+                        maxiter=iters - 1)
+        history = err.value.residual_history
+        assert history[0] == pytest.approx(r0, rel=1e-12)
+        assert forcing * r0 < history[1] < r0       # the start moved
+        assert history[-1] > forcing * r0
+
+
+def test_projected_start_falls_back_to_x0():
+    """A singular Gram matrix (a repeated direction), a non-finite
+    correction and a direction whose energy-minimal step raises the
+    residual norm leave the start at x0: the same bytes and count as no
+    basis."""
+    rng, s, rhs, x0, dx = _projection_case(43)
+    repeated = np.stack([dx + rng.standard_normal(dx.size)] * 2)
+    huge = np.stack([dx, np.full(dx.size, 1e300)])
+    # On the Laplacian of a path, r0 = u + v/10 and the direction u + v,
+    # with u and v the eigenvectors of the smallest non-zero and the
+    # largest eigenvalue (about 0.006 and 4): the step takes out about v,
+    # so the residual norm grows.
+    n = dx.size
+    path = spm.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2), 1.0],
+                      -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    _, vec = np.linalg.eigh(path.toarray())
+    u, v = vec[:, 1], vec[:, -1]
+    raising = (u + v)[None, :]
+    _, r_up = dense_projected_start(path, u + 0.1 * v, np.zeros(n), raising)
+    assert np.linalg.norm(r_up) > 1.3 * np.linalg.norm(u + 0.1 * v)
+    for mat, b, start, basis in ((s, rhs, x0, repeated), (s, rhs, x0, huge),
+                                 (path, u + 0.1 * v, np.zeros(n), raising)):
+        for forcing in (0.0, 1e-2):
+            x, iters = deflated_cg(mat, b, x0=start, forcing=forcing)
+            with np.errstate(over="ignore", invalid="ignore"):
+                xb, iters_b = deflated_cg(mat, b, x0=start, forcing=forcing,
+                                          basis=basis)
+            assert iters_b == iters and xb.tobytes() == x.tobytes()
 
 
 def test_deflated_cg_without_forcing_matches_tol_only_loop():

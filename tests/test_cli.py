@@ -258,7 +258,10 @@ def test_study_manifest_has_status_and_levels(tmp_path, command):
         assert set(level) == {"triangles", "iterations", "cg_total",
                               "status", "phases_s"}
         assert level["triangles"] == int(row[2])
-        assert 1 <= level["iterations"] <= level["cg_total"]
+        # A step whose projected CG start already meets its forcing term
+        # takes no CG iteration, so a level may count fewer CG iterations
+        # than steps (33 over 35 steps at N = 4).
+        assert 1 <= level["iterations"] and 1 <= level["cg_total"]
         assert level["status"] == "converged"
         assert set(level["phases_s"]) == {"t_assemble", "t_solve",
                                           "t_recover", "t_indicators",
@@ -311,9 +314,13 @@ def test_bad_n_exits_2(tmp_path):
     (["uniform-study", "--Ns", "4,6.5"], None),
     (["sweep", "--alphas", "1,-2"], None),
     (["sweep", "--alphas", "1,inf"], None),
+    (["adapt", "--problem", "reentrant-corner", "--beta", "nan"], None),
+    (["solve", "--problem", "trivial-zero", "--beta", "-1"], None),
+    (["solve"], {"problem": {"rho": "inf"}}),
 ], ids=["alpha-key", "levels-key", "max-iter-key", "guess-key", "max-iter",
         "alpha", "tol", "beta", "theta", "levels", "ns", "alphas-negative",
-        "alphas-inf"])
+        "alphas-inf", "beta-nan-corner", "beta-trivial-zero",
+        "problem-rho-inf"])
 def test_malformed_settings_exit_2_before_running(tmp_path, capsys, argv,
                                                   file_cfg):
     """A setting of the wrong type or out of range is a configuration

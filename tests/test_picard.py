@@ -152,6 +152,77 @@ def test_a_finished_step_that_fails_the_test_goes_on(monkeypatch):
         <= 1e-9 * np.abs(exact.iterates[1]).max()
 
 
+def _outer_path(res):
+    return res.iterations, res.converged, res.status
+
+
+def test_projected_start_keeps_the_sweep_and_cuts_cg_work(monkeypatch):
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = generate_structured(10)
+    real, solves = nonlinear_solver.solve, []
+
+    def recording(*args, **kw):
+        solves.append(real(*args, **kw))
+        return solves[-1]
+
+    monkeypatch.setattr(nonlinear_solver, "solve", recording)
+
+    def run():
+        solves.clear()
+        rows = alpha_sweep(m, prob, [4.0, 8.0, 16.0])
+        return rows, list(solves)
+
+    rows, projected = run()
+    monkeypatch.setattr(nonlinear_solver, "PROJECTION_DEPTH", 0)
+    plain_rows, plain = run()
+    assert [(r.iterations, r.converged, r.status) for r in rows] \
+        == [(r.iterations, r.converged, r.status) for r in plain_rows]
+    assert [_outer_path(r) for r in projected] \
+        == [_outer_path(r) for r in plain]
+    for a, b in zip(projected, plain):
+        assert a.converged and a.cg_total < b.cg_total
+        _assert_finished(m, prob, a)
+        assert a.indicators.eta_d_total == pytest.approx(
+            b.indicators.eta_d_total, rel=1e-8)
+
+
+def test_projected_start_keeps_a_started_solve(monkeypatch):
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = generate_structured(10)
+    cfg = SolverConfig(alpha=10.0)
+    pre = solve(m, prob, replace(cfg, max_iter=3))
+    start = (pre.u.values, pre.p.values)
+    projected = solve(m, prob, cfg, start=start)
+    monkeypatch.setattr(nonlinear_solver, "PROJECTION_DEPTH", 0)
+    plain = solve(m, prob, cfg, start=start)
+    assert _outer_path(projected) == _outer_path(plain)
+    assert projected.converged and projected.cg_total < plain.cg_total
+    _assert_finished(m, prob, projected)
+
+
+def test_only_forcing_solves_get_the_step_history(monkeypatch):
+    """Each solve starts without history; its k-th forcing solve gets the
+    last min(k - 1, PROJECTION_DEPTH) pressure changes, and the Darcy start
+    and the finishing solve get none."""
+    calls = []
+    solve_pressure = Assembler.solve_pressure
+
+    def recording(self, system, **kw):
+        basis = kw.get("basis")
+        calls.append(None if basis is None else len(basis))
+        return solve_pressure(self, system, **kw)
+
+    monkeypatch.setattr(Assembler, "solve_pressure", recording)
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = generate_structured(6)
+    cfg = SolverConfig(alpha=10.0, initial_guess="darcy")
+    for _ in range(2):
+        calls.clear()
+        res = solve(m, prob, cfg)
+        assert res.converged and res.iterations > 4
+        assert calls == [None, 0, 1, 2] + [3] * (res.iterations - 3) + [None]
+
+
 def test_solve_peak_memory():
     """The traced peak of one N = 112 solve above its set-up (Assembler,
     IndicatorContext, hierarchy and gradient operator) stays under

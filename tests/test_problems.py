@@ -217,6 +217,32 @@ def test_problem_from_config_rejects_bad_expression():
         problems.problem_from_config({"mu": -1.0})
 
 
+@pytest.mark.parametrize("beta", [-5.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("build", [
+    problems.gaussian_vortex,
+    problems.reentrant_corner,
+    lambda beta: problems.problem_from_config({"beta": beta}),
+], ids=["gaussian_vortex", "reentrant_corner", "problem_from_config"])
+def test_problem_constructors_reject_a_bad_beta(build, beta):
+    with pytest.raises(problems.ProblemConfigError, match="beta"):
+        build(beta=beta)
+
+
+@pytest.mark.parametrize("setting", [
+    {"mu": 0.0}, {"mu": float("inf")}, {"rho": -1.0}, {"rho": float("nan")},
+])
+def test_problem_spec_rejects_a_bad_mu_or_rho(setting):
+    with pytest.raises(problems.ProblemConfigError, match=next(iter(setting))):
+        problems.problem_from_config(setting)
+    with pytest.raises(problems.ProblemConfigError, match=next(iter(setting))):
+        replace(problems.gaussian_vortex(), **setting)
+
+
+def test_problem_spec_accepts_beta_zero():
+    assert problems.problem_from_config({"beta": 0.0}).beta == 0.0
+    assert problems.gaussian_vortex(beta=0.0).beta == 0.0
+
+
 def test_expression_randomized_polynomials():
     """String polynomials evaluate like numpy on random points."""
     for rng in rng_loop(31, 10):
