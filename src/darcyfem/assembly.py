@@ -119,23 +119,28 @@ def _projected_start(s, basis, x, r):
     """The S-energy-minimal point of x + span(basis) and its residual, or
     None when it does not lower the residual norm.
 
-    ``basis`` is a row-major (k, n) array.  The correction D c solves the
-    k x k Gram system (D^T S D) c = D^T r; no centring of D is needed,
-    because S 1 = 0.  A singular Gram matrix, or a residual that is not
-    below |r|, gives None; so does a non-finite c, whose residual norm is
-    not finite either.
+    ``basis`` is an (n, k) array D whose columns are the directions, so
+    that S D is one sparse product with no copy of D.  The correction D c
+    solves the k x k Gram system (D^T S D) c = D^T r; no centring of D is
+    needed, because S 1 = 0.  A singular Gram matrix, or a residual that is
+    not below |r|, gives None; so does a non-finite c, whose residual norm
+    is not finite either.
     """
-    sd = (s @ basis.T).T
+    sd = s @ basis
     try:
-        c = np.linalg.solve(basis @ sd.T, basis @ r)
+        c = np.linalg.solve(basis.T @ sd, basis.T @ r)
     except np.linalg.LinAlgError:
         return None
-    r_new = r - c @ sd
+    r_new = sd @ c
+    np.subtract(r, r_new, out=r_new)
     r_new -= r_new.mean()
+    del sd                  # not alive beside the moved start
     rn = float(np.linalg.norm(r_new))
     if not rn < float(np.linalg.norm(r)):        # also false for nan
         return None
-    return x + c @ basis, r_new, rn
+    x_new = basis @ c
+    x_new += x
+    return x_new, r_new, rn
 
 
 def deflated_cg(s, rhs, x0=None, tol=1e-12, maxiter=None, precond=None,
@@ -152,9 +157,9 @@ def deflated_cg(s, rhs, x0=None, tol=1e-12, maxiter=None, precond=None,
     positive ``forcing`` stops an inexact solve once the residual has fallen
     by that factor.
 
-    ``basis``, a row-major (k, n) array of directions (Fischer's projection,
-    CMAME 163, 1998), moves the start to the S-energy-minimal point of
-    x0 + span(basis) before the first iteration.  The move is taken only
+    ``basis``, an (n, k) array whose columns are directions (Fischer's
+    projection, CMAME 163, 1998), moves the start to the S-energy-minimal
+    point of x0 + span(basis) before the first iteration.  The move is taken only
     when it lowers the residual norm, so the start is never worse than x0;
     otherwise CG runs from x0 exactly as without a basis.  The stop stays
     measured against r_0, the residual of x0, so a better start makes the
@@ -181,7 +186,7 @@ def deflated_cg(s, rhs, x0=None, tol=1e-12, maxiter=None, precond=None,
     stop = max(tol * b_norm, forcing * history[0])
     if history[0] <= stop:
         return x, 0
-    if basis is not None and len(basis):
+    if basis is not None and basis.shape[1]:
         projected = _projected_start(s, basis, x, r)
         if projected is not None:
             x, r, rn = projected
@@ -394,7 +399,7 @@ class Assembler:
         velocity recovered from p.  With ``forcing > 0`` the solve stops once
         that defect is ``forcing`` times the defect of ``x0`` (see
         :func:`deflated_cg`), which is how an inexact fixed-point step ends.
-        ``basis`` (k, n) projects the start onto x0 + span(basis) when that
+        ``basis`` (n, k) projects the start onto x0 + span(basis) when that
         lowers the defect.  The V-cycle is built on the first solve of
         ``system`` and kept there.
         """

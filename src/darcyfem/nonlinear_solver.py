@@ -217,9 +217,11 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     err_l = math.inf
     g_prev = p1_gradients(p_prev)
     u_new, p_new, g_new, ind = u_prev, p_prev, g_prev, None
-    # The last pressure changes p_k - p_(k-1) of this solve's steps, filled
-    # in place round the ring; the first ``filled`` rows are in use.
-    ring = np.empty((PROJECTION_DEPTH, mesh.n_vertices))
+    # The last pressure changes p_k - p_(k-1) of this solve's steps, one per
+    # column, filled in place round the ring; the first ``filled`` columns
+    # are in use.  Columns, not rows, so that S times the ring is one sparse
+    # product that reads it in place.
+    ring = np.empty((mesh.n_vertices, PROJECTION_DEPTH))
     filled = 0
 
     def solve_pressure(system, x0, forcing=0.0, basis=None):
@@ -259,7 +261,7 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
         system = asm.step(u_prev.values, cfg.alpha)
         t1 = time.perf_counter()
         p_new, cg_it = solve_pressure(system, p_prev.values, CG_FORCING,
-                                      ring[:filled])
+                                      ring[:, :filled])
         row.t_assemble = t1 - t0
         row.t_solve = time.perf_counter() - t1
         u_new, g_new, err_l, ind, converged = evaluate(system, p_new, u_prev,
@@ -285,7 +287,7 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
             break
         if PROJECTION_DEPTH > 0:
             np.subtract(p_new.values, p_prev.values,
-                        out=ring[(it - 1) % PROJECTION_DEPTH])
+                        out=ring[:, (it - 1) % PROJECTION_DEPTH])
             filled = min(filled + 1, PROJECTION_DEPTH)
         u_prev, p_prev, g_prev = u_new, p_new, g_new
 

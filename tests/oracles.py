@@ -365,10 +365,10 @@ def tol_only_cg(s, rhs, x0=None, tol=1e-12, precond=None):
 
 def dense_projected_start(s, rhs, x0, basis):
     """``(x, r)``: the S-energy-minimal point x0 + D c of x0 + span(D), with
-    D = basis^T and c from the dense system D^T S D c = D^T r0, and its
+    D = basis, an (n, k) array of columns, and c from the dense system D^T S D c = D^T r0, and its
     mean-free residual; x0 and r0 as :func:`deflated_cg` forms them."""
     s = np.asarray(s.toarray() if sp.issparse(s) else s)
-    d = np.asarray(basis, dtype=float).T
+    d = np.asarray(basis, dtype=float)
     x = x0 - x0.mean()
     r0 = (rhs - rhs.mean()) - s @ x
     r0 -= r0.mean()

@@ -364,7 +364,7 @@ def test_projected_start_matches_the_dense_oracle():
     r = rhs - rhs.mean() - s @ x
     r -= r.mean()
     for k in (1, 2, 3):
-        basis = dx + 0.3 * rng.standard_normal((k, dx.size))
+        basis = dx[:, None] + 0.3 * rng.standard_normal((dx.size, k))
         moved, r_new, rn = assembly._projected_start(s, basis, x, r)
         x_ref, r_ref = dense_projected_start(s, rhs, x0, basis)
         assert np.abs(moved - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
@@ -377,19 +377,19 @@ def test_no_basis_or_an_empty_one_keeps_the_bytes():
     _, s, rhs, x0, _ = _projection_case(31)
     for forcing in (0.0, 1e-3):
         x, iters = deflated_cg(s, rhs, x0=x0, forcing=forcing)
-        for basis in (None, np.empty((0, rhs.size))):
+        for basis in (None, np.empty((rhs.size, 0))):
             xb, iters_b = deflated_cg(s, rhs, x0=x0, forcing=forcing,
                                       basis=basis)
             assert iters_b == iters and xb.tobytes() == x.tobytes()
     x_old, iters_old = tol_only_cg(s, rhs, x0=x0)
-    x, iters = deflated_cg(s, rhs, x0=x0, basis=np.empty((0, rhs.size)))
+    x, iters = deflated_cg(s, rhs, x0=x0, basis=np.empty((rhs.size, 0)))
     assert iters == iters_old and x.tobytes() == x_old.tobytes()
 
 
 def test_a_basis_holding_the_correction_needs_no_iteration():
     rng, s, rhs, x0, dx = _projection_case(37)
     basis = np.stack([rng.standard_normal(dx.size), dx,
-                      rng.standard_normal(dx.size)])
+                      rng.standard_normal(dx.size)], axis=1)
     x, iters = deflated_cg(s, rhs, x0=x0, forcing=1e-3, basis=basis)
     assert iters == 0
     assert _deflated_residual(s, rhs, x) <= 1e-12 * np.linalg.norm(rhs)
@@ -400,7 +400,7 @@ def test_projected_start_keeps_the_forcing_stop_of_x0():
     start's residual."""
     rng, s, rhs, x0, dx = _projection_case(41)
     r0 = _deflated_residual(s, rhs, x0)
-    basis = dx + 0.5 * rng.standard_normal((2, dx.size))
+    basis = dx[:, None] + 0.5 * rng.standard_normal((dx.size, 2))
     for forcing in (1e-1, 1e-3):
         x, iters = deflated_cg(s, rhs, x0=x0, forcing=forcing, basis=basis)
         _, plain = deflated_cg(s, rhs, x0=x0, forcing=forcing)
@@ -417,13 +417,13 @@ def test_projected_start_keeps_the_forcing_stop_of_x0():
 
 
 def test_projected_start_falls_back_to_x0():
-    """A singular Gram matrix (a repeated direction), a non-finite
-    correction and a direction whose energy-minimal step raises the
-    residual norm leave the start at x0: the same bytes and count as no
-    basis."""
+    """A singular Gram matrix (a zero direction), a non-finite correction
+    and a direction whose energy-minimal step raises the residual norm
+    leave the start at x0: the same bytes and count as no basis."""
     rng, s, rhs, x0, dx = _projection_case(43)
-    repeated = np.stack([dx + rng.standard_normal(dx.size)] * 2)
-    huge = np.stack([dx, np.full(dx.size, 1e300)])
+    singular = np.stack([dx + rng.standard_normal(dx.size),
+                         np.zeros(dx.size)], axis=1)
+    huge = np.stack([dx, np.full(dx.size, 1e300)], axis=1)
     # On the Laplacian of a path, r0 = u + v/10 and the direction u + v,
     # with u and v the eigenvectors of the smallest non-zero and the
     # largest eigenvalue (about 0.006 and 4): the step takes out about v,
@@ -433,10 +433,10 @@ def test_projected_start_falls_back_to_x0():
                       -np.ones(n - 1)], [-1, 0, 1], format="csr")
     _, vec = np.linalg.eigh(path.toarray())
     u, v = vec[:, 1], vec[:, -1]
-    raising = (u + v)[None, :]
+    raising = (u + v)[:, None]
     _, r_up = dense_projected_start(path, u + 0.1 * v, np.zeros(n), raising)
     assert np.linalg.norm(r_up) > 1.3 * np.linalg.norm(u + 0.1 * v)
-    for mat, b, start, basis in ((s, rhs, x0, repeated), (s, rhs, x0, huge),
+    for mat, b, start, basis in ((s, rhs, x0, singular), (s, rhs, x0, huge),
                                  (path, u + 0.1 * v, np.zeros(n), raising)):
         for forcing in (0.0, 1e-2):
             x, iters = deflated_cg(mat, b, x0=start, forcing=forcing)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import darcyfem
-from darcyfem import problems
+from darcyfem import nonlinear_solver, problems
 from darcyfem.cli import main, merge_config, build_parser
 from darcyfem.mesh import save_mesh
 from darcyfem.spaces import load_p0, load_p1
@@ -246,7 +246,15 @@ _STUDIES = {
 
 
 @pytest.mark.parametrize("command", sorted(_STUDIES))
-def test_study_manifest_has_status_and_levels(tmp_path, command):
+def test_study_manifest_has_status_and_levels(tmp_path, monkeypatch,
+                                              command):
+    (tmp_path / "projected").mkdir()
+    code, out = _run(tmp_path / "projected", *_STUDIES[command])
+    assert code == 0
+    projected = json.loads((out / "manifest.json").read_text())
+    # The levels below are checked on the study whose steps start CG from
+    # p_n, so that each step takes at least one CG iteration.
+    monkeypatch.setattr(nonlinear_solver, "PROJECTION_DEPTH", 0)
     code, out = _run(tmp_path, *_STUDIES[command])
     assert code == 0
     doc = json.loads((out / "manifest.json").read_text())
@@ -258,10 +266,7 @@ def test_study_manifest_has_status_and_levels(tmp_path, command):
         assert set(level) == {"triangles", "iterations", "cg_total",
                               "status", "phases_s"}
         assert level["triangles"] == int(row[2])
-        # A step whose projected CG start already meets its forcing term
-        # takes no CG iteration, so a level may count fewer CG iterations
-        # than steps (33 over 35 steps at N = 4).
-        assert 1 <= level["iterations"] and 1 <= level["cg_total"]
+        assert 1 <= level["iterations"] <= level["cg_total"]
         assert level["status"] == "converged"
         assert set(level["phases_s"]) == {"t_assemble", "t_solve",
                                           "t_recover", "t_indicators",
@@ -270,6 +275,16 @@ def test_study_manifest_has_status_and_levels(tmp_path, command):
         assert level["phases_s"]["setup"] > 0.0
     assert sum(level["cg_total"] for level in doc["levels"]) \
         > sum(level["iterations"] for level in doc["levels"])
+    # The projected CG start keeps every level's steps and mesh and cuts the
+    # study's CG work (a level of a few steps may keep its count).
+    assert len(projected["levels"]) == len(doc["levels"])
+    for level, plain in zip(projected["levels"], doc["levels"]):
+        assert level["status"] == plain["status"]
+        assert level["triangles"] == plain["triangles"]
+        assert level["iterations"] == plain["iterations"]
+        assert level["cg_total"] <= plain["cg_total"]
+    assert sum(level["cg_total"] for level in projected["levels"]) \
+        < sum(level["cg_total"] for level in doc["levels"])
 
 
 @pytest.mark.parametrize("command", sorted(_STUDIES))
