@@ -14,7 +14,11 @@ smoothed-aggregation V-cycle (:mod:`.multigrid`) whose hierarchy is built
 once per mesh from S0 = B diag(1/|k|) B^T.  Velocity recovery
 u_k = A_k^-1 (F_k - |k| grad p|_k) then satisfies the momentum rows exactly.
 Each step's system keeps its V-cycle, so a step whose solve is continued
-(the finishing solve of an inexact step) builds it once.
+(the finishing solve of an inexact step) builds it once; a system may also
+be given a V-cycle built for an earlier step's S, with its own S swapped in
+as the finest operator (``VCycle.with_finest``), which
+:func:`~darcyfem.nonlinear_solver.solve` does while the drag weights stay
+close to those the V-cycle was built on.
 """
 
 from __future__ import annotations
@@ -83,7 +87,8 @@ class PressureSystem:
     """Assembled Schur system S p = G plus the step right side F.
 
     ``vcycle`` is the multigrid preconditioner of S, built by the first
-    solve of this system and reused by later ones.
+    solve of this system unless the caller has set one, and reused by
+    later solves.
     """
 
     s: sp.csr_matrix
@@ -333,10 +338,17 @@ class Assembler:
 
     # -- per-step assembly --------------------------------------------------
 
-    def element_blocks(self, u_prev: np.ndarray, alpha: float) -> ElementBlocks:
+    def drag(self, u_prev: np.ndarray, alpha: float) -> np.ndarray:
+        """d_k = alpha + (beta/rho) |u_prev_k|, the weight of |k| I in A_k."""
         pr = self.problem
-        diag = (alpha + (pr.beta / pr.rho) * row_norms(u_prev)) \
-            * self.mesh.areas
+        return alpha + (pr.beta / pr.rho) * row_norms(u_prev)
+
+    def element_blocks(self, u_prev: np.ndarray, alpha: float) -> ElementBlocks:
+        return self._blocks(self.drag(u_prev, alpha))
+
+    def _blocks(self, drag: np.ndarray) -> ElementBlocks:
+        """A_k = K-term + d_k |k| I and its inverse for the weights d_k."""
+        diag = drag * self.mesh.areas
         a = self._k_rows.copy()                # rows A_00, A_01, A_10, A_11
         a[0] += diag
         a[3] += diag
@@ -401,7 +413,7 @@ class Assembler:
         :func:`deflated_cg`), which is how an inexact fixed-point step ends.
         ``basis`` (n, k) projects the start onto x0 + span(basis) when that
         lowers the defect.  The V-cycle is built on the first solve of
-        ``system`` and kept there.
+        ``system``, unless the caller has set one, and kept there.
         """
         if system.vcycle is None:
             system.vcycle = VCycle(self.hierarchy, system.s)

@@ -298,7 +298,7 @@ def _rounded(phases: dict) -> dict:
 
 
 def _manifest(out, cfg, timings, outputs, status=None, phases=None,
-              levels=None, runs=None):
+              levels=None, runs=None, vcycle_builds=None):
     clean = {k: v for k, v in cfg.items() if v is not None}
     doc = {
         "config": clean,
@@ -319,6 +319,8 @@ def _manifest(out, cfg, timings, outputs, status=None, phases=None,
         doc["levels"] = levels
     if runs is not None:
         doc["runs"] = runs
+    if vcycle_builds is not None:
+        doc["vcycle_builds"] = vcycle_builds
     path = os.path.join(out, "manifest.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -364,7 +366,8 @@ def _cmd_solve(cfg, run, problem, out):
             fh.write(svg)
         outputs.append(name)
     _manifest(out, cfg, {"solve": t_solve}, outputs + ["manifest.json"],
-              status=result.status, phases=phase_totals(result.trace))
+              status=result.status, phases=phase_totals(result.trace),
+              vcycle_builds=result.vcycle_builds)
     print(f"converged={result.converged} iterations={result.iterations} "
           f"err_L={result.err_l:.3e} status={result.status}")
     return 0 if result.converged else 4
@@ -383,6 +386,7 @@ def _cmd_sweep(cfg, run, problem, out):
                 for r in rows])
     _manifest(out, cfg, {"sweep": t_sweep}, ["sweep.csv", "manifest.json"],
               runs=[{"alpha": r.alpha, "status": r.status,
+                     "vcycle_builds": r.vcycle_builds,
                      "phases_s": _rounded(r.phases_s)} for r in rows])
     best = min((r for r in rows if r.converged),
                key=lambda r: r.iterations, default=None)
@@ -403,12 +407,13 @@ _STUDY_HEADER = ("level", "vertices", "triangles", "eta_L", "eta_D",
 
 def _study_manifest(out, cfg, timings, outputs, states):
     """Manifest of a multi-level study: the last level's status and, per
-    level, its triangles, outer iterations, CG iterations, status and
-    ``phases_s``, the phase totals of its steps plus the ``setup`` time of
-    its Assembler and IndicatorContext."""
+    level, its triangles, outer iterations, CG iterations, V-cycle builds,
+    status and ``phases_s``, the phase totals of its steps plus the
+    ``setup`` time of its Assembler and IndicatorContext."""
     levels = [{"triangles": s.mesh.n_triangles,
                "iterations": s.result.iterations,
                "cg_total": s.result.cg_total,
+               "vcycle_builds": s.result.vcycle_builds,
                "status": s.result.status,
                "phases_s": _rounded({**phase_totals(s.result.trace),
                                      "setup": s.setup_s})} for s in states]

@@ -25,7 +25,8 @@ the factors take less than half the time and peak memory to build.
 Every coarse operator, of S0 while the hierarchy is built and of each
 solved S (which must have the pattern of S0, as every fixed-point step's
 Schur matrix does), is Q2 @ (Q1 @ data) per level; each S gets its own and a
-dense inverse of the coarsest one (:class:`VCycle`).  P carries constants
+dense inverse of the coarsest one (:class:`VCycle`), or shares those of a
+V-cycle built for a nearby S (:meth:`VCycle.with_finest`).  P carries constants
 to constants and every Galerkin operator keeps them as its kernel, which
 the coarsest solve removes with a rank-one shift.
 
@@ -34,6 +35,8 @@ Only numpy and ``scipy.sparse`` are used: ``scipy.sparse.linalg`` and
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import scipy.sparse as sp
@@ -279,9 +282,8 @@ class VCycle:
 
     def __init__(self, hierarchy: SmoothedAggregation, s: sp.csr_matrix):
         patterns = hierarchy.patterns
-        if not patterns[0].matches(s):
-            raise ValueError("the matrix does not have the sparsity pattern "
-                             "the multigrid hierarchy was built on")
+        self.pattern = patterns[0]
+        self._check(s)
         self.levels = []
         data = s.data
         for level, (pattern, (p, r), (q1, q2)) in enumerate(
@@ -295,6 +297,31 @@ class VCycle:
         dense = coarsest.dense(data)
         shift = float(np.mean(data[coarsest.diag]))
         self.coarse = np.linalg.inv(dense + shift / coarsest.n)
+
+    def _check(self, s: sp.csr_matrix) -> None:
+        if not self.pattern.matches(s):
+            raise ValueError("the matrix does not have the sparsity pattern "
+                             "the multigrid hierarchy was built on")
+
+    def with_finest(self, s: sp.csr_matrix | None) -> VCycle:
+        """This V-cycle with ``s``, on the same pattern, as its finest
+        operator.
+
+        Everything else is shared, not rebuilt: the transfer operators, the
+        coarse operators and the coarsest inverse, and the Jacobi weights of
+        every level, the finest included, which stay those of the matrix
+        the V-cycle was built on.  A single-level V-cycle has no operator
+        to swap and keeps its coarsest inverse.  ``s = None`` gives a
+        V-cycle that holds no finest operator and cannot be applied: a way
+        to keep one without keeping its matrix alive.
+        """
+        if s is not None:
+            self._check(s)
+        out = copy.copy(self)
+        if self.levels:
+            _, w, p, r = self.levels[0]
+            out.levels = [(s, w, p, r), *self.levels[1:]]
+        return out
 
     def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:
         if level == len(self.levels):

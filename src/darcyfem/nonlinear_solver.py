@@ -51,6 +51,11 @@ ERROR_QUAD_DEGREE = 10
 # every step from p_n.
 CG_FORCING = 1e-3
 PROJECTION_DEPTH = 3
+# A step keeps the last V-cycle its solve built while every drag weight
+# d_k = alpha + (beta/rho) |u_prev_k| is within this fraction of the one it
+# was built on (see ``_within_drift``); 0 builds one every step.  Sound for
+# values below 1/3.
+VCYCLE_DRIFT = 0.05
 
 
 @dataclass
@@ -137,6 +142,7 @@ class SolveResult:
     alpha: float
     cg_total: int
     status: str                  # "converged" | "max_iter" | "nonfinite"
+    vcycle_builds: int           # V-cycles built, the Darcy start's included
     iterates: list[np.ndarray] | None = None
 
 
@@ -163,6 +169,26 @@ def relative_increment(areas, u_new, g_new, g_prev, du) -> float:
     return (_l3(areas, du) + _l32(areas, row_norms(g_new - g_prev))) / denom
 
 
+def _within_drift(built: np.ndarray, drag: np.ndarray) -> bool:
+    """Whether |drag - built| <= VCYCLE_DRIFT * built on every element, so
+    that a V-cycle built on the weights ``built`` may serve the step with
+    the weights ``drag``.  A ratio that is nan or inf (a zero weight in
+    ``built``, a non-finite iterate) fails the test.
+
+    A_k = K-term + d_k |k| I with an SPD K-term, so with delta =
+    VCYCLE_DRIFT the bound gives (1 + delta)^-1 S_built <= S <= (1 -
+    delta)^-1 S_built.  Hence the condition number of CG with the kept
+    V-cycle grows by at most (1 + delta) / (1 - delta), about 1.105 at
+    delta = 0.05.  The kept damped-Jacobi weights, omega D^-1 with
+    omega = 4 / (3 rho) of S_built, still reduce every error mode of S
+    while 4 / (3 (1 - delta)) < 2, that is for delta < 1/3; the V-cycle
+    stays symmetric, and positive on mean-zero vectors.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(drag - built) / built
+    return bool(np.all(ratio <= VCYCLE_DRIFT))
+
+
 def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
           assembler: Assembler | None = None,
           context: IndicatorContext | None = None,
@@ -187,6 +213,14 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     a pressure solved to ``cfg.cg_tol``, unless the step increment was not
     finite.  A LinearSolverError from a pressure solve records the step
     whose solve raised as ``step`` (0 for the Darcy start).
+
+    A step whose drag weights d_k = alpha + (beta/rho) |u_prev_k| all lie
+    within ``VCYCLE_DRIFT`` of those the last V-cycle of this solve was
+    built on (|d_k - d_built,k| <= VCYCLE_DRIFT d_built,k) keeps that
+    V-cycle, with its own S swapped in as the finest operator; any other
+    step builds its own (see :func:`_within_drift` for the bound).  The
+    kept V-cycle holds no S of its own, and nothing is kept from one solve
+    to the next.  ``vcycle_builds`` counts the V-cycles built.
     """
     cfg = config or SolverConfig()
     asm = assembler or Assembler(mesh, problem, cfg.volume_degree,
@@ -194,6 +228,7 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     ctx = context or IndicatorContext(mesh, problem, cfg.volume_degree)
 
     zero_u = np.zeros((mesh.n_triangles, 2))
+    builds = 0
     if start is not None:
         u0, p0 = (np.array(v, dtype=np.float64) for v in start)
         if u0.shape != zero_u.shape or p0.shape != (mesh.n_vertices,):
@@ -206,6 +241,7 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
         system = asm.step(zero_u, 0.0)
         p_prev, _ = asm.solve_pressure(system, tol=cfg.cg_tol)
         u_prev = asm.recover_velocity(system, p_prev)
+        builds = 1
     else:
         u_prev = P0VectorField(mesh, zero_u.copy())
         p_prev = P1ScalarField(mesh, np.zeros(mesh.n_vertices))
@@ -223,6 +259,9 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     # product that reads it in place.
     ring = np.empty((mesh.n_vertices, PROJECTION_DEPTH))
     filled = 0
+    # The last V-cycle a step of this solve built, without its finest
+    # operator, and the drag weights it was built on.
+    kept = kept_drag = None
 
     def solve_pressure(system, x0, forcing=0.0, basis=None):
         """The step's pressure solve; an error records the step ``it``."""
@@ -260,8 +299,20 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
         t0 = time.perf_counter()
         system = asm.step(u_prev.values, cfg.alpha)
         t1 = time.perf_counter()
+        # Keep the last V-cycle while the drag weights stay close to those
+        # it was built on; otherwise drop it before the solve builds one.
+        drag = asm.drag(u_prev.values, cfg.alpha) if VCYCLE_DRIFT > 0.0 \
+            else None
+        if kept is not None and _within_drift(kept_drag, drag):
+            system.vcycle = kept.with_finest(system.s)
+        else:
+            kept, kept_drag = None, drag
+            builds += 1
+        del drag                # not alive beside the next step's assembly
         p_new, cg_it = solve_pressure(system, p_prev.values, CG_FORCING,
                                       ring[:, :filled])
+        if kept is None and VCYCLE_DRIFT > 0.0:
+            kept = system.vcycle.with_finest(None)
         row.t_assemble = t1 - t0
         row.t_solve = time.perf_counter() - t1
         u_new, g_new, err_l, ind, converged = evaluate(system, p_new, u_prev,
@@ -300,7 +351,8 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     return SolveResult(u=u_new, p=p_new, u_before=u_prev, converged=converged,
                        iterations=len(trace), err_l=err_l, indicators=ind,
                        trace=trace, alpha=cfg.alpha, cg_total=cg_total,
-                       status=status, iterates=iterates)
+                       status=status, vcycle_builds=builds,
+                       iterates=iterates)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +435,8 @@ def true_error(mesh: Mesh, problem: ProblemSpec, u: P0VectorField,
 @dataclass
 class SweepRow:
     """One alpha of a sweep.  ``iterations`` is the step count of the solve,
-    or the step whose pressure solve raised.  ``phases_s`` holds the
+    or the step whose pressure solve raised.  ``vcycle_builds`` is the
+    solve's (None when the pressure solve raised).  ``phases_s`` holds the
     solve's :func:`phase_totals` plus ``true_error``, the time of the error
     evaluation (empty when the pressure solve raised); rows compare equal
     without it."""
@@ -394,6 +447,7 @@ class SweepRow:
     err: float                   # relative error, nan without a reference
     log10_err: float
     status: str                  # SolveResult.status or "linear_solver_error"
+    vcycle_builds: int | None = None
     phases_s: dict = field(default_factory=dict, compare=False)
 
     @classmethod
@@ -403,7 +457,7 @@ class SweepRow:
                    converged=result.converged, err=rel,
                    log10_err=math.log10(rel) if rel and math.isfinite(rel)
                    else math.nan, status=result.status,
-                   phases_s=phases_s)
+                   vcycle_builds=result.vcycle_builds, phases_s=phases_s)
 
 
 def alpha_sweep(mesh: Mesh, problem: ProblemSpec, alphas,

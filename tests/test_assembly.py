@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,14 +10,14 @@ import pytest
 import scipy.sparse as spm
 
 import darcyfem
-from darcyfem import assembly, problems
+from darcyfem import assembly, nonlinear_solver, problems
 from darcyfem.assembly import (Assembler, CompatibilityError, ElementBlocks,
                                LinearSolverError, PressureSystem, deflated_cg)
 from darcyfem.indicators import IndicatorContext
 from darcyfem.mesh import generate_lshape, generate_structured, refine
 from darcyfem.multigrid import (MAX_COARSE, Pattern, SmoothedAggregation,
                                 VCycle, _aggregate)
-from darcyfem.nonlinear_solver import SolverConfig, solve
+from darcyfem.nonlinear_solver import SolverConfig, _within_drift, solve
 from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
                               project_mean_zero)
 
@@ -764,7 +765,7 @@ def test_vcycle_rejects_a_matrix_with_another_pattern():
     prob = problems.gaussian_vortex(beta=10.0)
     asm = Assembler(problems.initial_mesh(prob, 12), prob)
     s0 = asm._reference_schur()
-    VCycle(asm.hierarchy, s0)
+    vcycle = VCycle(asm.hierarchy, s0)
     # Same values, but the exact zeros on the diagonal edges are dropped.
     pruned = s0.copy()
     pruned.eliminate_zeros()
@@ -773,6 +774,8 @@ def test_vcycle_rejects_a_matrix_with_another_pattern():
     for other in (pruned, spm.identity(s0.shape[0], format="csr")):
         with pytest.raises(ValueError, match="sparsity pattern"):
             VCycle(asm.hierarchy, other)
+        with pytest.raises(ValueError, match="sparsity pattern"):
+            vcycle.with_finest(other)
 
 
 def test_vcycle_takes_the_matrix_on_its_pattern_as_the_finest_level():
@@ -848,8 +851,10 @@ def test_forchheimer_pairing_monotone_with_cubic_bound():
 
 
 def test_one_vcycle_per_step(monkeypatch):
-    """A solve builds one V-cycle per fixed-point step: the finishing solve
-    of the last step reuses its step's V-cycle."""
+    """With ``VCYCLE_DRIFT = 0`` a solve builds one V-cycle per fixed-point
+    step: the finishing solve of the last step reuses its step's V-cycle.
+    With the default drift it takes the same steps, builds fewer, and
+    ``vcycle_builds`` counts them."""
     built, solves = [], []
 
     class CountingVCycle(VCycle):
@@ -866,10 +871,84 @@ def test_one_vcycle_per_step(monkeypatch):
     monkeypatch.setattr(assembly, "VCycle", CountingVCycle)
     monkeypatch.setattr(Assembler, "solve_pressure", counted)
     prob = problems.gaussian_vortex(beta=10.0)
-    res = solve(generate_structured(8), prob, SolverConfig(alpha=10.0))
+
+    def run():
+        built.clear()
+        solves.clear()
+        return solve(generate_structured(8), prob, SolverConfig(alpha=10.0))
+
+    kept = run()
+    kept_builds = len(built)
+    assert kept.converged and kept.vcycle_builds == kept_builds
+    monkeypatch.setattr(nonlinear_solver, "VCYCLE_DRIFT", 0.0)
+    res = run()
     assert res.converged
     assert len(solves) == res.iterations + 1      # the last step is finished
     assert len(built) == res.iterations
+    assert res.vcycle_builds == len(built)
+    assert kept.iterations == res.iterations
+    assert kept_builds < len(built)
+
+
+def test_within_drift_rejects_what_it_cannot_bound():
+    built = np.array([1.0, 2.0, 4.0])
+    drift = nonlinear_solver.VCYCLE_DRIFT
+    assert 0.0 <= drift < 1.0 / 3.0
+    assert _within_drift(built, built)
+    assert _within_drift(built, built * (1.0 + 0.99 * drift))
+    assert _within_drift(built, built * (1.0 - 0.99 * drift))
+    assert not _within_drift(built, built * (1.0 + 1.01 * drift))
+    assert not _within_drift(built, built * (1.0 - 1.01 * drift))
+    for bad_built, drag in (([0.0, 2.0, 4.0], [0.0, 2.0, 4.0]),
+                            ([0.0, 2.0, 4.0], [1e-300, 2.0, 4.0]),
+                            ([math.inf, 2.0, 4.0], [1.0, 2.0, 4.0]),
+                            ([1.0, 2.0, 4.0], [math.nan, 2.0, 4.0]),
+                            ([1.0, 2.0, 4.0], [math.inf, 2.0, 4.0])):
+        assert not _within_drift(np.array(bad_built), np.array(drag))
+
+
+@pytest.mark.parametrize("signs", ["up", "down", "mixed"])
+def test_kept_vcycle_on_drifted_weights_stays_spd(signs):
+    """A V-cycle built on S(u), given the S of drag weights drifted by
+    ``VCYCLE_DRIFT`` as its finest operator, keeps its Jacobi weights, is
+    symmetric and positive on mean-zero vectors, to rounding, and CG with
+    it reaches ``cg_tol``."""
+    drift = nonlinear_solver.VCYCLE_DRIFT
+    assert 0.0 <= drift < 1.0 / 3.0
+    prob = problems.reentrant_corner(beta=10.0)
+    asm = Assembler(_graded_lshape(), prob)
+    rng = np.random.default_rng(23)
+    m, n = asm.mesh.n_triangles, asm.mesh.n_vertices
+    u = rng.standard_normal((m, 2))
+    built = asm.step(u, 1.0)
+    sigma = {"up": np.ones(m), "down": -np.ones(m),
+             "mixed": rng.choice([-1.0, 1.0], m)}[signs]
+    drag = asm.drag(u, 1.0) * (1.0 + drift * sigma)
+    s = asm._schur(asm._blocks(drag).inverses)
+    assert len(asm.hierarchy.sizes) > 2
+    vcycle = VCycle(asm.hierarchy, built.s)
+    kept = vcycle.with_finest(None)
+    assert kept.levels[0][0] is None and vcycle.levels[0][0] is built.s
+    swapped = kept.with_finest(s)
+    assert swapped.levels[0][0] is s
+    assert swapped.levels[0][1] is vcycle.levels[0][1]
+    assert swapped.coarse is vcycle.coarse
+
+    centred = np.eye(n) - 1.0 / n
+    mat = np.stack([swapped(col) for col in centred.T], axis=1)
+    scale = np.abs(mat).max()
+    assert np.abs(mat - mat.T).max() <= 1e-13 * scale
+    # Constants are in the kernel of mat; lifting them to ``scale`` leaves
+    # the eigenvalues on the mean-zero vectors as they are.
+    eig = np.linalg.eigvalsh(0.5 * (mat + mat.T) + scale / n)
+    assert eig.min() > 1e-8 * eig.max()
+
+    g = rng.standard_normal(n)
+    x, iters = deflated_cg(s, g, tol=1e-12, precond=swapped)
+    b = g - g.mean()
+    r = b - s @ x
+    assert 1 <= iters <= 60
+    assert np.linalg.norm(r - r.mean()) <= 10 * 1e-12 * np.linalg.norm(b)
 
 
 def test_kept_vcycle_gives_the_bytes_of_a_fresh_one():

@@ -134,8 +134,10 @@ def test_solve_manifest_has_phase_totals(tmp_path):
     assert set(phases) == {"t_assemble", "t_solve", "t_recover",
                            "t_indicators"}
     assert all(v >= 0.0 for v in phases.values())
-    assert (out / "trace.csv").read_text().splitlines()[0] \
-        == "iter,err_L,eta_L,eta_D,nbr_cg_iters"
+    trace = (out / "trace.csv").read_text().splitlines()
+    assert trace[0] == "iter,err_L,eta_L,eta_D,nbr_cg_iters"
+    builds = json.loads((out / "manifest.json").read_text())["vcycle_builds"]
+    assert 1 <= builds <= len(trace) - 1
 
 
 def test_solve_reports_its_status(tmp_path, capsys):
@@ -264,9 +266,11 @@ def test_study_manifest_has_status_and_levels(tmp_path, monkeypatch,
     assert len(doc["levels"]) == len(rows) == 2
     for level, row in zip(doc["levels"], rows):
         assert set(level) == {"triangles", "iterations", "cg_total",
-                              "status", "phases_s"}
+                              "vcycle_builds", "status", "phases_s"}
         assert level["triangles"] == int(row[2])
         assert 1 <= level["iterations"] <= level["cg_total"]
+        # the Darcy start builds one too
+        assert 1 <= level["vcycle_builds"] <= level["iterations"] + 1
         assert level["status"] == "converged"
         assert set(level["phases_s"]) == {"t_assemble", "t_solve",
                                           "t_recover", "t_indicators",
@@ -417,6 +421,9 @@ def test_sweep_manifest_lists_a_status_per_alpha(tmp_path, monkeypatch):
         assert all(v >= 0.0 for v in r["phases_s"].values())
     assert runs[0]["phases_s"]["true_error"] > 0.0
     assert runs[1]["phases_s"] == {}
+    assert runs[1]["vcycle_builds"] is None
+    for r in (runs[0], runs[2]):
+        assert r["vcycle_builds"] >= 1
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "alpha,nbr,converged,err,log10_err"
     assert [l.split(",")[2] for l in lines[1:]] == ["1", "0", "0"]

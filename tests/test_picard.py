@@ -186,6 +186,34 @@ def test_projected_start_keeps_the_sweep_and_cuts_cg_work(monkeypatch):
             b.indicators.eta_d_total, rel=1e-8)
 
 
+def test_sweep_rows_are_standalone_solves(monkeypatch):
+    """Nothing is kept from one solve to the next: each alpha of a sweep,
+    whose solves share one Assembler, gives the bytes of a solve with a
+    fresh one.  The repeated large alpha starts where a V-cycle kept from
+    the previous solve would be within ``VCYCLE_DRIFT``."""
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = generate_structured(10)
+    cfg = SolverConfig(max_iter=30)
+    real, solves = nonlinear_solver.solve, []
+
+    def recording(*args, **kw):
+        solves.append(real(*args, **kw))
+        return solves[-1]
+
+    monkeypatch.setattr(nonlinear_solver, "solve", recording)
+    rows = alpha_sweep(m, prob, [1000.0, 1000.0, 8.0], cfg)
+    assert len(solves) == len(rows) == 3
+    for row, shared in zip(rows, solves):
+        alone = real(m, prob, replace(cfg, alpha=row.alpha))
+        assert shared.u.values.tobytes() == alone.u.values.tobytes()
+        assert shared.p.values.tobytes() == alone.p.values.tobytes()
+        assert shared.trace == alone.trace
+        assert (shared.status, shared.cg_total, shared.vcycle_builds) \
+            == (alone.status, alone.cg_total, alone.vcycle_builds)
+        assert row.vcycle_builds == alone.vcycle_builds
+    assert rows[0].vcycle_builds < rows[0].iterations
+
+
 def test_projected_start_keeps_a_started_solve(monkeypatch):
     prob = problems.gaussian_vortex(beta=10.0)
     m = generate_structured(10)
@@ -226,9 +254,11 @@ def test_only_forcing_solves_get_the_step_history(monkeypatch):
 def test_solve_peak_memory():
     """The traced peak of one N = 112 solve above its set-up (Assembler,
     IndicatorContext, hierarchy and gradient operator) stays under
-    9.7 MiB: 8.8 MiB when each step frees the previous step's system and
-    indicators before it assembles its own, 10.6 MiB when both steps'
-    were alive together."""
+    9.7 MiB: 9.3 MiB when each step frees the previous step's system and
+    indicators before it assembles its own and the kept V-cycle holds no
+    S (9.1 MiB with ``VCYCLE_DRIFT = 0``), 10.0 MiB when the kept V-cycle
+    held the S it was built on, 11.2 MiB when both steps' systems and
+    indicators were alive together."""
     prob = problems.gaussian_vortex(beta=10.0)
     m = problems.initial_mesh(prob, 112)
     asm = Assembler(m, prob)
