@@ -165,21 +165,47 @@ def _rotate_longest_edge_first(xy, tris):
     return rolled
 
 
+def stable_sort(keys: np.ndarray, bound: int):
+    """``(order, keys[order])`` for integer ``keys`` in [0, bound), with
+    ``order = np.argsort(keys, kind="stable")``.
+
+    Each key is packed with its position into one int64,
+    ``(key << b) | position`` with b the bit length of ``keys.size - 1``.
+    The packed values are unique, so numpy's default (SIMD quicksort) sort
+    of them is deterministic and gives the stable order, which is the low b
+    bits; the sorted keys are the high bits.  This is several times faster
+    than the stable argsort (timsort) on the scrambled keys of graded
+    meshes.  Keys that do not fit beside their positions in 63 bits take the
+    stable argsort.
+    """
+    b = (keys.size - 1).bit_length()
+    if (int(bound) - 1).bit_length() + b > 63:
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    order = np.arange(keys.size)
+    packed = keys.astype(np.int64)
+    packed <<= b
+    packed |= order
+    packed.sort()
+    np.bitwise_and(packed, (1 << b) - 1, out=order)
+    packed >>= b
+    return order, packed.astype(keys.dtype, copy=False)
+
+
 def _edge_tables(tris, n):
     """``(tri_edges, edge_vertices, edge_tris)`` of a counter-clockwise mesh.
 
     Edges get ids in order of first traversal (triangle by triangle, local
     edge by local edge); a conforming mesh traverses every interior edge
-    exactly twice, in opposite directions.  A stable sort on the sorted
-    endpoint key lists each edge's traversals in traversal order; the first
-    bad traversal in that order is reported.
+    exactly twice, in opposite directions.  Sorting the sorted endpoint key
+    with :func:`stable_sort` lists each edge's traversals in traversal
+    order; the first bad traversal in that order is reported.
     """
     m = tris.shape[0]
     a = tris.ravel()                       # traversal j = 3 k + i runs a -> b
     b = tris[:, (1, 2, 0)].ravel()
     key = np.minimum(a, b) * n + np.maximum(a, b)
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
+    order, skey = stable_sort(key, n * n)
     starts = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
     sizes = np.diff(np.r_[starts, skey.size])
     group = np.repeat(np.arange(starts.size), sizes)

@@ -16,8 +16,10 @@ replaced; the norms section keeps the ``np.hypot`` norms and the per-call
 vertex weights that the sampled norms and the mesh's cache replaced; the
 per-level set-up section keeps the sparse products that formed the
 prolongators, the ``np.subtract.at`` load vector and the COO flux matrix,
-which index arithmetic replaced.  The one exception is the last section:
-thin wrappers over the production ``Assembler`` that only tests use.
+which index arithmetic replaced, and the stable-argsort and ``searchsorted``
+form of ``product_map``, which one packed sort replaced.  The one exception
+is the last section: thin wrappers over the production ``Assembler`` that
+only tests use.
 """
 
 from dataclasses import dataclass
@@ -631,6 +633,23 @@ def spgemm_prolongators(fine: Pattern, data: np.ndarray, agg: np.ndarray):
     weights = fine.jacobi_weights(data)
     p = (t - sp.diags(weights) @ (fine.matrix(data) @ t)).tocsr()
     return p, p.T.tocsr()
+
+
+def argsort_product_map(keys, values, entry, n_entries, n_rows, n_cols):
+    """``multigrid.product_map`` with numpy's stable argsort of the keys and
+    the row pointers from ``np.searchsorted`` over the ``n_rows + 1`` row
+    starts."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    keys = keys[first]
+    indptr = np.searchsorted(keys // n_cols,
+                             np.arange(n_rows + 1)).astype(np.int32)
+    indices = (keys % n_cols).astype(np.int32)
+    q_indptr = np.append(first, order.size).astype(np.int32)
+    q = sp.csr_matrix((values[order], entry[order], q_indptr),
+                      shape=(keys.size, n_entries))
+    return indptr, indices, q
 
 
 def subtract_at_load(asm, edge_quad_points=4):

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as spm
 
 import darcyfem
-from darcyfem import assembly, nonlinear_solver, problems
+from darcyfem import assembly, multigrid, nonlinear_solver, problems
 from darcyfem.assembly import (Assembler, CompatibilityError, ElementBlocks,
                                LinearSolverError, PressureSystem, deflated_cg)
 from darcyfem.indicators import IndicatorContext
@@ -22,7 +22,8 @@ from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
                               project_mean_zero)
 
 from conftest import random_affine_problem as _random_problem, rng_loop
-from oracles import (DivergenceCoupling, assemble_step, coo_flux,
+from oracles import (DivergenceCoupling, argsort_product_map,
+                     assemble_step, coo_flux,
                      dense_projected_start, dense_step_solve, einsum_schur,
                      loop_aggregate,
                      one_stage_galerkin_map, spgemm_hierarchy,
@@ -724,6 +725,39 @@ def test_per_level_setup_matches_the_replaced_forms(corner_budget_runs):
     assert levels > len(cases)
 
 
+def test_product_map_matches_the_argsort_form(corner_budget_runs,
+                                              monkeypatch):
+    """Every ``product_map`` call of the set-up, the Q0 of each ``Assembler``
+    and both Galerkin maps of every hierarchy level, gives the bytes of the
+    stable-argsort and ``searchsorted`` form (indptr, indices and Q) on the
+    corner levels and at N = 112."""
+    calls = {"q0": 0, "galerkin": 0}
+    product_map = multigrid.product_map
+
+    def checked(kind):
+        def call(*args):
+            got = product_map(*args)
+            want = argsort_product_map(*args)
+            _assert_same_arrays(got[0], want[0])
+            _assert_same_arrays(got[1], want[1])
+            _assert_same_csr(got[2], want[2])
+            calls[kind] += 1
+            return got
+        return call
+
+    monkeypatch.setattr(assembly, "product_map", checked("q0"))
+    monkeypatch.setattr(multigrid, "product_map", checked("galerkin"))
+    prob = problems.reentrant_corner()
+    vortex = problems.gaussian_vortex(beta=10.0)
+    cases = [(s.mesh, prob) for s in corner_budget_runs[0][:21]]
+    cases.append((problems.initial_mesh(vortex, 112), vortex))
+    levels = 0
+    for mesh, problem in cases:
+        levels += len(Assembler(mesh, problem).hierarchy.maps)
+    assert calls["q0"] == len(cases)
+    assert calls["galerkin"] == 2 * levels > 2 * len(cases)
+
+
 @pytest.mark.parametrize("case",
                          ["n1", "n2", "n40", "graded_lshape", "n112"])
 def test_hierarchy_matches_the_spgemm_oracle(case):
@@ -964,3 +998,25 @@ def test_kept_vcycle_gives_the_bytes_of_a_fresh_one():
     fresh, _ = asm.solve_pressure(replace(system, vcycle=None),
                                   x0=inexact.values)
     assert finished.values.tobytes() == fresh.values.tobytes()
+
+
+def test_kept_single_level_vcycle_inverts_the_new_matrix():
+    """On a mesh of at most ``MAX_COARSE`` vertices the hierarchy has a single
+    level, whose coarsest operator is S itself: a kept V-cycle given a new S
+    has the bytes of a fresh V-cycle on it, not the inverse of the S it was
+    built on."""
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = generate_structured(4)
+    asm = Assembler(m, prob)
+    rng = np.random.default_rng(8)
+    built = asm.step(rng.standard_normal((m.n_triangles, 2)), 10.0)
+    new = asm.step(rng.standard_normal((m.n_triangles, 2)), 10.0)
+    assert m.n_vertices <= MAX_COARSE
+    assert asm.hierarchy.sizes == (m.n_vertices,)
+    vcycle = VCycle(asm.hierarchy, built.s)
+    swapped = vcycle.with_finest(None).with_finest(new.s)
+    fresh = VCycle(asm.hierarchy, new.s)
+    assert swapped.coarse.tobytes() == fresh.coarse.tobytes()
+    r = rng.standard_normal(m.n_vertices)
+    assert swapped(r).tobytes() == fresh(r).tobytes()
+    assert vcycle(r).tobytes() != fresh(r).tobytes()

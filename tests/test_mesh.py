@@ -1,4 +1,7 @@
+import ast
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +341,60 @@ def test_conformity_errors_name_the_same_edge_as_the_loop():
             == expected
         kinds.add("shared by more" in expected)
     assert kinds == {True, False}
+
+
+def _nearly_sorted(rng, n):
+    keys = np.arange(n) // 3
+    swap = rng.integers(n - 1, size=n // 20)
+    keys[swap], keys[swap + 1] = keys[swap + 1], keys[swap].copy()
+    return keys
+
+
+@pytest.mark.parametrize("case", ["ties", "ties_int32", "nearly_sorted",
+                                  "reversed", "empty", "one", "fallback"])
+def test_stable_sort_is_the_stable_argsort(case):
+    """``stable_sort`` gives the order of the stable argsort, with its dtype,
+    and the keys in that order, with theirs; a bound of 2**62 leaves no
+    room for the positions and takes the fallback."""
+    rng = np.random.default_rng(61)
+    bound = 1000
+    keys = {
+        "ties": lambda: rng.integers(7, size=5000),
+        "ties_int32": lambda: rng.integers(7, size=5000).astype(np.int32),
+        "nearly_sorted": lambda: _nearly_sorted(rng, 3000),
+        "reversed": lambda: np.arange(3000)[::-1] // 3,
+        "empty": lambda: np.zeros(0, dtype=np.int64),
+        "one": lambda: np.array([999]),
+        "fallback": lambda: rng.choice(
+            rng.integers(2 ** 61, 2 ** 62, size=40), size=3000),
+    }[case]()
+    if case == "fallback":
+        bound = 2 ** 62
+    assert keys.min(initial=0) >= 0 and keys.max(initial=0) < bound
+    order, sorted_keys = msh.stable_sort(keys, bound)
+    want = np.argsort(keys, kind="stable")
+    assert _same_bytes(order, want)
+    assert _same_bytes(sorted_keys, keys[want])
+
+
+def test_stable_sorts_go_through_stable_sort():
+    """The package sorts stably only inside ``mesh.stable_sort``: no other
+    line of ``src/darcyfem`` asks numpy for its stable sort."""
+    stable = re.compile(r"""kind\s*=\s*["']stable["']""")
+    outside, inside = [], 0
+    for path in sorted(Path(msh.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        allowed = set()
+        if path.name == "mesh.py":
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.FunctionDef) \
+                        and node.name == "stable_sort":
+                    allowed.update(range(node.lineno, node.end_lineno + 1))
+        for number, line in enumerate(source.splitlines(), 1):
+            if stable.search(line):
+                if number in allowed:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{number}: {line.strip()}")
+    assert outside == []
+    assert inside > 0          # the scan sees the helper's own fallback
