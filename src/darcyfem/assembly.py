@@ -120,9 +120,9 @@ def _require_finite(value: float, what: str, history) -> None:
                                 history)
 
 
-def _projected_start(s, basis, x, r):
+def _projected_start(s, basis, x, r, r_norm):
     """The S-energy-minimal point of x + span(basis) and its residual, or
-    None when it does not lower the residual norm.
+    None when it does not lower the residual norm ``r_norm`` = |r|.
 
     ``basis`` is an (n, k) array D whose columns are the directions, so
     that S D is one sparse product with no copy of D.  The correction D c
@@ -141,7 +141,7 @@ def _projected_start(s, basis, x, r):
     r_new -= r_new.mean()
     del sd                  # not alive beside the moved start
     rn = float(np.linalg.norm(r_new))
-    if not rn < float(np.linalg.norm(r)):        # also false for nan
+    if not rn < r_norm:                          # also false for nan
         return None
     x_new = basis @ c
     x_new += x
@@ -192,7 +192,7 @@ def deflated_cg(s, rhs, x0=None, tol=1e-12, maxiter=None, precond=None,
     if history[0] <= stop:
         return x, 0
     if basis is not None and basis.shape[1]:
-        projected = _projected_start(s, basis, x, r)
+        projected = _projected_start(s, basis, x, r, history[0])
         if projected is not None:
             x, r, rn = projected
             history.append(rn)
@@ -338,13 +338,23 @@ class Assembler:
 
     # -- per-step assembly --------------------------------------------------
 
-    def drag(self, u_prev: np.ndarray, alpha: float) -> np.ndarray:
-        """d_k = alpha + (beta/rho) |u_prev_k|, the weight of |k| I in A_k."""
+    def convection(self, u_norm: np.ndarray) -> np.ndarray:
+        """(beta/rho) |u_k| per element from the row norms ``u_norm`` =
+        |u_k|: the convective part of the drag."""
         pr = self.problem
-        return alpha + (pr.beta / pr.rho) * row_norms(u_prev)
+        return (pr.beta / pr.rho) * u_norm
 
-    def element_blocks(self, u_prev: np.ndarray, alpha: float) -> ElementBlocks:
-        return self._blocks(self.drag(u_prev, alpha))
+    def drag(self, u_prev: np.ndarray, alpha: float,
+             conv: np.ndarray | None = None) -> np.ndarray:
+        """d_k = alpha + (beta/rho) |u_prev_k|, the weight of |k| I in A_k;
+        ``conv`` holds the convective part when the caller has it."""
+        if conv is None:
+            conv = self.convection(row_norms(u_prev))
+        return alpha + conv
+
+    def element_blocks(self, u_prev: np.ndarray, alpha: float,
+                       conv: np.ndarray | None = None) -> ElementBlocks:
+        return self._blocks(self.drag(u_prev, alpha, conv))
 
     def _blocks(self, drag: np.ndarray) -> ElementBlocks:
         """A_k = K-term + d_k |k| I and its inverse for the weights d_k."""
@@ -362,15 +372,35 @@ class Assembler:
 
         The local blocks sum_ab (b_ja W_ab) b_kb are formed on contiguous
         (3, m) rows, adding the four (a, b) terms in the order a three-operand
-        einsum does, and carried to the data of S by the map Q0, which adds
-        them in element order; S shares its index arrays with the pattern.
+        einsum does into one (3, 3, m) array, and carried to the data of S by
+        the map Q0, which adds them in element order; S shares its index
+        arrays with the pattern.
+
+        A term whose weights W_ab are zero on every element (``.any()``
+        false: +0 or -0, never nan) is skipped, as the off-diagonal terms
+        are when K is diagonal.  That keeps S's bytes: the skipped term is
+        +0 or -0 in every local entry, so it changes an entry at most in the
+        sign of a zero, and Q0 adds each slot's terms to +0.0, where
+        +0 + (-0) = +0.  Weights that are all zero give +0 data.
         """
         bt = self._bt
         w = np.ascontiguousarray(inverses.reshape(-1, 4).T)
-        local = (bt[0] * w[0])[:, None, :] * bt[0][None, :, :]
-        local += (bt[0] * w[1])[:, None, :] * bt[1][None, :, :]
-        local += (bt[1] * w[2])[:, None, :] * bt[0][None, :, :]
-        local += (bt[1] * w[3])[:, None, :] * bt[1][None, :, :]
+        local = term = None
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            wab = w[2 * a + b]
+            if not wab.any():
+                continue
+            factor = (bt[a] * wab)[:, None, :]
+            if local is None:
+                local = factor * bt[b][None, :, :]
+            else:
+                if term is None:
+                    term = np.empty_like(local)
+                np.multiply(factor, bt[b][None, :, :], out=term)
+                local += term
+        del term                # not alive beside the data of S
+        if local is None:
+            local = np.zeros((3, 3, w.shape[1]))
         return self._pattern.matrix(self._q0 @ local.ravel())
 
     def _reference_schur(self) -> sp.csr_matrix:
@@ -389,9 +419,12 @@ class Assembler:
             self._hierarchy = SmoothedAggregation(self._reference_schur())
         return self._hierarchy
 
-    def step(self, u_prev: np.ndarray, alpha: float) -> PressureSystem:
-        """Assemble the Schur system for one relaxed fixed-point step."""
-        blocks = self.element_blocks(u_prev, alpha)
+    def step(self, u_prev: np.ndarray, alpha: float,
+             conv: np.ndarray | None = None) -> PressureSystem:
+        """Assemble the Schur system for one relaxed fixed-point step;
+        ``conv`` holds the convective part of the drag (see :meth:`drag`)
+        when the caller has it."""
+        blocks = self.element_blocks(u_prev, alpha, conv)
         s = self._schur(blocks.inverses)
 
         f = self.f_int + alpha * self.mesh.areas[:, None] * u_prev

@@ -17,6 +17,7 @@ oscillation terms.  All totals aggregate in root-sum-of-squares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,7 +51,8 @@ class ElementIndicators:
     """Per-element indicator and oscillation values, one float per triangle.
 
     ``du`` is |u_new - u_prev| per element, the step's velocity change that
-    eta_L scales, kept for the step increment of the fixed-point loop.
+    eta_L scales, kept for the step increment of the fixed-point loop.  The
+    totals are summed on first access and kept.
     """
 
     eta_l: np.ndarray
@@ -66,15 +68,15 @@ class ElementIndicators:
         """Combined per-element discretization indicator."""
         return np.sqrt(self.eta_d1 ** 2 + self.eta_d2 ** 2)
 
-    @property
+    @cached_property
     def eta_l_total(self) -> float:
         return float(np.sqrt((self.eta_l ** 2).sum()))
 
-    @property
+    @cached_property
     def eta_d_total(self) -> float:
         return float(np.sqrt((self.eta_d1 ** 2 + self.eta_d2 ** 2).sum()))
 
-    @property
+    @cached_property
     def osc_total(self) -> float:
         return float(np.sqrt((self.osc_f ** 2 + self.osc_b ** 2
                               + self.osc_g ** 2).sum()))
@@ -197,11 +199,13 @@ class IndicatorContext:
 
     def compute(self, u_new: P0VectorField, u_prev: P0VectorField,
                 p_new: P1ScalarField, alpha: float,
-                grads: np.ndarray | None = None) -> ElementIndicators:
+                grads: np.ndarray | None = None,
+                conv: np.ndarray | None = None) -> ElementIndicators:
         """Evaluate all indicators for one completed fixed-point step.
 
         ``grads`` are the elementwise gradients of ``p_new``, shape (m, 2),
-        when the caller has formed them already.
+        and ``conv`` the convective weights (beta/rho) |u_prev_k|, shape
+        (m,), when the caller has formed them already.
         """
         pr = self.problem
         un = u_new.values
@@ -214,7 +218,10 @@ class IndicatorContext:
             grads = p1_gradients(p_new)
         c = self.f_means - grads
         c -= alpha * du
-        c -= ((pr.beta / pr.rho) * row_norms(up))[:, None] * un
+        del du                  # not alive beside the residual's temporaries
+        if conv is None:
+            conv = (pr.beta / pr.rho) * row_norms(up)
+        c -= conv[:, None] * un
         if self.k_const is not None:
             c -= (pr.mu / pr.rho) * un @ self.k_const.T
             eta_d1 = self._sqrt_areas * row_norms(c)

@@ -154,16 +154,16 @@ def _l32(areas, a):
     return float(areas @ (a * np.sqrt(a))) ** (2.0 / 3.0)
 
 
-def relative_increment(areas, u_new, g_new, g_prev, du) -> float:
+def relative_increment(areas, u_norm, g_new, g_prev, du) -> float:
     """The step error err_L of one fixed-point step.
 
     ||u_new - u_prev||_L3 + ||grad(p_new - p_prev)||_L3/2 over
-    ||u_new||_L3 + ||grad p_new||_L3/2, from the element velocities
-    ``u_new``, the elementwise pressure gradients ``g_new`` and ``g_prev``
-    (all (m, 2)) and ``du = |u_new - u_prev|`` per element.  0 when the
+    ||u_new||_L3 + ||grad p_new||_L3/2, from ``u_norm = |u_new|`` and
+    ``du = |u_new - u_prev|`` per element and the elementwise pressure
+    gradients ``g_new`` and ``g_prev`` ((m, 2) each).  0 when the
     denominator vanishes.
     """
-    denom = _l3(areas, row_norms(u_new)) + _l32(areas, row_norms(g_new))
+    denom = _l3(areas, u_norm) + _l32(areas, row_norms(g_new))
     if denom < 1e-300:
         return 0.0
     return (_l3(areas, du) + _l32(areas, row_norms(g_new - g_prev))) / denom
@@ -221,6 +221,13 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     step builds its own (see :func:`_within_drift` for the bound).  The
     kept V-cycle holds no S of its own, and nothing is kept from one solve
     to the next.  ``vcycle_builds`` counts the V-cycles built.
+
+    The convective weights (beta/rho) |u_k|
+    (:meth:`~darcyfem.assembly.Assembler.convection`) are formed once per
+    iterate: from the row norms of the start, and for every later iterate
+    from the row norms |u_new_k| that its step error takes.  The drift
+    test, the step's assembly and the momentum residual of the indicators
+    all use them, so no step takes the row norms of u_prev again.
     """
     cfg = config or SolverConfig()
     asm = assembler or Assembler(mesh, problem, cfg.volume_degree,
@@ -252,6 +259,9 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     converged = False
     err_l = math.inf
     g_prev = p1_gradients(p_prev)
+    # (beta/rho) |u_prev_k|, the one m-array kept from step to step; the
+    # drag weights alpha + conv are formed where they are needed.
+    conv = asm.convection(row_norms(u_prev.values))
     u_new, p_new, g_new, ind = u_prev, p_prev, g_prev, None
     # The last pressure changes p_k - p_(k-1) of this solve's steps, one per
     # column, filled in place round the ring; the first ``filled`` columns
@@ -272,24 +282,24 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
             exc.step = it
             raise
 
-    def evaluate(system, p_new, u_prev, g_prev, row):
+    def evaluate(system, p_new, u_prev, g_prev, conv, row):
         """Gradients, velocity, step error and indicators of a step's
-        pressure, and whether they pass the stopping test; the phase times
-        are added to ``row``."""
+        pressure, the row norms |u_new_k|, and whether they pass the
+        stopping test; the phase times are added to ``row``."""
         t0 = time.perf_counter()
         g_new = p1_gradients(p_new)
         u_new = asm.recover_velocity(system, p_new, g_new)
         t1 = time.perf_counter()
-        ind = ctx.compute(u_new, u_prev, p_new, cfg.alpha, g_new)
-        err_l = relative_increment(mesh.areas, u_new.values, g_new, g_prev,
-                                   ind.du)
+        ind = ctx.compute(u_new, u_prev, p_new, cfg.alpha, g_new, conv)
+        u_norm = row_norms(u_new.values)
+        err_l = relative_increment(mesh.areas, u_norm, g_new, g_prev, ind.du)
         if cfg.stopping == "fixed_tol":
             passed = err_l < cfg.tol
         else:
             passed = ind.eta_l_total <= cfg.gamma_tilde * ind.eta_d_total
         row.t_recover += t1 - t0
         row.t_indicators += time.perf_counter() - t1
-        return u_new, g_new, err_l, ind, passed
+        return u_new, g_new, u_norm, err_l, ind, passed
 
     for it in range(1, cfg.max_iter + 1):
         row = TraceRow(it, math.nan, math.nan, math.nan, 0)
@@ -297,12 +307,12 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
         # forms its own: only one step's arrays are alive at a time.
         system = ind = None
         t0 = time.perf_counter()
-        system = asm.step(u_prev.values, cfg.alpha)
+        system = asm.step(u_prev.values, cfg.alpha, conv)
         t1 = time.perf_counter()
         # Keep the last V-cycle while the drag weights stay close to those
         # it was built on; otherwise drop it before the solve builds one.
-        drag = asm.drag(u_prev.values, cfg.alpha) if VCYCLE_DRIFT > 0.0 \
-            else None
+        drag = asm.drag(u_prev.values, cfg.alpha, conv) \
+            if VCYCLE_DRIFT > 0.0 else None
         if kept is not None and _within_drift(kept_drag, drag):
             system.vcycle = kept.with_finest(system.s)
         else:
@@ -315,17 +325,19 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
             kept = system.vcycle.with_finest(None)
         row.t_assemble = t1 - t0
         row.t_solve = time.perf_counter() - t1
-        u_new, g_new, err_l, ind, converged = evaluate(system, p_new, u_prev,
-                                                       g_prev, row)
+        u_new, g_new, u_norm, err_l, ind, converged = evaluate(
+            system, p_new, u_prev, g_prev, conv, row)
         if CG_FORCING > 0.0 and math.isfinite(err_l) \
                 and (converged or it == cfg.max_iter):
-            # Finish the step the iteration would stop on, and test it again.
+            # Finish the step the iteration would stop on, and test it again;
+            # its first evaluation is not alive beside the second.
+            u_new = g_new = u_norm = ind = None
             t0 = time.perf_counter()
             p_new, extra = solve_pressure(system, p_new.values)
             row.t_solve += time.perf_counter() - t0
             cg_it += extra
-            u_new, g_new, err_l, ind, converged = evaluate(
-                system, p_new, u_prev, g_prev, row)
+            u_new, g_new, u_norm, err_l, ind, converged = evaluate(
+                system, p_new, u_prev, g_prev, conv, row)
 
         cg_total += cg_it
         row.err_l, row.eta_l, row.eta_d = \
@@ -341,6 +353,8 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
                         out=ring[:, (it - 1) % PROJECTION_DEPTH])
             filled = min(filled + 1, PROJECTION_DEPTH)
         u_prev, p_prev, g_prev = u_new, p_new, g_new
+        conv = asm.convection(u_norm)
+        del u_norm              # not alive beside the next step's assembly
 
     if converged:
         status = "converged"
@@ -395,37 +409,59 @@ def _lp(mesh: Mesh, rule: QuadratureRule, vx, vy, p: float) -> float:
     return float(element_lp(mesh, rule, vx, vy, p).sum() ** (1.0 / p))
 
 
-def true_error(mesh: Mesh, problem: ProblemSpec, u: P0VectorField,
-               p: P1ScalarField, degree: int = ERROR_QUAD_DEGREE) -> ErrorReport:
-    """Quadrature errors of (u, p) against the problem's reference solution."""
+def true_error(mesh: Mesh, problem: ProblemSpec,
+               u: P0VectorField | list[P0VectorField],
+               p: P1ScalarField | list[P1ScalarField],
+               degree: int = ERROR_QUAD_DEGREE
+               ) -> ErrorReport | list[ErrorReport]:
+    """Quadrature errors of (u, p) against the problem's reference solution.
+
+    ``u`` and ``p`` are a P0VectorField and a P1ScalarField on ``mesh``, or
+    two lists of them of equal length; a list gives a list of
+    ErrorReports.  A list pass samples the reference velocity and pressure
+    gradient, and integrates their norms, once per element block for all
+    its fields, and gives each field the bytes of its own call.
+    """
     if not problem.has_exact():
         raise ValueError(f"problem {problem.name!r} has no reference solution")
+    many = isinstance(u, (list, tuple))
+    us, ps = (list(u), list(p)) if many else ([u], [p])
+    if len(us) != len(ps):
+        raise ValueError(f"{len(us)} velocities but {len(ps)} pressures")
     rule = triangle_rule(degree)
-    gh = p1_gradients(p)
-    # Per-element integrals of |u|^3, |u - u_h|^2, |u - u_h|^3,
-    # |grad p|^3/2 and |grad p - grad p_h|^3/2, sampled block by block to
-    # bound the peak memory and summed once over all elements.
-    parts = np.empty((5, mesh.n_triangles))
+    grads = [p1_gradients(q) for q in ps]
+    # Per-element integrals of |u|^3 and |grad p|^3/2, and per field of
+    # |u - u_h|^2, |u - u_h|^3 and |grad p - grad p_h|^3/2, sampled block by
+    # block to bound the peak memory and summed once over all elements.
+    exact = np.empty((2, mesh.n_triangles))
+    parts = np.empty((len(us), 3, mesh.n_triangles))
     for blk in sample_blocks(mesh):
         pts = physical_points(mesh, rule, blk)
         ux, uy = sample(pts, problem.exact_u)
-        parts[0, blk] = element_lp(mesh, rule, ux, uy, 3.0, blk)
-        dx = ux - u.values[blk, None, 0]
-        dy = uy - u.values[blk, None, 1]
+        exact[0, blk] = element_lp(mesh, rule, ux, uy, 3.0, blk)
+        for i, uh in enumerate(us):
+            dx = ux - uh.values[blk, None, 0]
+            dy = uy - uh.values[blk, None, 1]
+            parts[i, 0, blk] = element_lp(mesh, rule, dx, dy, 2.0, blk)
+            parts[i, 1, blk] = element_lp(mesh, rule, dx, dy, 3.0, blk)
+            del dx, dy
         del ux, uy
-        parts[1, blk] = element_lp(mesh, rule, dx, dy, 2.0, blk)
-        parts[2, blk] = element_lp(mesh, rule, dx, dy, 3.0, blk)
-        del dx, dy
         gx, gy = sample(pts, problem.exact_grad_p)
-        parts[3, blk] = element_lp(mesh, rule, gx, gy, 1.5, blk)
-        parts[4, blk] = element_lp(mesh, rule, gx - gh[blk, None, 0],
-                                   gy - gh[blk, None, 1], 1.5, blk)
-    exact_u_l3, u_l2, u_l3, exact_grad_p_l32, grad_p_l32 = (
-        float(parts[i].sum() ** (1.0 / q))
-        for i, q in enumerate((3.0, 2.0, 3.0, 1.5, 1.5)))
-    return ErrorReport(u_l2=u_l2, u_l3=u_l3, grad_p_l32=grad_p_l32,
-                       exact_u_l3=exact_u_l3,
-                       exact_grad_p_l32=exact_grad_p_l32)
+        exact[1, blk] = element_lp(mesh, rule, gx, gy, 1.5, blk)
+        for i, gh in enumerate(grads):
+            parts[i, 2, blk] = element_lp(mesh, rule, gx - gh[blk, None, 0],
+                                          gy - gh[blk, None, 1], 1.5, blk)
+    exact_u_l3, exact_grad_p_l32 = (float(exact[i].sum() ** (1.0 / q))
+                                    for i, q in enumerate((3.0, 1.5)))
+    reports = []
+    for part in parts:
+        u_l2, u_l3, grad_p_l32 = (float(part[i].sum() ** (1.0 / q))
+                                  for i, q in enumerate((2.0, 3.0, 1.5)))
+        reports.append(ErrorReport(u_l2=u_l2, u_l3=u_l3,
+                                   grad_p_l32=grad_p_l32,
+                                   exact_u_l3=exact_u_l3,
+                                   exact_grad_p_l32=exact_grad_p_l32))
+    return reports if many else reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +473,10 @@ class SweepRow:
     """One alpha of a sweep.  ``iterations`` is the step count of the solve,
     or the step whose pressure solve raised.  ``vcycle_builds`` is the
     solve's (None when the pressure solve raised).  ``phases_s`` holds the
-    solve's :func:`phase_totals` plus ``true_error``, the time of the error
-    evaluation (empty when the pressure solve raised); rows compare equal
-    without it."""
+    solve's :func:`phase_totals` plus ``true_error``, the row's share of the
+    sweep's one error pass: its time over the number of rows it evaluated
+    (empty when the pressure solve raised).  Rows compare equal without
+    it."""
 
     alpha: float
     iterations: int
@@ -451,13 +488,22 @@ class SweepRow:
     phases_s: dict = field(default_factory=dict, compare=False)
 
     @classmethod
-    def from_solve(cls, alpha, result, error, phases_s):
-        rel = error.relative if error is not None else math.nan
+    def from_solve(cls, alpha, result):
+        """The row of a finished solve, without its error yet."""
         return cls(alpha=alpha, iterations=result.iterations,
-                   converged=result.converged, err=rel,
-                   log10_err=math.log10(rel) if rel and math.isfinite(rel)
-                   else math.nan, status=result.status,
-                   vcycle_builds=result.vcycle_builds, phases_s=phases_s)
+                   converged=result.converged, err=math.nan,
+                   log10_err=math.nan, status=result.status,
+                   vcycle_builds=result.vcycle_builds,
+                   phases_s=phase_totals(result.trace))
+
+    def record_error(self, error: ErrorReport | None, seconds: float) -> None:
+        """Set the relative error of ``error`` (None without a reference)
+        and the row's ``true_error`` time."""
+        if error is not None:
+            self.err = error.relative
+            if self.err and math.isfinite(self.err):
+                self.log10_err = math.log10(self.err)
+        self.phases_s["true_error"] = seconds
 
 
 def alpha_sweep(mesh: Mesh, problem: ProblemSpec, alphas,
@@ -467,12 +513,14 @@ def alpha_sweep(mesh: Mesh, problem: ProblemSpec, alphas,
     Iteration counts trace the characteristic U shape: small weights barely
     damp the convection update, large ones barely move the iterate.  A
     solve whose pressure solve fails gives a row with status
-    ``linear_solver_error`` and the step at which it failed.
+    ``linear_solver_error`` and the step at which it failed.  Only each
+    solved alpha's u and p are kept past its solve; after the last solve,
+    one :func:`true_error` pass over all of them gives the errors.
     """
     cfg = config or SolverConfig()
     asm = Assembler(mesh, problem, cfg.volume_degree, cfg.edge_quad_points)
     ctx = IndicatorContext(mesh, problem, cfg.volume_degree)
-    rows = []
+    rows, solved, us, ps = [], [], [], []
     for a in map(float, alphas):
         try:
             res = solve(mesh, problem, replace(cfg, alpha=a),
@@ -483,12 +531,16 @@ def alpha_sweep(mesh: Mesh, problem: ProblemSpec, alphas,
                                  log10_err=math.nan,
                                  status="linear_solver_error"))
         else:
-            t0 = time.perf_counter()
-            error = true_error(mesh, problem, res.u, res.p) \
-                if problem.has_exact() else None
-            phases = {**phase_totals(res.trace),
-                      "true_error": time.perf_counter() - t0}
-            rows.append(SweepRow.from_solve(a, res, error, phases))
+            rows.append(SweepRow.from_solve(a, res))
+            solved.append(rows[-1])
+            us.append(res.u)
+            ps.append(res.p)
+    t0 = time.perf_counter()
+    errors = true_error(mesh, problem, us, ps) \
+        if solved and problem.has_exact() else [None] * len(solved)
+    share = (time.perf_counter() - t0) / max(len(solved), 1)
+    for row, error in zip(solved, errors):
+        row.record_error(error, share)
     return rows
 
 

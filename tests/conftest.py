@@ -5,6 +5,7 @@ studies) are computed once per session and shared between the acceptance
 tests that read different aspects of the same data.
 """
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,20 @@ def refine_uniform(mesh, rounds=1):
     for _ in range(rounds):
         mesh = refine(mesh, np.arange(mesh.n_triangles))
     return mesh
+
+
+def traced_peak(fn):
+    """Call ``fn()`` under tracemalloc; return its result and the traced peak
+    of the call above the memory traced at its entry, in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - entry
 
 
 def rng_loop(seed, n):

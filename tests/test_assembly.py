@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,9 +18,10 @@ from darcyfem.multigrid import (MAX_COARSE, Pattern, SmoothedAggregation,
                                 VCycle, _aggregate)
 from darcyfem.nonlinear_solver import SolverConfig, _within_drift, solve
 from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
-                              project_mean_zero)
+                              project_mean_zero, row_norms)
 
-from conftest import random_affine_problem as _random_problem, rng_loop
+from conftest import random_affine_problem as _random_problem
+from conftest import rng_loop, traced_peak
 from oracles import (DivergenceCoupling, argsort_product_map,
                      assemble_step, coo_flux,
                      dense_projected_start, dense_step_solve, einsum_schur,
@@ -204,15 +204,71 @@ def test_schur_peak_memory():
     weights = asm.element_blocks(
         np.zeros((asm.mesh.n_triangles, 2)), 10.0).inverses
     asm._schur(weights)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        entry = tracemalloc.get_traced_memory()[0]
-        asm._schur(weights)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - entry <= 4.6 * 2 ** 20
+    _, peak = traced_peak(lambda: asm._schur(weights))
+    assert peak <= 4.6 * 2 ** 20
+
+
+def _signed_zeros(rng, shape):
+    """+0 and -0 at random, both present."""
+    zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    return zeros
+
+
+@pytest.mark.parametrize("case", ["vortex_n12", "vortex_n112", "w01_zero",
+                                  "all_zero"])
+def test_schur_skipping_zero_terms_keeps_the_einsum_bytes(case):
+    """``_schur`` skips a term whose weights are +0 or -0 on every element,
+    and S keeps the bytes of the einsum oracle, which adds all four terms.
+    The cases: gaussian-vortex element blocks (diagonal K, so both
+    off-diagonal weights are zero) at N = 12 and N = 112, with +0 and -0
+    mixed; a random W with only W_01 zero; an all-zero W, whose S has +0
+    data."""
+    prob = problems.gaussian_vortex(beta=10.0)
+    n = 112 if case == "vortex_n112" else 12
+    asm = Assembler(problems.initial_mesh(prob, n), prob)
+    m = asm.mesh.n_triangles
+    rng = np.random.default_rng(17)
+    if case.startswith("vortex"):
+        weights = asm.element_blocks(rng.standard_normal((m, 2)),
+                                     10.0).inverses.copy()
+        assert not weights[:, 0, 1].any() and not weights[:, 1, 0].any()
+        weights[:, 0, 1] = _signed_zeros(rng, m)
+        weights[:, 1, 0] = _signed_zeros(rng, m)
+    elif case == "w01_zero":
+        weights = rng.standard_normal((m, 2, 2))
+        weights[:, 0, 1] = _signed_zeros(rng, m)
+    else:
+        weights = _signed_zeros(rng, (m, 2, 2))
+    s = asm._schur(weights)
+    ref = einsum_schur(asm, weights)
+    for got, want in ((s.indptr, ref.indptr), (s.indices, ref.indices),
+                      (s.data, ref.data)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    if case == "all_zero":
+        assert s.data.tobytes() == np.zeros(s.nnz).tobytes()
+
+
+@pytest.mark.parametrize("case", ["vortex", "corner"])
+def test_step_with_the_convective_weights_passed_in_keeps_the_bytes(case):
+    """``Assembler.step(u, alpha)`` and the call given
+    ``conv = convection(|u|)`` build the same system, byte for byte, and
+    ``drag`` gives the same weights either way."""
+    if case == "vortex":
+        prob = problems.gaussian_vortex(beta=10.0)
+        asm = Assembler(generate_structured(10), prob)
+    else:
+        asm = Assembler(_graded_lshape(), problems.reentrant_corner(beta=10.0))
+    u = np.random.default_rng(19).standard_normal((asm.mesh.n_triangles, 2))
+    conv = asm.convection(row_norms(u))
+    assert asm.drag(u, 3.0, conv).tobytes() == asm.drag(u, 3.0).tobytes()
+    alone, shared = asm.step(u, 3.0), asm.step(u, 3.0, conv)
+    for got, want in ((shared.s.data, alone.s.data), (shared.g, alone.g),
+                      (shared.f, alone.f),
+                      (shared.blocks.blocks, alone.blocks.blocks),
+                      (shared.blocks.inverses, alone.blocks.inverses)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_solve_pressure_zero_rhs():
@@ -367,7 +423,8 @@ def test_projected_start_matches_the_dense_oracle():
     r -= r.mean()
     for k in (1, 2, 3):
         basis = dx[:, None] + 0.3 * rng.standard_normal((dx.size, k))
-        moved, r_new, rn = assembly._projected_start(s, basis, x, r)
+        moved, r_new, rn = assembly._projected_start(
+            s, basis, x, r, float(np.linalg.norm(r)))
         x_ref, r_ref = dense_projected_start(s, rhs, x0, basis)
         assert np.abs(moved - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
         assert np.abs(r_new - r_ref).max() \
@@ -783,16 +840,9 @@ def test_hierarchy_build_peak_memory():
     prob = problems.gaussian_vortex(beta=10.0)
     asm = Assembler(problems.initial_mesh(prob, 112), prob)
     s0 = asm._reference_schur()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        entry = tracemalloc.get_traced_memory()[0]
-        hierarchy = SmoothedAggregation(s0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    hierarchy, peak = traced_peak(lambda: SmoothedAggregation(s0))
     assert len(hierarchy.sizes) > 3
-    assert peak - entry <= 20 * 2 ** 20
+    assert peak <= 20 * 2 ** 20
 
 
 def test_vcycle_rejects_a_matrix_with_another_pattern():

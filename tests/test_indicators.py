@@ -11,7 +11,8 @@ from darcyfem.indicators import (ElementIndicators, IndicatorContext,
                                  total_relative_indicator)
 from darcyfem.mesh import from_arrays, generate_structured, refine
 from darcyfem.nonlinear_solver import SolverConfig, relative_increment, solve
-from darcyfem.spaces import P0VectorField, P1ScalarField, p1_gradients
+from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
+                             row_norms)
 
 from conftest import refine_uniform, rng_loop
 from oracles import (edge_flux, einsum_gradients, einsum_recover, step_error,
@@ -156,6 +157,9 @@ def test_aggregates_are_root_sum_squares():
     assert np.allclose(ind.eta_d,
                        np.sqrt(vals["eta_d1"] ** 2 + vals["eta_d2"] ** 2),
                        rtol=1e-12)
+    # each total is summed once and kept
+    for name in ("eta_l_total", "eta_d_total", "osc_total"):
+        assert getattr(ind, name) is getattr(ind, name)
 
 
 def test_element_order_does_not_change_indicators():
@@ -325,14 +329,20 @@ def test_step_quantities_match_gathered_oracles(case):
         assert _close(ind.eta_l, eta_l)
         assert _close(ind.eta_d1, eta_d1)
         assert _close(ind.eta_d2, eta_d2)
-        err = relative_increment(m.areas, u_new.values, g_new, g_prev, ind.du)
+        err = relative_increment(m.areas, row_norms(u_new.values), g_new,
+                                 g_prev, ind.du)
         want = step_error(m, u_new.values, u_prev.values, p_new.values,
                           p_prev.values)
         assert err == pytest.approx(want, rel=1e-13)
-        # without the fifth argument the gradients are formed inside
+        # without the fifth argument the gradients are formed inside, and
+        # without the sixth the convective weights
         again = ctx.compute(u_new, u_prev, p_new, alpha)
+        shared = ctx.compute(u_new, u_prev, p_new, alpha, g_new,
+                             asm.convection(row_norms(u_prev.values)))
         for name in ("eta_l", "eta_d1", "eta_d2", "du"):
             assert np.array_equal(getattr(again, name), getattr(ind, name))
+            assert getattr(shared, name).tobytes() \
+                == getattr(ind, name).tobytes()
         u_prev, p_prev, g_prev = u_new, p_new, g_new
 
 

@@ -1,11 +1,10 @@
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from darcyfem import nonlinear_solver, problems, spaces
+from darcyfem import assembly, indicators, nonlinear_solver, problems, spaces
 from darcyfem.adaptivity import adaptive_loop
 from darcyfem.assembly import Assembler
 from darcyfem.indicators import IndicatorContext
@@ -17,7 +16,7 @@ from darcyfem.nonlinear_solver import (AlphaDiagnostics, ErrorReport,
 from darcyfem.spaces import (P0VectorField, P1ScalarField, field_mean,
                              lp_norm, p1_gradients)
 
-from conftest import rng_loop
+from conftest import rng_loop, traced_peak
 from oracles import scatter_schur
 
 
@@ -211,7 +210,88 @@ def test_sweep_rows_are_standalone_solves(monkeypatch):
         assert (shared.status, shared.cg_total, shared.vcycle_builds) \
             == (alone.status, alone.cg_total, alone.vcycle_builds)
         assert row.vcycle_builds == alone.vcycle_builds
+        err = true_error(m, prob, alone.u, alone.p).relative
+        assert np.float64(row.err).tobytes() == np.float64(err).tobytes()
     assert rows[0].vcycle_builds < rows[0].iterations
+
+
+def test_sweep_row_order_and_errors_around_a_failed_alpha(monkeypatch):
+    """An alpha whose pressure solve raises, between two that solve, keeps
+    its place among the rows, and the rows on either side keep the errors
+    of their own solves."""
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = generate_structured(6)
+    cfg = SolverConfig(max_iter=40)
+    real = nonlinear_solver.solve
+
+    def solve_or_fail(mesh, problem, config, **kw):
+        if config.alpha == 5.0:
+            raise nonlinear_solver.LinearSolverError("injected", [1.0])
+        return real(mesh, problem, config, **kw)
+
+    monkeypatch.setattr(nonlinear_solver, "solve", solve_or_fail)
+    rows = alpha_sweep(m, prob, [8.0, 5.0, 12.0], cfg)
+    assert [(r.alpha, r.status) for r in rows] \
+        == [(8.0, "converged"), (5.0, "linear_solver_error"),
+            (12.0, "converged")]
+    assert math.isnan(rows[1].err) and rows[1].phases_s == {}
+    for row in (rows[0], rows[2]):
+        alone = real(m, prob, replace(cfg, alpha=row.alpha))
+        err = true_error(m, prob, alone.u, alone.p).relative
+        assert np.float64(row.err).tobytes() == np.float64(err).tobytes()
+        assert row.log10_err == math.log10(err)
+        assert row.phases_s["true_error"] >= 0.0
+
+
+def test_true_error_over_lists_gives_the_bytes_of_each_call(monkeypatch):
+    """One pass over lists of fields gives, field by field, every
+    ErrorReport value of a call on that field alone; several element
+    blocks are sampled."""
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = generate_structured(7)
+    monkeypatch.setattr(spaces, "SAMPLE_BLOCK", 64)
+    rng = np.random.default_rng(11)
+    us = [P0VectorField(m, rng.standard_normal((m.n_triangles, 2)))
+          for _ in range(3)]
+    ps = [P1ScalarField(m, rng.standard_normal(m.n_vertices))
+          for _ in range(3)]
+    reports = true_error(m, prob, us, ps)
+    assert len(reports) == 3
+    for rep, u, p in zip(reports, us, ps):
+        alone = true_error(m, prob, u, p)
+        for name in ErrorReport.__dataclass_fields__:
+            assert np.float64(getattr(rep, name)).tobytes() \
+                == np.float64(getattr(alone, name)).tobytes(), name
+    assert true_error(m, prob, [], []) == []
+    with pytest.raises(ValueError):
+        true_error(m, prob, us, ps[:2])
+
+
+def test_a_constant_k_step_takes_five_row_norms(monkeypatch):
+    """A relaxed step that is not finished takes the row norms of du, of the
+    momentum residual, of u_new, of grad p_new and of the gradient change:
+    the convective weights of u_prev come from the previous step."""
+    prob = problems.gaussian_vortex(beta=10.0)
+    assert prob.k_constant
+    m = generate_structured(6)
+    calls = [0]
+    real = spaces.row_norms
+
+    def counted(v):
+        calls[0] += 1
+        return real(v)
+
+    for module in (spaces, nonlinear_solver, assembly, indicators):
+        monkeypatch.setattr(module, "row_norms", counted)
+
+    def count(max_iter):
+        calls[0] = 0
+        res = solve(m, prob, SolverConfig(alpha=10.0, tol=1e-300,
+                                          max_iter=max_iter))
+        assert res.iterations == max_iter and not res.converged
+        return calls[0]
+
+    assert count(4) - count(3) == 5
 
 
 def test_projected_start_keeps_a_started_solve(monkeypatch):
@@ -254,11 +334,12 @@ def test_only_forcing_solves_get_the_step_history(monkeypatch):
 def test_solve_peak_memory():
     """The traced peak of one N = 112 solve above its set-up (Assembler,
     IndicatorContext, hierarchy and gradient operator) stays under
-    9.7 MiB: 9.3 MiB when each step frees the previous step's system and
-    indicators before it assembles its own and the kept V-cycle holds no
-    S (9.1 MiB with ``VCYCLE_DRIFT = 0``), 10.0 MiB when the kept V-cycle
-    held the S it was built on, 11.2 MiB when both steps' systems and
-    indicators were alive together."""
+    9.7 MiB: 7.9 MiB when a finished step also frees its first evaluation
+    before its finishing solve; 9.3 MiB when each step frees the previous
+    step's system and indicators before it assembles its own and the kept
+    V-cycle holds no S (9.1 MiB with ``VCYCLE_DRIFT = 0``), 10.0 MiB when
+    the kept V-cycle held the S it was built on, 11.2 MiB when both steps'
+    systems and indicators were alive together."""
     prob = problems.gaussian_vortex(beta=10.0)
     m = problems.initial_mesh(prob, 112)
     asm = Assembler(m, prob)
@@ -266,17 +347,10 @@ def test_solve_peak_memory():
     # the lazy parts of the set-up, built before tracing starts
     asm.hierarchy
     m.gradient_operator
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        entry = tracemalloc.get_traced_memory()[0]
-        res = solve(m, prob, SolverConfig(alpha=10.0), assembler=asm,
-                    context=ctx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(lambda: solve(
+        m, prob, SolverConfig(alpha=10.0), assembler=asm, context=ctx))
     assert res.converged
-    assert peak - entry <= 9.7 * 2 ** 20
+    assert peak <= 9.7 * 2 ** 20
 
 
 def test_status_converged():
