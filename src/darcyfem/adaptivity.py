@@ -105,16 +105,15 @@ class LevelState:
     setup_s: float = 0.0
 
 
-def _setup(mesh: Mesh, problem: ProblemSpec, cfg: SolverConfig,
+def _setup(mesh: Mesh, problem: ProblemSpec,
            assembler: Assembler | None = None,
            context: IndicatorContext | None = None):
     """The ``Assembler`` and ``IndicatorContext`` of ``mesh``, carried from
     those of the mesh it was refined from when they are given, and the
     seconds their set-up took."""
     t0 = time.perf_counter()
-    asm = Assembler(mesh, problem, cfg.volume_degree, cfg.edge_quad_points,
-                    parent=assembler)
-    ctx = IndicatorContext(mesh, problem, cfg.volume_degree, parent=context)
+    asm = Assembler(mesh, problem, parent=assembler)
+    ctx = IndicatorContext(mesh, problem, parent=context)
     return asm, ctx, time.perf_counter() - t0
 
 
@@ -177,7 +176,7 @@ def adaptive_loop(problem: ProblemSpec, levels: int = 7, initial_n: int = 10,
     start = asm = ctx = None
     for level in range(levels):
         # Rebinding drops the previous level's set-up once it is carried.
-        asm, ctx, setup_s = _setup(current, problem, cfg, asm, ctx)
+        asm, ctx, setup_s = _setup(current, problem, asm, ctx)
         result = solve(current, problem, cfg, assembler=asm, context=ctx,
                        start=start)
         record = _record_level(level, current, problem, result)
@@ -202,7 +201,7 @@ def uniform_study(problem: ProblemSpec, ns, solver: SolverConfig | None = None
     states = []
     for i, n in enumerate(ns):
         m = initial_mesh(problem, int(n))
-        asm, ctx, setup_s = _setup(m, problem, cfg)
+        asm, ctx, setup_s = _setup(m, problem)
         result = solve(m, problem, cfg, assembler=asm, context=ctx)
         del asm, ctx
         states.append(LevelState(mesh=m, result=result,

@@ -37,7 +37,6 @@ from .spaces import (
     P0VectorField,
     P1ScalarField,
     boundary_samples,
-    p1_gradients,
     physical_points,
     project_mean_zero,
     quadrature_sums,
@@ -50,6 +49,13 @@ from .spaces import (
 # data (e.g. analytically divergence-free flux with exponentially small
 # boundary tails) must not trip it on quadrature crumbs.
 COMPAT_TOL = 1e-8
+# Relative residual a finished pressure solve reaches (see deflated_cg).
+CG_TOL = 1e-12
+# Degree of the volume rules of the step's data and of the momentum
+# residual (IndicatorContext), and Gauss points per boundary edge of the
+# load; the indicators' edge means take indicators.EDGE_QUAD_POINTS.
+VOLUME_DEGREE = 4
+LOAD_EDGE_POINTS = 4
 
 
 class CompatibilityError(ValueError):
@@ -148,7 +154,7 @@ def _projected_start(s, basis, x, r, r_norm):
     return x_new, r_new, rn
 
 
-def deflated_cg(s, rhs, x0=None, tol=1e-12, maxiter=None, precond=None,
+def deflated_cg(s, rhs, x0=None, tol=CG_TOL, maxiter=None, precond=None,
                 forcing=0.0, basis=None):
     """Conjugate gradients on the constants-deflected subspace.
 
@@ -235,8 +241,9 @@ class Assembler:
     pattern of S are computed once, and ``step`` only rebuilds what depends
     on the previous velocity iterate and the relaxation weight.
 
-    ``parent``, an Assembler for the same problem and degree on the mesh
-    that ``mesh`` was refined from, lets the set-up pay only for what
+    The package always takes the two degrees' defaults, the constants above.
+    ``parent``, an Assembler for the same problem and volume degree on the
+    mesh that ``mesh`` was refined from, lets the set-up pay only for what
     changed: each unsplit child copies its parent's sampled rows (``k_term``,
     ``f_int`` and the per-element integrals of b phi_j and |b|), and only the
     new children are sampled (see :class:`~darcyfem.spaces.ElementCarry`);
@@ -246,7 +253,8 @@ class Assembler:
     """
 
     def __init__(self, mesh: Mesh, problem: ProblemSpec,
-                 volume_degree: int = 4, edge_quad_points: int = 4,
+                 volume_degree: int = VOLUME_DEGREE,
+                 edge_quad_points: int = LOAD_EDGE_POINTS,
                  parent: Assembler | None = None):
         self.mesh = mesh
         self.problem = problem
@@ -344,20 +352,9 @@ class Assembler:
         pr = self.problem
         return (pr.beta / pr.rho) * u_norm
 
-    def drag(self, u_prev: np.ndarray, alpha: float,
-             conv: np.ndarray | None = None) -> np.ndarray:
-        """d_k = alpha + (beta/rho) |u_prev_k|, the weight of |k| I in A_k;
-        ``conv`` holds the convective part when the caller has it."""
-        if conv is None:
-            conv = self.convection(row_norms(u_prev))
-        return alpha + conv
-
-    def element_blocks(self, u_prev: np.ndarray, alpha: float,
-                       conv: np.ndarray | None = None) -> ElementBlocks:
-        return self._blocks(self.drag(u_prev, alpha, conv))
-
-    def _blocks(self, drag: np.ndarray) -> ElementBlocks:
-        """A_k = K-term + d_k |k| I and its inverse for the weights d_k."""
+    def element_blocks(self, drag: np.ndarray) -> ElementBlocks:
+        """A_k = K-term + d_k |k| I and its inverse for the drag weights
+        ``drag`` = d_k = alpha + (beta/rho) |u_prev_k|."""
         diag = drag * self.mesh.areas
         a = self._k_rows.copy()                # rows A_00, A_01, A_10, A_11
         a[0] += diag
@@ -421,10 +418,16 @@ class Assembler:
 
     def step(self, u_prev: np.ndarray, alpha: float,
              conv: np.ndarray | None = None) -> PressureSystem:
-        """Assemble the Schur system for one relaxed fixed-point step;
-        ``conv`` holds the convective part of the drag (see :meth:`drag`)
-        when the caller has it."""
-        blocks = self.element_blocks(u_prev, alpha, conv)
+        """Assemble the Schur system for one relaxed fixed-point step.
+
+        ``conv`` is (beta/rho) |u_prev_k| (:meth:`convection`), which
+        :func:`~darcyfem.nonlinear_solver.solve` keeps per iterate.  It is
+        formed here when not given only because the benchmark's mass-row
+        check calls ``step(u_prev, alpha)``.
+        """
+        if conv is None:
+            conv = self.convection(row_norms(u_prev))
+        blocks = self.element_blocks(alpha + conv)
         s = self._schur(blocks.inverses)
 
         f = self.f_int + alpha * self.mesh.areas[:, None] * u_prev
@@ -434,11 +437,10 @@ class Assembler:
         return PressureSystem(s=s, g=g, f=f, blocks=blocks)
 
     def solve_pressure(self, system: PressureSystem, x0=None,
-                       tol: float = 1e-12, maxiter=None,
                        forcing: float = 0.0,
                        basis=None) -> tuple[P1ScalarField, int]:
-        """Multigrid-preconditioned deflated-CG solve; returns the zero-mean
-        pressure and the number of CG iterations.
+        """Multigrid-preconditioned deflated-CG solve to ``CG_TOL``; returns
+        the zero-mean pressure and the number of CG iterations.
 
         The CG residual G - S p is the mass-row defect B u(p) - H of the
         velocity recovered from p.  With ``forcing > 0`` the solve stops once
@@ -450,32 +452,31 @@ class Assembler:
         """
         if system.vcycle is None:
             system.vcycle = VCycle(self.hierarchy, system.s)
-        raw, iters = deflated_cg(system.s, system.g, x0=x0, tol=tol,
-                                 maxiter=maxiter, precond=system.vcycle,
-                                 forcing=forcing, basis=basis)
+        raw, iters = deflated_cg(system.s, system.g, x0=x0,
+                                 precond=system.vcycle, forcing=forcing,
+                                 basis=basis)
         return project_mean_zero(P1ScalarField(self.mesh, raw)), iters
 
     def recover_velocity(self, system: PressureSystem, p: P1ScalarField,
-                         grads: np.ndarray | None = None) -> P0VectorField:
+                         grads: np.ndarray) -> P0VectorField:
         """Eliminate back: u_k = A_k^-1 (F_k - B_k^T p).
 
-        B_k^T p = |k| grad p|_k; ``grads`` are the elementwise gradients of
-        p, shape (m, 2), when the caller has formed them already.
+        B_k^T p = |k| grad p|_k, from ``grads``, the elementwise gradients
+        of p, shape (m, 2).
         """
-        if grads is None:
-            grads = p1_gradients(p)
         rhs = system.f - self.mesh.areas[:, None] * grads
         return P0VectorField(self.mesh,
                              _apply_blocks(system.blocks.inverses, rhs))
 
-    def lifting(self, tol: float = 1e-12) -> tuple[P0VectorField, int]:
-        """Minimal-L2-norm piecewise-constant field with B u = H.
+    def lifting(self) -> tuple[P0VectorField, int]:
+        """Minimal-L2-norm piecewise-constant field with B u = H, solved to
+        ``CG_TOL``.
 
         This is the discrete lifting of the divergence/flux data: u = A0^-1
         B^T lam with A0 the area-weighted identity and B A0^-1 B^T lam = H.
         """
         s0 = self._reference_schur()
-        lam, iters = deflated_cg(s0, self.h, tol=tol,
+        lam, iters = deflated_cg(s0, self.h,
                                  precond=VCycle(self.hierarchy, s0))
         u = np.einsum("mja,mj->ma", self.b, lam[self.mesh.tris]) \
             / self.mesh.areas[:, None]

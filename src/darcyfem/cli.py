@@ -249,14 +249,8 @@ def _resolve_problem(cfg, run: _Settings):
     if isinstance(name, dict):
         return problems.problem_from_config(name)
     if str(name) in problems.BUILTIN_PROBLEMS:
-        beta = run.beta
-        if name == "gaussian-vortex":
-            return problems.gaussian_vortex(beta=1.0 if beta is None else beta)
-        if name == "reentrant-corner":
-            return problems.reentrant_corner(
-                **({} if beta is None else {"beta": beta}))
-        zero = problems.trivial_zero()
-        return zero if beta is None else replace(zero, beta=beta)
+        return problems.BUILTIN_PROBLEMS[name](
+            **({} if run.beta is None else {"beta": run.beta}))
     if os.path.exists(str(name)):
         try:
             with open(name) as fh:

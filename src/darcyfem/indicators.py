@@ -22,9 +22,11 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from .assembly import VOLUME_DEGREE
 from .mesh import Mesh
 from .problems import ProblemSpec, eval_k_inverse
 from .spaces import (
+    ERROR_QUAD_DEGREE,
     ElementCarry,
     P0VectorField,
     P1ScalarField,
@@ -32,7 +34,6 @@ from .spaces import (
     element_lp,
     gradient_lp_norm,
     lp_norm,
-    p1_gradients,
     physical_points,
     quadrature_sums,
     row_norms,
@@ -44,6 +45,8 @@ from .spaces import (
 # rule and 8 Gauss points per boundary edge.
 OSCILLATION_DEGREE = 10
 EDGE_QUAD_POINTS = 8
+# Relative and absolute rounding slack of lower_bound_check's comparison.
+LOWER_BOUND_SLACK = 1e-10
 
 
 @dataclass
@@ -87,10 +90,10 @@ class IndicatorContext:
 
     Holds the element means of f and b, the boundary edge means of g, the
     oscillation terms (fixed once per mesh) and the permeability samples
-    needed by the momentum residual.
+    needed by the momentum residual, at the ``VOLUME_DEGREE`` points.
 
-    ``parent``, a context for the same problem and degree on the mesh that
-    ``mesh`` was refined from, lets the set-up pay only for what changed:
+    ``parent``, a context for the same problem on the mesh that ``mesh``
+    was refined from, lets the set-up pay only for what changed:
     each unsplit child copies its parent's sampled rows (``f_means``,
     ``osc_f``, ``b_means``, ``osc_b`` and ``k_samples``), and only the new
     children are sampled (see :class:`~darcyfem.spaces.ElementCarry`); every
@@ -99,16 +102,13 @@ class IndicatorContext:
     """
 
     def __init__(self, mesh: Mesh, problem: ProblemSpec,
-                 volume_degree: int = 4,
                  parent: IndicatorContext | None = None):
         self.mesh = mesh
         self.problem = problem
-        self._res_rule = triangle_rule(volume_degree)
-        if parent is not None and (
-                parent.problem is not problem
-                or parent._res_rule.degree != self._res_rule.degree):
+        self._res_rule = triangle_rule(VOLUME_DEGREE)
+        if parent is not None and parent.problem is not problem:
             raise ValueError("the parent IndicatorContext was built for "
-                             "another problem or quadrature degree")
+                             "another problem")
         carry = ElementCarry(mesh, None if parent is None else parent.mesh)
         m = mesh.n_triangles
         areas = mesh.areas
@@ -198,29 +198,23 @@ class IndicatorContext:
             shape=(m, mesh.n_edges))
 
     def compute(self, u_new: P0VectorField, u_prev: P0VectorField,
-                p_new: P1ScalarField, alpha: float,
-                grads: np.ndarray | None = None,
-                conv: np.ndarray | None = None) -> ElementIndicators:
+                p_new: P1ScalarField, alpha: float, grads: np.ndarray,
+                conv: np.ndarray) -> ElementIndicators:
         """Evaluate all indicators for one completed fixed-point step.
 
         ``grads`` are the elementwise gradients of ``p_new``, shape (m, 2),
         and ``conv`` the convective weights (beta/rho) |u_prev_k|, shape
-        (m,), when the caller has formed them already.
+        (m,), both formed once per iterate by the caller.
         """
         pr = self.problem
         un = u_new.values
-        up = u_prev.values
-        du = un - up
+        du = un - u_prev.values
         du_norm = row_norms(du)
         eta_l = self._sqrt_areas * du_norm
 
-        if grads is None:
-            grads = p1_gradients(p_new)
         c = self.f_means - grads
         c -= alpha * du
         del du                  # not alive beside the residual's temporaries
-        if conv is None:
-            conv = (pr.beta / pr.rho) * row_norms(up)
         c -= conv[:, None] * un
         if self.k_const is not None:
             c -= (pr.mu / pr.rho) * un @ self.k_const.T
@@ -277,9 +271,10 @@ class LowerBoundReport:
 
 
 def lower_bound_check(mesh: Mesh, problem: ProblemSpec,
-                      u_new: P0VectorField, u_prev: P0VectorField,
-                      degree: int = 10, slack: float = 1e-10) -> LowerBoundReport:
-    """Verify eta_L_k <= ||u - u_prev||_L2(k) + ||u - u_new||_L2(k).
+                      u_new: P0VectorField,
+                      u_prev: P0VectorField) -> LowerBoundReport:
+    """Verify eta_L_k <= ||u - u_prev||_L2(k) + ||u - u_new||_L2(k), up to
+    ``LOWER_BOUND_SLACK``, with the errors on the ``ERROR_QUAD_DEGREE`` rule.
 
     A triangle inequality, so it holds for any pair of iterates; running it
     guards the indicator's scaling against regressions.  Needs the problem's
@@ -287,7 +282,7 @@ def lower_bound_check(mesh: Mesh, problem: ProblemSpec,
     """
     if problem.exact_u is None:
         raise ValueError(f"problem {problem.name!r} has no reference velocity")
-    rule = triangle_rule(degree)
+    rule = triangle_rule(ERROR_QUAD_DEGREE)
     ux, uy = sample(physical_points(mesh, rule), problem.exact_u)
 
     def err(u):
@@ -300,7 +295,8 @@ def lower_bound_check(mesh: Mesh, problem: ProblemSpec,
         u_new.values - u_prev.values, axis=1)
     bound = err_prev + err_new
     return LowerBoundReport(eta_l=eta_l, bound=bound,
-                            ok=eta_l <= bound * (1.0 + slack) + slack)
+                            ok=eta_l <= bound * (1.0 + LOWER_BOUND_SLACK)
+                            + LOWER_BOUND_SLACK)
 
 
 def total_relative_indicator(ind: ElementIndicators, u: P0VectorField,

@@ -18,14 +18,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .assembly import Assembler, LinearSolverError
+from .assembly import (CG_TOL, LOAD_EDGE_POINTS, VOLUME_DEGREE, Assembler,
+                       LinearSolverError)
 from .indicators import ElementIndicators, IndicatorContext
 from .mesh import Mesh
 from .problems import ProblemSpec, validate
 from .spaces import (
+    ERROR_QUAD_DEGREE,
     P0VectorField,
     P1ScalarField,
     QuadratureRule,
@@ -39,12 +42,10 @@ from .spaces import (
     triangle_rule,
 )
 
-ERROR_QUAD_DEGREE = 10
-
 # Forcing term of the inexact pressure solves: each fixed-point step stops
 # its CG once the mass-row defect B u - H has fallen by this factor from the
 # defect of the previous pressure; only the step the iteration stops on is
-# finished to ``cg_tol``.  0 solves every step to ``cg_tol``.  CG starts
+# finished to ``CG_TOL``.  0 solves every step to ``CG_TOL``.  CG starts
 # from the S-energy-minimal point of p_n + span of the last
 # PROJECTION_DEPTH pressure changes of the solve, if that lowers the
 # defect; the stop stays measured against the defect of p_n.  0 starts
@@ -66,9 +67,12 @@ class SolverConfig:
     relative step increment falls below ``tol``; ``"indicator_balance"``
     stops when the linearization indicator is dominated by the
     discretization indicator, eta_L <= gamma_tilde * eta_D.  Construction
-    raises ValueError for a negative or non-finite ``alpha``, a ``tol``,
-    ``gamma_tilde`` or ``cg_tol`` that is not finite and positive, and a
-    ``max_iter`` below 1.
+    raises ValueError for a negative or non-finite ``alpha``, a ``tol`` or
+    ``gamma_tilde`` that is not finite and positive, and a ``max_iter``
+    below 1.  The quadrature and the CG tolerance are constants of
+    :mod:`.assembly`; the class attributes ``volume_degree``,
+    ``edge_quad_points`` and ``cg_tol`` equal them, and nothing in the
+    package reads them.
     """
 
     alpha: float = 1.0
@@ -77,10 +81,11 @@ class SolverConfig:
     max_iter: int = 2000
     initial_guess: str = "zero"          # "zero" | "darcy"
     stopping: str = "fixed_tol"          # "fixed_tol" | "indicator_balance"
-    volume_degree: int = 4
-    edge_quad_points: int = 4
-    cg_tol: float = 1e-12
     keep_iterates: bool = False
+
+    volume_degree: ClassVar[int] = VOLUME_DEGREE
+    edge_quad_points: ClassVar[int] = LOAD_EDGE_POINTS
+    cg_tol: ClassVar[float] = CG_TOL
 
     def __post_init__(self):
         if self.initial_guess not in ("zero", "darcy"):
@@ -90,7 +95,7 @@ class SolverConfig:
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError(f"alpha must be finite and >= 0, "
                              f"not {self.alpha!r}")
-        for name in ("tol", "gamma_tilde", "cg_tol"):
+        for name in ("tol", "gamma_tilde"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, "
@@ -197,8 +202,8 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
 
     ``assembler`` and ``context`` may be passed in to reuse the cached
     mesh/data integrals across several solves on the same mesh (the sweep
-    below does this); they must have been built for the same mesh, problem
-    and quadrature degrees.  ``start = (u0, p0)``, element velocities of
+    below does this); they must have been built for the same mesh and
+    problem.  ``start = (u0, p0)``, element velocities of
     shape (m, 2) and vertex pressures of shape (n,), is the iterate to start
     from; it replaces ``config.initial_guess`` (the adaptive loop passes the
     previous level's solution carried onto the refined mesh).
@@ -208,9 +213,9 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     ``PROJECTION_DEPTH`` pressure changes (see
     :func:`~darcyfem.assembly.deflated_cg`).  A step that passes the
     stopping test, or is the ``max_iter``-th, is finished: its CG continues
-    to ``cfg.cg_tol``, and the step's increment and indicators are
+    to ``CG_TOL``, and the step's increment and indicators are
     recomputed and tested again.  So the returned fields always come from
-    a pressure solved to ``cfg.cg_tol``, unless the step increment was not
+    a pressure solved to ``CG_TOL``, unless the step increment was not
     finite.  A LinearSolverError from a pressure solve records the step
     whose solve raised as ``step`` (0 for the Darcy start).
 
@@ -230,12 +235,12 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     all use them, so no step takes the row norms of u_prev again.
     """
     cfg = config or SolverConfig()
-    asm = assembler or Assembler(mesh, problem, cfg.volume_degree,
-                                 cfg.edge_quad_points)
-    ctx = context or IndicatorContext(mesh, problem, cfg.volume_degree)
+    asm = assembler or Assembler(mesh, problem)
+    ctx = context or IndicatorContext(mesh, problem)
 
     zero_u = np.zeros((mesh.n_triangles, 2))
     builds = 0
+    system = None
     if start is not None:
         u0, p0 = (np.array(v, dtype=np.float64) for v in start)
         if u0.shape != zero_u.shape or p0.shape != (mesh.n_vertices,):
@@ -245,20 +250,21 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
         u_prev = P0VectorField(mesh, u0)
         p_prev = P1ScalarField(mesh, p0)
     elif cfg.initial_guess == "darcy":
-        system = asm.step(zero_u, 0.0)
-        p_prev, _ = asm.solve_pressure(system, tol=cfg.cg_tol)
-        u_prev = asm.recover_velocity(system, p_prev)
+        system = asm.step(zero_u, 0.0, np.zeros(mesh.n_triangles))
+        p_prev, _ = asm.solve_pressure(system)
         builds = 1
     else:
         u_prev = P0VectorField(mesh, zero_u.copy())
         p_prev = P1ScalarField(mesh, np.zeros(mesh.n_vertices))
+    g_prev = p1_gradients(p_prev)
+    if system is not None:      # the Darcy start's velocity
+        u_prev = asm.recover_velocity(system, p_prev, g_prev)
 
     iterates = [u_prev.values.copy()] if cfg.keep_iterates else None
     trace: list[TraceRow] = []
     cg_total = 0
     converged = False
     err_l = math.inf
-    g_prev = p1_gradients(p_prev)
     # (beta/rho) |u_prev_k|, the one m-array kept from step to step; the
     # drag weights alpha + conv are formed where they are needed.
     conv = asm.convection(row_norms(u_prev.values))
@@ -276,8 +282,8 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     def solve_pressure(system, x0, forcing=0.0, basis=None):
         """The step's pressure solve; an error records the step ``it``."""
         try:
-            return asm.solve_pressure(system, x0=x0, tol=cfg.cg_tol,
-                                      forcing=forcing, basis=basis)
+            return asm.solve_pressure(system, x0=x0, forcing=forcing,
+                                      basis=basis)
         except LinearSolverError as exc:
             exc.step = it
             raise
@@ -311,8 +317,7 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
         t1 = time.perf_counter()
         # Keep the last V-cycle while the drag weights stay close to those
         # it was built on; otherwise drop it before the solve builds one.
-        drag = asm.drag(u_prev.values, cfg.alpha, conv) \
-            if VCYCLE_DRIFT > 0.0 else None
+        drag = cfg.alpha + conv if VCYCLE_DRIFT > 0.0 else None
         if kept is not None and _within_drift(kept_drag, drag):
             system.vcycle = kept.with_finest(system.s)
         else:
@@ -411,10 +416,10 @@ def _lp(mesh: Mesh, rule: QuadratureRule, vx, vy, p: float) -> float:
 
 def true_error(mesh: Mesh, problem: ProblemSpec,
                u: P0VectorField | list[P0VectorField],
-               p: P1ScalarField | list[P1ScalarField],
-               degree: int = ERROR_QUAD_DEGREE
+               p: P1ScalarField | list[P1ScalarField]
                ) -> ErrorReport | list[ErrorReport]:
-    """Quadrature errors of (u, p) against the problem's reference solution.
+    """Quadrature errors of (u, p) against the problem's reference solution,
+    on the ``ERROR_QUAD_DEGREE`` rule.
 
     ``u`` and ``p`` are a P0VectorField and a P1ScalarField on ``mesh``, or
     two lists of them of equal length; a list gives a list of
@@ -428,7 +433,7 @@ def true_error(mesh: Mesh, problem: ProblemSpec,
     us, ps = (list(u), list(p)) if many else ([u], [p])
     if len(us) != len(ps):
         raise ValueError(f"{len(us)} velocities but {len(ps)} pressures")
-    rule = triangle_rule(degree)
+    rule = triangle_rule(ERROR_QUAD_DEGREE)
     grads = [p1_gradients(q) for q in ps]
     # Per-element integrals of |u|^3 and |grad p|^3/2, and per field of
     # |u - u_h|^2, |u - u_h|^3 and |grad p - grad p_h|^3/2, sampled block by
@@ -518,8 +523,8 @@ def alpha_sweep(mesh: Mesh, problem: ProblemSpec, alphas,
     one :func:`true_error` pass over all of them gives the errors.
     """
     cfg = config or SolverConfig()
-    asm = Assembler(mesh, problem, cfg.volume_degree, cfg.edge_quad_points)
-    ctx = IndicatorContext(mesh, problem, cfg.volume_degree)
+    asm = Assembler(mesh, problem)
+    ctx = IndicatorContext(mesh, problem)
     rows, solved, us, ps = [], [], [], []
     for a in map(float, alphas):
         try:

@@ -179,7 +179,7 @@ def reentrant_corner(beta: float = 10.0) -> ProblemSpec:
         k_inverse=k_inverse, f=f, b=b, g=g, k_constant=False)
 
 
-def trivial_zero() -> ProblemSpec:
+def trivial_zero(beta: float = 1.0) -> ProblemSpec:
     """Zero data on the unit square; the solution is identically zero."""
 
     def zero(x, y):
@@ -197,7 +197,7 @@ def trivial_zero() -> ProblemSpec:
 
     return ProblemSpec(
         name="trivial-zero", domain="unit-square",
-        mu=1.0, rho=1.0, beta=1.0,
+        mu=1.0, rho=1.0, beta=beta,
         k_inverse=k_inverse, f=zero_vec, b=zero, g=g, k_constant=True,
         exact_u=zero_vec, exact_p=zero,
         exact_grad_p=zero_vec)

@@ -24,6 +24,10 @@ from .mesh import Mesh
 # Quadrature
 # ---------------------------------------------------------------------------
 
+# Degree of the volume rule of errors against a reference solution.
+ERROR_QUAD_DEGREE = 10
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Quadrature on the reference triangle in barycentric coordinates.
@@ -95,7 +99,7 @@ def _triangle_rule(degree: int) -> QuadratureRule:
 
 
 @functools.lru_cache(maxsize=None)
-def edge_rule(n_points: int = 4) -> tuple[np.ndarray, np.ndarray]:
+def edge_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1] (weights sum to one);
     cached and shared, so both arrays are read-only."""
     gx, gw = np.polynomial.legendre.leggauss(n_points)

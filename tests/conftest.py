@@ -14,6 +14,7 @@ from darcyfem import problems
 from darcyfem.adaptivity import adaptive_loop, uniform_study
 from darcyfem.mesh import refine
 from darcyfem.nonlinear_solver import SolverConfig, alpha_sweep
+from darcyfem.spaces import p1_gradients, row_norms
 
 TABLE1_ALPHAS = [0.001, 0.01, 0.1, 1, 1.4, 1.9, 2.1, 2.3, 2.5, 2.7,
                  3, 3.7, 5, 10, 100, 1000]
@@ -111,6 +112,21 @@ def refine_uniform(mesh, rounds=1):
     for _ in range(rounds):
         mesh = refine(mesh, np.arange(mesh.n_triangles))
     return mesh
+
+
+def drag(asm, u, alpha):
+    """The drag weights alpha + (beta/rho) |u_k| of ``asm``'s problem, as
+    ``solve`` forms them from the convective weights it keeps."""
+    return alpha + asm.convection(row_norms(u))
+
+
+def indicators_of(ctx, u_new, u_prev, p_new, alpha):
+    """``ctx.compute`` given the gradients of ``p_new`` and the convective
+    weights (beta/rho) |u_prev_k|, each formed here as ``solve`` forms
+    them."""
+    pr = ctx.problem
+    conv = (pr.beta / pr.rho) * row_norms(u_prev.values)
+    return ctx.compute(u_new, u_prev, p_new, alpha, p1_gradients(p_new), conv)
 
 
 def traced_peak(fn):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from darcyfem.assembly import Assembler
+from darcyfem.assembly import CG_TOL, LOAD_EDGE_POINTS, Assembler
 from darcyfem.indicators import OSCILLATION_DEGREE
 from darcyfem.mesh import MeshConformityError
 from darcyfem.multigrid import MAX_COARSE, STRENGTH_THETA, Pattern, _aggregate
@@ -333,7 +333,7 @@ def loop_refine(mesh, marked):
 # projected start
 # ---------------------------------------------------------------------------
 
-def tol_only_cg(s, rhs, x0=None, tol=1e-12, precond=None):
+def tol_only_cg(s, rhs, x0=None, tol=CG_TOL, precond=None):
     """``(x, iterations)`` of deflated (preconditioned) CG stopped at
     ||r|| <= tol ||rhs - mean||, with no forcing term and no finiteness
     checks; ``deflated_cg(..., forcing=0)`` must give the same bytes."""
@@ -652,7 +652,7 @@ def argsort_product_map(keys, values, entry, n_entries, n_rows, n_cols):
     return indptr, indices, q
 
 
-def subtract_at_load(asm, edge_quad_points=4):
+def subtract_at_load(asm, edge_quad_points=LOAD_EDGE_POINTS):
     """The load vector H of ``asm``: the interior terms subtracted from zero
     one by one with ``np.subtract.at``, then the boundary endpoint terms
     added in edge order."""

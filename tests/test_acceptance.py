@@ -159,7 +159,7 @@ def test_matches_dense_saddle_point_oracle():
         asm = Assembler(mesh, prob)
         system = asm.step(u_prev, alpha)
         p, _ = asm.solve_pressure(system)
-        u = asm.recover_velocity(system, p)
+        u = asm.recover_velocity(system, p, p1_gradients(p))
         u_ref, p_ref = dense_step_solve(mesh.xy, mesh.tris, prob,
                                         u_prev, alpha)
         scale_u = max(1.0, np.abs(u_ref).max())

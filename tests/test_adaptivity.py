@@ -315,7 +315,7 @@ def test_carry_rejects_a_mesh_not_refined_from_the_parent():
     with pytest.raises(ValueError, match="another problem"):
         Assembler(other, problems.reentrant_corner(), parent=asm)
     with pytest.raises(ValueError, match="another problem"):
-        IndicatorContext(other, prob, volume_degree=6, parent=ctx)
+        IndicatorContext(other, problems.reentrant_corner(), parent=ctx)
 
 
 def test_compatibility_error_fires_on_a_carried_level():

@@ -21,7 +21,7 @@ from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
                               project_mean_zero, row_norms)
 
 from conftest import random_affine_problem as _random_problem
-from conftest import rng_loop, traced_peak
+from conftest import drag, rng_loop, traced_peak
 from oracles import (DivergenceCoupling, argsort_product_map,
                      assemble_step, coo_flux,
                      dense_projected_start, dense_step_solve, einsum_schur,
@@ -34,7 +34,7 @@ def test_element_blocks_identity_case():
     prob = problems.trivial_zero()
     m = generate_structured(1)
     asm = Assembler(m, prob)
-    blocks = asm.element_blocks(np.zeros((m.n_triangles, 2)), alpha=0.0)
+    blocks = asm.element_blocks(drag(asm, np.zeros((m.n_triangles, 2)), 0.0))
     for k in range(m.n_triangles):
         assert np.allclose(blocks.blocks[k], m.areas[k] * np.eye(2),
                            atol=1e-14)
@@ -48,7 +48,7 @@ def test_element_blocks_scalar_arithmetic():
     m = generate_structured(1)
     asm = Assembler(m, prob)
     u_prev = np.tile([2.0, 0.0], (m.n_triangles, 1))
-    blocks = asm.element_blocks(u_prev, alpha=1.0)
+    blocks = asm.element_blocks(drag(asm, u_prev, 1.0))
     for k in range(m.n_triangles):
         assert np.allclose(blocks.blocks[k], 4.0 * m.areas[k] * np.eye(2),
                            rtol=0, atol=1e-13)
@@ -61,7 +61,7 @@ def test_element_blocks_spd_random():
         asm = Assembler(m, prob)
         u_prev = rng.standard_normal((m.n_triangles, 2))
         alpha = float(rng.uniform(0, 5))
-        blocks = asm.element_blocks(u_prev, alpha)
+        blocks = asm.element_blocks(drag(asm, u_prev, alpha))
         k_m = problems.validate(prob, m)["K_m"]
         for k in range(m.n_triangles):
             a = blocks.blocks[k]
@@ -114,7 +114,7 @@ def test_schur_matches_dense_oracle_smallest_mesh():
     asm = Assembler(m, prob)
     system = asm.step(u_prev, alpha)
     p, _ = asm.solve_pressure(system)
-    u = asm.recover_velocity(system, p)
+    u = asm.recover_velocity(system, p, p1_gradients(p))
     u_ref, p_ref = dense_step_solve(m.xy, m.tris, prob, u_prev, alpha)
     assert np.abs(u.values - u_ref).max() < 1e-10
     assert np.abs(p.values - p_ref).max() < 1e-10
@@ -133,7 +133,7 @@ def test_schur_matches_dense_oracle_ten_seeds():
         asm = Assembler(m, prob)
         system = asm.step(u_prev, alpha)
         p, _ = asm.solve_pressure(system)
-        u = asm.recover_velocity(system, p)
+        u = asm.recover_velocity(system, p, p1_gradients(p))
         u_ref, p_ref = dense_step_solve(m.xy, m.tris, prob, u_prev, alpha)
         scale_u = max(1.0, np.abs(u_ref).max())
         scale_p = max(1.0, np.abs(p_ref).max())
@@ -151,8 +151,8 @@ def test_step_solution_satisfies_both_equations():
     asm = Assembler(m, prob)
     system = asm.step(u_prev, 0.9)
     p, _ = asm.solve_pressure(system)
-    u = asm.recover_velocity(system, p)
     gp = p1_gradients(p)
+    u = asm.recover_velocity(system, p, gp)
     for k in range(m.n_triangles):
         r = system.blocks.blocks[k] @ u.values[k] \
             + m.areas[k] * gp[k] - system.f[k]
@@ -183,8 +183,8 @@ def test_schur_is_byte_identical_to_einsum(case):
         assert not prob.k_constant
         asm = Assembler(_graded_lshape(), prob)
         rng = np.random.default_rng(13)
-        weights = asm.element_blocks(
-            rng.standard_normal((asm.mesh.n_triangles, 2)), 3.0).inverses
+        weights = asm.element_blocks(drag(
+            asm, rng.standard_normal((asm.mesh.n_triangles, 2)), 3.0)).inverses
         assert np.abs(weights[:, 0, 1]).min() > 0
     s = asm._schur(weights)
     ref = einsum_schur(asm, weights)
@@ -201,8 +201,8 @@ def test_schur_peak_memory():
     ``np.unique`` scatter took it to 5.2 MiB."""
     prob = problems.gaussian_vortex(beta=10.0)
     asm = Assembler(problems.initial_mesh(prob, 112), prob)
-    weights = asm.element_blocks(
-        np.zeros((asm.mesh.n_triangles, 2)), 10.0).inverses
+    weights = asm.element_blocks(drag(
+        asm, np.zeros((asm.mesh.n_triangles, 2)), 10.0)).inverses
     asm._schur(weights)
     _, peak = traced_peak(lambda: asm._schur(weights))
     assert peak <= 4.6 * 2 ** 20
@@ -230,8 +230,8 @@ def test_schur_skipping_zero_terms_keeps_the_einsum_bytes(case):
     m = asm.mesh.n_triangles
     rng = np.random.default_rng(17)
     if case.startswith("vortex"):
-        weights = asm.element_blocks(rng.standard_normal((m, 2)),
-                                     10.0).inverses.copy()
+        weights = asm.element_blocks(drag(
+            asm, rng.standard_normal((m, 2)), 10.0)).inverses.copy()
         assert not weights[:, 0, 1].any() and not weights[:, 1, 0].any()
         weights[:, 0, 1] = _signed_zeros(rng, m)
         weights[:, 1, 0] = _signed_zeros(rng, m)
@@ -253,17 +253,15 @@ def test_schur_skipping_zero_terms_keeps_the_einsum_bytes(case):
 @pytest.mark.parametrize("case", ["vortex", "corner"])
 def test_step_with_the_convective_weights_passed_in_keeps_the_bytes(case):
     """``Assembler.step(u, alpha)`` and the call given
-    ``conv = convection(|u|)`` build the same system, byte for byte, and
-    ``drag`` gives the same weights either way."""
+    ``conv = convection(|u|)`` build the same system, byte for byte."""
     if case == "vortex":
         prob = problems.gaussian_vortex(beta=10.0)
         asm = Assembler(generate_structured(10), prob)
     else:
         asm = Assembler(_graded_lshape(), problems.reentrant_corner(beta=10.0))
     u = np.random.default_rng(19).standard_normal((asm.mesh.n_triangles, 2))
-    conv = asm.convection(row_norms(u))
-    assert asm.drag(u, 3.0, conv).tobytes() == asm.drag(u, 3.0).tobytes()
-    alone, shared = asm.step(u, 3.0), asm.step(u, 3.0, conv)
+    alone = asm.step(u, 3.0)
+    shared = asm.step(u, 3.0, asm.convection(row_norms(u)))
     for got, want in ((shared.s.data, alone.s.data), (shared.g, alone.g),
                       (shared.f, alone.f),
                       (shared.blocks.blocks, alone.blocks.blocks),
@@ -631,7 +629,7 @@ def _graded_lshape():
 
 @pytest.mark.parametrize("case", ["structured", "graded_lshape"])
 def test_true_residual_of_returned_pressure(case):
-    """||G - S p - mean|| <= 10 cg_tol ||G - mean G|| for the returned p, as
+    """||G - S p - mean|| <= 10 CG_TOL ||G - mean G|| for the returned p, as
     the benchmark checks on the mass rows."""
     if case == "structured":
         prob = problems.gaussian_vortex(beta=10.0)
@@ -641,13 +639,12 @@ def test_true_residual_of_returned_pressure(case):
         mesh = _graded_lshape()
         assert not prob.k_constant
     asm, system = _first_step(mesh, prob)
-    cg_tol = 1e-12
-    p, _ = asm.solve_pressure(system, tol=cg_tol)
+    p, _ = asm.solve_pressure(system)
     assert len(asm.hierarchy.sizes) > 2
     res = system.g - system.s @ p.values
     res -= res.mean()
     g = system.g - system.g.mean()
-    assert np.linalg.norm(res) <= 10 * cg_tol * np.linalg.norm(g)
+    assert np.linalg.norm(res) <= 10 * assembly.CG_TOL * np.linalg.norm(g)
 
 
 def _hierarchy_case(case):
@@ -996,7 +993,7 @@ def test_kept_vcycle_on_drifted_weights_stays_spd(signs):
     """A V-cycle built on S(u), given the S of drag weights drifted by
     ``VCYCLE_DRIFT`` as its finest operator, keeps its Jacobi weights, is
     symmetric and positive on mean-zero vectors, to rounding, and CG with
-    it reaches ``cg_tol``."""
+    it reaches ``CG_TOL``."""
     drift = nonlinear_solver.VCYCLE_DRIFT
     assert 0.0 <= drift < 1.0 / 3.0
     prob = problems.reentrant_corner(beta=10.0)
@@ -1007,8 +1004,8 @@ def test_kept_vcycle_on_drifted_weights_stays_spd(signs):
     built = asm.step(u, 1.0)
     sigma = {"up": np.ones(m), "down": -np.ones(m),
              "mixed": rng.choice([-1.0, 1.0], m)}[signs]
-    drag = asm.drag(u, 1.0) * (1.0 + drift * sigma)
-    s = asm._schur(asm._blocks(drag).inverses)
+    drifted = drag(asm, u, 1.0) * (1.0 + drift * sigma)
+    s = asm._schur(asm.element_blocks(drifted).inverses)
     assert len(asm.hierarchy.sizes) > 2
     vcycle = VCycle(asm.hierarchy, built.s)
     kept = vcycle.with_finest(None)
@@ -1028,11 +1025,12 @@ def test_kept_vcycle_on_drifted_weights_stays_spd(signs):
     assert eig.min() > 1e-8 * eig.max()
 
     g = rng.standard_normal(n)
-    x, iters = deflated_cg(s, g, tol=1e-12, precond=swapped)
+    x, iters = deflated_cg(s, g, precond=swapped)
     b = g - g.mean()
     r = b - s @ x
     assert 1 <= iters <= 60
-    assert np.linalg.norm(r - r.mean()) <= 10 * 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(r - r.mean()) \
+        <= 10 * assembly.CG_TOL * np.linalg.norm(b)
 
 
 def test_kept_vcycle_gives_the_bytes_of_a_fresh_one():
