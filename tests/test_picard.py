@@ -30,7 +30,7 @@ def test_solver_config_rejects_unknown_modes():
 @pytest.mark.parametrize("setting", [
     {"alpha": -1.0}, {"alpha": math.inf}, {"alpha": math.nan},
     {"tol": 0.0}, {"tol": math.inf}, {"gamma_tilde": -1e-3},
-    {"gamma_tilde": math.nan}, {"max_iter": 0},
+    {"gamma_tilde": math.nan}, {"gamma_tilde": 0.0}, {"max_iter": 0},
 ])
 def test_solver_config_rejects_out_of_range_settings(setting):
     with pytest.raises(ValueError, match=next(iter(setting))):
