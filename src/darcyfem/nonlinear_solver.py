@@ -476,8 +476,8 @@ def true_error(mesh: Mesh, problem: ProblemSpec,
 @dataclass
 class SweepRow:
     """One alpha of a sweep.  ``iterations`` is the step count of the solve,
-    or the step whose pressure solve raised.  ``vcycle_builds`` is the
-    solve's (None when the pressure solve raised).  ``phases_s`` holds the
+    or the step whose pressure solve raised.  ``vcycle_builds`` and
+    ``cg_total`` are the solve's (None when the pressure solve raised).  ``phases_s`` holds the
     solve's :func:`phase_totals` plus ``true_error``, the row's share of the
     sweep's one error pass: its time over the number of rows it evaluated
     (empty when the pressure solve raised).  Rows compare equal without
@@ -490,6 +490,7 @@ class SweepRow:
     log10_err: float
     status: str                  # SolveResult.status or "linear_solver_error"
     vcycle_builds: int | None = None
+    cg_total: int | None = None
     phases_s: dict = field(default_factory=dict, compare=False)
 
     @classmethod
@@ -499,6 +500,7 @@ class SweepRow:
                    converged=result.converged, err=math.nan,
                    log10_err=math.nan, status=result.status,
                    vcycle_builds=result.vcycle_builds,
+                   cg_total=result.cg_total,
                    phases_s=phase_totals(result.trace))
 
     def record_error(self, error: ErrorReport | None, seconds: float) -> None:

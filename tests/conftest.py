@@ -35,24 +35,33 @@ def _timed_sweep(beta, alphas, guess):
     return rows, time.perf_counter() - t0
 
 
+# The four N = 60 tables: (beta, alphas, initial guess) per fixture name.
+TABLES = {
+    "table1_zero": (1.0, TABLE1_ALPHAS, "zero"),
+    "table2_zero": (10.0, TABLE2_ALPHAS, "zero"),
+    "table1_darcy": (1.0, SHARED1_ALPHAS, "darcy"),
+    "table2_darcy": (10.0, SHARED2_ALPHAS, "darcy"),
+}
+
+
 @pytest.fixture(scope="session")
 def table1_zero():
-    return _timed_sweep(1.0, TABLE1_ALPHAS, "zero")
+    return _timed_sweep(*TABLES["table1_zero"])
 
 
 @pytest.fixture(scope="session")
 def table2_zero():
-    return _timed_sweep(10.0, TABLE2_ALPHAS, "zero")
+    return _timed_sweep(*TABLES["table2_zero"])
 
 
 @pytest.fixture(scope="session")
 def table1_darcy():
-    return _timed_sweep(1.0, SHARED1_ALPHAS, "darcy")
+    return _timed_sweep(*TABLES["table1_darcy"])
 
 
 @pytest.fixture(scope="session")
 def table2_darcy():
-    return _timed_sweep(10.0, SHARED2_ALPHAS, "darcy")
+    return _timed_sweep(*TABLES["table2_darcy"])
 
 
 @pytest.fixture(scope="session")
