@@ -33,7 +33,7 @@ from .nonlinear_solver import SolveResult, SolverConfig, solve, true_error
 from .problems import ProblemSpec, initial_mesh
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptConfig:
     """Marking parameters: ``doerfler`` marks the smallest bulk of elements
     holding theta^2 of the squared indicator, ``max`` marks every element

@@ -77,30 +77,19 @@ class LinearSolverError(RuntimeError):
 
 
 @dataclass
-class ElementBlocks:
-    """Per-element velocity blocks A_k and their inverses, shape (m, 2, 2).
-
-    Both are views of (4, m) arrays holding the entries 00, 01, 10, 11 as
-    contiguous rows, the layout the per-element products read.
-    """
-
-    blocks: np.ndarray
-    inverses: np.ndarray
-
-
-@dataclass
 class PressureSystem:
-    """Assembled Schur system S p = G plus the step right side F.
-
-    ``vcycle`` is the multigrid preconditioner of S, built by the first
-    solve of this system unless the caller has set one, and reused by
-    later solves.
+    """Assembled Schur system S p = G plus the step right side F, the
+    inverse blocks W_k = A_k^-1 (:meth:`Assembler.element_blocks`) and the
+    drag weights d_k they were formed from.  ``vcycle`` is the multigrid
+    preconditioner of S, built by the first solve of this system unless the
+    caller has set one, and reused by later solves.
     """
 
     s: sp.csr_matrix
     g: np.ndarray
     f: np.ndarray               # (m, 2) element right sides
-    blocks: ElementBlocks
+    weights: np.ndarray         # (4, m) rows W_00, W_01, W_10, W_11
+    drag: np.ndarray            # (m,) alpha + (beta/rho) |u_prev_k|
     vcycle: VCycle | None = None
 
 
@@ -114,10 +103,9 @@ def _combine(coef, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_blocks(inverses: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-element products W_k v_k of (m, 2, 2) blocks and (m, 2) vectors."""
-    w = inverses.reshape(-1, 4).T          # rows W_00, W_01, W_10, W_11
-    return _combine((w[0::2], w[1::2]), v)
+def _apply_blocks(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-element products W_k v_k of (4, m) block rows and (m, 2) vectors."""
+    return _combine((weights[0::2], weights[1::2]), v)
 
 
 def _require_finite(value: float, what: str, history) -> None:
@@ -244,7 +232,7 @@ class Assembler:
     The package always takes the two degrees' defaults, the constants above.
     ``parent``, an Assembler for the same problem and volume degree on the
     mesh that ``mesh`` was refined from, lets the set-up pay only for what
-    changed: each unsplit child copies its parent's sampled rows (``k_term``,
+    changed: each unsplit child copies its parent's sampled rows (the K-term,
     ``f_int`` and the per-element integrals of b phi_j and |b|), and only the
     new children are sampled (see :class:`~darcyfem.spaces.ElementCarry`);
     every value keeps the bytes of a fresh build.  Everything global (the
@@ -272,17 +260,18 @@ class Assembler:
         pts = physical_points(mesh, self.rule, rows)
         w = self.rule.weights
 
-        # (mu/rho) INT_k K^-1 dx, one 2x2 block per element
+        # The K-term (mu/rho) INT_k K^-1 dx as (4, m) rows of 2x2 entries
         if problem.k_constant:
             kc = eval_k_inverse(problem, np.zeros(1), np.zeros(1))[..., 0]
-            self.k_term = (problem.mu / problem.rho) * areas[:, None, None] \
-                * kc[None, :, :]
+            self._k_rows = ((problem.mu / problem.rho) * areas) \
+                * kc.reshape(4, 1)
         else:
             kk = eval_k_inverse(problem, pts[..., 0], pts[..., 1])
-            self.k_term = carry.start(parent and parent.k_term, (m, 2, 2))
-            self.k_term[rows] = (problem.mu / problem.rho) \
+            self._k_rows = carry.start(parent and parent._k_rows, (4, m),
+                                       axis=1)
+            self._k_rows.reshape(2, 2, m).transpose(2, 0, 1)[rows] = \
+                (problem.mu / problem.rho) \
                 * np.einsum("abmq,q,m->mab", kk, w, areas[rows])
-        self._k_rows = np.ascontiguousarray(self.k_term.reshape(-1, 4).T)
 
         fx, fy = sample(pts, problem.f)
         self.f_int = carry.start(parent and parent.f_int, (m, 2))
@@ -352,20 +341,20 @@ class Assembler:
         pr = self.problem
         return (pr.beta / pr.rho) * u_norm
 
-    def element_blocks(self, drag: np.ndarray) -> ElementBlocks:
-        """A_k = K-term + d_k |k| I and its inverse for the drag weights
-        ``drag`` = d_k = alpha + (beta/rho) |u_prev_k|."""
+    def element_blocks(self, drag: np.ndarray) -> np.ndarray:
+        """W_k = A_k^-1, A_k = K-term + d_k |k| I, for the drag weights
+        ``drag`` = d_k, as (4, m) rows W_00, W_01, W_10, W_11."""
+        k = self._k_rows
         diag = drag * self.mesh.areas
-        a = self._k_rows.copy()                # rows A_00, A_01, A_10, A_11
-        a[0] += diag
-        a[3] += diag
-        det = a[0] * a[3] - a[1] * a[2]
-        inv = np.stack([a[3], -a[1], -a[2], a[0]])
+        a00 = k[0] + diag
+        a11 = k[3] + diag
+        det = a00 * a11 - k[1] * k[2]
+        inv = np.stack([a11, -k[1], -k[2], a00])
         inv /= det
-        return ElementBlocks(a.T.reshape(-1, 2, 2), inv.T.reshape(-1, 2, 2))
+        return inv
 
-    def _schur(self, inverses: np.ndarray) -> sp.csr_matrix:
-        """B W B^T for per-element 2x2 weights W_k, shape (m, 2, 2).
+    def _schur(self, weights: np.ndarray) -> sp.csr_matrix:
+        """B W B^T for per-element 2x2 weights W_k given as (4, m) rows.
 
         The local blocks sum_ab (b_ja W_ab) b_kb are formed on contiguous
         (3, m) rows, adding the four (a, b) terms in the order a three-operand
@@ -381,10 +370,9 @@ class Assembler:
         +0 + (-0) = +0.  Weights that are all zero give +0 data.
         """
         bt = self._bt
-        w = np.ascontiguousarray(inverses.reshape(-1, 4).T)
         local = term = None
         for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            wab = w[2 * a + b]
+            wab = weights[2 * a + b]
             if not wab.any():
                 continue
             factor = (bt[a] * wab)[:, None, :]
@@ -397,13 +385,14 @@ class Assembler:
                 local += term
         del term                # not alive beside the data of S
         if local is None:
-            local = np.zeros((3, 3, w.shape[1]))
+            local = np.zeros((3, 3, weights.shape[1]))
         return self._pattern.matrix(self._q0 @ local.ravel())
 
     def _reference_schur(self) -> sp.csr_matrix:
-        """S0 = B diag(1/|k|) B^T: the Schur matrix of the L2 lifting."""
-        inv_area = 1.0 / self.mesh.areas
-        return self._schur(inv_area[:, None, None] * np.eye(2))
+        """S0 = B diag(1/|k|) B^T, the L2 lifting's; off-diagonals +0."""
+        weights = np.zeros((4, self.mesh.n_triangles))
+        weights[0] = weights[3] = 1.0 / self.mesh.areas
+        return self._schur(weights)
 
     @property
     def hierarchy(self) -> SmoothedAggregation:
@@ -423,18 +412,20 @@ class Assembler:
         ``conv`` is (beta/rho) |u_prev_k| (:meth:`convection`), which
         :func:`~darcyfem.nonlinear_solver.solve` keeps per iterate.  It is
         formed here when not given only because the benchmark's mass-row
-        check calls ``step(u_prev, alpha)``.
+        check calls ``step(u_prev, alpha)``.  The system keeps the drag
+        weights alpha + conv.
         """
         if conv is None:
             conv = self.convection(row_norms(u_prev))
-        blocks = self.element_blocks(alpha + conv)
-        s = self._schur(blocks.inverses)
+        drag = alpha + conv
+        weights = self.element_blocks(drag)
+        s = self._schur(weights)
 
         f = self.f_int + alpha * self.mesh.areas[:, None] * u_prev
-        baf = _combine(self._bt, _apply_blocks(blocks.inverses, f))
+        baf = _combine(self._bt, _apply_blocks(weights, f))
         g = np.bincount(self.mesh.tris.ravel(), weights=baf.ravel(),
                         minlength=self.mesh.n_vertices) - self.h
-        return PressureSystem(s=s, g=g, f=f, blocks=blocks)
+        return PressureSystem(s=s, g=g, f=f, weights=weights, drag=drag)
 
     def solve_pressure(self, system: PressureSystem, x0=None,
                        forcing: float = 0.0,
@@ -466,7 +457,7 @@ class Assembler:
         """
         rhs = system.f - self.mesh.areas[:, None] * grads
         return P0VectorField(self.mesh,
-                             _apply_blocks(system.blocks.inverses, rhs))
+                             _apply_blocks(system.weights, rhs))
 
     def lifting(self) -> tuple[P0VectorField, int]:
         """Minimal-L2-norm piecewise-constant field with B u = H, solved to

@@ -38,6 +38,7 @@ from .spaces import (
     quadrature_sums,
     row_norms,
     sample,
+    sample_blocks,
     triangle_rule,
 )
 
@@ -198,13 +199,13 @@ class IndicatorContext:
             shape=(m, mesh.n_edges))
 
     def compute(self, u_new: P0VectorField, u_prev: P0VectorField,
-                p_new: P1ScalarField, alpha: float, grads: np.ndarray,
+                alpha: float, grads: np.ndarray,
                 conv: np.ndarray) -> ElementIndicators:
         """Evaluate all indicators for one completed fixed-point step.
 
-        ``grads`` are the elementwise gradients of ``p_new``, shape (m, 2),
-        and ``conv`` the convective weights (beta/rho) |u_prev_k|, shape
-        (m,), both formed once per iterate by the caller.
+        ``grads`` are the elementwise gradients of the step's pressure, shape
+        (m, 2), and ``conv`` the convective weights (beta/rho) |u_prev_k|,
+        shape (m,), both formed once per iterate by the caller.
         """
         pr = self.problem
         un = u_new.values
@@ -283,14 +284,15 @@ def lower_bound_check(mesh: Mesh, problem: ProblemSpec,
     if problem.exact_u is None:
         raise ValueError(f"problem {problem.name!r} has no reference velocity")
     rule = triangle_rule(ERROR_QUAD_DEGREE)
-    ux, uy = sample(physical_points(mesh, rule), problem.exact_u)
-
-    def err(u):
-        return element_lp(mesh, rule, ux - u.values[:, None, 0],
-                          uy - u.values[:, None, 1], 2.0) ** (1.0 / 2.0)
-
-    err_new = err(u_new)
-    err_prev = err(u_prev)
+    # Per-element squared errors of u_new and u_prev, sampled block by
+    # block to bound the peak memory.
+    sq = np.empty((2, mesh.n_triangles))
+    for blk in sample_blocks(mesh):
+        ux, uy = sample(physical_points(mesh, rule, blk), problem.exact_u)
+        for i, u in enumerate((u_new, u_prev)):
+            sq[i, blk] = element_lp(mesh, rule, ux - u.values[blk, None, 0],
+                                    uy - u.values[blk, None, 1], 2.0, blk)
+    err_new, err_prev = sq ** (1.0 / 2.0)
     eta_l = np.sqrt(mesh.areas) * np.linalg.norm(
         u_new.values - u_prev.values, axis=1)
     bound = err_prev + err_new

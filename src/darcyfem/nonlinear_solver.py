@@ -31,7 +31,6 @@ from .spaces import (
     ERROR_QUAD_DEGREE,
     P0VectorField,
     P1ScalarField,
-    QuadratureRule,
     element_lp,
     lp_norm,
     p1_gradients,
@@ -59,7 +58,7 @@ PROJECTION_DEPTH = 3
 VCYCLE_DRIFT = 0.05
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Knobs for one nonlinear solve.
 
@@ -69,7 +68,8 @@ class SolverConfig:
     discretization indicator, eta_L <= gamma_tilde * eta_D.  Construction
     raises ValueError for a negative or non-finite ``alpha``, a ``tol`` or
     ``gamma_tilde`` that is not finite and positive, and a ``max_iter``
-    below 1.  The quadrature and the CG tolerance are constants of
+    below 1.  A config is frozen; ``dataclasses.replace`` gives a changed
+    copy.  The quadrature and the CG tolerance are constants of
     :mod:`.assembly`; the class attributes ``volume_degree``,
     ``edge_quad_points`` and ``cg_tol`` equal them, and nothing in the
     package reads them.
@@ -230,9 +230,9 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     The convective weights (beta/rho) |u_k|
     (:meth:`~darcyfem.assembly.Assembler.convection`) are formed once per
     iterate: from the row norms of the start, and for every later iterate
-    from the row norms |u_new_k| that its step error takes.  The drift
-    test, the step's assembly and the momentum residual of the indicators
-    all use them, so no step takes the row norms of u_prev again.
+    from the row norms |u_new_k| that its step error takes.  The step's
+    assembly (which forms the drag weights the drift test reads) and the
+    indicators use them, so no step takes the row norms of u_prev again.
     """
     cfg = config or SolverConfig()
     asm = assembler or Assembler(mesh, problem)
@@ -265,8 +265,7 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     cg_total = 0
     converged = False
     err_l = math.inf
-    # (beta/rho) |u_prev_k|, the one m-array kept from step to step; the
-    # drag weights alpha + conv are formed where they are needed.
+    # (beta/rho) |u_prev_k|, the one m-array kept from step to step.
     conv = asm.convection(row_norms(u_prev.values))
     u_new, p_new, g_new, ind = u_prev, p_prev, g_prev, None
     # The last pressure changes p_k - p_(k-1) of this solve's steps, one per
@@ -296,7 +295,7 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
         g_new = p1_gradients(p_new)
         u_new = asm.recover_velocity(system, p_new, g_new)
         t1 = time.perf_counter()
-        ind = ctx.compute(u_new, u_prev, p_new, cfg.alpha, g_new, conv)
+        ind = ctx.compute(u_new, u_prev, cfg.alpha, g_new, conv)
         u_norm = row_norms(u_new.values)
         err_l = relative_increment(mesh.areas, u_norm, g_new, g_prev, ind.du)
         if cfg.stopping == "fixed_tol":
@@ -317,13 +316,11 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
         t1 = time.perf_counter()
         # Keep the last V-cycle while the drag weights stay close to those
         # it was built on; otherwise drop it before the solve builds one.
-        drag = cfg.alpha + conv if VCYCLE_DRIFT > 0.0 else None
-        if kept is not None and _within_drift(kept_drag, drag):
+        if kept is not None and _within_drift(kept_drag, system.drag):
             system.vcycle = kept.with_finest(system.s)
         else:
-            kept, kept_drag = None, drag
+            kept, kept_drag = None, system.drag
             builds += 1
-        del drag                # not alive beside the next step's assembly
         p_new, cg_it = solve_pressure(system, p_prev.values, CG_FORCING,
                                       ring[:, :filled])
         if kept is None and VCYCLE_DRIFT > 0.0:
@@ -408,10 +405,6 @@ class ErrorReport:
         """
         return _guarded_ratio(self.u_l3, self.exact_u_l3) \
             + _guarded_ratio(self.grad_p_l32, self.exact_grad_p_l32)
-
-
-def _lp(mesh: Mesh, rule: QuadratureRule, vx, vy, p: float) -> float:
-    return float(element_lp(mesh, rule, vx, vy, p).sum() ** (1.0 / p))
 
 
 def true_error(mesh: Mesh, problem: ProblemSpec,
@@ -623,8 +616,11 @@ def alpha_diagnostics(mesh: Mesh, problem: ProblemSpec,
     l2 = lp_norm(u_l, 2.0)
     l3 = lp_norm(u_l, 3.0)
     rule = triangle_rule(ERROR_QUAD_DEGREE)
-    fx, fy = sample(physical_points(mesh, rule), problem.f)
-    f_l2 = _lp(mesh, rule, fx, fy, 2.0)
+    f_sq = np.empty(mesh.n_triangles)
+    for blk in sample_blocks(mesh):        # bounds the peak memory
+        fx, fy = sample(physical_points(mesh, rule, blk), problem.f)
+        f_sq[blk] = element_lp(mesh, rule, fx, fy, 2.0, blk)
+    f_l2 = float(f_sq.sum() ** (1.0 / 2.0))
 
     ratio_sq = (2.0 * rho / (mu * km)) ** 2
     ell0 = ratio_sq * ((1.5 * rho / (mu * km) + 0.5) * f_l2 ** 2

@@ -135,7 +135,7 @@ def indicators_of(ctx, u_new, u_prev, p_new, alpha):
     them."""
     pr = ctx.problem
     conv = (pr.beta / pr.rho) * row_norms(u_prev.values)
-    return ctx.compute(u_new, u_prev, p_new, alpha, p1_gradients(p_new), conv)
+    return ctx.compute(u_new, u_prev, alpha, p1_gradients(p_new), conv)
 
 
 def traced_peak(fn):

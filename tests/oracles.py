@@ -574,7 +574,7 @@ def step_indicators(ctx, u_new, u_prev, p_new, alpha):
 def einsum_recover(asm, system, p_values):
     """u_k = A_k^-1 (F_k - B_k^T p) with B^T p gathered per element."""
     btp = np.einsum("mja,mj->ma", asm.b, p_values[asm.mesh.tris])
-    return np.einsum("mab,mb->ma", system.blocks.inverses, system.f - btp)
+    return np.einsum("mab,mb->ma", as_blocks(system.weights), system.f - btp)
 
 
 def whole_data_means(mesh, problem):
@@ -698,16 +698,28 @@ class DivergenceCoupling:
 
 def assemble_step(mesh, problem, u_prev, alpha, volume_degree=4,
                   edge_quad_points=4):
-    """Assemble one fixed-point step; returns (blocks, coupling, system)."""
+    """Assemble one fixed-point step; returns (weights, coupling, system)."""
     asm = Assembler(mesh, problem, volume_degree, edge_quad_points)
     system = asm.step(u_prev.values, alpha)
-    return system.blocks, DivergenceCoupling(asm.b), system
+    return system.weights, DivergenceCoupling(asm.b), system
+
+
+def as_blocks(rows):
+    """The (m, 2, 2) view of per-element 2x2 blocks stored as (4, m) rows
+    of the entries 00, 01, 10, 11."""
+    return rows.T.reshape(-1, 2, 2)
+
+
+def element_matrices(asm, drag):
+    """A_k = K-term + d_k |k| I for the drag weights ``drag``, (m, 2, 2)."""
+    return as_blocks(asm._k_rows) \
+        + (drag * asm.mesh.areas)[:, None, None] * np.eye(2)
 
 
 def einsum_schur(asm, weights):
-    """S = B W B^T with the local blocks from one three-operand einsum,
-    added by :func:`scatter_schur`; ``Assembler._schur`` must give the same
-    bytes."""
-    local = np.einsum("mja,mab,mkb->mjk", asm.b, weights, asm.b)
+    """S = B W B^T for (4, m) weight rows, with the local blocks from one
+    three-operand einsum, added by :func:`scatter_schur`;
+    ``Assembler._schur`` must give the same bytes."""
+    local = np.einsum("mja,mab,mkb->mjk", asm.b, as_blocks(weights), asm.b)
     return scatter_schur(asm.mesh, local)
 

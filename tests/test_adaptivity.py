@@ -218,7 +218,7 @@ def test_adaptive_loop_eta_d_decreases():
 # -- set-up carried across refinement ----------------------------------------
 
 _CARRIED = {
-    Assembler: ("k_term", "_k_rows", "f_int", "_b_phi", "_b_abs", "h", "b"),
+    Assembler: ("_k_rows", "f_int", "_b_phi", "_b_abs", "h", "b"),
     IndicatorContext: ("f_means", "osc_f", "b_means", "osc_b", "k_samples",
                        "g_h", "osc_g", "_b_l3"),
 }

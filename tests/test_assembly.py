@@ -10,7 +10,7 @@ import scipy.sparse as spm
 
 import darcyfem
 from darcyfem import assembly, multigrid, nonlinear_solver, problems
-from darcyfem.assembly import (Assembler, CompatibilityError, ElementBlocks,
+from darcyfem.assembly import (Assembler, CompatibilityError,
                                LinearSolverError, PressureSystem, deflated_cg)
 from darcyfem.indicators import IndicatorContext
 from darcyfem.mesh import generate_lshape, generate_structured, refine
@@ -22,8 +22,8 @@ from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
 
 from conftest import random_affine_problem as _random_problem
 from conftest import drag, rng_loop, traced_peak
-from oracles import (DivergenceCoupling, argsort_product_map,
-                     assemble_step, coo_flux,
+from oracles import (DivergenceCoupling, argsort_product_map, as_blocks,
+                     assemble_step, coo_flux, element_matrices,
                      dense_projected_start, dense_step_solve, einsum_schur,
                      loop_aggregate,
                      one_stage_galerkin_map, spgemm_hierarchy,
@@ -34,11 +34,13 @@ def test_element_blocks_identity_case():
     prob = problems.trivial_zero()
     m = generate_structured(1)
     asm = Assembler(m, prob)
-    blocks = asm.element_blocks(drag(asm, np.zeros((m.n_triangles, 2)), 0.0))
+    d = drag(asm, np.zeros((m.n_triangles, 2)), 0.0)
+    weights = asm.element_blocks(d)
+    assert weights.shape == (4, m.n_triangles)
+    blocks = element_matrices(asm, d)
     for k in range(m.n_triangles):
-        assert np.allclose(blocks.blocks[k], m.areas[k] * np.eye(2),
-                           atol=1e-14)
-        assert np.allclose(blocks.inverses[k], np.eye(2) / m.areas[k],
+        assert np.allclose(blocks[k], m.areas[k] * np.eye(2), atol=1e-14)
+        assert np.allclose(as_blocks(weights)[k], np.eye(2) / m.areas[k],
                            atol=1e-12)
 
 
@@ -48,10 +50,13 @@ def test_element_blocks_scalar_arithmetic():
     m = generate_structured(1)
     asm = Assembler(m, prob)
     u_prev = np.tile([2.0, 0.0], (m.n_triangles, 1))
-    blocks = asm.element_blocks(drag(asm, u_prev, 1.0))
+    d = drag(asm, u_prev, 1.0)
+    weights = as_blocks(asm.element_blocks(d))
     for k in range(m.n_triangles):
-        assert np.allclose(blocks.blocks[k], 4.0 * m.areas[k] * np.eye(2),
-                           rtol=0, atol=1e-13)
+        assert np.allclose(element_matrices(asm, d)[k],
+                           4.0 * m.areas[k] * np.eye(2), rtol=0, atol=1e-13)
+        assert np.allclose(weights[k], np.eye(2) / (4.0 * m.areas[k]),
+                           rtol=1e-14, atol=0)
 
 
 def test_element_blocks_spd_random():
@@ -61,15 +66,17 @@ def test_element_blocks_spd_random():
         asm = Assembler(m, prob)
         u_prev = rng.standard_normal((m.n_triangles, 2))
         alpha = float(rng.uniform(0, 5))
-        blocks = asm.element_blocks(drag(asm, u_prev, alpha))
+        d = drag(asm, u_prev, alpha)
+        blocks = element_matrices(asm, d)
+        weights = as_blocks(asm.element_blocks(d))
         k_m = problems.validate(prob, m)["K_m"]
         for k in range(m.n_triangles):
-            a = blocks.blocks[k]
+            a = blocks[k]
             assert np.allclose(a, a.T, atol=1e-13)
             eigs = np.linalg.eigvalsh(a)
             assert eigs.min() > 0
             assert eigs.min() >= k_m * m.areas[k] * (1 - 1e-12)
-            assert np.allclose(a @ blocks.inverses[k], np.eye(2), atol=1e-12)
+            assert np.allclose(a @ weights[k], np.eye(2), atol=1e-12)
 
 
 def test_divergence_coupling_rows_annihilate_constants():
@@ -80,9 +87,9 @@ def test_divergence_coupling_rows_annihilate_constants():
     assert np.abs(asm.b.sum(axis=1)).max() < 1e-13
     # and B is exactly |k| grad(phi)
     assert np.allclose(asm.b, m.grads * m.areas[:, None, None], atol=1e-15)
-    blocks, coupling, system = assemble_step(
+    weights, coupling, system = assemble_step(
         m, prob, P0VectorField.zero(m), alpha=0.0)
-    assert isinstance(blocks, ElementBlocks)
+    assert weights.shape == (4, m.n_triangles)
     assert isinstance(coupling, DivergenceCoupling)
     assert isinstance(system, PressureSystem)
     assert coupling.b.shape == (m.n_triangles, 3, 2)
@@ -153,8 +160,9 @@ def test_step_solution_satisfies_both_equations():
     p, _ = asm.solve_pressure(system)
     gp = p1_gradients(p)
     u = asm.recover_velocity(system, p, gp)
+    blocks = element_matrices(asm, system.drag)
     for k in range(m.n_triangles):
-        r = system.blocks.blocks[k] @ u.values[k] \
+        r = blocks[k] @ u.values[k] \
             + m.areas[k] * gp[k] - system.f[k]
         assert np.abs(r).max() < 1e-10
     per_vertex = np.einsum("mja,ma->mj", asm.b, u.values)
@@ -172,20 +180,20 @@ def test_schur_is_byte_identical_to_einsum(case):
     if case == "random_w":
         rng = np.random.default_rng(12)
         asm = Assembler(generate_structured(12), _random_problem(rng))
-        weights = rng.standard_normal((asm.mesh.n_triangles, 2, 2))
+        weights = rng.standard_normal((4, asm.mesh.n_triangles))
     elif case == "n112":
         prob = problems.gaussian_vortex(beta=10.0)
         asm = Assembler(problems.initial_mesh(prob, 112), prob)
         rng = np.random.default_rng(14)
-        weights = rng.standard_normal((asm.mesh.n_triangles, 2, 2))
+        weights = rng.standard_normal((4, asm.mesh.n_triangles))
     else:
         prob = problems.reentrant_corner(beta=10.0)
         assert not prob.k_constant
         asm = Assembler(_graded_lshape(), prob)
         rng = np.random.default_rng(13)
         weights = asm.element_blocks(drag(
-            asm, rng.standard_normal((asm.mesh.n_triangles, 2)), 3.0)).inverses
-        assert np.abs(weights[:, 0, 1]).min() > 0
+            asm, rng.standard_normal((asm.mesh.n_triangles, 2)), 3.0))
+        assert np.abs(weights[1]).min() > 0
     s = asm._schur(weights)
     ref = einsum_schur(asm, weights)
     assert s.shape == ref.shape
@@ -202,7 +210,7 @@ def test_schur_peak_memory():
     prob = problems.gaussian_vortex(beta=10.0)
     asm = Assembler(problems.initial_mesh(prob, 112), prob)
     weights = asm.element_blocks(drag(
-        asm, np.zeros((asm.mesh.n_triangles, 2)), 10.0)).inverses
+        asm, np.zeros((asm.mesh.n_triangles, 2)), 10.0))
     asm._schur(weights)
     _, peak = traced_peak(lambda: asm._schur(weights))
     assert peak <= 4.6 * 2 ** 20
@@ -231,15 +239,15 @@ def test_schur_skipping_zero_terms_keeps_the_einsum_bytes(case):
     rng = np.random.default_rng(17)
     if case.startswith("vortex"):
         weights = asm.element_blocks(drag(
-            asm, rng.standard_normal((m, 2)), 10.0)).inverses.copy()
-        assert not weights[:, 0, 1].any() and not weights[:, 1, 0].any()
-        weights[:, 0, 1] = _signed_zeros(rng, m)
-        weights[:, 1, 0] = _signed_zeros(rng, m)
+            asm, rng.standard_normal((m, 2)), 10.0))
+        assert not weights[1].any() and not weights[2].any()
+        weights[1] = _signed_zeros(rng, m)
+        weights[2] = _signed_zeros(rng, m)
     elif case == "w01_zero":
-        weights = rng.standard_normal((m, 2, 2))
-        weights[:, 0, 1] = _signed_zeros(rng, m)
+        weights = rng.standard_normal((4, m))
+        weights[1] = _signed_zeros(rng, m)
     else:
-        weights = _signed_zeros(rng, (m, 2, 2))
+        weights = _signed_zeros(rng, (4, m))
     s = asm._schur(weights)
     ref = einsum_schur(asm, weights)
     for got, want in ((s.indptr, ref.indptr), (s.indices, ref.indices),
@@ -263,9 +271,8 @@ def test_step_with_the_convective_weights_passed_in_keeps_the_bytes(case):
     alone = asm.step(u, 3.0)
     shared = asm.step(u, 3.0, asm.convection(row_norms(u)))
     for got, want in ((shared.s.data, alone.s.data), (shared.g, alone.g),
-                      (shared.f, alone.f),
-                      (shared.blocks.blocks, alone.blocks.blocks),
-                      (shared.blocks.inverses, alone.blocks.inverses)):
+                      (shared.f, alone.f), (shared.weights, alone.weights),
+                      (shared.drag, alone.drag)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -1005,7 +1012,7 @@ def test_kept_vcycle_on_drifted_weights_stays_spd(signs):
     sigma = {"up": np.ones(m), "down": -np.ones(m),
              "mixed": rng.choice([-1.0, 1.0], m)}[signs]
     drifted = drag(asm, u, 1.0) * (1.0 + drift * sigma)
-    s = asm._schur(asm.element_blocks(drifted).inverses)
+    s = asm._schur(asm.element_blocks(drifted))
     assert len(asm.hierarchy.sizes) > 2
     vcycle = VCycle(asm.hierarchy, built.s)
     kept = vcycle.with_finest(None)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from darcyfem import problems, spaces
-from darcyfem.assembly import Assembler, ElementBlocks
+from darcyfem.assembly import Assembler
 from darcyfem.indicators import (ElementIndicators, IndicatorContext,
                                  effectivity_index, lower_bound_check,
                                  total_relative_indicator)
@@ -14,7 +14,7 @@ from darcyfem.nonlinear_solver import SolverConfig, relative_increment, solve
 from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
                              row_norms)
 
-from conftest import indicators_of, refine_uniform, rng_loop
+from conftest import indicators_of, refine_uniform, rng_loop, traced_peak
 from oracles import (edge_flux, einsum_gradients, einsum_recover, step_error,
                      step_indicators, whole_data_means)
 
@@ -281,6 +281,38 @@ def test_lower_bound_check_converged_and_random():
         assert rep.all_ok
 
 
+def test_lower_bound_check_blocked_sampling_matches_one_block(monkeypatch):
+    """Sampling the reference velocity over element blocks gives the bytes
+    of one block holding every element, whatever the block size."""
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = generate_structured(7)
+    rng = np.random.default_rng(4)
+    a, b = (P0VectorField(m, rng.standard_normal((m.n_triangles, 2)))
+            for _ in range(2))
+    monkeypatch.setattr(spaces, "SAMPLE_BLOCK", m.n_triangles)
+    whole = lower_bound_check(m, prob, a, b)
+    for block in (1, 64, m.n_triangles - 1):
+        monkeypatch.setattr(spaces, "SAMPLE_BLOCK", block)
+        rep = lower_bound_check(m, prob, a, b)
+        for got, want in ((rep.eta_l, whole.eta_l), (rep.bound, whole.bound),
+                          (rep.ok, whole.ok)):
+            assert got.tobytes() == want.tobytes(), block
+
+
+def test_lower_bound_check_peak_memory():
+    """The traced peak of ``lower_bound_check`` at N = 60 stays under
+    4 MiB: 2.6 MiB sampled in element blocks, 13.8 MiB when the degree-10
+    samples of the whole mesh were formed in one call."""
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = problems.initial_mesh(prob, 60)
+    rng = np.random.default_rng(8)
+    a, b = (P0VectorField(m, rng.standard_normal((m.n_triangles, 2)))
+            for _ in range(2))
+    lower_bound_check(m, prob, a, b)
+    _, peak = traced_peak(lambda: lower_bound_check(m, prob, a, b))
+    assert peak <= 4.0 * 2 ** 20
+
+
 def test_lower_bound_check_needs_reference():
     prob = problems.reentrant_corner()
     m = problems.initial_mesh(prob, 2)
@@ -328,7 +360,7 @@ def test_step_quantities_match_gathered_oracles(case):
         g_new = p1_gradients(p_new)
         assert _close(g_new, einsum_gradients(m, p_new.values))
         u_new = asm.recover_velocity(system, p_new, g_new)
-        ind = ctx.compute(u_new, u_prev, p_new, alpha, g_new,
+        ind = ctx.compute(u_new, u_prev, alpha, g_new,
                           asm.convection(row_norms(u_prev.values)))
         eta_l, eta_d1, eta_d2 = step_indicators(
             ctx, u_new.values, u_prev.values, p_new.values, alpha)
@@ -352,9 +384,8 @@ def test_recover_velocity_matches_einsum_form(case):
     p = P1ScalarField(m, rng.standard_normal(m.n_vertices))
     u = asm.recover_velocity(system, p, p1_gradients(p))
     assert _close(u.values, einsum_recover(asm, system, p.values))
-    # blocks without symmetry, in the plain (m, 2, 2) layout
-    skew = replace(system, blocks=ElementBlocks(
-        system.blocks.blocks, rng.standard_normal((m.n_triangles, 2, 2))))
+    # blocks without symmetry
+    skew = replace(system, weights=rng.standard_normal((4, m.n_triangles)))
     assert _close(asm.recover_velocity(skew, p, p1_gradients(p)).values,
                   einsum_recover(asm, skew, p.values))
 

@@ -1,11 +1,11 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from darcyfem import assembly, indicators, nonlinear_solver, problems, spaces
-from darcyfem.adaptivity import adaptive_loop
+from darcyfem.adaptivity import AdaptConfig, adaptive_loop
 from darcyfem.assembly import Assembler
 from darcyfem.indicators import IndicatorContext
 from darcyfem.mesh import generate_lshape, generate_structured
@@ -17,7 +17,7 @@ from darcyfem.spaces import (P0VectorField, P1ScalarField, field_mean,
                              lp_norm, p1_gradients)
 
 from conftest import rng_loop, traced_peak
-from oracles import scatter_schur
+from oracles import as_blocks, scatter_schur
 
 
 def test_solver_config_rejects_unknown_modes():
@@ -54,6 +54,21 @@ def test_solver_config_has_its_seven_fields_and_only_those():
     assert cfg.edge_quad_points == SolverConfig.edge_quad_points \
         == assembly.LOAD_EDGE_POINTS == 4
     assert cfg.cg_tol == SolverConfig.cg_tol == assembly.CG_TOL == 1e-12
+
+
+def test_configs_are_frozen_values():
+    """Setting a field or a class attribute on a config raises, and
+    ``replace`` still gives a changed copy."""
+    cfg = SolverConfig()
+    for name, value in (("cg_tol", 1e-8), ("alpha", 2.0)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert cfg.alpha == 1.0 and SolverConfig().cg_tol == assembly.CG_TOL
+    assert replace(cfg, alpha=2.0).alpha == 2.0
+    adapt = AdaptConfig()
+    with pytest.raises(FrozenInstanceError):
+        adapt.theta = 0.3
+    assert replace(adapt, theta=0.3).theta == 0.3
 
 
 def test_solver_config_accepts_alpha_zero_and_one_step():
@@ -352,12 +367,14 @@ def test_only_forcing_solves_get_the_step_history(monkeypatch):
 def test_solve_peak_memory():
     """The traced peak of one N = 112 solve above its set-up (Assembler,
     IndicatorContext, hierarchy and gradient operator) stays under
-    8.5 MiB: 7.9 MiB when a finished step also frees its first evaluation
-    before its finishing solve, 9.4 MiB when it does not; 9.3 MiB when each step frees the previous
-    step's system and indicators before it assembles its own and the kept
-    V-cycle holds no S (9.1 MiB with ``VCYCLE_DRIFT = 0``), 10.0 MiB when
-    the kept V-cycle held the S it was built on, 11.2 MiB when both steps'
-    systems and indicators were alive together."""
+    7.6 MiB: 7.4 MiB when the system keeps the inverse blocks W_k only,
+    7.9 MiB when it also kept the blocks A_k; 9.4 MiB when a finished step
+    did not free its first evaluation before its finishing solve; 9.3 MiB
+    when each step frees the previous step's system and indicators before
+    it assembles its own and the kept V-cycle holds no S (9.1 MiB with
+    ``VCYCLE_DRIFT = 0``), 10.0 MiB when the kept V-cycle held the S it was
+    built on, 11.2 MiB when both steps' systems and indicators were alive
+    together."""
     prob = problems.gaussian_vortex(beta=10.0)
     m = problems.initial_mesh(prob, 112)
     asm = Assembler(m, prob)
@@ -368,7 +385,7 @@ def test_solve_peak_memory():
     res, peak = traced_peak(lambda: solve(
         m, prob, SolverConfig(alpha=10.0), assembler=asm, context=ctx))
     assert res.converged
-    assert peak <= 8.5 * 2 ** 20
+    assert peak <= 7.6 * 2 ** 20
 
 
 def test_status_converged():
@@ -504,7 +521,7 @@ def test_converged_iterate_satisfies_unrelaxed_equations():
     asm = Assembler(m, prob)
     u = res.u.values
     gp = p1_gradients(res.p)
-    a0u = np.einsum("mab,mb->ma", asm.k_term, u)
+    a0u = np.einsum("mab,mb->ma", as_blocks(asm._k_rows), u)
     speed = np.linalg.norm(u, axis=1)
     nonlin = (prob.beta / prob.rho) * (m.areas * speed)[:, None] * u
     r = a0u + nonlin + m.areas[:, None] * gp - asm.f_int
@@ -632,6 +649,30 @@ def test_positive_cubic_root_values():
         assert abs(phi) < 1e-6 * max(1.0, c0 + c1 * a + c2 * a ** 2)
         assert phi_at(a * 1.01 + 1e-9) > 0.0
         assert phi_at(a * 0.99) < 0.0 or a == 0.0
+
+
+def test_alpha_diagnostics_blocked_sampling_matches_one_block(monkeypatch):
+    """The degree-10 norm of f, sampled over element blocks, gives the bytes
+    of one block holding every element, whatever the block size."""
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = generate_structured(7)
+    monkeypatch.setattr(spaces, "SAMPLE_BLOCK", m.n_triangles)
+    whole = alpha_diagnostics(m, prob)
+    assert whole.f_l2 > 0.0
+    for block in (1, 64, m.n_triangles - 1):
+        monkeypatch.setattr(spaces, "SAMPLE_BLOCK", block)
+        assert alpha_diagnostics(m, prob) == whole, block
+
+
+def test_alpha_diagnostics_peak_memory():
+    """The traced peak of ``alpha_diagnostics`` at N = 60 stays under
+    8.5 MiB: 6.6 MiB with f sampled in element blocks, 17.9 MiB when its
+    degree-10 samples of the whole mesh were formed in one call."""
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = problems.initial_mesh(prob, 60)
+    alpha_diagnostics(m, prob)
+    _, peak = traced_peak(lambda: alpha_diagnostics(m, prob))
+    assert peak <= 8.5 * 2 ** 20
 
 
 def test_alpha_diagnostics_no_flux_collapse():
