@@ -470,11 +470,11 @@ def true_error(mesh: Mesh, problem: ProblemSpec,
 class SweepRow:
     """One alpha of a sweep.  ``iterations`` is the step count of the solve,
     or the step whose pressure solve raised.  ``vcycle_builds`` and
-    ``cg_total`` are the solve's (None when the pressure solve raised).  ``phases_s`` holds the
-    solve's :func:`phase_totals` plus ``true_error``, the row's share of the
-    sweep's one error pass: its time over the number of rows it evaluated
-    (empty when the pressure solve raised).  Rows compare equal without
-    it."""
+    ``cg_total`` are the solve's (None when the pressure solve raised).
+    ``phases_s`` holds the solve's :func:`phase_totals` plus ``true_error``,
+    the row's share of the sweep's one error pass: its time over the number
+    of rows it evaluated (empty when the pressure solve raised).  Rows
+    compare equal without it."""
 
     alpha: float
     iterations: int
