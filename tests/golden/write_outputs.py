@@ -17,6 +17,13 @@ which entries moved and why.  The file holds:
 * ``uniform_study``: the CLI uniform study at N = 4 (beta = 10,
   alpha = 10), whose multigrid hierarchy has a single level: each level's
   manifest figures and its ``study.csv`` values;
+* ``cli``: three more CLI runs.  ``solve`` at N = 4, alpha = 2.3: the
+  ``trace.csv`` rows and the column sums of ``indicators.csv``.  ``sweep``
+  at N = 4 over alphas 0.5, 2.3 and 5: the ``sweep.csv`` rows.
+  ``problem_file``: a uniform study at N = 4 of ``PROBLEM_FILE``, an
+  L-shape with variable K^-1, given ``exact_u`` and ``exact_p`` but not
+  ``exact_grad_p``, so that its true error reads the finite-difference
+  gradient: the ``study.csv`` rows;
 * ``versions``: the numpy and scipy versions the file was written with.
 
 Integers are compared exactly and floats to ``REL_TOL`` relative.
@@ -36,6 +43,23 @@ BENCH = TESTS.parent / "bench"
 REL_TOL = 1e-10
 UNIFORM_STUDY = ("uniform-study", "--Ns", "4", "--beta", "10",
                  "--alpha", "10")
+PROBLEM_FILE = {
+    "name": "variable-k",
+    "domain": "l-shape",
+    "k_inverse": [["2 + sin(pi*x)*sin(pi*y)", "0.2*x"],
+                  ["0.2*x", "3 + sin(pi*x)*sin(pi*y)"]],
+    "f": ["where(y <= 1, -2, 0)", "x*y"],
+    "exact_u": ["y*(2-y)", "x*(2-x)"],
+    "exact_p": "x*y - 1",
+}
+CLI_RUNS = {
+    "solve": ("solve", "--N", "4", "--alpha", "2.3"),
+    "sweep": ("sweep", "--N", "4", "--alphas", "0.5,2.3,5"),
+    "problem_file": ("uniform-study", "--Ns", "4", "--beta", "5"),
+}
+# CSV columns written as integers; every other column is a float.
+INT_COLUMNS = {"iter", "nbr_cg_iters", "element", "nbr", "converged",
+               "level", "vertices", "triangles"}
 
 
 def versions() -> dict:
@@ -72,26 +96,52 @@ def uniform_study_entries(out_dir: Path) -> list[dict]:
     if main([*UNIFORM_STUDY, "--out", str(out_dir)]) != 0:
         raise RuntimeError("the uniform study did not exit 0")
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    header, *lines = (out_dir / "study.csv").read_text().splitlines()
+    names, rows = csv_rows(out_dir / "study.csv")
     levels = []
-    for level, line in zip(manifest["levels"], lines):
+    for level, row in zip(manifest["levels"], rows):
         entry = {k: level[k] for k in ("triangles", "iterations", "cg_total",
                                        "vcycle_builds", "status")}
-        for key, text in zip(header.split(","), line.split(",")):
-            entry[key] = int(text) if key in ("level", "vertices",
-                                              "triangles") else float(text)
+        entry.update(zip(names, row))
         levels.append(entry)
     return levels
 
 
+def csv_rows(path: Path) -> tuple[list[str], list[list]]:
+    """The header and the typed rows of a CSV file the CLI wrote."""
+    header, *lines = path.read_text().splitlines()
+    names = header.split(",")
+    return names, [[int(text) if key in INT_COLUMNS else float(text)
+                    for key, text in zip(names, line.split(","))]
+                   for line in lines]
+
+
+def cli_entries(out_dir: Path) -> dict:
+    """The CSV values of the runs in ``CLI_RUNS``."""
+    from darcyfem.cli import main
+    spec = out_dir / "problem.json"
+    spec.write_text(json.dumps(PROBLEM_FILE))
+    for name, argv in CLI_RUNS.items():
+        extra = ("--problem", str(spec)) if name == "problem_file" else ()
+        if main([*argv, *extra, "--out", str(out_dir / name)]) != 0:
+            raise RuntimeError(f"the CLI run {name!r} did not exit 0")
+    _, indicators = csv_rows(out_dir / "solve" / "indicators.csv")
+    return {"solve": {"trace": csv_rows(out_dir / "solve" / "trace.csv")[1],
+                      "indicator_sums": [math.fsum(column) for column
+                                         in list(zip(*indicators))[1:]]},
+            "sweep": csv_rows(out_dir / "sweep" / "sweep.csv")[1],
+            "problem_file": csv_rows(out_dir / "problem_file"
+                                     / "study.csv")[1]}
+
+
 def outputs(tables: dict, out_dir: Path) -> dict:
     """Every entry of the golden file, the four tables' rows given by name
-    in ``tables``; the CLI study writes into ``out_dir``."""
+    in ``tables``; the CLI runs write into subdirectories of ``out_dir``."""
     return {"versions": versions(),
             "tables": {name: table_entries(rows)
                        for name, rows in tables.items()},
             "workloads": workload_entries(),
-            "uniform_study": uniform_study_entries(out_dir)}
+            "uniform_study": uniform_study_entries(out_dir / "uniform"),
+            "cli": cli_entries(out_dir)}
 
 
 def differences(want, got, path="") -> list[str]:

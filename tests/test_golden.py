@@ -11,9 +11,9 @@ from golden.write_outputs import GOLDEN, differences, outputs
 
 
 def test_deterministic_outputs_match_the_golden_file(request, tmp_path):
-    """The four N = 60 tables, the seed-1 benchmark fingerprints and the
-    N = 4 CLI uniform study, recomputed, equal the recorded entries:
-    integers exactly, floats to 1e-10 relative."""
+    """The four N = 60 tables, the seed-1 benchmark fingerprints, the
+    N = 4 CLI uniform study and the other CLI runs, recomputed, equal the
+    recorded entries: integers exactly, floats to 1e-10 relative."""
     want = json.loads(GOLDEN.read_text())
     tables = {name: request.getfixturevalue(name)[0] for name in TABLES}
     got = outputs(tables, tmp_path)
