@@ -49,8 +49,8 @@ class AdaptConfig:
             raise ValueError("theta must lie in (0, 1]")
 
 
-def mark(eta: np.ndarray, theta: float = 0.5,
-         marker: str = "doerfler") -> np.ndarray:
+def mark(eta: np.ndarray, theta: float = AdaptConfig.theta,
+         marker: str = AdaptConfig.marker) -> np.ndarray:
     """Select elements to refine from per-element indicator values.
 
     Ties are broken toward lower element ids so marking is deterministic.

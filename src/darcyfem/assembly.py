@@ -279,9 +279,9 @@ class Assembler:
                                      quadrature_sums(fy, w)], axis=1) \
             * areas[rows, None]
 
-        self.b = mesh.grads * areas[:, None, None]          # (m, 3, 2)
-        # The same coupling as contiguous rows: _bt[a, j] = b[:, j, a].
-        self._bt = np.ascontiguousarray(self.b.transpose(2, 1, 0))
+        # The coupling as contiguous rows: _bt[a, j] = b[:, j, a].
+        self._bt = np.ascontiguousarray(
+            (mesh.grads * areas[:, None, None]).transpose(2, 1, 0))
 
         # Load vector H_j = -INT b phi_j + INT_bdy g phi_j and the
         # compatibility check INT b = INT_bdy g, then G = B A^-1 F - H.
@@ -332,6 +332,12 @@ class Assembler:
             keys, np.ones(keys.size), entry, 9 * m, n, n)
         self._pattern = Pattern(indptr, indices)
         self._hierarchy: SmoothedAggregation | None = None
+
+    @property
+    def b(self) -> np.ndarray:
+        """The coupling |k| grad phi_j as (m, 3, 2), formed on each read
+        with the bytes of ``_bt``, the one layout the Assembler keeps."""
+        return self.mesh.grads * self.mesh.areas[:, None, None]
 
     # -- per-step assembly --------------------------------------------------
 

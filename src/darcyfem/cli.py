@@ -52,11 +52,16 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _read_json(path, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
 
 
 def _real(value, what: str) -> float:
@@ -145,18 +150,18 @@ _DEFAULTS = {
     "beta": None,
     "n": 10,
     "mesh": None,
-    "alpha": 1.0,
-    "tol": 1e-5,
-    "gamma_tilde": 1e-3,
-    "max_iter": 2000,
+    "alpha": SolverConfig.alpha,
+    "tol": SolverConfig.tol,
+    "gamma_tilde": SolverConfig.gamma_tilde,
+    "max_iter": SolverConfig.max_iter,
     "guess": None,
     "stopping": None,
     "out": None,
     "alphas": None,
     "ns": None,
     "levels": 7,
-    "theta": 0.5,
-    "marker": "doerfler",
+    "theta": AdaptConfig.theta,
+    "marker": AdaptConfig.marker,
 }
 
 
@@ -164,11 +169,7 @@ def merge_config(args: argparse.Namespace) -> dict:
     """File defaults under flag overrides; flags always win."""
     cfg = dict(_DEFAULTS)
     if args.config:
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}")
+        file_cfg = _read_json(args.config, "config")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, val in file_cfg.items():
@@ -245,23 +246,19 @@ def _settings(cfg: dict) -> _Settings:
 
 
 def _resolve_problem(cfg, run: _Settings):
-    name = cfg["problem"]
-    if isinstance(name, dict):
-        return problems.problem_from_config(name)
-    if str(name) in problems.BUILTIN_PROBLEMS:
-        return problems.BUILTIN_PROBLEMS[name](
-            **({} if run.beta is None else {"beta": run.beta}))
-    if os.path.exists(str(name)):
-        try:
-            with open(name) as fh:
-                spec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read problem file {name}: {exc}")
-        if run.beta is not None:
-            spec.setdefault("beta", run.beta)
-        return problems.problem_from_config(spec)
-    raise ConfigError(f"unknown problem {name!r} "
-                      f"(builtins: {', '.join(problems.BUILTIN_PROBLEMS)})")
+    """A builtin name, a problem file or an inline spec; ``--beta`` sets
+    the beta of a builtin, and of a spec that gives none."""
+    spec = cfg["problem"]
+    beta = {} if run.beta is None else {"beta": run.beta}
+    if isinstance(spec, str) and spec in problems.BUILTIN_PROBLEMS:
+        return problems.BUILTIN_PROBLEMS[spec](**beta)
+    if isinstance(spec, str) and os.path.exists(spec):
+        spec = _read_json(spec, "problem file")
+    elif not isinstance(spec, dict):
+        raise ConfigError(f"unknown problem {spec!r} "
+                          f"(builtins: {', '.join(problems.BUILTIN_PROBLEMS)})")
+    return problems.problem_from_config(
+        {**beta, **spec} if isinstance(spec, dict) else spec)
 
 
 def _resolve_mesh(cfg, run: _Settings, problem):
@@ -291,34 +288,38 @@ def _rounded(phases: dict) -> dict:
     return {k: round(v, 6) for k, v in phases.items()}
 
 
-def _manifest(out, cfg, timings, outputs, status=None, phases=None,
-              levels=None, runs=None, vcycle_builds=None):
-    clean = {k: v for k, v in cfg.items() if v is not None}
-    doc = {
-        "config": clean,
-        "versions": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "darcyfem": __version__,
-        },
-        "timings_s": {k: round(v, 3) for k, v in timings.items()},
-        "outputs": sorted(outputs),
-    }
-    if status is not None:
-        doc["status"] = status
-    if phases is not None:
-        doc["phases_s"] = _rounded(phases)
-    if levels is not None:
-        doc["levels"] = levels
-    if runs is not None:
-        doc["runs"] = runs
-    if vcycle_builds is not None:
-        doc["vcycle_builds"] = vcycle_builds
-    path = os.path.join(out, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+class _Outputs:
+    """Writes the files of one run into the directory ``path`` and lists
+    them in the run's manifest."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.written: list[str] = []
+
+    def write(self, name: str, text: str) -> None:
+        with open(os.path.join(self.path, name), "w") as fh:
+            fh.write(text)
+        self.written.append(name)
+
+    def csv(self, name: str, header, rows) -> None:
+        lines = [",".join(header)]
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        self.write(name, "\n".join(lines) + "\n")
+
+    def manifest(self, cfg, timings, **extra) -> None:
+        """``manifest.json``: the configuration, library versions, timings,
+        the files written so far and the command's own ``extra`` keys."""
+        self.write("manifest.json", _json({
+            "config": {k: v for k, v in cfg.items() if v is not None},
+            "versions": {
+                "python": sys.version.split()[0],
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "darcyfem": __version__,
+            },
+            "timings_s": {k: round(v, 3) for k, v in timings.items()},
+            "outputs": sorted([*self.written, "manifest.json"]),
+            **extra}))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -329,39 +330,25 @@ def _cmd_solve(cfg, run, problem, out):
     result = solve(mesh, problem, run.solver)
     t_solve = time.perf_counter() - t0
 
-    files = {}
-    files["trace.csv"] = (
-        ("iter", "err_L", "eta_L", "eta_D", "nbr_cg_iters"),
-        [(r.iteration, r.err_l, r.eta_l, r.eta_d, r.cg_iters)
-         for r in result.trace])
+    out.csv("trace.csv", ("iter", "err_L", "eta_L", "eta_D", "nbr_cg_iters"),
+            [(r.iteration, r.err_l, r.eta_l, r.eta_d, r.cg_iters)
+             for r in result.trace])
     ind = result.indicators
-    files["indicators.csv"] = (
-        ("element", "eta_L", "eta_D1", "eta_D2", "osc_f", "osc_b", "osc_g"),
-        [(k, ind.eta_l[k], ind.eta_d1[k], ind.eta_d2[k],
-          ind.osc_f[k], ind.osc_b[k], ind.osc_g[k])
-         for k in range(mesh.n_triangles)])
-    outputs = []
-    for name, (header, rows) in files.items():
-        _write_csv(os.path.join(out, name), header, rows)
-        outputs.append(name)
-    with open(os.path.join(out, "velocity.p0field"), "w") as fh:
-        fh.write(dump_p0(result.u))
-    with open(os.path.join(out, "pressure.p1field"), "w") as fh:
-        fh.write(dump_p1(result.p))
-    outputs += ["velocity.p0field", "pressure.p1field"]
-
-    speed = result.u.magnitudes()
-    p_mean = result.p.values[mesh.tris].mean(axis=1)
-    for name, svg in (
-            ("mesh.svg", render_mesh_svg(mesh, title="mesh")),
-            ("velocity.svg", render_mesh_svg(mesh, speed, title="|u|")),
-            ("pressure.svg", render_mesh_svg(mesh, p_mean, title="p"))):
-        with open(os.path.join(out, name), "w") as fh:
-            fh.write(svg)
-        outputs.append(name)
-    _manifest(out, cfg, {"solve": t_solve}, outputs + ["manifest.json"],
-              status=result.status, phases=phase_totals(result.trace),
-              vcycle_builds=result.vcycle_builds)
+    out.csv("indicators.csv",
+            ("element", "eta_L", "eta_D1", "eta_D2", "osc_f", "osc_b", "osc_g"),
+            [(k, ind.eta_l[k], ind.eta_d1[k], ind.eta_d2[k],
+              ind.osc_f[k], ind.osc_b[k], ind.osc_g[k])
+             for k in range(mesh.n_triangles)])
+    out.write("velocity.p0field", dump_p0(result.u))
+    out.write("pressure.p1field", dump_p1(result.p))
+    out.write("mesh.svg", render_mesh_svg(mesh, title="mesh"))
+    out.write("velocity.svg",
+              render_mesh_svg(mesh, result.u.magnitudes(), title="|u|"))
+    out.write("pressure.svg", render_mesh_svg(
+        mesh, result.p.values[mesh.tris].mean(axis=1), title="p"))
+    out.manifest(cfg, {"solve": t_solve}, status=result.status,
+                 phases_s=_rounded(phase_totals(result.trace)),
+                 vcycle_builds=result.vcycle_builds)
     print(f"converged={result.converged} iterations={result.iterations} "
           f"err_L={result.err_l:.3e} status={result.status}")
     return 0 if result.converged else 4
@@ -374,14 +361,13 @@ def _cmd_sweep(cfg, run, problem, out):
     t0 = time.perf_counter()
     rows = alpha_sweep(mesh, problem, run.alphas, run.solver)
     t_sweep = time.perf_counter() - t0
-    _write_csv(os.path.join(out, "sweep.csv"),
-               ("alpha", "nbr", "converged", "err", "log10_err"),
-               [(r.alpha, r.iterations, r.converged, r.err, r.log10_err)
-                for r in rows])
-    _manifest(out, cfg, {"sweep": t_sweep}, ["sweep.csv", "manifest.json"],
-              runs=[{"alpha": r.alpha, "status": r.status,
-                     "vcycle_builds": r.vcycle_builds,
-                     "phases_s": _rounded(r.phases_s)} for r in rows])
+    out.csv("sweep.csv", ("alpha", "nbr", "converged", "err", "log10_err"),
+            [(r.alpha, r.iterations, r.converged, r.err, r.log10_err)
+             for r in rows])
+    out.manifest(cfg, {"sweep": t_sweep},
+                 runs=[{"alpha": r.alpha, "status": r.status,
+                        "vcycle_builds": r.vcycle_builds,
+                        "phases_s": _rounded(r.phases_s)} for r in rows])
     best = min((r for r in rows if r.converged),
                key=lambda r: r.iterations, default=None)
     if best is not None:
@@ -389,21 +375,16 @@ def _cmd_sweep(cfg, run, problem, out):
     return 0
 
 
-def _study_rows(states):
-    return [(s.record.level, s.record.vertices, s.record.triangles,
-             s.record.eta_l, s.record.eta_d, s.record.err,
-             s.record.ei, s.record.e_tot) for s in states]
-
-
-_STUDY_HEADER = ("level", "vertices", "triangles", "eta_L", "eta_D",
-                 "err", "EI", "E_tot")
-
-
-def _study_manifest(out, cfg, timings, outputs, states):
-    """Manifest of a multi-level study: the last level's status and, per
-    level, its triangles, outer iterations, CG iterations, V-cycle builds,
-    status and ``phases_s``, the phase totals of its steps plus the
-    ``setup`` time of its Assembler and IndicatorContext."""
+def _write_study(out, cfg, timings, states):
+    """``study.csv`` and the manifest of a multi-level study: the last
+    level's status and, per level, its triangles, outer iterations, CG
+    iterations, V-cycle builds, status and ``phases_s``, the phase totals
+    of its steps plus the ``setup`` time of its Assembler and
+    IndicatorContext."""
+    out.csv("study.csv", ("level", "vertices", "triangles", "eta_L", "eta_D",
+                          "err", "EI", "E_tot"),
+            [(r.level, r.vertices, r.triangles, r.eta_l, r.eta_d, r.err,
+              r.ei, r.e_tot) for r in (s.record for s in states)])
     levels = [{"triangles": s.mesh.n_triangles,
                "iterations": s.result.iterations,
                "cg_total": s.result.cg_total,
@@ -411,8 +392,8 @@ def _study_manifest(out, cfg, timings, outputs, states):
                "status": s.result.status,
                "phases_s": _rounded({**phase_totals(s.result.trace),
                                      "setup": s.setup_s})} for s in states]
-    _manifest(out, cfg, timings, outputs, status=states[-1].result.status,
-              levels=levels)
+    out.manifest(cfg, timings, status=states[-1].result.status,
+                 levels=levels)
 
 
 def _cmd_uniform(cfg, run, problem, out):
@@ -420,11 +401,7 @@ def _cmd_uniform(cfg, run, problem, out):
         raise ConfigError("uniform-study needs --Ns")
     t0 = time.perf_counter()
     states = uniform_study(problem, run.ns, run.solver)
-    t_run = time.perf_counter() - t0
-    _write_csv(os.path.join(out, "study.csv"), _STUDY_HEADER,
-               _study_rows(states))
-    _study_manifest(out, cfg, {"study": t_run},
-                    ["study.csv", "manifest.json"], states)
+    _write_study(out, cfg, {"study": time.perf_counter() - t0}, states)
     return 0
 
 
@@ -434,15 +411,10 @@ def _cmd_adapt(cfg, run, problem, out):
     states = adaptive_loop(problem, levels=run.levels, solver=run.solver,
                            adapt=run.adapt, mesh=mesh)
     t_run = time.perf_counter() - t0
-    outputs = ["study.csv", "manifest.json"]
-    _write_csv(os.path.join(out, "study.csv"), _STUDY_HEADER,
-               _study_rows(states))
     for s in states:
-        name = f"mesh_level{s.record.level:02d}.svg"
-        with open(os.path.join(out, name), "w") as fh:
-            fh.write(render_mesh_svg(s.mesh, title=f"level {s.record.level}"))
-        outputs.append(name)
-    _study_manifest(out, cfg, {"adapt": t_run}, outputs, states)
+        out.write(f"mesh_level{s.record.level:02d}.svg",
+                  render_mesh_svg(s.mesh, title=f"level {s.record.level}"))
+    _write_study(out, cfg, {"adapt": t_run}, states)
     last = states[-1].record
     print(f"levels={len(states)} final_vertices={last.vertices} "
           f"final_eta_D={last.eta_d:.3e}")
@@ -454,12 +426,8 @@ def _cmd_diagnostics(cfg, run, problem, out):
     t0 = time.perf_counter()
     diag = alpha_diagnostics(mesh, problem)
     t_run = time.perf_counter() - t0
-    path = os.path.join(out, "diagnostics.json")
-    with open(path, "w") as fh:
-        json.dump(diag.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _manifest(out, cfg, {"diagnostics": t_run},
-              ["diagnostics.json", "manifest.json"])
+    out.write("diagnostics.json", _json(diag.as_dict()))
+    out.manifest(cfg, {"diagnostics": t_run})
     print(f"alpha_star={diag.alpha_star:.6g} "
           f"alpha_cubic={diag.alpha_cubic:.6g}")
     return 0
@@ -480,7 +448,7 @@ def main(argv=None) -> int:
         cfg = merge_config(args)
         run = _settings(cfg)
         problem = _resolve_problem(cfg, run)
-        out = _out_dir(cfg)
+        out = _Outputs(_out_dir(cfg))
     except (ConfigError, problems.ProblemConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -493,16 +461,13 @@ def main(argv=None) -> int:
             return 2
         except (LinearSolverError, CompatibilityError,
                 FloatingPointError) as exc:
-            path = os.path.join(out, "error.txt")
-            with open(path, "w") as fh:
-                fh.write(f"{type(exc).__name__}: {exc}\n")
-                hist = getattr(exc, "residual_history", None)
-                if hist is not None:
-                    fh.write("residual history:\n")
-                    for r in hist:
-                        fh.write(f"  {r:.17g}\n")
-            print(f"numerical failure: {exc} (details in {path})",
-                  file=sys.stderr)
+            lines = [f"{type(exc).__name__}: {exc}"]
+            hist = getattr(exc, "residual_history", None)
+            if hist is not None:
+                lines += ["residual history:", *(f"  {r:.17g}" for r in hist)]
+            out.write("error.txt", "\n".join(lines) + "\n")
+            print(f"numerical failure: {exc} (details in "
+                  f"{os.path.join(out.path, 'error.txt')})", file=sys.stderr)
             return 3
     except KeyboardInterrupt:
         return 130

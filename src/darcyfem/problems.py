@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mesh as _mesh
 from .expressions import ExpressionError, compile_expression
-from .spaces import physical_points, triangle_rule
+from .spaces import physical_points, sample_blocks, triangle_rule
 
 
 class ProblemConfigError(ValueError):
@@ -86,6 +86,23 @@ def initial_mesh(problem: ProblemSpec, n: int) -> _mesh.Mesh:
 # Built-in problems
 # ---------------------------------------------------------------------------
 
+def _zero(x, y):
+    return np.zeros(np.shape(x))
+
+
+def _zero_pair(x, y):
+    z = np.zeros(np.shape(x))
+    return z, z
+
+
+def _no_flux(x, y, normal):
+    return np.zeros(np.shape(x))
+
+
+def _identity(x, y):
+    return np.eye(2)[(...,) + (None,) * np.ndim(x)]
+
+
 def gaussian_vortex(beta: float = 1.0, gamma: float = 50.0,
                     strict_zero_flux: bool = False) -> ProblemSpec:
     """Manufactured vortex on the unit square.
@@ -121,24 +138,15 @@ def gaussian_vortex(beta: float = 1.0, gamma: float = 50.0,
         px, py = exact_grad_p(x, y)
         return ux + beta * speed * ux + px, uy + beta * speed * uy + py
 
-    def b(x, y):
-        return np.zeros(np.shape(x))
-
-    if strict_zero_flux:
-        def g(x, y, normal):
-            return np.zeros(np.shape(x))
-    else:
-        def g(x, y, normal):
-            ux, uy = exact_u(x, y)
-            return ux * normal[0] + uy * normal[1]
-
-    def k_inverse(x, y):
-        return np.eye(2)[(...,) + (None,) * np.ndim(x)]
+    def g(x, y, normal):
+        ux, uy = exact_u(x, y)
+        return ux * normal[0] + uy * normal[1]
 
     return ProblemSpec(
         name="gaussian-vortex", domain="unit-square",
         mu=1.0, rho=1.0, beta=beta,
-        k_inverse=k_inverse, f=f, b=b, g=g, k_constant=True,
+        k_inverse=_identity, f=f, b=_zero,
+        g=_no_flux if strict_zero_flux else g, k_constant=True,
         exact_u=exact_u, exact_p=exact_p, exact_grad_p=exact_grad_p,
         params={"gamma": gamma, "strict_zero_flux": strict_zero_flux})
 
@@ -167,40 +175,20 @@ def reentrant_corner(beta: float = 10.0) -> ProblemSpec:
         fx = np.where(y <= 1.0, -2.0, 0.0)
         return fx, np.zeros(np.shape(x))
 
-    def b(x, y):
-        return np.zeros(np.shape(x))
-
-    def g(x, y, normal):
-        return np.zeros(np.shape(x))
-
     return ProblemSpec(
         name="reentrant-corner", domain="l-shape",
         mu=1.0, rho=1.0, beta=beta,
-        k_inverse=k_inverse, f=f, b=b, g=g, k_constant=False)
+        k_inverse=k_inverse, f=f, b=_zero, g=_no_flux, k_constant=False)
 
 
 def trivial_zero(beta: float = 1.0) -> ProblemSpec:
     """Zero data on the unit square; the solution is identically zero."""
-
-    def zero(x, y):
-        return np.zeros(np.shape(x))
-
-    def zero_vec(x, y):
-        z = np.zeros(np.shape(x))
-        return z, z
-
-    def g(x, y, normal):
-        return np.zeros(np.shape(x))
-
-    def k_inverse(x, y):
-        return np.eye(2)[(...,) + (None,) * np.ndim(x)]
-
     return ProblemSpec(
         name="trivial-zero", domain="unit-square",
         mu=1.0, rho=1.0, beta=beta,
-        k_inverse=k_inverse, f=zero_vec, b=zero, g=g, k_constant=True,
-        exact_u=zero_vec, exact_p=zero,
-        exact_grad_p=zero_vec)
+        k_inverse=_identity, f=_zero_pair, b=_zero, g=_no_flux,
+        k_constant=True, exact_u=_zero_pair, exact_p=_zero,
+        exact_grad_p=_zero_pair)
 
 
 BUILTIN_PROBLEMS = {
@@ -218,21 +206,27 @@ def validate(problem: ProblemSpec, mesh: _mesh.Mesh) -> dict:
     """Sample-based check of K^-1 on a mesh.
 
     Returns the eigenvalue bounds of K^-1 over degree-6 quadrature points
-    (K_m, K_M).  Raises if K^-1 is not symmetric positive definite at a
-    sample point.  The compatibility of b and g is checked by
+    (K_m, K_M), sampled in element blocks (which bounds the peak memory;
+    the maxima and minima are those of one whole-mesh sampling).  Raises if
+    K^-1 is not symmetric positive definite at a sample point.  The
+    compatibility of b and g is checked by
     :class:`~darcyfem.assembly.Assembler`.
     """
-    pts = physical_points(mesh, triangle_rule(6))
-    kk = eval_k_inverse(problem, pts[..., 0], pts[..., 1])
-    asym = np.abs(kk[0, 1] - kk[1, 0]).max()
+    rule = triangle_rule(6)
+    asym, lam_min, lam_max = 0.0, np.inf, -np.inf
+    for blk in sample_blocks(mesh):
+        pts = physical_points(mesh, rule, blk)
+        kk = eval_k_inverse(problem, pts[..., 0], pts[..., 1])
+        # np.maximum and np.minimum keep a nan, as one .max() or .min() does
+        asym = np.maximum(asym, np.abs(kk[0, 1] - kk[1, 0]).max())
+        tr = kk[0, 0] + kk[1, 1]
+        det = kk[0, 0] * kk[1, 1] - kk[0, 1] * kk[1, 0]
+        disc = np.sqrt(np.maximum(tr * tr / 4.0 - det, 0.0))
+        lam_min = np.minimum(lam_min, (tr / 2.0 - disc).min())
+        lam_max = np.maximum(lam_max, (tr / 2.0 + disc).max())
     if asym > 1e-12:
         raise ProblemConfigError(
             f"K^-1 is not symmetric (max |k12 - k21| = {asym:.3e})")
-    tr = kk[0, 0] + kk[1, 1]
-    det = kk[0, 0] * kk[1, 1] - kk[0, 1] * kk[1, 0]
-    disc = np.sqrt(np.maximum(tr * tr / 4.0 - det, 0.0))
-    lam_min = (tr / 2.0 - disc).min()
-    lam_max = (tr / 2.0 + disc).max()
     if lam_min <= 0.0:
         raise ProblemConfigError(
             f"K^-1 is not positive definite (min eigenvalue {lam_min:.3e})")
@@ -243,76 +237,98 @@ def validate(problem: ProblemSpec, mesh: _mesh.Mesh) -> dict:
 # Problems from configuration
 # ---------------------------------------------------------------------------
 
-def _vector_from_exprs(pair, what: str):
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+# The keys of a problem spec (see the README's "Problem files").
+_SPEC_KEYS = ("name", "domain", "mu", "rho", "beta", "k_inverse", "f", "b",
+              "g", "exact_u", "exact_p", "exact_grad_p")
+
+
+def _scalar(expr):
+    """An expression compiled into an (x, y) function whose values are
+    broadcast to x's shape."""
+    fn = compile_expression(str(expr))
+
+    def scalar(x, y):
+        return np.broadcast_to(fn(x, y), np.shape(x))
+
+    return scalar
+
+
+def _pair(exprs, what: str):
+    """Two expressions compiled into an (x, y) function of a pair, each
+    broadcast to x's shape."""
+    if not (isinstance(exprs, (list, tuple)) and len(exprs) == 2):
         raise ProblemConfigError(f"{what} must be a pair of expressions")
-    fx = compile_expression(str(pair[0]))
-    fy = compile_expression(str(pair[1]))
+    first, second = _scalar(exprs[0]), _scalar(exprs[1])
 
-    def fn(x, y):
-        shape = np.shape(x)
-        return (np.broadcast_to(fx(x, y), shape),
-                np.broadcast_to(fy(x, y), shape))
+    def pair(x, y):
+        return first(x, y), second(x, y)
 
-    return fn
+    return pair
+
+
+def _number(cfg: dict, key: str, default: float) -> float:
+    value = cfg.get(key, default)
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ProblemConfigError(f"{key} must be a number, not {value!r}")
 
 
 def problem_from_config(cfg: dict) -> ProblemSpec:
-    """Build a problem from a configuration mapping (see README grammar)."""
+    """Build a problem from a configuration mapping (see README grammar).
+
+    Raises ProblemConfigError for a spec that is not a mapping, an unknown
+    key, a non-numeric mu, rho or beta, a k_inverse that is not a 2x2 list
+    of expressions and an expression outside the grammar.
+    """
+    if not isinstance(cfg, dict):
+        raise ProblemConfigError(
+            f"a problem spec must be a JSON object, not {type(cfg).__name__}")
+    unknown = sorted(set(cfg) - set(_SPEC_KEYS))
+    if unknown:
+        raise ProblemConfigError(f"unknown problem key {unknown[0]!r} "
+                                 f"(known: {', '.join(_SPEC_KEYS)})")
     try:
         domain = cfg.get("domain", "unit-square")
         if domain not in ("unit-square", "l-shape"):
             raise ProblemConfigError(f"unknown domain {domain!r}")
-        mu = float(cfg.get("mu", 1.0))
-        rho = float(cfg.get("rho", 1.0))
-        beta = float(cfg.get("beta", 1.0))
 
-        kcfg = cfg.get("k_inverse", [["1", "0"], ["0", "1"]])
-        rows = [[compile_expression(str(kcfg[i][j])) for j in range(2)]
-                for i in range(2)]
+        k_cfg = cfg.get("k_inverse", [["1", "0"], ["0", "1"]])
+        if not (isinstance(k_cfg, (list, tuple)) and len(k_cfg) == 2):
+            raise ProblemConfigError(
+                "k_inverse must be a 2x2 list of expressions")
+        k_rows = [_pair(row, "each row of k_inverse") for row in k_cfg]
 
         def k_inverse(x, y):
-            shape = np.shape(x)
-            out = np.empty((2, 2) + shape)
-            for i in range(2):
-                for j in range(2):
-                    out[i, j] = np.broadcast_to(rows[i][j](x, y), shape)
-            return out
+            return np.array([k_rows[0](x, y), k_rows[1](x, y)], dtype=float)
 
-        f = _vector_from_exprs(cfg.get("f", ["0", "0"]), "f")
-        b_expr = compile_expression(str(cfg.get("b", "0")))
-
-        def b(x, y):
-            return np.broadcast_to(b_expr(x, y), np.shape(x))
-
-        g_expr = compile_expression(str(cfg.get("g", "0")))
+        g_expr = _scalar(cfg.get("g", "0"))
 
         def g(x, y, normal):
-            return np.broadcast_to(g_expr(x, y), np.shape(x))
+            return g_expr(x, y)
 
-        exact_u = exact_p = exact_grad_p = None
-        if "exact_u" in cfg:
-            exact_u = _vector_from_exprs(cfg["exact_u"], "exact_u")
-        if "exact_p" in cfg:
-            p_expr = compile_expression(str(cfg["exact_p"]))
-
-            def exact_p(x, y):  # noqa: F811 - deliberate rebinding
-                return np.broadcast_to(p_expr(x, y), np.shape(x))
-
+        exact_u = _pair(cfg["exact_u"], "exact_u") if "exact_u" in cfg \
+            else None
+        exact_p = _scalar(cfg["exact_p"]) if "exact_p" in cfg else None
+        exact_grad_p = None
         if "exact_grad_p" in cfg:
-            exact_grad_p = _vector_from_exprs(cfg["exact_grad_p"], "exact_grad_p")
+            exact_grad_p = _pair(cfg["exact_grad_p"], "exact_grad_p")
         elif exact_p is not None:
             # fall back to central differences for reporting purposes
             eps = 1e-6
 
-            def exact_grad_p(x, y):  # noqa: F811
+            def exact_grad_p(x, y):
                 return ((exact_p(x + eps, y) - exact_p(x - eps, y)) / (2 * eps),
                         (exact_p(x, y + eps) - exact_p(x, y - eps)) / (2 * eps))
 
         return ProblemSpec(
             name=str(cfg.get("name", "custom")), domain=domain,
-            mu=mu, rho=rho, beta=beta,
-            k_inverse=k_inverse, f=f, b=b, g=g, k_constant=False,
+            mu=_number(cfg, "mu", 1.0), rho=_number(cfg, "rho", 1.0),
+            beta=_number(cfg, "beta", 1.0),
+            k_inverse=k_inverse, f=_pair(cfg.get("f", ["0", "0"]), "f"),
+            b=_scalar(cfg.get("b", "0")), g=g, k_constant=False,
             exact_u=exact_u, exact_p=exact_p, exact_grad_p=exact_grad_p,
             params={"custom": True})
     except ExpressionError as exc:

@@ -216,6 +216,23 @@ def test_schur_peak_memory():
     assert peak <= 4.6 * 2 ** 20
 
 
+def test_setup_keeps_one_layout_of_the_coupling():
+    """The Assembler keeps the coupling |k| grad phi_j once, as the rows
+    ``_bt``; ``b`` forms the (m, 3, 2) layout from the mesh on each read,
+    with the bytes of ``_bt``.  The traced peak of a solve that builds its
+    set-up at N = 60 stays under 9.2 MiB: 9.4 MiB when the Assembler kept
+    ``b`` beside ``_bt``."""
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = problems.initial_mesh(prob, 60)
+    asm = Assembler(m, prob)
+    assert "b" not in vars(asm)
+    assert asm.b.tobytes() == (m.grads * m.areas[:, None, None]).tobytes()
+    assert asm.b.transpose(2, 1, 0).tobytes() == asm._bt.tobytes()
+    res, peak = traced_peak(lambda: solve(m, prob, SolverConfig(alpha=10.0)))
+    assert res.converged
+    assert peak <= 9.2 * 2 ** 20
+
+
 def _signed_zeros(rng, shape):
     """+0 and -0 at random, both present."""
     zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)

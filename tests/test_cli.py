@@ -319,6 +319,17 @@ def test_bad_n_exits_2(tmp_path):
     assert code == 2
 
 
+# Problem specs that exit 2, in a problem file or inline in a config file.
+_MALFORMED_SPECS = {
+    "mu-text": {"mu": "abc"},
+    "rho-list": {"rho": [1.0]},
+    "beta-text": {"beta": "abc"},
+    "k-inverse-number": {"k_inverse": 5},
+    "k-inverse-one-row": {"k_inverse": [["1", "0"]]},
+    "unknown-key": {"exact_grad": ["0", "0"]},
+}
+
+
 @pytest.mark.parametrize("argv, file_cfg", [
     (["solve"], {"alpha": "x"}),
     (["adapt"], {"levels": "many"}),
@@ -336,23 +347,56 @@ def test_bad_n_exits_2(tmp_path):
     (["adapt", "--problem", "reentrant-corner", "--beta", "nan"], None),
     (["solve", "--problem", "trivial-zero", "--beta", "-1"], None),
     (["solve"], {"problem": {"rho": "inf"}}),
+    (["solve", "--problem"], [1, 2]),
+    *[(["solve", "--problem"], spec) for spec in _MALFORMED_SPECS.values()],
+    *[(["solve"], {"problem": spec}) for spec in _MALFORMED_SPECS.values()],
 ], ids=["alpha-key", "levels-key", "max-iter-key", "guess-key", "max-iter",
         "alpha", "tol", "beta", "theta", "levels", "ns", "alphas-negative",
         "alphas-inf", "beta-nan-corner", "beta-trivial-zero",
-        "problem-rho-inf"])
+        "problem-rho-inf", "problem-file-list",
+        *[f"problem-file-{name}" for name in _MALFORMED_SPECS],
+        *[f"problem-inline-{name}" for name in _MALFORMED_SPECS]])
 def test_malformed_settings_exit_2_before_running(tmp_path, capsys, argv,
                                                   file_cfg):
     """A setting of the wrong type or out of range is a configuration
-    error: exit 2 with one error line, nothing run and no manifest."""
-    argv = [*argv, "--N", "3"]
+    error: exit 2 with one error line, nothing run and no manifest.  When
+    ``argv`` ends in ``--problem``, ``file_cfg`` is written as the problem
+    file; otherwise it is the ``--config`` file."""
+    argv = [*argv, "--N", "3"] if argv[-1] != "--problem" else argv
     if file_cfg is not None:
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text(json.dumps(file_cfg))
-        argv += ["--config", str(cfg_file)]
+        argv += [str(cfg_file)] if argv[-1] == "--problem" \
+            else ["--config", str(cfg_file)]
     code, out = _run(tmp_path, *argv)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_inline_problem_honours_beta_as_a_problem_file_does(tmp_path):
+    """``--beta`` sets the beta of a spec that has none, inline or in a
+    file alike, and a spec's own beta wins over it in both forms."""
+    def diagnostics(spec, *argv):
+        found = []
+        for form in ("file", "inline"):
+            target = tmp_path / f"{form}.json"
+            target.write_text(json.dumps(
+                spec if form == "file" else {"problem": spec}))
+            option = "--problem" if form == "file" else "--config"
+            code, out = _run(tmp_path / form, "diagnostics", "--N", "4",
+                             option, str(target), *argv)
+            assert code == 0
+            found.append((out / "diagnostics.json").read_text())
+        assert found[0] == found[1]
+        return json.loads(found[0])["alpha_star"]
+
+    spec = {"f": ["1", "0"]}
+    assert diagnostics(spec, "--beta", "5") \
+        == diagnostics({**spec, "beta": 5.0}) \
+        != diagnostics(spec)
+    assert diagnostics({**spec, "beta": 2.0}, "--beta", "5") \
+        == diagnostics({**spec, "beta": 2.0})
 
 
 def test_merge_config_normalizes_keys(tmp_path):

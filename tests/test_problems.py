@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from darcyfem import problems
+from darcyfem import problems, spaces
 from darcyfem.assembly import Assembler
 from darcyfem.indicators import IndicatorContext
 from darcyfem.mesh import generate_structured
@@ -11,7 +11,7 @@ from darcyfem.nonlinear_solver import true_error
 from darcyfem.spaces import (P0VectorField, P1ScalarField, physical_points,
                              triangle_rule)
 
-from conftest import rng_loop
+from conftest import rng_loop, traced_peak
 
 
 def test_vortex_velocity_divergence_free():
@@ -172,6 +172,30 @@ def test_validate_rejects_non_spd():
         problems.validate(bad, m)
 
 
+@pytest.mark.parametrize("name", ["gaussian-vortex", "reentrant-corner"])
+def test_validate_is_the_same_in_any_blocks(monkeypatch, name):
+    """K^-1 sampled in element blocks gives the bounds of one block holding
+    every element, whatever the block size."""
+    prob = problems.BUILTIN_PROBLEMS[name]()
+    m = problems.initial_mesh(prob, 7)
+    monkeypatch.setattr(spaces, "SAMPLE_BLOCK", m.n_triangles)
+    whole = problems.validate(prob, m)
+    for block in (1, 64, m.n_triangles - 1):
+        monkeypatch.setattr(spaces, "SAMPLE_BLOCK", block)
+        assert problems.validate(prob, m) == whole, block
+
+
+def test_validate_peak_memory():
+    """The traced peak of ``validate`` on reentrant-corner at N = 40 stays
+    under 4 MiB: 2.1 MiB with K^-1 sampled in element blocks, 11.7 MiB
+    when it sampled the whole mesh in one call."""
+    prob = problems.reentrant_corner()
+    m = problems.initial_mesh(prob, 40)
+    problems.validate(prob, m)
+    _, peak = traced_peak(lambda: problems.validate(prob, m))
+    assert peak <= 4 * 2 ** 20
+
+
 def test_initial_mesh_domains():
     v = problems.gaussian_vortex()
     m = problems.initial_mesh(v, 10)
@@ -215,6 +239,21 @@ def test_problem_from_config_rejects_bad_expression():
         problems.problem_from_config({"b": "open('x')"})
     with pytest.raises(problems.ProblemConfigError):
         problems.problem_from_config({"mu": -1.0})
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([1, 2], "JSON object"),
+    ({"mu": "abc"}, "mu"),
+    ({"rho": [1.0]}, "rho"),
+    ({"beta": True}, "beta"),
+    ({"k_inverse": 5}, "k_inverse"),
+    ({"k_inverse": [["1", "0"], ["0"]]}, "k_inverse"),
+    ({"exact_grad": ["0", "0"]}, "exact_grad"),
+], ids=["list", "mu-text", "rho-list", "beta-bool", "k-inverse-number",
+        "k-inverse-short-row", "unknown-key"])
+def test_problem_from_config_rejects_a_malformed_spec(spec, message):
+    with pytest.raises(problems.ProblemConfigError, match=message):
+        problems.problem_from_config(spec)
 
 
 @pytest.mark.parametrize("beta", [-5.0, float("nan"), float("inf")])
