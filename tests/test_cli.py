@@ -362,13 +362,12 @@ def test_malformed_settings_exit_2_before_running(tmp_path, capsys, argv,
     error: exit 2 with one error line, nothing run and no manifest.  When
     ``argv`` ends in ``--problem``, ``file_cfg`` is written as the problem
     file; otherwise it is the ``--config`` file."""
-    argv = [*argv, "--N", "3"] if argv[-1] != "--problem" else argv
     if file_cfg is not None:
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text(json.dumps(file_cfg))
-        argv += [str(cfg_file)] if argv[-1] == "--problem" \
-            else ["--config", str(cfg_file)]
-    code, out = _run(tmp_path, *argv)
+        argv = [*argv, str(cfg_file)] if argv[-1] == "--problem" \
+            else [*argv, "--config", str(cfg_file)]
+    code, out = _run(tmp_path, *argv, "--N", "3")
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
