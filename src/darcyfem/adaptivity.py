@@ -150,11 +150,11 @@ def transfer(mesh: Mesh, u: np.ndarray, p: np.ndarray
                                                      + p[ends[:, 1]])])
 
 
-def adaptive_loop(problem: ProblemSpec, levels: int = 7, initial_n: int = 10,
+def adaptive_loop(problem: ProblemSpec, mesh: Mesh, levels: int = 7,
                   solver: SolverConfig | None = None,
-                  adapt: AdaptConfig | None = None,
-                  mesh: Mesh | None = None) -> list[LevelState]:
-    """Run ``levels`` (at least 1) solve-estimate-mark-refine rounds.
+                  adapt: AdaptConfig | None = None) -> list[LevelState]:
+    """Run ``levels`` (at least 1) solve-estimate-mark-refine rounds,
+    starting on ``mesh``.
 
     The solver defaults to the indicator-balanced stopping rule.  The first
     level starts from ``solver.initial_guess`` (the linear solution by
@@ -170,17 +170,16 @@ def adaptive_loop(problem: ProblemSpec, levels: int = 7, initial_n: int = 10,
     cfg = solver or SolverConfig(stopping="indicator_balance",
                                  initial_guess="darcy")
     acfg = adapt or AdaptConfig()
-    current = mesh if mesh is not None else initial_mesh(problem, initial_n)
 
     states: list[LevelState] = []
     start = asm = ctx = None
     for level in range(levels):
         # Rebinding drops the previous level's set-up once it is carried.
-        asm, ctx, setup_s = _setup(current, problem, asm, ctx)
-        result = solve(current, problem, cfg, assembler=asm, context=ctx,
+        asm, ctx, setup_s = _setup(mesh, problem, asm, ctx)
+        result = solve(mesh, problem, cfg, assembler=asm, context=ctx,
                        start=start)
-        record = _record_level(level, current, problem, result)
-        state = LevelState(mesh=current, result=result, record=record,
+        record = _record_level(level, mesh, problem, result)
+        state = LevelState(mesh=mesh, result=result, record=record,
                            setup_s=setup_s)
         states.append(state)
         if level == levels - 1 or not result.converged:
@@ -189,8 +188,8 @@ def adaptive_loop(problem: ProblemSpec, levels: int = 7, initial_n: int = 10,
         record.marked = int(marked.size)
         if marked.size == 0:
             break
-        current = refine(current, marked)
-        start = transfer(current, result.u.values, result.p.values)
+        mesh = refine(mesh, marked)
+        start = transfer(mesh, result.u.values, result.p.values)
     return states
 
 

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from .mesh import Mesh
 from .multigrid import Pattern, SmoothedAggregation, VCycle, product_map
-from .problems import ProblemSpec, eval_k_inverse
+from .problems import ProblemConfigError, ProblemSpec, eval_k_inverse
 from .spaces import (
     ElementCarry,
     P0VectorField,
@@ -142,8 +142,8 @@ def _projected_start(s, basis, x, r, r_norm):
     return x_new, r_new, rn
 
 
-def deflated_cg(s, rhs, x0=None, tol=CG_TOL, maxiter=None, precond=None,
-                forcing=0.0, basis=None):
+def deflated_cg(s, rhs, x0=None, maxiter=None, precond=None, forcing=0.0,
+                basis=None):
     """Conjugate gradients on the constants-deflected subspace.
 
     The right side, the initial guess and every residual are projected
@@ -151,8 +151,8 @@ def deflated_cg(s, rhs, x0=None, tol=CG_TOL, maxiter=None, precond=None,
     in the subspace where S is positive definite.  ``precond`` maps a
     residual to a mean-zero search direction and must be symmetric positive
     definite on that subspace.  Returns ``(x, iterations)`` with the residual
-    ||r|| <= max(tol ||rhs - mean||, forcing ||r_0||), where r_0 is the
-    residual of the initial guess; ``forcing = 0`` solves to ``tol``, a
+    ||r|| <= max(CG_TOL ||rhs - mean||, forcing ||r_0||), where r_0 is the
+    residual of the initial guess; ``forcing = 0`` solves to ``CG_TOL``, a
     positive ``forcing`` stops an inexact solve once the residual has fallen
     by that factor.
 
@@ -182,7 +182,7 @@ def deflated_cg(s, rhs, x0=None, tol=CG_TOL, maxiter=None, precond=None,
     r -= r.mean()
     history = [float(np.linalg.norm(r))]
     _require_finite(history[0], "initial residual", history)
-    stop = max(tol * b_norm, forcing * history[0])
+    stop = max(CG_TOL * b_norm, forcing * history[0])
     if history[0] <= stop:
         return x, 0
     if basis is not None and basis.shape[1]:
@@ -217,7 +217,7 @@ def deflated_cg(s, rhs, x0=None, tol=CG_TOL, maxiter=None, precond=None,
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise LinearSolverError(
-        f"pressure solve did not reach tolerance {tol:g} in {maxiter} iterations "
+        f"pressure solve did not reach tolerance {CG_TOL:g} in {maxiter} iterations "
         f"(relative residual {history[-1] / b_norm:.3e})", history)
 
 
@@ -272,6 +272,11 @@ class Assembler:
             self._k_rows.reshape(2, 2, m).transpose(2, 0, 1)[rows] = \
                 (problem.mu / problem.rho) \
                 * np.einsum("abmq,q,m->mab", kk, w, areas[rows])
+        finite = np.isfinite(self._k_rows).all(axis=0)
+        if not finite.all():
+            raise ProblemConfigError(
+                "the K-term (mu/rho) INT_k K^-1 dx is not finite on element "
+                f"{np.flatnonzero(~finite)[0]}")
 
         fx, fy = sample(pts, problem.f)
         self.f_int = carry.start(parent and parent.f_int, (m, 2))

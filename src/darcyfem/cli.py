@@ -60,7 +60,7 @@ def _read_json(path, what: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}")
 
 
@@ -266,7 +266,7 @@ def _resolve_mesh(cfg, run: _Settings, problem):
         try:
             with open(cfg["mesh"]) as fh:
                 return load_mesh(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read mesh {cfg['mesh']}: {exc}")
     return problems.initial_mesh(problem, run.n)
 

@@ -102,5 +102,4 @@ def compile_expression(src: str):
     def fn(x, y):
         return eval(code, env, {"x": x, "y": y})
 
-    fn.source = src
     return fn

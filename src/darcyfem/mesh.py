@@ -319,21 +319,17 @@ def from_arrays(xy, tris) -> Mesh:
 # Generators
 # ---------------------------------------------------------------------------
 
-def generate_structured(n: int, rect=((0.0, 0.0), (1.0, 1.0))) -> Mesh:
-    """Structured triangulation of an axis-aligned rectangle.
+def generate_structured(n: int) -> Mesh:
+    """Structured triangulation of the unit square.
 
-    The rectangle is split into ``n x n`` cells, each cut along the
+    The square is split into ``n x n`` cells, each cut along the
     bottom-left/top-right diagonal, giving ``2 n^2`` triangles and
-    ``(n + 1)^2`` vertices with diameter ``h = sqrt(dx^2 + dy^2)``.
+    ``(n + 1)^2`` vertices with diameter ``h = sqrt(2) / n``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    (x0, y0), (x1, y1) = rect
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError("rectangle corners must be ordered")
-    xs = np.linspace(x0, x1, n + 1)
-    ys = np.linspace(y0, y1, n + 1)
-    gx, gy = np.meshgrid(xs, ys)
+    xs = np.linspace(0.0, 1.0, n + 1)
+    gx, gy = np.meshgrid(xs, xs)
     xy = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
     j, i = np.divmod(np.arange(n * n), n)          # cells, row by row
@@ -347,16 +343,16 @@ def _cell_triangles(bl, br, tl, tr):
     return np.stack([bl, br, tr, bl, tr, tl], axis=1).reshape(-1, 3)
 
 
-def generate_lshape(n: int, size: float = 2.0) -> Mesh:
+def generate_lshape(n: int) -> Mesh:
     """Structured triangulation of the L-shaped polygon
-    (0,0), (s,0), (s,s/2), (s/2,s/2), (s/2,s), (0,s) with ``s = size``.
+    (0,0), (2,0), (2,1), (1,1), (1,2), (0,2).
 
-    The grid spacing is ``size / (2 n)``; cells in the removed quadrant
-    (x > s/2 and y > s/2) are dropped.
+    The grid spacing is ``1 / n``; cells in the removed quadrant
+    (x > 1 and y > 1) are dropped.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    step = size / (2 * n)
+    step = 1.0 / n
     j, i = np.divmod(np.arange((2 * n + 1) ** 2), 2 * n + 1)
     kept = ~((i > n) & (j > n))          # drop vertices strictly in the notch
     idx = np.full(kept.size, -1, dtype=np.int64)

@@ -56,6 +56,8 @@ PROJECTION_DEPTH = 3
 # was built on (see ``_within_drift``); 0 builds one every step.  Sound for
 # values below 1/3.
 VCYCLE_DRIFT = 0.05
+# The interpolation constant C of alpha_diagnostics' inverse estimates.
+C_INTERP = 1.0
 
 
 @dataclass(frozen=True)
@@ -555,7 +557,7 @@ class AlphaDiagnostics:
     ``alpha_star`` is the contraction threshold 4 (g1 + sqrt(g1^2 + g2))^2;
     ``alpha_cubic`` is the unique positive root of the invariance cubic
     -c0 - c1 a - c2 a^2 + a^3 / 8.  Both use the interpolation constant
-    ``c_interp`` supplied by the caller and the mesh width of the given mesh.
+    ``c_interp`` = C_INTERP and the mesh width of the given mesh.
     """
 
     alpha_star: float
@@ -603,14 +605,13 @@ def _positive_cubic_root(c0: float, c1: float, c2: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def alpha_diagnostics(mesh: Mesh, problem: ProblemSpec,
-                      c_interp: float = 1.0) -> AlphaDiagnostics:
+def alpha_diagnostics(mesh: Mesh, problem: ProblemSpec) -> AlphaDiagnostics:
     """Evaluate the computable relaxation thresholds on a given mesh (d = 2)."""
     report = validate(problem, mesh)
     km, kmax = report["K_m"], report["K_M"]
     mu, rho, beta = problem.mu, problem.rho, problem.beta
     h = mesh.h_max
-    c = c_interp
+    c = C_INTERP
 
     u_l = compute_lifting(mesh, problem)
     l2 = lp_norm(u_l, 2.0)

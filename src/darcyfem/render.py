@@ -32,15 +32,15 @@ def _fmt(x: float) -> str:
     return f"{v:.6f}"
 
 
-def color_bins(values, n_bins: int = 16) -> np.ndarray:
+def color_bins(values) -> np.ndarray:
     """Map values to palette bins; the maximum lands in the top bin."""
     v = np.asarray(values, dtype=float)
     lo = float(v.min())
     hi = float(v.max())
     if hi <= lo:
         return np.zeros(v.shape, dtype=int)
-    idx = np.floor((v - lo) / (hi - lo) * n_bins).astype(int)
-    return np.clip(idx, 0, n_bins - 1)
+    idx = np.floor((v - lo) / (hi - lo) * len(PALETTE)).astype(int)
+    return np.clip(idx, 0, len(PALETTE) - 1)
 
 
 def render_mesh_svg(mesh: Mesh, scalar=None, title: str = "") -> str:

@@ -38,7 +38,6 @@ class QuadratureRule:
     arrays are read-only.
     """
 
-    name: str
     degree: int
     points: np.ndarray
     weights: np.ndarray
@@ -59,7 +58,7 @@ def _duffy_rule(degree: int) -> QuadratureRule:
     weights = ws.ravel()
     weights = weights / weights.sum()
     points = np.stack([1.0 - x - y, x, y], axis=1)
-    return QuadratureRule(f"duffy{npts}x{npts}", degree, points, weights)
+    return QuadratureRule(degree, points, weights)
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -77,14 +76,13 @@ def triangle_rule(degree: int) -> QuadratureRule:
 
 def _triangle_rule(degree: int) -> QuadratureRule:
     if degree <= 1:
-        return QuadratureRule("centroid", 1,
-                              np.array([[1 / 3, 1 / 3, 1 / 3]]),
+        return QuadratureRule(1, np.array([[1 / 3, 1 / 3, 1 / 3]]),
                               np.array([1.0]))
     if degree == 2:
         pts = np.array([[2 / 3, 1 / 6, 1 / 6],
                         [1 / 6, 2 / 3, 1 / 6],
                         [1 / 6, 1 / 6, 2 / 3]])
-        return QuadratureRule("midorbit3", 2, pts, np.full(3, 1 / 3))
+        return QuadratureRule(2, pts, np.full(3, 1 / 3))
     if degree in (3, 4):
         # Two three-point orbits (the classic 6-point degree-4 rule).
         a1, w1 = 0.445948490915965, 0.223381589678011
@@ -94,7 +92,7 @@ def _triangle_rule(degree: int) -> QuadratureRule:
         for a, w in ((a1, w1), (a2, w2)):
             pts += [[1 - 2 * a, a, a], [a, 1 - 2 * a, a], [a, a, 1 - 2 * a]]
             wts += [w, w, w]
-        return QuadratureRule("dunavant6", 4, np.array(pts), np.array(wts))
+        return QuadratureRule(4, np.array(pts), np.array(wts))
     return _duffy_rule(degree)
 
 
@@ -219,9 +217,6 @@ class P0VectorField:
     def zero(cls, mesh: Mesh) -> "P0VectorField":
         return cls(mesh, np.zeros((mesh.n_triangles, 2)))
 
-    def copy(self) -> "P0VectorField":
-        return P0VectorField(self.mesh, self.values.copy())
-
     def magnitudes(self) -> np.ndarray:
         return row_norms(self.values)
 
@@ -236,9 +231,6 @@ class P1ScalarField:
     @classmethod
     def zero(cls, mesh: Mesh) -> "P1ScalarField":
         return cls(mesh, np.zeros(mesh.n_vertices))
-
-    def copy(self) -> "P1ScalarField":
-        return P1ScalarField(self.mesh, self.values.copy())
 
 
 def field_mean(field: P1ScalarField) -> float:

@@ -202,10 +202,10 @@ def doerfler_prefix_bruteforce(eta, theta):
 # Mesh layer: generators, edge tables and bisection as per-triangle loops
 # ---------------------------------------------------------------------------
 
-def loop_structured(n, rect=((0.0, 0.0), (1.0, 1.0))):
+def loop_structured(n):
     """``(xy, tris)`` of ``generate_structured`` filled cell by cell."""
-    (x0, y0), (x1, y1) = rect
-    gx, gy = np.meshgrid(np.linspace(x0, x1, n + 1), np.linspace(y0, y1, n + 1))
+    xs = np.linspace(0.0, 1.0, n + 1)
+    gx, gy = np.meshgrid(xs, xs)
     xy = np.stack([gx.ravel(), gy.ravel()], axis=1)
     tris = []
     for j in range(n):
@@ -219,10 +219,10 @@ def loop_structured(n, rect=((0.0, 0.0), (1.0, 1.0))):
     return xy, np.array(tris)
 
 
-def loop_lshape(n, size=2.0):
+def loop_lshape(n):
     """``(xy, tris)`` of ``generate_lshape`` filled vertex by vertex and cell
     by cell, skipping the notch."""
-    step = size / (2 * n)
+    step = 2.0 / (2 * n)
     idx = -np.ones((2 * n + 1, 2 * n + 1), dtype=np.int64)
     coords = []
     for j in range(2 * n + 1):

@@ -31,7 +31,8 @@ def test_adapt_config_validation():
 
 def test_adaptive_loop_rejects_no_levels():
     with pytest.raises(ValueError, match="levels"):
-        adaptive_loop(problems.gaussian_vortex(), levels=0, initial_n=2)
+        adaptive_loop(problems.gaussian_vortex(), generate_structured(2),
+                      levels=0)
 
 
 def test_mark_theta_one_marks_all_positive():
@@ -86,7 +87,8 @@ def test_mark_tie_break_is_low_id():
 
 
 def test_adaptive_loop_zero_data_stops_at_level_zero():
-    states = adaptive_loop(problems.trivial_zero(), levels=5, initial_n=4)
+    prob = problems.trivial_zero()
+    states = adaptive_loop(prob, problems.initial_mesh(prob, 4), levels=5)
     assert len(states) == 1
     rec = states[0].record
     assert rec.eta_d == 0.0 and rec.eta_l == 0.0
@@ -98,7 +100,8 @@ def test_adaptive_loop_structure_and_determinism():
     prob = problems.gaussian_vortex(beta=1.0)
     cfg = SolverConfig(alpha=2.3, stopping="indicator_balance",
                        initial_guess="darcy")
-    states = adaptive_loop(prob, levels=4, initial_n=5, solver=cfg)
+    states = adaptive_loop(prob, problems.initial_mesh(prob, 5),
+                           levels=4, solver=cfg)
     assert len(states) == 4
     verts = [s.mesh.n_vertices for s in states]
     assert verts == sorted(verts) and len(set(verts)) == len(verts)
@@ -110,7 +113,8 @@ def test_adaptive_loop_structure_and_determinism():
         assert rec.converged
         assert rec.eta_d > 0 and math.isfinite(rec.err)
         assert rec.marked > 0 if i < 3 else rec.marked == 0
-    again = adaptive_loop(prob, levels=4, initial_n=5, solver=cfg)
+    again = adaptive_loop(prob, problems.initial_mesh(prob, 5),
+                          levels=4, solver=cfg)
     assert [s.record for s in again] == [s.record for s in states]
 
 
@@ -155,7 +159,8 @@ def test_adaptive_loop_starts_later_levels_from_the_previous_one():
     prob = problems.reentrant_corner()
     cfg = SolverConfig(alpha=10.0, stopping="indicator_balance",
                        initial_guess="darcy")
-    states = adaptive_loop(prob, levels=5, initial_n=4, solver=cfg)
+    states = adaptive_loop(prob, problems.initial_mesh(prob, 4),
+                           levels=5, solver=cfg)
     steps = [s.record.iterations for s in states]
     assert len(steps) == 5 and all(s.record.converged for s in states)
     assert max(steps[1:]) < steps[0]
@@ -165,7 +170,8 @@ def test_adaptive_loop_reruns_are_byte_identical():
     prob = problems.reentrant_corner()
     cfg = SolverConfig(alpha=10.0, stopping="indicator_balance",
                        initial_guess="darcy")
-    runs = [adaptive_loop(prob, levels=4, initial_n=4, solver=cfg)
+    runs = [adaptive_loop(prob, problems.initial_mesh(prob, 4),
+                          levels=4, solver=cfg)
             for _ in range(2)]
     for a, b in zip(*runs):
         assert a.record == b.record
@@ -183,7 +189,8 @@ def test_adaptive_loop_stops_at_a_level_that_did_not_converge():
     prob = problems.gaussian_vortex(beta=1000.0)
     cfg = SolverConfig(alpha=0.1, max_iter=40, stopping="indicator_balance",
                        initial_guess="darcy")
-    states = adaptive_loop(prob, levels=3, initial_n=6, solver=cfg)
+    states = adaptive_loop(prob, problems.initial_mesh(prob, 6),
+                           levels=3, solver=cfg)
     assert len(states) == 1
     rec = states[0].record
     assert not rec.converged and rec.iterations == 40
@@ -195,7 +202,8 @@ def test_adaptive_loop_refines_the_vortex_ring():
     prob = problems.gaussian_vortex(beta=1.0)
     cfg = SolverConfig(alpha=2.3, stopping="indicator_balance",
                        initial_guess="darcy")
-    states = adaptive_loop(prob, levels=5, initial_n=5, solver=cfg)
+    states = adaptive_loop(prob, problems.initial_mesh(prob, 5),
+                           levels=5, solver=cfg)
     n0 = states[0].mesh.n_vertices
     new = states[-1].mesh.xy[n0:]
     assert len(new) >= 10
@@ -208,7 +216,8 @@ def test_adaptive_loop_eta_d_decreases():
     prob = problems.gaussian_vortex(beta=1.0)
     cfg = SolverConfig(alpha=2.3, stopping="indicator_balance",
                        initial_guess="darcy")
-    states = adaptive_loop(prob, levels=5, initial_n=5, solver=cfg)
+    states = adaptive_loop(prob, problems.initial_mesh(prob, 5),
+                           levels=5, solver=cfg)
     eta = [s.record.eta_d for s in states]
     for a, b in zip(eta, eta[1:]):
         assert b <= 1.05 * a
@@ -343,7 +352,8 @@ def test_loop_records_setup_time_per_level():
     prob = problems.reentrant_corner()
     cfg = SolverConfig(alpha=10.0, stopping="indicator_balance",
                        initial_guess="darcy")
-    states = adaptive_loop(prob, levels=3, initial_n=4, solver=cfg)
+    states = adaptive_loop(prob, problems.initial_mesh(prob, 4),
+                           levels=3, solver=cfg)
     assert all(s.setup_s > 0.0 for s in states)
     uniform = uniform_study(prob, [2, 3], SolverConfig(alpha=10.0))
     assert all(s.setup_s > 0.0 for s in uniform)
@@ -425,7 +435,8 @@ def test_projected_start_keeps_adaptive_levels_and_cuts_cg_work(monkeypatch):
                        initial_guess="darcy")
 
     def run():
-        states = adaptive_loop(prob, levels=3, initial_n=4, solver=cfg)
+        states = adaptive_loop(prob, problems.initial_mesh(prob, 4),
+                               levels=3, solver=cfg)
         return [(s.result.iterations, s.result.converged, s.result.status,
                  s.mesh.n_triangles) for s in states], \
             [s.result.cg_total for s in states]

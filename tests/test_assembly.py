@@ -346,6 +346,18 @@ def test_compatibility_rejects_non_finite_data(data):
         Assembler(generate_structured(2), bad)
 
 
+@pytest.mark.parametrize("k_constant", [False, True])
+def test_assembler_rejects_a_non_finite_k_term(k_constant):
+    """A K^-1 that is nan at a quadrature point (or, for a constant K^-1,
+    at the origin) is a configuration error, raised before any solve."""
+    prob = replace(problems.problem_from_config(
+        {"k_inverse": [["sqrt(x - 0.5)", "0"], ["0", "1"]]}),
+        k_constant=k_constant)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(problems.ProblemConfigError, match=r"K\^-1"):
+        Assembler(generate_structured(4), prob)
+
+
 def _graph_laplacian(rng, n):
     w = np.abs(rng.standard_normal((n, n)))
     w = 0.5 * (w + w.T)

@@ -348,12 +348,15 @@ _MALFORMED_SPECS = {
     (["solve", "--problem", "trivial-zero", "--beta", "-1"], None),
     (["solve"], {"problem": {"rho": "inf"}}),
     (["solve", "--problem"], [1, 2]),
+    (["solve"], b"\xff\xfe{}"),
+    (["solve", "--problem"], b"\xff\xfe{}"),
     *[(["solve", "--problem"], spec) for spec in _MALFORMED_SPECS.values()],
     *[(["solve"], {"problem": spec}) for spec in _MALFORMED_SPECS.values()],
 ], ids=["alpha-key", "levels-key", "max-iter-key", "guess-key", "max-iter",
         "alpha", "tol", "beta", "theta", "levels", "ns", "alphas-negative",
         "alphas-inf", "beta-nan-corner", "beta-trivial-zero",
-        "problem-rho-inf", "problem-file-list",
+        "problem-rho-inf", "problem-file-list", "config-not-utf8",
+        "problem-file-not-utf8",
         *[f"problem-file-{name}" for name in _MALFORMED_SPECS],
         *[f"problem-inline-{name}" for name in _MALFORMED_SPECS]])
 def test_malformed_settings_exit_2_before_running(tmp_path, capsys, argv,
@@ -361,16 +364,49 @@ def test_malformed_settings_exit_2_before_running(tmp_path, capsys, argv,
     """A setting of the wrong type or out of range is a configuration
     error: exit 2 with one error line, nothing run and no manifest.  When
     ``argv`` ends in ``--problem``, ``file_cfg`` is written as the problem
-    file; otherwise it is the ``--config`` file."""
+    file; otherwise it is the ``--config`` file.  Bytes are written as
+    they are, anything else as JSON."""
     if file_cfg is not None:
         cfg_file = tmp_path / "c.json"
-        cfg_file.write_text(json.dumps(file_cfg))
+        if isinstance(file_cfg, bytes):
+            cfg_file.write_bytes(file_cfg)
+        else:
+            cfg_file.write_text(json.dumps(file_cfg))
         argv = [*argv, str(cfg_file)] if argv[-1] == "--problem" \
             else [*argv, "--config", str(cfg_file)]
     code, out = _run(tmp_path, *argv, "--N", "3")
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_mesh_file_not_utf8_exits_2(tmp_path, capsys):
+    mesh_file = tmp_path / "m.mesh"
+    mesh_file.write_bytes(b"\xff\xfe" + save_mesh(
+        problems.initial_mesh(problems.trivial_zero(), 2)).encode())
+    code, out = _run(tmp_path, "solve", "--mesh", str(mesh_file))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read mesh") and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["diagnostics", "solve"])
+def test_non_finite_k_inverse_exits_2(tmp_path, capsys, command):
+    """K^-1 = sqrt(x - 0.5) is nan on half of the square: a configuration
+    error, with one error line naming K^-1 and no output but the
+    directory."""
+    spec = tmp_path / "prob.json"
+    spec.write_text(json.dumps(
+        {"k_inverse": [["sqrt(x - 0.5)", "0"], ["0", "1"]]}))
+    with np.errstate(invalid="ignore"):
+        code, out = _run(tmp_path, command, "--problem", str(spec),
+                         "--N", "4")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "K^-1" in err
+    assert list(out.iterdir()) == []
 
 
 def test_inline_problem_honours_beta_as_a_problem_file_does(tmp_path):

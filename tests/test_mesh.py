@@ -48,13 +48,9 @@ def test_structured_minimal():
     assert m.domain_area == pytest.approx(1.0, abs=1e-14)
 
 
-def test_structured_rejects_degenerate_rect():
-    with pytest.raises(ValueError):
-        msh.generate_structured(4, rect=((0.0, 0.0), (0.0, 1.0)))
-
-
 def test_triangles_counterclockwise_and_areas_positive():
-    m = msh.generate_structured(5, rect=((-1.0, -1.0), (1.0, 1.0)))
+    square = msh.generate_structured(5)
+    m = msh.from_arrays(2 * square.xy - 1, square.tris)
     assert (m.areas > 0).all()
     # signed area of each triangle is positive for ccw orientation
     c = m.xy[m.tris]
@@ -141,7 +137,8 @@ def _shape_ratios(m):
 
 def test_repeated_refinement_keeps_area_and_shape():
     rng = np.random.default_rng(11)
-    m = msh.generate_structured(2, rect=((-1.0, -1.0), (1.0, 1.0)))
+    square = msh.generate_structured(2)
+    m = msh.from_arrays(2 * square.xy - 1, square.tris)
     base_ratio = _shape_ratios(m).max()
     area = m.domain_area
     for _ in range(6):
@@ -153,7 +150,8 @@ def test_repeated_refinement_keeps_area_and_shape():
 
 
 def test_save_load_roundtrip():
-    m = msh.generate_structured(3, rect=((-1.0, 0.0), (1.0, 2.0)))
+    square = msh.generate_structured(3)
+    m = msh.from_arrays(2 * square.xy - [1.0, 0.0], square.tris)
     text = msh.save_mesh(m)
     back = msh.load_mesh(text)
     assert np.allclose(back.xy, m.xy)
@@ -272,14 +270,6 @@ def test_generators_match_loop_oracle(generate, loop, n):
     m = generate(n)
     assert _same_bytes(m.xy, xy)
     _assert_same_mesh(m, msh.from_arrays(xy, tris))
-
-
-def test_generators_match_loop_oracle_off_the_defaults():
-    rect = ((-1.0, 0.5), (2.0, 3.7))
-    _assert_same_mesh(msh.generate_structured(7, rect=rect),
-                      msh.from_arrays(*loop_structured(7, rect)))
-    _assert_same_mesh(msh.generate_lshape(7, size=3.3),
-                      msh.from_arrays(*loop_lshape(7, size=3.3)))
 
 
 def test_refine_matches_loop_oracle_on_random_marking():

@@ -1,10 +1,12 @@
+import inspect
 import math
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
-from darcyfem import assembly, indicators, nonlinear_solver, problems, spaces
+from darcyfem import (assembly, expressions, indicators, nonlinear_solver,
+                      problems, render, spaces)
 from darcyfem.adaptivity import AdaptConfig, adaptive_loop
 from darcyfem.assembly import Assembler
 from darcyfem.indicators import IndicatorContext
@@ -54,6 +56,27 @@ def test_solver_config_has_its_seven_fields_and_only_those():
     assert cfg.edge_quad_points == SolverConfig.edge_quad_points \
         == assembly.LOAD_EDGE_POINTS == 4
     assert cfg.cg_tol == SolverConfig.cg_tol == assembly.CG_TOL == 1e-12
+
+
+def test_values_every_caller_takes_are_not_settings():
+    """Each function below has only the one value every caller used, and
+    adaptive_loop is given its first mesh; the fields and methods that
+    nothing read are gone."""
+    for fn, name in ((assembly.deflated_cg, "tol"),
+                     (render.color_bins, "n_bins"),
+                     (alpha_diagnostics, "c_interp"),
+                     (problems.gaussian_vortex, "strict_zero_flux"),
+                     (generate_structured, "rect"),
+                     (generate_lshape, "size"),
+                     (adaptive_loop, "initial_n")):
+        assert name not in inspect.signature(fn).parameters, fn.__name__
+    mesh = inspect.signature(adaptive_loop).parameters["mesh"]
+    assert mesh.default is inspect.Parameter.empty
+    assert "params" not in {f.name for f in fields(problems.ProblemSpec)}
+    assert "name" not in {f.name for f in fields(spaces.QuadratureRule)}
+    assert not hasattr(expressions.compile_expression("x"), "source")
+    assert not hasattr(P0VectorField, "copy")
+    assert not hasattr(P1ScalarField, "copy")
 
 
 def test_configs_are_frozen_values():
@@ -130,7 +153,8 @@ def test_inexact_adaptive_levels_keep_counts_and_meshes(monkeypatch):
                        initial_guess="darcy")
 
     def run():
-        return adaptive_loop(prob, levels=4, initial_n=4, solver=cfg)
+        return adaptive_loop(prob, problems.initial_mesh(prob, 4),
+                             levels=4, solver=cfg)
 
     inexact = run()
     monkeypatch.setattr(nonlinear_solver, "CG_FORCING", 0.0)

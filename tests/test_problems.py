@@ -106,12 +106,9 @@ def test_vortex_pressure_zero_mean():
 
 def test_vortex_boundary_flux_modes():
     exact = problems.gaussian_vortex()
-    strict = problems.gaussian_vortex(strict_zero_flux=True)
     x = np.linspace(0, 1, 11)
     n = np.array([0.0, -1.0])
     g_exact = np.asarray(exact.g(x, np.zeros_like(x), n))
-    g_strict = np.asarray(strict.g(x, np.zeros_like(x), n))
-    assert (g_strict == 0).all()
     # tails are tiny but not identically zero
     assert 0 < np.abs(g_exact).max() < 1e-4
 
@@ -170,6 +167,17 @@ def test_validate_rejects_non_spd():
     m = generate_structured(2)
     with pytest.raises(problems.ProblemConfigError):
         problems.validate(bad, m)
+
+
+@pytest.mark.parametrize("entry", ["sqrt(x - 0.5)", "1 / (x - x)"])
+def test_validate_rejects_non_finite_k_inverse(entry):
+    """A nan (or an inf, whose eigenvalue bounds come out nan) fails every
+    comparison, so the symmetry and definiteness tests alone let it pass."""
+    bad = problems.problem_from_config(
+        {"k_inverse": [[entry, "0"], ["0", "1"]]})
+    with np.errstate(invalid="ignore", divide="ignore"), \
+            pytest.raises(problems.ProblemConfigError, match=r"K\^-1"):
+        problems.validate(bad, generate_structured(4))
 
 
 @pytest.mark.parametrize("name", ["gaussian-vortex", "reentrant-corner"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from darcyfem import spaces as sp
-from darcyfem.mesh import generate_structured, refine
+from darcyfem.mesh import from_arrays, generate_structured, refine
 
 from conftest import rng_loop
 from oracles import add_at_vertex_weights, hypot_element_lp
@@ -151,8 +151,9 @@ def test_element_lp_matches_the_hypot_form(p):
 
 
 def test_physical_points_match_einsum_mapping():
-    m = refine(generate_structured(3, rect=((-1.0, 0.5), (2.0, 1.5))),
-               [0, 5, 11])
+    square = generate_structured(3)
+    m = refine(from_arrays(square.xy * [3.0, 1.0] + [-1.0, 0.5],
+                           square.tris), [0, 5, 11])
     coords = m.tri_coords()
     for deg in (1, 2, 4, 10):
         rule = sp.triangle_rule(deg)
@@ -177,7 +178,8 @@ def test_element_means():
 
 
 def test_element_means_sharp_function_against_degree10():
-    m = generate_structured(4, rect=((-1.0, -1.0), (1.0, 1.0)))
+    square = generate_structured(4)
+    m = from_arrays(2 * square.xy - 1, square.tris)
     gam = 50.0
 
     def sharp(x, y):
