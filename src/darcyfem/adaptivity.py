@@ -96,8 +96,8 @@ class LevelRecord:
 class LevelState:
     """Full state of one adaptive level (kept for rendering and tests).
 
-    ``setup_s`` is the wall time of building the level's ``Assembler`` and
-    ``IndicatorContext``."""
+    ``setup_s`` is the wall time of building the level's ``Assembler``,
+    with its multigrid hierarchy, and ``IndicatorContext``."""
 
     mesh: Mesh
     result: SolveResult
@@ -108,11 +108,12 @@ class LevelState:
 def _setup(mesh: Mesh, problem: ProblemSpec,
            assembler: Assembler | None = None,
            context: IndicatorContext | None = None):
-    """The ``Assembler`` and ``IndicatorContext`` of ``mesh``, carried from
-    those of the mesh it was refined from when they are given, and the
-    seconds their set-up took."""
+    """The ``Assembler``, with its multigrid hierarchy, and the
+    ``IndicatorContext`` of ``mesh``, carried from those of the mesh it was
+    refined from when they are given, and the seconds their set-up took."""
     t0 = time.perf_counter()
     asm = Assembler(mesh, problem, parent=assembler)
+    asm.hierarchy               # built before the indicator set-up exists
     ctx = IndicatorContext(mesh, problem, parent=context)
     return asm, ctx, time.perf_counter() - t0
 

@@ -272,6 +272,7 @@ class Assembler:
             self._k_rows.reshape(2, 2, m).transpose(2, 0, 1)[rows] = \
                 (problem.mu / problem.rho) \
                 * np.einsum("abmq,q,m->mab", kk, w, areas[rows])
+            del kk
         finite = np.isfinite(self._k_rows).all(axis=0)
         if not finite.all():
             raise ProblemConfigError(
@@ -325,6 +326,8 @@ class Assembler:
                 f"INT b - INT g = {int_b - int_g:.6e} "
                 f"(relative defect {abs(int_b - int_g) / scale:.3e})")
         self.h = h
+        # The samples are not alive beside the pattern's sort.
+        del pts, fx, fy, b_vals, gv
 
         # Pattern of S = B A^-1 B^T and the 0/1 map Q0 from the (3, 3, m)
         # local blocks to its data.  Terms run element by element, entry
@@ -340,9 +343,12 @@ class Assembler:
 
     @property
     def b(self) -> np.ndarray:
-        """The coupling |k| grad phi_j as (m, 3, 2), formed on each read
-        with the bytes of ``_bt``, the one layout the Assembler keeps."""
-        return self.mesh.grads * self.mesh.areas[:, None, None]
+        """The coupling |k| grad phi_j as a C-contiguous (m, 3, 2) array,
+        formed on each read with the bytes of ``_bt``, the one layout the
+        Assembler keeps.  C order, not that of the ``grads`` view: an einsum
+        over it (as in :meth:`lifting`) adds in an order set by the layout."""
+        return np.multiply(self.mesh.grads, self.mesh.areas[:, None, None],
+                           order="C")
 
     # -- per-step assembly --------------------------------------------------
 
@@ -367,11 +373,11 @@ class Assembler:
     def _schur(self, weights: np.ndarray) -> sp.csr_matrix:
         """B W B^T for per-element 2x2 weights W_k given as (4, m) rows.
 
-        The local blocks sum_ab (b_ja W_ab) b_kb are formed on contiguous
-        (3, m) rows, adding the four (a, b) terms in the order a three-operand
-        einsum does into one (3, 3, m) array, and carried to the data of S by
-        the map Q0, which adds them in element order; S shares its index
-        arrays with the pattern.
+        The local blocks sum_ab (b_ja W_ab) b_kb are formed one row j at a
+        time, each a contiguous (3, m) slice of one (3, 3, m) array, adding
+        the four (a, b) terms in the order a three-operand einsum does, and
+        carried to the data of S by the map Q0, which adds them in element
+        order; S shares its index arrays with the pattern.
 
         A term whose weights W_ab are zero on every element (``.any()``
         false: +0 or -0, never nan) is skipped, as the off-diagonal terms
@@ -381,22 +387,21 @@ class Assembler:
         +0 + (-0) = +0.  Weights that are all zero give +0 data.
         """
         bt = self._bt
-        local = term = None
-        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            wab = weights[2 * a + b]
-            if not wab.any():
-                continue
-            factor = (bt[a] * wab)[:, None, :]
-            if local is None:
-                local = factor * bt[b][None, :, :]
-            else:
-                if term is None:
-                    term = np.empty_like(local)
-                np.multiply(factor, bt[b][None, :, :], out=term)
-                local += term
+        terms = [(a, b, weights[2 * a + b])
+                 for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))
+                 if weights[2 * a + b].any()]
+        m = weights.shape[1]
+        if not terms:
+            return self._pattern.matrix(self._q0 @ np.zeros(9 * m))
+        (a0, b0, w0), *rest = terms
+        local = np.empty((3, 3, m))
+        term = np.empty((3, m))
+        for j in range(3):
+            np.multiply(bt[a0, j] * w0, bt[b0], out=local[j])
+            for a, b, wab in rest:
+                np.multiply(bt[a, j] * wab, bt[b], out=term)
+                local[j] += term
         del term                # not alive beside the data of S
-        if local is None:
-            local = np.zeros((3, 3, weights.shape[1]))
         return self._pattern.matrix(self._q0 @ local.ravel())
 
     def _reference_schur(self) -> sp.csr_matrix:
@@ -410,10 +415,16 @@ class Assembler:
         """Multigrid hierarchy of S0, built on first use and never changed.
 
         S0 depends only on the mesh, so every solve sees the same hierarchy
-        whatever the order of calls.
+        whatever the order of calls.  :func:`~darcyfem.nonlinear_solver.solve`
+        and the adaptive loop's set-up build it as soon as they have the
+        Assembler, before the indicator set-up, so that its build does not
+        peak on top of other set-up arrays.  Its finest pattern
+        (``patterns[0]``) is the Assembler's own ``_pattern``, not a copy,
+        and it keeps no part of S0.
         """
         if self._hierarchy is None:
-            self._hierarchy = SmoothedAggregation(self._reference_schur())
+            self._hierarchy = SmoothedAggregation(
+                self._pattern, self._reference_schur().data)
         return self._hierarchy
 
     def step(self, u_prev: np.ndarray, alpha: float,

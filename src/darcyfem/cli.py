@@ -379,8 +379,8 @@ def _write_study(out, cfg, timings, states):
     """``study.csv`` and the manifest of a multi-level study: the last
     level's status and, per level, its triangles, outer iterations, CG
     iterations, V-cycle builds, status and ``phases_s``, the phase totals
-    of its steps plus the ``setup`` time of its Assembler and
-    IndicatorContext."""
+    of its steps plus the ``setup`` time of its Assembler (with its
+    multigrid hierarchy) and IndicatorContext."""
     out.csv("study.csv", ("level", "vertices", "triangles", "eta_L", "eta_D",
                           "err", "EI", "E_tot"),
             [(r.level, r.vertices, r.triangles, r.eta_l, r.eta_d, r.err,

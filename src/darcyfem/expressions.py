@@ -100,6 +100,9 @@ def compile_expression(src: str):
     env.update(_CONSTANTS)
 
     def fn(x, y):
-        return eval(code, env, {"x": x, "y": y})
+        # A nan or inf result is the caller's to refuse, with context; numpy's
+        # warning would only print ahead of that error.
+        with np.errstate(all="ignore"):
+            return eval(code, env, {"x": x, "y": y})
 
     return fn

@@ -131,7 +131,8 @@ class Mesh:
         gradients, rows ordered (k, x), (k, y); built on first use.
 
         Each row keeps the triangle's local vertex order, so a product sums
-        the three hat-gradient terms in that order.
+        the three hat-gradient terms in that order.  Its data is the
+        contiguous (m, 2, 3) buffer that ``grads`` views, not a copy.
         """
         m, n = self.n_triangles, self.n_vertices
         return sp.csr_matrix(
@@ -287,8 +288,10 @@ def _build(xy, tris, seed_refinement_edges=False) -> Mesh:
     l2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
     h_tri = np.maximum(np.maximum(l0, l1), l2)
 
-    # P1 hat gradients: grad(lambda_i) = rot90(p_{i+2} - p_{i+1}) / (2A)
-    grads = np.empty((m, 3, 2))
+    # P1 hat gradients: grad(lambda_i) = rot90(p_{i+2} - p_{i+1}) / (2A),
+    # stored (m, 2, 3) so that the gradient operator's data is this buffer;
+    # ``grads`` is its (m, 3, 2) view.
+    grads = np.empty((m, 2, 3)).transpose(0, 2, 1)
     for i in range(3):
         d = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
         grads[:, i, 0] = -d[:, 1]

@@ -242,22 +242,23 @@ def _prolongators(fine: Pattern, data: np.ndarray, agg: np.ndarray,
 
 
 class SmoothedAggregation:
-    """Prolongators of a smoothed-aggregation hierarchy, built from ``s0``.
+    """Prolongators of a smoothed-aggregation hierarchy, built from S0, the
+    matrix with the pattern ``pattern`` and the stored entries ``data``.
 
     ``sizes`` lists the number of unknowns per level, finest first; a matrix
     with at most ``MAX_COARSE`` rows gives a single level.  ``patterns``
     holds the sparsity pattern of every level's Galerkin operator P^T S P for
-    any S with the pattern of ``s0``.  ``maps[l]`` is the pair (Q1, Q2) that
-    carries the stored entries of level l to those of level l + 1 as
-    Q2 @ (Q1 @ data): Q1 to the entries of A P, Q2 from those to the entries
-    of P^T (A P); the same maps form the coarser levels of ``s0`` itself.
+    any S with the pattern of S0, ``pattern`` itself (not a copy) first.
+    ``maps[l]`` is the pair (Q1, Q2) that carries the stored entries of
+    level l to those of level l + 1 as Q2 @ (Q1 @ data): Q1 to the entries
+    of A P, Q2 from those to the entries of P^T (A P); the same maps form
+    the coarser levels of S0 itself.
     """
 
-    def __init__(self, s0: sp.csr_matrix):
+    def __init__(self, pattern: Pattern, data: np.ndarray):
         prolongators = []
-        patterns = [Pattern(s0.indptr, s0.indices)]
+        patterns = [pattern]
         maps = []
-        data = s0.data
         while patterns[-1].n > MAX_COARSE:
             fine = patterns[-1]
             agg = _aggregate(fine, data)
@@ -273,7 +274,7 @@ class SmoothedAggregation:
         self.prolongators = tuple(prolongators)
         self.patterns = tuple(patterns)
         self.maps = tuple(maps)
-        self.sizes = tuple(pattern.n for pattern in patterns)
+        self.sizes = tuple(level.n for level in patterns)
 
 
 def _coarse_inverse(pattern: Pattern, data: np.ndarray) -> np.ndarray:

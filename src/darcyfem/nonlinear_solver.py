@@ -238,25 +238,26 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     """
     cfg = config or SolverConfig()
     asm = assembler or Assembler(mesh, problem)
+    asm.hierarchy               # built before the indicator set-up exists
     ctx = context or IndicatorContext(mesh, problem)
 
-    zero_u = np.zeros((mesh.n_triangles, 2))
+    u_shape = (mesh.n_triangles, 2)
     builds = 0
     system = None
     if start is not None:
         u0, p0 = (np.array(v, dtype=np.float64) for v in start)
-        if u0.shape != zero_u.shape or p0.shape != (mesh.n_vertices,):
+        if u0.shape != u_shape or p0.shape != (mesh.n_vertices,):
             raise ValueError(
-                f"start needs shapes {zero_u.shape} and ({mesh.n_vertices},), "
+                f"start needs shapes {u_shape} and ({mesh.n_vertices},), "
                 f"got {u0.shape} and {p0.shape}")
         u_prev = P0VectorField(mesh, u0)
         p_prev = P1ScalarField(mesh, p0)
     elif cfg.initial_guess == "darcy":
-        system = asm.step(zero_u, 0.0, np.zeros(mesh.n_triangles))
+        system = asm.step(np.zeros(u_shape), 0.0, np.zeros(mesh.n_triangles))
         p_prev, _ = asm.solve_pressure(system)
         builds = 1
     else:
-        u_prev = P0VectorField(mesh, zero_u.copy())
+        u_prev = P0VectorField(mesh, np.zeros(u_shape))
         p_prev = P1ScalarField(mesh, np.zeros(mesh.n_vertices))
     g_prev = p1_gradients(p_prev)
     if system is not None:      # the Darcy start's velocity

@@ -514,8 +514,13 @@ def scatter_schur(mesh, local):
 # ---------------------------------------------------------------------------
 
 def einsum_gradients(mesh, p_values):
-    """Elementwise P1 gradients by gathering the vertex values, (m, 2)."""
-    return np.einsum("mld,ml->md", mesh.grads, p_values[mesh.tris])
+    """Elementwise P1 gradients by gathering the vertex values, (m, 2).
+
+    einsum's bytes depend on its operands' layout, so it reads the
+    gradients as a C-contiguous (m, 3, 2) copy, not the mesh's strided
+    view."""
+    return np.einsum("mld,ml->md", np.ascontiguousarray(mesh.grads),
+                     p_values[mesh.tris])
 
 
 def edge_flux(mesh, u_values, g_h):

@@ -399,9 +399,7 @@ def test_non_finite_k_inverse_exits_2(tmp_path, capsys, command):
     spec = tmp_path / "prob.json"
     spec.write_text(json.dumps(
         {"k_inverse": [["sqrt(x - 0.5)", "0"], ["0", "1"]]}))
-    with np.errstate(invalid="ignore"):
-        code, out = _run(tmp_path, command, "--problem", str(spec),
-                         "--N", "4")
+    code, out = _run(tmp_path, command, "--problem", str(spec), "--N", "4")
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

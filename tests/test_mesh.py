@@ -242,6 +242,23 @@ def test_refinement_edges_are_longest_initially():
     assert np.allclose(lens[:, 0], lens.max(axis=1))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: msh.generate_structured(5),
+    lambda: msh.from_arrays(2.0 * msh.generate_lshape(3).xy - 1.0,
+                            msh.generate_lshape(3).tris),
+    lambda: msh.refine(msh.generate_structured(3), [0, 4, 7]),
+], ids=["structured", "from_arrays", "refined"])
+def test_gradient_operator_shares_the_hat_gradients(build):
+    """``grads`` is the (m, 3, 2) view of a contiguous (m, 2, 3) buffer,
+    and the gradient operator's data is that buffer, not a copy."""
+    m = build()
+    assert m.grads.shape == (m.n_triangles, 3, 2)
+    assert m.grads.transpose(0, 2, 1).flags.c_contiguous
+    assert np.shares_memory(m.grads, m.gradient_operator.data)
+    hat = m.gradient_operator @ np.eye(m.n_vertices)[:, m.tris[0, 1]]
+    assert hat[:2].tolist() == m.grads[0, 1].tolist()
+
+
 def test_random_refinement_sequences_stay_conforming():
     for rng in rng_loop(202, 5):
         m = msh.generate_structured(2)
