@@ -86,7 +86,6 @@ class LevelRecord:
     e_tot: float
     err: float = math.nan            # relative error, needs a reference
     err_u_l2: float = math.nan
-    err_u_l3: float = math.nan
     err_grad_p_l32: float = math.nan
     ei: float = math.nan             # effectivity index
     marked: int = 0
@@ -131,7 +130,6 @@ def _record_level(level: int, mesh: Mesh, problem: ProblemSpec,
         err = true_error(mesh, problem, result.u, result.p)
         rec.err = err.relative
         rec.err_u_l2 = err.u_l2
-        rec.err_u_l3 = err.u_l3
         rec.err_grad_p_l32 = err.grad_p_l32
         rec.ei = effectivity_index(ind, err.u_l3, err.grad_p_l32)
     return rec

@@ -221,6 +221,25 @@ def deflated_cg(s, rhs, x0=None, maxiter=None, precond=None, forcing=0.0,
         f"(relative residual {history[-1] / b_norm:.3e})", history)
 
 
+def _check_k_rows(k_rows: np.ndarray) -> None:
+    """Refuse K-terms (mu/rho) INT_k K^-1 dx, given as (4, m) rows of 2x2
+    entries, that are not finite, not symmetric up to rounding or not
+    positive definite, naming the first such element.  Each test runs only
+    once the one before it has passed, so no inf - inf is formed."""
+    a00, a01, a10, a11 = k_rows
+    bad, what = ~np.isfinite(k_rows).all(axis=0), "finite"
+    if not bad.any():
+        bad = np.abs(a01 - a10) > 1e-12 * (np.abs(a00) + np.abs(a11))
+        what = "symmetric"
+    if not bad.any():
+        bad = (a00 <= 0.0) | (a00 * a11 - a01 * a10 <= 0.0)
+        what = "positive definite"
+    if bad.any():
+        raise ProblemConfigError(
+            f"the K-term (mu/rho) INT_k K^-1 dx is not {what} on element "
+            f"{np.flatnonzero(bad)[0]}")
+
+
 class Assembler:
     """Caches everything mesh- and data-dependent across fixed-point steps.
 
@@ -273,11 +292,7 @@ class Assembler:
                 (problem.mu / problem.rho) \
                 * np.einsum("abmq,q,m->mab", kk, w, areas[rows])
             del kk
-        finite = np.isfinite(self._k_rows).all(axis=0)
-        if not finite.all():
-            raise ProblemConfigError(
-                "the K-term (mu/rho) INT_k K^-1 dx is not finite on element "
-                f"{np.flatnonzero(~finite)[0]}")
+        _check_k_rows(self._k_rows)
 
         fx, fy = sample(pts, problem.f)
         self.f_int = carry.start(parent and parent.f_int, (m, 2))
@@ -470,7 +485,7 @@ class Assembler:
                                  basis=basis)
         return project_mean_zero(P1ScalarField(self.mesh, raw)), iters
 
-    def recover_velocity(self, system: PressureSystem, p: P1ScalarField,
+    def recover_velocity(self, system: PressureSystem,
                          grads: np.ndarray) -> P0VectorField:
         """Eliminate back: u_k = A_k^-1 (F_k - B_k^T p).
 

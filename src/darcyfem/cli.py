@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy
@@ -36,6 +36,7 @@ from .assembly import CompatibilityError, LinearSolverError
 from .mesh import MeshConformityError, MeshFormatError, load_mesh
 from .nonlinear_solver import (SolverConfig, alpha_diagnostics, alpha_sweep,
                                phase_totals, solve)
+from .problems import number
 from .render import render_mesh_svg
 from .spaces import dump_p0, dump_p1
 
@@ -62,17 +63,6 @@ def _read_json(path, what: str):
             return json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}")
-
-
-def _real(value, what: str) -> float:
-    """A setting that must be a number: an int or a float (not a bool), or a
-    string holding one."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{what} must be a number, not {value!r}")
 
 
 def _integer(value, what: str) -> int:
@@ -166,21 +156,33 @@ _DEFAULTS = {
 
 
 def merge_config(args: argparse.Namespace) -> dict:
-    """File defaults under flag overrides; flags always win."""
+    """File defaults under flag overrides; flags always win.
+
+    The mesh comes from one source, N or a mesh file: a flag's replaces the
+    file's, and the other source is None in the result.  Both as flags, or
+    both in the file, is a ConfigError."""
     cfg = dict(_DEFAULTS)
+    file_cfg = {}
     if args.config:
-        file_cfg = _read_json(args.config, "config")
-        if not isinstance(file_cfg, dict):
+        raw = _read_json(args.config, "config")
+        if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-        for key, val in file_cfg.items():
+        for key, val in raw.items():
             k = key.replace("-", "_").lower()
             if k not in cfg:
                 raise ConfigError(f"unknown config key {key!r}")
-            cfg[k] = val
-    for key in cfg:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
+            file_cfg[k] = val
+    flags = {key: getattr(args, key, None) for key in cfg}
+    cfg.update(file_cfg)
+    cfg.update({k: v for k, v in flags.items() if v is not None})
+    used = []
+    for given, names in ((flags, "--N or --mesh"), (file_cfg, "N or mesh")):
+        sources = [k for k in ("n", "mesh") if given.get(k) is not None]
+        if len(sources) == 2:
+            raise ConfigError(f"give exactly one mesh source: {names}")
+        used += sources
+    if used:
+        cfg["mesh" if used[0] == "n" else "n"] = None
     # adapt always runs from the Darcy start to the indicator balance.
     fixed = args.command == "adapt"
     for key, default, mode in (("guess", "zero", "darcy"),
@@ -190,9 +192,6 @@ def merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"adapt always runs with {key} {mode!r}, "
                               f"not {asked!r}")
         cfg[key] = mode if fixed else asked or default
-    if getattr(args, "n", None) is not None and \
-            getattr(args, "mesh", None) is not None:
-        raise ConfigError("give exactly one mesh source: --N or --mesh")
     cfg["command"] = args.command
     return cfg
 
@@ -201,12 +200,12 @@ def merge_config(args: argparse.Namespace) -> dict:
 class _Settings:
     """The numeric settings of a merged configuration, converted and checked
     before anything runs or is written; ``alphas`` and ``ns`` are None when
-    not given."""
+    not given, and ``n`` when the mesh comes from a file."""
 
     solver: SolverConfig
     adapt: AdaptConfig
     levels: int
-    n: int
+    n: int | None
     beta: float | None
     alphas: list[float] | None
     ns: list[int] | None
@@ -218,26 +217,26 @@ def _settings(cfg: dict) -> _Settings:
     that a config's own check refuses, is a ConfigError."""
     try:
         solver = SolverConfig(
-            alpha=_real(cfg["alpha"], "alpha"),
-            tol=_real(cfg["tol"], "tol"),
-            gamma_tilde=_real(cfg["gamma_tilde"], "gamma_tilde"),
+            alpha=number(cfg["alpha"], "alpha"),
+            tol=number(cfg["tol"], "tol"),
+            gamma_tilde=number(cfg["gamma_tilde"], "gamma_tilde"),
             max_iter=_integer(cfg["max_iter"], "max_iter"),
             initial_guess=cfg["guess"],
             stopping=str(cfg["stopping"]).replace("-", "_"),
         )
-        adapt = AdaptConfig(theta=_real(cfg["theta"], "theta"),
+        adapt = AdaptConfig(theta=number(cfg["theta"], "theta"),
                             marker=cfg["marker"])
-        alphas = _list(cfg["alphas"], "alpha", _real) if cfg["alphas"] \
+        alphas = _list(cfg["alphas"], "alpha", number) if cfg["alphas"] \
             else None
         for a in alphas or ():
             replace(solver, alpha=a)        # SolverConfig checks each alpha
         levels = _integer(cfg["levels"], "levels")
-        n = _integer(cfg["n"], "N")
+        n = None if cfg["mesh"] is not None else _integer(cfg["n"], "N")
         ns = _list(cfg["ns"], "N", _integer) if cfg["ns"] else None
-        beta = None if cfg["beta"] is None else _real(cfg["beta"], "beta")
+        beta = None if cfg["beta"] is None else number(cfg["beta"], "beta")
         if levels < 1:
             raise ValueError(f"levels must be at least 1, not {levels}")
-        if min([n, *(ns or ())]) < 1:
+        if (n is not None and n < 1) or min(ns or [1]) < 1:
             raise ValueError("N must be positive")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -262,7 +261,7 @@ def _resolve_problem(cfg, run: _Settings):
 
 
 def _resolve_mesh(cfg, run: _Settings, problem):
-    if cfg["mesh"]:
+    if cfg["mesh"] is not None:
         try:
             with open(cfg["mesh"]) as fh:
                 return load_mesh(fh.read())
@@ -426,7 +425,7 @@ def _cmd_diagnostics(cfg, run, problem, out):
     t0 = time.perf_counter()
     diag = alpha_diagnostics(mesh, problem)
     t_run = time.perf_counter() - t0
-    out.write("diagnostics.json", _json(diag.as_dict()))
+    out.write("diagnostics.json", _json(asdict(diag)))
     out.manifest(cfg, {"diagnostics": t_run})
     print(f"alpha_star={diag.alpha_star:.6g} "
           f"alpha_cubic={diag.alpha_cubic:.6g}")

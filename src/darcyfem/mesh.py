@@ -57,8 +57,8 @@ class Mesh:
         bisected edge of the coarser mesh; the midpoint of row ``i`` is
         vertex ``n_coarse + i``.  None on meshes not made by refinement.
 
-    The remaining arrays cache areas, element diameters, edge lengths, P1 hat
-    function gradients and boundary flags; the domain area, the P1 vertex
+    The remaining arrays cache areas, element diameters, edge lengths and P1
+    hat function gradients; the domain area, the P1 vertex
     weights and the gradient operator are formed on first use.  Instances
     are treated as immutable; refinement returns a new mesh.
     """
@@ -73,7 +73,6 @@ class Mesh:
     grads: np.ndarray
     edge_lengths: np.ndarray
     edge_normals: np.ndarray
-    vertex_on_boundary: np.ndarray
     parent: np.ndarray | None = None
     split_edges: np.ndarray | None = None
 
@@ -100,10 +99,6 @@ class Mesh:
         return np.flatnonzero(self.boundary_edge_mask)
 
     @property
-    def interior_edges(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary_edge_mask)
-
-    @property
     def h_max(self) -> float:
         return float(self.h_tri.max())
 
@@ -120,10 +115,6 @@ class Mesh:
         np.add.at(w, self.tris.ravel(), np.repeat(self.areas / 3.0, 3))
         w.flags.writeable = False
         return w
-
-    def tri_coords(self) -> np.ndarray:
-        """Vertex coordinates per triangle, shape (m, 3, 2)."""
-        return self.xy[self.tris]
 
     @cached_property
     def gradient_operator(self) -> sp.csr_matrix:
@@ -283,10 +274,6 @@ def _build(xy, tris, seed_refinement_edges=False) -> Mesh:
 
     tri_edges, edge_vertices, edge_tris = _edge_tables(tris, n)
     areas = signed
-    l0 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-    l1 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
-    l2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
-    h_tri = np.maximum(np.maximum(l0, l1), l2)
 
     # P1 hat gradients: grad(lambda_i) = rot90(p_{i+2} - p_{i+1}) / (2A),
     # stored (m, 2, 3) so that the gradient operator's data is this buffer;
@@ -302,15 +289,11 @@ def _build(xy, tris, seed_refinement_edges=False) -> Mesh:
     edge_lengths = np.linalg.norm(dvec, axis=1)
     edge_normals = np.stack([dvec[:, 1], -dvec[:, 0]], axis=1) / edge_lengths[:, None]
 
-    vertex_on_boundary = np.zeros(n, dtype=bool)
-    bnd = edge_tris[:, 1] < 0
-    vertex_on_boundary[edge_vertices[bnd].ravel()] = True
-
     return Mesh(xy=xy, tris=tris, tri_edges=tri_edges,
                 edge_vertices=edge_vertices, edge_tris=edge_tris,
-                areas=areas, h_tri=h_tri, grads=grads,
-                edge_lengths=edge_lengths, edge_normals=edge_normals,
-                vertex_on_boundary=vertex_on_boundary)
+                areas=areas, h_tri=edge_lengths[tri_edges].max(axis=1),
+                grads=grads, edge_lengths=edge_lengths,
+                edge_normals=edge_normals)
 
 
 def from_arrays(xy, tris) -> Mesh:
@@ -399,14 +382,25 @@ def load_mesh(text: str) -> Mesh:
         pos += 1
         return lineno, content.split()
 
-    lineno, head = take("vertices <n>")
-    if len(head) != 2 or head[0] != "vertices":
-        raise MeshFormatError(f"line {lineno}: expected 'vertices <n>'")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise MeshFormatError(f"line {lineno}: vertex count is not an integer") from None
+    def count(expect: str, what: str) -> int:
+        """The count of an ``expect`` header, refused before anything is
+        allocated when it is negative or exceeds the lines that follow."""
+        lineno, head = take(expect)
+        if len(head) != 2 or head[0] != expect.split()[0]:
+            raise MeshFormatError(f"line {lineno}: expected '{expect}'")
+        try:
+            k = int(head[1])
+        except ValueError:
+            raise MeshFormatError(
+                f"line {lineno}: {what} count is not an integer") from None
+        if k < 0:
+            raise MeshFormatError(f"line {lineno}: {what} count {k} is negative")
+        if k > len(lines) - pos:
+            raise MeshFormatError(f"line {lineno}: {what} count {k} exceeds "
+                                  f"the {len(lines) - pos} lines that follow")
+        return k
 
+    n = count("vertices <n>", "vertex")
     xy = np.empty((n, 2))
     for i in range(n):
         lineno, parts = take("x y boundary_flag")
@@ -420,14 +414,7 @@ def load_mesh(text: str) -> Mesh:
         except ValueError:
             raise MeshFormatError(f"line {lineno}: vertex {i} is malformed") from None
 
-    lineno, head = take("triangles <m>")
-    if len(head) != 2 or head[0] != "triangles":
-        raise MeshFormatError(f"line {lineno}: expected 'triangles <m>'")
-    try:
-        m = int(head[1])
-    except ValueError:
-        raise MeshFormatError(f"line {lineno}: triangle count is not an integer") from None
-
+    m = count("triangles <m>", "triangle")
     tris = np.empty((m, 3), dtype=np.int64)
     for k in range(m):
         lineno, parts = take("v0 v1 v2")
@@ -447,9 +434,11 @@ def load_mesh(text: str) -> Mesh:
 
 def save_mesh(mesh: Mesh) -> str:
     """Serialize a mesh to the plain-text format accepted by load_mesh."""
+    on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
+    on_boundary[mesh.edge_vertices[mesh.boundary_edges].ravel()] = True
     out = [f"vertices {mesh.n_vertices}"]
     for i in range(mesh.n_vertices):
-        flag = 1 if mesh.vertex_on_boundary[i] else 0
+        flag = 1 if on_boundary[i] else 0
         out.append(f"{float(mesh.xy[i, 0])!r} {float(mesh.xy[i, 1])!r} {flag}")
     out.append(f"triangles {mesh.n_triangles}")
     for k in range(mesh.n_triangles):

@@ -261,7 +261,7 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
         p_prev = P1ScalarField(mesh, np.zeros(mesh.n_vertices))
     g_prev = p1_gradients(p_prev)
     if system is not None:      # the Darcy start's velocity
-        u_prev = asm.recover_velocity(system, p_prev, g_prev)
+        u_prev = asm.recover_velocity(system, g_prev)
 
     iterates = [u_prev.values.copy()] if cfg.keep_iterates else None
     trace: list[TraceRow] = []
@@ -296,7 +296,7 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
         stopping test; the phase times are added to ``row``."""
         t0 = time.perf_counter()
         g_new = p1_gradients(p_new)
-        u_new = asm.recover_velocity(system, p_new, g_new)
+        u_new = asm.recover_velocity(system, g_new)
         t1 = time.perf_counter()
         ind = ctx.compute(u_new, u_prev, cfg.alpha, g_new, conv)
         u_norm = row_norms(u_new.values)
@@ -391,11 +391,6 @@ class ErrorReport:
     grad_p_l32: float
     exact_u_l3: float
     exact_grad_p_l32: float
-
-    @property
-    def combined(self) -> float:
-        """Absolute combined error in the natural norms."""
-        return self.u_l3 + self.grad_p_l32
 
     @property
     def relative(self) -> float:
@@ -575,15 +570,6 @@ class AlphaDiagnostics:
     h: float
     c_interp: float
 
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-
-def compute_lifting(mesh: Mesh, problem: ProblemSpec) -> P0VectorField:
-    """Minimal-L2 piecewise-constant velocity matching the flux data."""
-    u, _ = Assembler(mesh, problem).lifting()
-    return u
-
 
 def _positive_cubic_root(c0: float, c1: float, c2: float) -> float:
     # root of  a^3/8 = c0 + c1 a + c2 a^2  with c_i >= 0
@@ -614,7 +600,7 @@ def alpha_diagnostics(mesh: Mesh, problem: ProblemSpec) -> AlphaDiagnostics:
     h = mesh.h_max
     c = C_INTERP
 
-    u_l = compute_lifting(mesh, problem)
+    u_l, _ = Assembler(mesh, problem).lifting()
     l2 = lp_norm(u_l, 2.0)
     l3 = lp_norm(u_l, 3.0)
     rule = triangle_rule(ERROR_QUAD_DEGREE)

@@ -265,14 +265,15 @@ def _pair(exprs, what: str):
     return pair
 
 
-def _number(cfg: dict, key: str, default: float) -> float:
-    value = cfg.get(key, default)
+def number(value, what: str) -> float:
+    """A setting that must be a number: an int or a float (not a bool), or a
+    string holding one; anything else is a ProblemConfigError."""
     if not isinstance(value, bool):
         try:
             return float(value)
         except (TypeError, ValueError):
             pass
-    raise ProblemConfigError(f"{key} must be a number, not {value!r}")
+    raise ProblemConfigError(f"{what} must be a number, not {value!r}")
 
 
 def problem_from_config(cfg: dict) -> ProblemSpec:
@@ -324,8 +325,9 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
 
         return ProblemSpec(
             name=str(cfg.get("name", "custom")), domain=domain,
-            mu=_number(cfg, "mu", 1.0), rho=_number(cfg, "rho", 1.0),
-            beta=_number(cfg, "beta", 1.0),
+            mu=number(cfg.get("mu", 1.0), "mu"),
+            rho=number(cfg.get("rho", 1.0), "rho"),
+            beta=number(cfg.get("beta", 1.0), "beta"),
             k_inverse=k_inverse, f=_pair(cfg.get("f", ["0", "0"]), "f"),
             b=_scalar(cfg.get("b", "0")), g=g, k_constant=False,
             exact_u=exact_u, exact_p=exact_p, exact_grad_p=exact_grad_p)

@@ -75,14 +75,6 @@ def triangle_rule(degree: int) -> QuadratureRule:
 
 
 def _triangle_rule(degree: int) -> QuadratureRule:
-    if degree <= 1:
-        return QuadratureRule(1, np.array([[1 / 3, 1 / 3, 1 / 3]]),
-                              np.array([1.0]))
-    if degree == 2:
-        pts = np.array([[2 / 3, 1 / 6, 1 / 6],
-                        [1 / 6, 2 / 3, 1 / 6],
-                        [1 / 6, 1 / 6, 2 / 3]])
-        return QuadratureRule(2, pts, np.full(3, 1 / 3))
     if degree in (3, 4):
         # Two three-point orbits (the classic 6-point degree-4 rule).
         a1, w1 = 0.445948490915965, 0.223381589678011
@@ -327,23 +319,31 @@ def dump_p1(field: P1ScalarField) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_p0(text: str, mesh: Mesh) -> P0VectorField:
+def _load_field(text: str, kind: str, size: int, width: int) -> np.ndarray:
+    """The (size, width) values of a ``<kind> <size>`` field dump; raises
+    ValueError for a missing, short or non-integer header, a count other
+    than ``size`` and a body that does not match it."""
     lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
-    head = lines[0].split()
-    if head[0] != "p0field" or int(head[1]) != mesh.n_triangles:
-        raise ValueError("p0field header does not match the mesh")
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != kind:
+        raise ValueError(f"expected a '{kind} <count>' header")
+    try:
+        count = int(head[1])
+    except ValueError:
+        raise ValueError(f"{kind} count is not an integer") from None
+    if count != size:
+        raise ValueError(f"{kind} header does not match the mesh")
     vals = np.array([[float(x) for x in l.split()] for l in lines[1:]])
-    if vals.shape != (mesh.n_triangles, 2):
-        raise ValueError("p0field body does not match the header")
-    return P0VectorField(mesh, vals)
+    if vals.shape != (size, width):
+        raise ValueError(f"{kind} body does not match the header")
+    return vals
+
+
+def load_p0(text: str, mesh: Mesh) -> P0VectorField:
+    return P0VectorField(
+        mesh, _load_field(text, "p0field", mesh.n_triangles, 2))
 
 
 def load_p1(text: str, mesh: Mesh) -> P1ScalarField:
-    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
-    head = lines[0].split()
-    if head[0] != "p1field" or int(head[1]) != mesh.n_vertices:
-        raise ValueError("p1field header does not match the mesh")
-    vals = np.array([float(l.split()[0]) for l in lines[1:]])
-    if vals.shape != (mesh.n_vertices,):
-        raise ValueError("p1field body does not match the header")
-    return P1ScalarField(mesh, vals)
+    return P1ScalarField(
+        mesh, _load_field(text, "p1field", mesh.n_vertices, 1)[:, 0])

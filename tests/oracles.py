@@ -245,6 +245,11 @@ def loop_lshape(n):
     return np.array(coords), np.array(tris)
 
 
+def interior_edges(mesh):
+    """Ids of the edges with a triangle on each side."""
+    return np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+
+
 def loop_edge_tables(tris):
     """``(tri_edges, edge_vertices, edge_tris)`` from one pass over the
     triangles with a dict keyed by sorted endpoints; ids in order of first

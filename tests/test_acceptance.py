@@ -26,7 +26,7 @@ from darcyfem.spaces import P0VectorField, P1ScalarField, p1_gradients
 from conftest import (SHARED1_ALPHAS, SHARED2_ALPHAS, TABLE1_ALPHAS,
                       TABLE2_ALPHAS, random_affine_problem, refine_uniform,
                       rng_loop)
-from oracles import dense_step_solve
+from oracles import dense_step_solve, interior_edges
 
 
 def _assert_u_shape(counts):
@@ -159,7 +159,7 @@ def test_matches_dense_saddle_point_oracle():
         asm = Assembler(mesh, prob)
         system = asm.step(u_prev, alpha)
         p, _ = asm.solve_pressure(system)
-        u = asm.recover_velocity(system, p, p1_gradients(p))
+        u = asm.recover_velocity(system, p1_gradients(p))
         u_ref, p_ref = dense_step_solve(mesh.xy, mesh.tris, prob,
                                         u_prev, alpha)
         scale_u = max(1.0, np.abs(u_ref).max())
@@ -223,7 +223,7 @@ def test_edge_census_and_refinement_invariants():
         assert child.areas.sum() == pytest.approx(parent_area, rel=1e-12)
         meshes.append(child)
     for mesh in meshes:
-        interior = int(mesh.interior_edges.shape[0])
+        interior = int(interior_edges(mesh).shape[0])
         boundary = int(mesh.boundary_edges.shape[0])
         assert 3 * mesh.n_triangles == 2 * interior + boundary
         assert mesh.n_vertices - mesh.n_edges + mesh.n_triangles == 1

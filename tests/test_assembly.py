@@ -121,7 +121,7 @@ def test_schur_matches_dense_oracle_smallest_mesh():
     asm = Assembler(m, prob)
     system = asm.step(u_prev, alpha)
     p, _ = asm.solve_pressure(system)
-    u = asm.recover_velocity(system, p, p1_gradients(p))
+    u = asm.recover_velocity(system, p1_gradients(p))
     u_ref, p_ref = dense_step_solve(m.xy, m.tris, prob, u_prev, alpha)
     assert np.abs(u.values - u_ref).max() < 1e-10
     assert np.abs(p.values - p_ref).max() < 1e-10
@@ -140,7 +140,7 @@ def test_schur_matches_dense_oracle_ten_seeds():
         asm = Assembler(m, prob)
         system = asm.step(u_prev, alpha)
         p, _ = asm.solve_pressure(system)
-        u = asm.recover_velocity(system, p, p1_gradients(p))
+        u = asm.recover_velocity(system, p1_gradients(p))
         u_ref, p_ref = dense_step_solve(m.xy, m.tris, prob, u_prev, alpha)
         scale_u = max(1.0, np.abs(u_ref).max())
         scale_p = max(1.0, np.abs(p_ref).max())
@@ -159,7 +159,7 @@ def test_step_solution_satisfies_both_equations():
     system = asm.step(u_prev, 0.9)
     p, _ = asm.solve_pressure(system)
     gp = p1_gradients(p)
-    u = asm.recover_velocity(system, p, gp)
+    u = asm.recover_velocity(system, gp)
     blocks = element_matrices(asm, system.drag)
     for k in range(m.n_triangles):
         r = blocks[k] @ u.values[k] \
@@ -368,6 +368,24 @@ def test_assembler_rejects_a_non_finite_k_term(k_constant):
         k_constant=k_constant)
     with np.errstate(invalid="ignore"), \
             pytest.raises(problems.ProblemConfigError, match=r"K\^-1"):
+        Assembler(generate_structured(4), prob)
+
+
+@pytest.mark.parametrize("k_constant", [False, True])
+@pytest.mark.parametrize("k_inverse, what", [
+    ([["1", "0.9"], ["0", "1"]], "symmetric"),
+    ([["-1", "0"], ["0", "1"]], "positive definite"),
+    ([["1", "2"], ["2", "1"]], "positive definite"),
+])
+def test_assembler_rejects_a_k_term_that_is_not_spd(k_constant, k_inverse,
+                                                    what):
+    """A K-term (mu/rho) INT_k K^-1 dx that is not symmetric, or not
+    positive definite, is a configuration error naming the element, raised
+    before any solve, on the constant and the variable K^-1 path."""
+    prob = replace(problems.problem_from_config(
+        {"k_inverse": k_inverse, "f": ["1", "0"]}), k_constant=k_constant)
+    with pytest.raises(problems.ProblemConfigError,
+                       match=f"K\\^-1 dx is not {what} on element 0$"):
         Assembler(generate_structured(4), prob)
 
 

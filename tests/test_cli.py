@@ -407,6 +407,79 @@ def test_non_finite_k_inverse_exits_2(tmp_path, capsys, command):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [["solve"], ["sweep", "--alphas", "0,1"],
+                                  ["adapt", "--levels", "2"]],
+                         ids=["solve", "sweep", "adapt"])
+@pytest.mark.parametrize("k_inverse", [[["1", "0.9"], ["0", "1"]],
+                                       [["-1", "0"], ["0", "1"]]],
+                         ids=["not-symmetric", "not-definite"])
+def test_k_inverse_not_spd_exits_2(tmp_path, capsys, argv, k_inverse):
+    """A K^-1 that is not symmetric positive definite is a configuration
+    error on every solve path: one error line and no manifest."""
+    spec = tmp_path / "prob.json"
+    spec.write_text(json.dumps({"k_inverse": k_inverse, "f": ["1", "0"]}))
+    code, out = _run(tmp_path, *argv, "--problem", str(spec), "--N", "4",
+                     "--max-iter", "5")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "K^-1" in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("header", ["vertices -1", "vertices 1000000000000000"])
+def test_bad_mesh_count_exits_2(tmp_path, capsys, header):
+    mesh_file = tmp_path / "m.mesh"
+    text = save_mesh(problems.initial_mesh(problems.trivial_zero(), 2))
+    mesh_file.write_text(header + text[text.index("\n"):])
+    code, out = _run(tmp_path, "solve", "--mesh", str(mesh_file))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: vertex count") \
+        and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+def test_mesh_flag_and_config_source_replace_each_other(tmp_path):
+    """A mesh source given as a flag replaces the config file's other
+    source, and the manifest records only the source used."""
+    problem = problems.gaussian_vortex()
+    mesh_file = tmp_path / "m5.mesh"
+    mesh_file.write_text(save_mesh(problems.initial_mesh(problem, 5)))
+    for key, value, argv, triangles in (("mesh", str(mesh_file),
+                                         ["--N", "3"], 18),
+                                        ("N", 4, ["--mesh", str(mesh_file)],
+                                         50),
+                                        ("mesh", str(mesh_file), [], 50)):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out = _run(tmp_path / key / str(len(argv)), "solve",
+                         "--config", str(cfg), "--alpha", "2.3", *argv)
+        assert code == 0
+        lines = (out / "indicators.csv").read_text().splitlines()
+        assert len(lines) == 1 + triangles
+        doc = json.loads((out / "manifest.json").read_text())["config"]
+        if triangles == 18:
+            assert doc["n"] == 3 and "mesh" not in doc
+        else:
+            assert doc["mesh"] == str(mesh_file) and "n" not in doc
+
+
+@pytest.mark.parametrize("argv", [[], ["--N", "3"]], ids=["alone", "with-N"])
+def test_config_with_two_mesh_sources_exits_2(tmp_path, capsys, argv):
+    """A config file that gives both N and a mesh exits 2, also when a flag
+    names the source."""
+    mesh_file = tmp_path / "m.mesh"
+    mesh_file.write_text(save_mesh(problems.initial_mesh(
+        problems.trivial_zero(), 2)))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"N": 3, "mesh": str(mesh_file)}))
+    code, out = _run(tmp_path, "solve", "--config", str(cfg), *argv)
+    assert code == 2
+    assert "one mesh source: N or mesh" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inline_problem_honours_beta_as_a_problem_file_does(tmp_path):
     """``--beta`` sets the beta of a spec that has none, inline or in a
     file alike, and a spec's own beta wins over it in both forms."""

@@ -9,7 +9,8 @@ import pytest
 from darcyfem import mesh as msh
 
 from conftest import rng_loop
-from oracles import loop_edge_tables, loop_lshape, loop_refine, loop_structured
+from oracles import (interior_edges, loop_edge_tables, loop_lshape,
+                     loop_refine, loop_structured)
 
 
 def _same_bytes(a, b):
@@ -71,11 +72,11 @@ def test_h_tri_is_longest_edge():
 def test_edge_census_and_adjacency():
     for n in (1, 2, 3, 7):
         m = msh.generate_structured(n)
-        n_int = len(m.interior_edges)
+        n_int = len(interior_edges(m))
         n_bnd = len(m.boundary_edges)
         assert 3 * m.n_triangles == 2 * n_int + n_bnd
         assert (m.edge_tris[m.boundary_edges, 1] == -1).all()
-        assert (m.edge_tris[m.interior_edges, 1] >= 0).all()
+        assert (m.edge_tris[interior_edges(m), 1] >= 0).all()
 
 
 def test_edge_normals_unit_and_outward():
@@ -111,7 +112,7 @@ def test_refine_single_triangle_forces_closure():
     assert r.n_triangles == 4
     assert r.domain_area == pytest.approx(1.0, abs=1e-14)
     # conforming: census must still hold
-    assert 3 * r.n_triangles == 2 * len(r.interior_edges) + len(r.boundary_edges)
+    assert 3 * r.n_triangles == 2 * len(interior_edges(r)) + len(r.boundary_edges)
 
 
 def test_refine_marked_strictly_subdivided():
@@ -183,6 +184,25 @@ def test_load_rejects_duplicate_triangle():
         msh.load_mesh(text)
 
 
+@pytest.mark.parametrize("section", ["vertices", "triangles"])
+@pytest.mark.parametrize("count, message", [
+    ("-1", "count -1 is negative"),
+    ("1000000000000000", "count 1000000000000000 exceeds the"),
+    ("8", "count 8 exceeds the"),
+])
+def test_load_rejects_a_bad_count_before_allocating(section, count, message):
+    """A negative count, or one larger than the lines that follow, is a
+    format error naming the header line; 10^15 vertices would need more
+    memory than any allocator grants."""
+    lines = ["vertices 4", "0.0 0.0 1", "1.0 0.0 1", "1.0 1.0 1",
+             "0.0 1.0 1", "triangles 2", "0 1 2", "0 2 3"]
+    at = 0 if section == "vertices" else 5
+    lines[at] = f"{section} {count}"
+    with pytest.raises(msh.MeshFormatError, match=f"^line {at + 1}: .*"
+                                                  f"{message}"):
+        msh.load_mesh("\n".join(lines))
+
+
 def test_rejects_repeated_vertex_naming_first_bad_triangle():
     xy = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     tris = [[0, 1, 2], [0, 2, 2], [3, 3, 0]]
@@ -216,12 +236,12 @@ def test_load_rejects_dangling_vertex():
 def test_lshape_counts_and_census():
     m = msh.generate_lshape(4)
     assert m.domain_area == pytest.approx(3.0, rel=1e-12)
-    assert 3 * m.n_triangles == 2 * len(m.interior_edges) + len(m.boundary_edges)
+    assert 3 * m.n_triangles == 2 * len(interior_edges(m)) + len(m.boundary_edges)
 
 
 def test_interior_edge_orientations_opposite():
     m = msh.generate_structured(3)
-    for e in m.interior_edges:
+    for e in interior_edges(m):
         va, vb = m.edge_vertices[e]
         k1, k2 = m.edge_tris[e]
         # the edge appears with opposite traversal in the two triangles
@@ -265,7 +285,7 @@ def test_random_refinement_sequences_stay_conforming():
         for _ in range(4):
             k = int(rng.integers(m.n_triangles))
             m = msh.refine(m, [k])
-        assert 3 * m.n_triangles == 2 * len(m.interior_edges) + len(m.boundary_edges)
+        assert 3 * m.n_triangles == 2 * len(interior_edges(m)) + len(m.boundary_edges)
         assert m.domain_area == pytest.approx(1.0, rel=1e-12)
         assert (m.areas > 0).all()
 

@@ -1,20 +1,22 @@
+import ast
 import inspect
 import math
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from darcyfem import (assembly, expressions, indicators, nonlinear_solver,
+from darcyfem import (assembly, cli, expressions, indicators, nonlinear_solver,
                       problems, render, spaces)
-from darcyfem.adaptivity import AdaptConfig, adaptive_loop
+from darcyfem.adaptivity import AdaptConfig, LevelRecord, adaptive_loop
 from darcyfem.assembly import Assembler
 from darcyfem.indicators import IndicatorContext
-from darcyfem.mesh import generate_lshape, generate_structured
+from darcyfem.mesh import Mesh, generate_lshape, generate_structured
 from darcyfem.nonlinear_solver import (AlphaDiagnostics, ErrorReport,
                                        SolverConfig, _positive_cubic_root,
                                        alpha_diagnostics, alpha_sweep,
-                                       compute_lifting, solve, true_error)
+                                       solve, true_error)
 from darcyfem.spaces import (P0VectorField, P1ScalarField, field_mean,
                              lp_norm, p1_gradients)
 
@@ -60,9 +62,11 @@ def test_solver_config_has_its_seven_fields_and_only_those():
 
 def test_values_every_caller_takes_are_not_settings():
     """Each function below has only the one value every caller used, and
-    adaptive_loop is given its first mesh; the fields and methods that
-    nothing read are gone."""
-    for fn, name in ((assembly.deflated_cg, "tol"),
+    adaptive_loop is given its first mesh; the parameter, fields and methods
+    that nothing read, those that only tests called, the one-line wrappers
+    and the second number parser are gone."""
+    for fn, name in ((assembly.Assembler.recover_velocity, "p"),
+                     (assembly.deflated_cg, "tol"),
                      (render.color_bins, "n_bins"),
                      (alpha_diagnostics, "c_interp"),
                      (problems.gaussian_vortex, "strict_zero_flux"),
@@ -77,6 +81,39 @@ def test_values_every_caller_takes_are_not_settings():
     assert not hasattr(expressions.compile_expression("x"), "source")
     assert not hasattr(P0VectorField, "copy")
     assert not hasattr(P1ScalarField, "copy")
+    assert "err_u_l3" not in {f.name for f in fields(LevelRecord)}
+    assert "vertex_on_boundary" not in {f.name for f in fields(Mesh)}
+    for owner, name in ((ErrorReport, "combined"),
+                        (AlphaDiagnostics, "as_dict"),
+                        (nonlinear_solver, "compute_lifting"),
+                        (Mesh, "tri_coords"), (Mesh, "interior_edges"),
+                        (cli, "_real")):
+        assert not hasattr(owner, name), name
+
+
+def test_every_parameter_is_read():
+    """No function or lambda of ``src/darcyfem`` takes a parameter that its
+    body never reads.  ``self`` and ``cls`` are exempt, and so are the
+    problem-data callbacks: their ``(x, y)`` and ``(x, y, normal)``
+    signatures are ProblemSpec's contract."""
+    callbacks = (["x", "y"], ["x", "y", "normal"])
+    unread = []
+    for path in sorted(Path(assembly.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            a = node.args
+            names = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                     a.vararg, a.kwarg) if p is not None]
+            if names in callbacks:
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {name}" for name in names
+                       if name not in read and name not in ("self", "cls")]
+    assert unread == []
 
 
 def test_configs_are_frozen_values():
@@ -620,7 +657,6 @@ def test_iteration_count_with_darcy_guess_matches_reference():
 def test_error_report_combined_and_relative():
     rep = ErrorReport(u_l2=0.1, u_l3=0.2, grad_p_l32=0.3,
                       exact_u_l3=2.0, exact_grad_p_l32=3.0)
-    assert rep.combined == pytest.approx(0.5)
     assert rep.relative == pytest.approx(0.2 / 2.0 + 0.3 / 3.0)
 
 
@@ -726,8 +762,7 @@ def test_alpha_diagnostics_no_flux_collapse():
     assert diag.alpha_star == pytest.approx(4.0 * diag.gamma2, rel=1e-12)
     assert diag.alpha_cubic > 0.0
     assert diag.k_min == pytest.approx(1.0) and diag.k_max == pytest.approx(1.0)
-    d = diag.as_dict()
-    assert set(d) == set(AlphaDiagnostics.__dataclass_fields__)
+    assert set(asdict(diag)) == set(AlphaDiagnostics.__dataclass_fields__)
 
 
 def test_alpha_diagnostics_inertia_free_zero():
@@ -752,10 +787,10 @@ def test_compute_lifting_minimal_norm():
 
     prob = problems.problem_from_config({"b": "1", "g": "0.25"})
     m = generate_structured(4)
-    u_l = compute_lifting(m, prob)
+    asm = Assembler(m, prob)
+    u_l, _ = asm.lifting()
     base = lp_norm(u_l, 2.0)
     assert base > 0
-    asm = Assembler(m, prob)
     inv_area = 1.0 / m.areas
     local = np.einsum("mja,m,mka->mjk", asm.b, inv_area, asm.b)
     s0 = scatter_schur(m, local)

@@ -154,7 +154,7 @@ def test_physical_points_match_einsum_mapping():
     square = generate_structured(3)
     m = refine(from_arrays(square.xy * [3.0, 1.0] + [-1.0, 0.5],
                            square.tris), [0, 5, 11])
-    coords = m.tri_coords()
+    coords = m.xy[m.tris]
     for deg in (1, 2, 4, 10):
         rule = sp.triangle_rule(deg)
         pts = sp.physical_points(m, rule)
@@ -274,6 +274,24 @@ def test_field_dump_roundtrip():
     p2 = sp.load_p1(sp.dump_p1(p), m)
     assert (u2.values == u.values).all()
     assert (p2.values == p.values).all()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "expected a '{kind} <count>' header"),
+    ("# only a comment\n", "expected a '{kind} <count>' header"),
+    ("{kind}\n", "expected a '{kind} <count>' header"),
+    ("{kind} 8 9\n", "expected a '{kind} <count>' header"),
+    ("p2field 8\n", "expected a '{kind} <count>' header"),
+    ("{kind} eight\n", "{kind} count is not an integer"),
+])
+@pytest.mark.parametrize("kind", ["p0field", "p1field"])
+def test_field_load_rejects_a_bad_header(text, message, kind):
+    """A missing, short or non-integer header is a ValueError for both
+    field formats, not an IndexError."""
+    m = generate_structured(2)
+    load = sp.load_p0 if kind == "p0field" else sp.load_p1
+    with pytest.raises(ValueError, match=message.format(kind=kind)):
+        load(text.format(kind=kind), m)
 
 
 def test_field_load_rejects_wrong_mesh():
