@@ -8,13 +8,16 @@ newest-vertex bisection, and the loop moves to the next mesh, starting there
 from the iterate it stopped at (nested iteration).
 
 Each refined level also builds its ``Assembler`` and ``IndicatorContext``
-from the previous level's, through ``Mesh.parent``: an unsplit child copies
-its parent's sampled per-element data and only the new children are
-sampled (``spaces.ElementCarry``).  Each per-element value is summed row
-by row (``spaces.quadrature_sums``), so every carried or sampled value has
-the bytes of a fresh build and the levels' outputs do not change.
-Everything global (load vector, compatibility check, flux matrices,
-multigrid hierarchy) is still formed over the whole mesh.
+from the previous level's sampled per-element rows (``AssemblerRows`` and
+``IndicatorRows``), through ``Mesh.parent``: an unsplit child copies its
+parent's rows and only the new children are sampled
+(``spaces.ElementCarry``).  Each per-element value is summed row by row
+(``spaces.quadrature_sums``), so every carried or sampled value has the
+bytes of a fresh build and the levels' outputs do not change.  Everything
+global (load vector, compatibility check, flux matrices, multigrid
+hierarchy) is still formed over the whole mesh.  A level's set-up is
+dropped once its solve returns, and only those rows are kept until the
+next level's set-up is built.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import Assembler
-from .indicators import (IndicatorContext, effectivity_index,
+from .assembly import Assembler, AssemblerRows
+from .indicators import (IndicatorContext, IndicatorRows, effectivity_index,
                          total_relative_indicator)
 from .mesh import Mesh, refine
 from .nonlinear_solver import SolveResult, SolverConfig, solve, true_error
@@ -105,15 +108,16 @@ class LevelState:
 
 
 def _setup(mesh: Mesh, problem: ProblemSpec,
-           assembler: Assembler | None = None,
-           context: IndicatorContext | None = None):
+           parent: tuple[AssemblerRows, IndicatorRows] | None = None):
     """The ``Assembler``, with its multigrid hierarchy, and the
-    ``IndicatorContext`` of ``mesh``, carried from those of the mesh it was
-    refined from when they are given, and the seconds their set-up took."""
+    ``IndicatorContext`` of ``mesh``, carried from the rows of those of the
+    mesh it was refined from when ``parent`` gives them, and the seconds
+    their set-up took."""
+    asm_rows, ctx_rows = parent or (None, None)
     t0 = time.perf_counter()
-    asm = Assembler(mesh, problem, parent=assembler)
+    asm = Assembler(mesh, problem, parent=asm_rows)
     asm.hierarchy               # built before the indicator set-up exists
-    ctx = IndicatorContext(mesh, problem, parent=context)
+    ctx = IndicatorContext(mesh, problem, parent=ctx_rows)
     return asm, ctx, time.perf_counter() - t0
 
 
@@ -159,10 +163,11 @@ def adaptive_loop(problem: ProblemSpec, mesh: Mesh, levels: int = 7,
     level starts from ``solver.initial_guess`` (the linear solution by
     default); every later level starts from the previous level's iterate,
     carried onto the refined mesh by :func:`transfer`, and builds its
-    set-up from the previous level's (see the module docstring).  The
-    returned list has one entry per level, coarsest first; the last level is
-    solved but not refined.  A level whose iteration did not converge is the
-    last one: it is not marked, refined or used as a start.
+    set-up from the previous level's carried rows (see the module
+    docstring).  The returned list has one entry per level, coarsest first;
+    the last level is solved but not refined.  A level whose iteration did
+    not converge is the last one: it is not marked, refined or used as a
+    start.
     """
     if levels < 1:
         raise ValueError(f"levels must be at least 1, not {levels!r}")
@@ -171,12 +176,16 @@ def adaptive_loop(problem: ProblemSpec, mesh: Mesh, levels: int = 7,
     acfg = adapt or AdaptConfig()
 
     states: list[LevelState] = []
-    start = asm = ctx = None
+    start = parent = None
     for level in range(levels):
-        # Rebinding drops the previous level's set-up once it is carried.
-        asm, ctx, setup_s = _setup(mesh, problem, asm, ctx)
+        asm, ctx, setup_s = _setup(mesh, problem, parent)
+        parent = None           # not alive beside this level's solve
         result = solve(mesh, problem, cfg, assembler=asm, context=ctx,
                        start=start)
+        # The set-up ends with its solve; only the rows the next level's
+        # set-up copies are kept.
+        parent = asm.carried(), ctx.carried()
+        del asm, ctx
         record = _record_level(level, mesh, problem, result)
         state = LevelState(mesh=mesh, result=result, record=record,
                            setup_s=setup_s)

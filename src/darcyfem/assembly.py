@@ -240,6 +240,23 @@ def _check_k_rows(k_rows: np.ndarray) -> None:
             f"{np.flatnonzero(bad)[0]}")
 
 
+@dataclass(frozen=True)
+class AssemblerRows:
+    """What the set-up on a refined mesh copies from an :class:`Assembler`
+    on the mesh it was refined from (:meth:`Assembler.carried`): the
+    sampled per-element rows, and the mesh, problem and volume degree they
+    were sampled on, which the child checks.  It holds no coupling,
+    pattern, Q0 or hierarchy, so keeping it keeps only these rows alive."""
+
+    mesh: Mesh
+    problem: ProblemSpec
+    degree: int
+    k_rows: np.ndarray          # (4, m) K-term rows
+    f_int: np.ndarray           # (m, 2)
+    b_phi: np.ndarray           # (m, 3) INT_k b phi_j
+    b_abs: np.ndarray           # (m,) INT_k |b| / |k|
+
+
 class Assembler:
     """Caches everything mesh- and data-dependent across fixed-point steps.
 
@@ -249,25 +266,26 @@ class Assembler:
     on the previous velocity iterate and the relaxation weight.
 
     The package always takes the two degrees' defaults, the constants above.
-    ``parent``, an Assembler for the same problem and volume degree on the
-    mesh that ``mesh`` was refined from, lets the set-up pay only for what
-    changed: each unsplit child copies its parent's sampled rows (the K-term,
-    ``f_int`` and the per-element integrals of b phi_j and |b|), and only the
-    new children are sampled (see :class:`~darcyfem.spaces.ElementCarry`);
-    every value keeps the bytes of a fresh build.  Everything global (the
-    load vector, the compatibility check, the coupling, the pattern of S and
-    the multigrid hierarchy) is still formed over the whole mesh.
+    ``parent``, the :class:`AssemblerRows` of an Assembler for the same
+    problem and volume degree on the mesh that ``mesh`` was refined from,
+    lets the set-up pay only for what changed: each unsplit child copies its
+    parent's sampled rows (the K-term, ``f_int`` and the per-element
+    integrals of b phi_j and |b|), and only the new children are sampled
+    (see :class:`~darcyfem.spaces.ElementCarry`); every value keeps the
+    bytes of a fresh build.  Everything global (the load vector, the
+    compatibility check, the coupling, the pattern of S and the multigrid
+    hierarchy) is still formed over the whole mesh.
     """
 
     def __init__(self, mesh: Mesh, problem: ProblemSpec,
                  volume_degree: int = VOLUME_DEGREE,
                  edge_quad_points: int = LOAD_EDGE_POINTS,
-                 parent: Assembler | None = None):
+                 parent: AssemblerRows | None = None):
         self.mesh = mesh
         self.problem = problem
         self.rule = triangle_rule(volume_degree)
         if parent is not None and (parent.problem is not problem
-                                   or parent.rule.degree != self.rule.degree):
+                                   or parent.degree != self.rule.degree):
             raise ValueError("the parent Assembler was built for another "
                              "problem or quadrature degree")
         carry = ElementCarry(mesh, None if parent is None else parent.mesh)
@@ -286,7 +304,7 @@ class Assembler:
                 * kc.reshape(4, 1)
         else:
             kk = eval_k_inverse(problem, pts[..., 0], pts[..., 1])
-            self._k_rows = carry.start(parent and parent._k_rows, (4, m),
+            self._k_rows = carry.start(parent and parent.k_rows, (4, m),
                                        axis=1)
             self._k_rows.reshape(2, 2, m).transpose(2, 0, 1)[rows] = \
                 (problem.mu / problem.rho) \
@@ -307,10 +325,10 @@ class Assembler:
         # Load vector H_j = -INT b phi_j + INT_bdy g phi_j and the
         # compatibility check INT b = INT_bdy g, then G = B A^-1 F - H.
         b_vals = sample(pts, problem.b)
-        self._b_phi = carry.start(parent and parent._b_phi, (m, 3))
+        self._b_phi = carry.start(parent and parent.b_phi, (m, 3))
         self._b_phi[rows] = np.einsum("mq,q,ql->ml", b_vals, w,
                                       self.rule.points) * areas[rows, None]
-        self._b_abs = carry.start(parent and parent._b_abs, (m,))
+        self._b_abs = carry.start(parent and parent.b_abs, (m,))
         self._b_abs[rows] = quadrature_sums(np.abs(b_vals), w)
         # 0 - sum, not -sum: a vertex whose terms sum to +0 keeps +0, as a
         # running subtraction from zero gives.
@@ -355,6 +373,12 @@ class Assembler:
             keys, np.ones(keys.size), entry, 9 * m, n, n)
         self._pattern = Pattern(indptr, indices)
         self._hierarchy: SmoothedAggregation | None = None
+
+    def carried(self) -> AssemblerRows:
+        """The rows the set-up on a refined mesh copies (``parent``)."""
+        return AssemblerRows(self.mesh, self.problem, self.rule.degree,
+                             self._k_rows, self.f_int, self._b_phi,
+                             self._b_abs)
 
     @property
     def b(self) -> np.ndarray:

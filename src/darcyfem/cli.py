@@ -160,7 +160,8 @@ def merge_config(args: argparse.Namespace) -> dict:
 
     The mesh comes from one source, N or a mesh file: a flag's replaces the
     file's, and the other source is None in the result.  Both as flags, or
-    both in the file, is a ConfigError."""
+    both in the file, is a ConfigError; so is either for ``uniform-study``,
+    which builds its meshes from Ns."""
     cfg = dict(_DEFAULTS)
     file_cfg = {}
     if args.config:
@@ -180,6 +181,9 @@ def merge_config(args: argparse.Namespace) -> dict:
         sources = [k for k in ("n", "mesh") if given.get(k) is not None]
         if len(sources) == 2:
             raise ConfigError(f"give exactly one mesh source: {names}")
+        if sources and args.command == "uniform-study":
+            raise ConfigError(f"uniform-study builds its meshes from Ns; "
+                              f"it takes no {names}")
         used += sources
     if used:
         cfg["mesh" if used[0] == "n" else "n"] = None

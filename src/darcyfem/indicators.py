@@ -86,6 +86,23 @@ class ElementIndicators:
                               + self.osc_g ** 2).sum()))
 
 
+@dataclass(frozen=True)
+class IndicatorRows:
+    """What the set-up on a refined mesh copies from an
+    :class:`IndicatorContext` on the mesh it was refined from
+    (:meth:`IndicatorContext.carried`): the sampled per-element rows, and
+    the mesh and problem they were sampled on, which the child checks.  It
+    holds no boundary data or flux matrix."""
+
+    mesh: Mesh
+    problem: ProblemSpec
+    f_means: np.ndarray         # (m, 2)
+    osc_f: np.ndarray           # (m,)
+    b_means: np.ndarray         # (m,)
+    osc_b: np.ndarray           # (m,)
+    k_samples: np.ndarray | None    # (2, 2, m, q); None for constant K
+
+
 class IndicatorContext:
     """Mesh- and data-bound precomputations reused across iterations.
 
@@ -93,17 +110,18 @@ class IndicatorContext:
     oscillation terms (fixed once per mesh) and the permeability samples
     needed by the momentum residual, at the ``VOLUME_DEGREE`` points.
 
-    ``parent``, a context for the same problem on the mesh that ``mesh``
-    was refined from, lets the set-up pay only for what changed:
-    each unsplit child copies its parent's sampled rows (``f_means``,
-    ``osc_f``, ``b_means``, ``osc_b`` and ``k_samples``), and only the new
-    children are sampled (see :class:`~darcyfem.spaces.ElementCarry`); every
-    value keeps the bytes of a fresh build.  The boundary data and the flux
-    matrices are still formed over the whole mesh.
+    ``parent``, the :class:`IndicatorRows` of a context for the same
+    problem on the mesh that ``mesh`` was refined from, lets the set-up pay
+    only for what changed: each unsplit child copies its parent's sampled
+    rows (``f_means``, ``osc_f``, ``b_means``, ``osc_b`` and
+    ``k_samples``), and only the new children are sampled (see
+    :class:`~darcyfem.spaces.ElementCarry`); every value keeps the bytes of
+    a fresh build.  The boundary data and the flux matrices are still
+    formed over the whole mesh.
     """
 
     def __init__(self, mesh: Mesh, problem: ProblemSpec,
-                 parent: IndicatorContext | None = None):
+                 parent: IndicatorRows | None = None):
         self.mesh = mesh
         self.problem = problem
         self._res_rule = triangle_rule(VOLUME_DEGREE)
@@ -192,6 +210,12 @@ class IndicatorContext:
             shape=(mesh.n_edges, 2 * m))
         # h_e^(1/3) ||flux||_L3(e) = |e|^(2/3) |flux_e|: the weight per edge.
         self._edge_weights = mesh.edge_lengths ** (2.0 / 3.0)
+
+    def carried(self) -> IndicatorRows:
+        """The rows the set-up on a refined mesh copies (``parent``)."""
+        return IndicatorRows(self.mesh, self.problem, self.f_means,
+                             self.osc_f, self.b_means, self.osc_b,
+                             self.k_samples)
 
     def compute(self, u_new: P0VectorField, u_prev: P0VectorField,
                 alpha: float, grads: np.ndarray,

@@ -513,7 +513,8 @@ def alpha_sweep(mesh: Mesh, problem: ProblemSpec, alphas,
     solve whose pressure solve fails gives a row with status
     ``linear_solver_error`` and the step at which it failed.  Only each
     solved alpha's u and p are kept past its solve; after the last solve,
-    one :func:`true_error` pass over all of them gives the errors.
+    the set-up is dropped and one :func:`true_error` pass over all of them
+    gives the errors.
     """
     cfg = config or SolverConfig()
     asm = Assembler(mesh, problem)
@@ -533,6 +534,7 @@ def alpha_sweep(mesh: Mesh, problem: ProblemSpec, alphas,
             solved.append(rows[-1])
             us.append(res.u)
             ps.append(res.p)
+    del asm, ctx                # not alive beside the error pass
     t0 = time.perf_counter()
     errors = true_error(mesh, problem, us, ps) \
         if solved and problem.has_exact() else [None] * len(solved)

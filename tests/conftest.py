@@ -8,6 +8,7 @@ worker processes (see ``table_jobs``).
 import multiprocessing
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -187,6 +188,74 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return out, peak - entry
+
+
+def corner_singularity(beta=10.0):
+    """The L-shape's corner singularity as a manufactured solution.
+
+    p = r^(2/3) cos(2 phi / 3) about the reentrant corner (1, 1), with phi
+    the angle from the edge x = 1, y > 1, running through the domain to
+    3 pi / 2 on the edge y = 1, x > 1; u = -grad p, K = I, mu = rho = 1 and
+    b = 0.  So f = -(beta/rho) |grad p| grad p and g = u.n, which is 0 on
+    the two edges at the corner.  |u| grows like r^(-1/3) there: u is in
+    L^3 and f in L^2, but neither is bounded.  The expression grammar has
+    no atan2, so a problem file cannot state this solution.
+    """
+
+    def polar(x, y):
+        """r^2 and phi about the corner.  The branch cut of phi runs along
+        the notch's diagonal, which no point of the domain reaches, so
+        rounding on the corner's edges cannot flip phi between 0 and
+        2 pi."""
+        dx, dy = x - 1.0, y - 1.0
+        theta = np.arctan2(dy, dx)
+        return dx * dx + dy * dy, np.where(theta < np.pi / 4,
+                                           theta + 1.5 * np.pi,
+                                           theta - 0.5 * np.pi)
+
+    def grad_p(x, y):
+        r2, phi = polar(x, y)
+        scale = (2.0 / 3.0) * r2 ** (-1.0 / 6.0)
+        return -scale * np.sin(phi / 3.0), scale * np.cos(phi / 3.0)
+
+    def exact_p(x, y):
+        r2, phi = polar(x, y)
+        return r2 ** (1.0 / 3.0) * np.cos(2.0 * phi / 3.0)
+
+    def exact_u(x, y):
+        px, py = grad_p(x, y)
+        return -px, -py
+
+    def f(x, y):
+        px, py = grad_p(x, y)
+        speed = np.sqrt(px * px + py * py)
+        return -beta * speed * px, -beta * speed * py
+
+    def g(x, y, normal):
+        ux, uy = exact_u(x, y)
+        return ux * normal[0] + uy * normal[1]
+
+    identity = problems.gaussian_vortex().k_inverse
+    return problems.ProblemSpec(
+        name="corner-singularity", domain="l-shape", mu=1.0, rho=1.0,
+        beta=beta, k_inverse=identity, f=f,
+        b=lambda x, y: np.zeros(np.shape(x)), g=g, k_constant=True,
+        exact_u=exact_u, exact_p=exact_p, exact_grad_p=grad_p)
+
+
+def record_made(monkeypatch, module, *names):
+    """Replace each class ``names`` of ``module`` by a factory that makes
+    the same object and keeps a weak reference to it; returns those
+    references, a list per name in order of making."""
+    made = {name: [] for name in names}
+    for name in names:
+        def make(*args, _cls=getattr(module, name), _refs=made[name],
+                 **kwargs):
+            obj = _cls(*args, **kwargs)
+            _refs.append(weakref.ref(obj))
+            return obj
+        monkeypatch.setattr(module, name, make)
+    return made
 
 
 def rng_loop(seed, n):

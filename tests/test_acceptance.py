@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from darcyfem import problems
-from darcyfem.adaptivity import compare_adaptive_uniform, uniform_study
+from darcyfem.adaptivity import (adaptive_loop, compare_adaptive_uniform,
+                                 uniform_study)
 from darcyfem.assembly import Assembler
 from darcyfem.cli import main
 from darcyfem.indicators import lower_bound_check
@@ -24,8 +25,8 @@ from darcyfem.nonlinear_solver import SolverConfig, alpha_sweep, solve
 from darcyfem.spaces import P0VectorField, P1ScalarField, p1_gradients
 
 from conftest import (SHARED1_ALPHAS, SHARED2_ALPHAS, TABLE1_ALPHAS,
-                      TABLE2_ALPHAS, random_affine_problem, refine_uniform,
-                      rng_loop)
+                      TABLE2_ALPHAS, corner_singularity, random_affine_problem,
+                      refine_uniform, rng_loop)
 from oracles import dense_step_solve, interior_edges
 
 
@@ -127,6 +128,35 @@ def test_adaptive_beats_uniform_on_corner_case(corner_budget_runs):
         assert row.adaptive_wins, (row.budget,
                                    row.measure(row.adaptive),
                                    row.measure(row.uniform))
+
+
+def test_adaptive_beats_uniform_by_true_error_on_corner_singularity():
+    """On the L-shape's manufactured corner singularity the loop is judged
+    by the true relative error, not by the eta_D that drives its marking.
+    At the vertex budgets of uniform N = 16 and 32 it reads 0.0507 and
+    0.0266, against uniform's 0.165 and 0.121; over its levels past 1 000
+    triangles its error falls like triangles^(-0.5), uniform's like
+    triangles^(-0.22)."""
+    prob = corner_singularity(beta=10.0)
+    adaptive = adaptive_loop(
+        prob, problems.initial_mesh(prob, 4), levels=30,
+        solver=SolverConfig(alpha=10.0, stopping="indicator_balance",
+                            initial_guess="darcy"))
+    uniform = uniform_study(prob, [16, 32],
+                            SolverConfig(alpha=10.0, initial_guess="darcy"))
+    assert all(s.record.converged for s in adaptive + uniform)
+    rows = compare_adaptive_uniform([s.record for s in adaptive],
+                                    [s.record for s in uniform],
+                                    [s.record.vertices for s in uniform])
+    for row in rows:
+        assert row.adaptive is not None and math.isfinite(row.adaptive.err)
+        assert row.adaptive_wins, (row.budget, row.adaptive.err,
+                                   row.uniform.err)
+    fine = [s.record for s in adaptive if s.record.triangles >= 1000]
+    assert fine[-1].triangles > uniform[-1].record.triangles
+    rate = np.polyfit(np.log([r.triangles for r in fine]),
+                      np.log([r.err for r in fine]), 1)[0]
+    assert rate <= -0.45, rate
 
 
 def test_best_relaxation_weight_grows_with_refinement():

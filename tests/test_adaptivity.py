@@ -1,10 +1,12 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from darcyfem import problems
+from darcyfem import adaptivity, assembly, problems
 from darcyfem.adaptivity import (AdaptConfig, LevelRecord, adaptive_loop,
                                  compare_adaptive_uniform, mark,
                                  pick_by_budget, transfer, uniform_study)
@@ -15,7 +17,7 @@ from darcyfem.nonlinear_solver import SolverConfig
 from darcyfem.spaces import (SAMPLE_BLOCK, ElementCarry, physical_points,
                              triangle_rule)
 
-from conftest import rng_loop
+from conftest import record_made, rng_loop, traced_peak
 from oracles import doerfler_prefix_bruteforce
 
 
@@ -262,18 +264,20 @@ def test_carried_setup_has_the_bytes_of_a_fresh_build(corner_budget_runs,
             "rough": lambda: _rough("0"),
             "rough_b": lambda: _rough("sin(7*x*y) + x")}[data]()
     assert not prob.k_constant
-    asm = ctx = None
+    asm_rows = ctx_rows = None
     new_children = []
     for state in states:
         mesh = state.mesh
-        ctx = IndicatorContext(mesh, prob, parent=ctx)
+        ctx = IndicatorContext(mesh, prob, parent=ctx_rows)
         _assert_same_bytes(ctx, IndicatorContext(mesh, prob))
+        ctx_rows = ctx.carried()
         if data != "rough_b":
-            asm = Assembler(mesh, prob, parent=asm)
+            asm = Assembler(mesh, prob, parent=asm_rows)
             fresh = Assembler(mesh, prob)
             _assert_same_bytes(asm, fresh)
             assert asm._reference_schur().data.tobytes() \
                 == fresh._reference_schur().data.tobytes()
+            asm_rows = asm.carried()
         if mesh.parent is not None:
             new_children.append(
                 int((np.bincount(mesh.parent)[mesh.parent] > 1).sum()))
@@ -301,9 +305,9 @@ def test_carry_samples_only_the_new_children():
     assert carry.sampled.size == 0 and carry.blocks() == []
     for prob in (problems.reentrant_corner(), _rough("0")):
         _assert_same_bytes(
-            Assembler(same, prob, parent=Assembler(coarse, prob)),
+            Assembler(same, prob, parent=Assembler(coarse, prob).carried()),
             Assembler(same, prob))
-        parent = IndicatorContext(coarse, prob)
+        parent = IndicatorContext(coarse, prob).carried()
         _assert_same_bytes(IndicatorContext(same, prob, parent=parent),
                            IndicatorContext(same, prob))
 
@@ -311,20 +315,23 @@ def test_carry_samples_only_the_new_children():
 def test_carry_rejects_a_mesh_not_refined_from_the_parent():
     prob = problems.reentrant_corner()
     coarse = generate_lshape(4)
-    asm, ctx = Assembler(coarse, prob), IndicatorContext(coarse, prob)
+    asm_rows = Assembler(coarse, prob).carried()
+    ctx_rows = IndicatorContext(coarse, prob).carried()
     other = refine(coarse, [3])
     moved = replace(coarse, xy=2.0 * coarse.xy)
     for mesh in (generate_lshape(5),        # no parent map
                  refine(other, [0, 7]),     # refined from a finer mesh
                  refine(moved, [3])):       # same triangles, other vertices
         with pytest.raises(ValueError, match="not refined from"):
-            Assembler(mesh, prob, parent=asm)
+            Assembler(mesh, prob, parent=asm_rows)
         with pytest.raises(ValueError, match="not refined from"):
-            IndicatorContext(mesh, prob, parent=ctx)
+            IndicatorContext(mesh, prob, parent=ctx_rows)
+    with pytest.raises(ValueError, match="quadrature degree"):
+        Assembler(other, prob, volume_degree=6, parent=asm_rows)
     with pytest.raises(ValueError, match="another problem"):
-        Assembler(other, problems.reentrant_corner(), parent=asm)
+        Assembler(other, problems.reentrant_corner(), parent=asm_rows)
     with pytest.raises(ValueError, match="another problem"):
-        IndicatorContext(other, problems.reentrant_corner(), parent=ctx)
+        IndicatorContext(other, problems.reentrant_corner(), parent=ctx_rows)
 
 
 def test_compatibility_error_fires_on_a_carried_level():
@@ -341,11 +348,52 @@ def test_compatibility_error_fires_on_a_carried_level():
     assert np.hypot(*(coarse_pts - (x0, y0)).T).min() > 0.02
     prob = replace(base, b=lambda x, y: np.exp(
         -((x - x0) ** 2 + (y - y0) ** 2) / 1e-6))
-    parent = Assembler(coarse, prob)
+    parent = Assembler(coarse, prob).carried()
     with pytest.raises(CompatibilityError, match="incompatible"):
         Assembler(fine, prob, parent=parent)
     with pytest.raises(CompatibilityError, match="incompatible"):
         Assembler(fine, prob)
+
+
+def test_a_levels_setup_is_gone_before_the_next_hierarchy(monkeypatch):
+    """When the loop starts to build a level's multigrid hierarchy, every
+    earlier level's Assembler, hierarchy and IndicatorContext is
+    unreachable: only their carried rows outlive their solves."""
+    made = record_made(monkeypatch, adaptivity, "Assembler",
+                       "IndicatorContext")
+    build, hierarchies, alive = assembly.SmoothedAggregation, [], []
+
+    def checked_build(*args):
+        gc.collect()
+        earlier = made["Assembler"][:-1] + made["IndicatorContext"] \
+            + hierarchies
+        alive.append(sum(ref() is not None for ref in earlier))
+        hierarchy = build(*args)
+        hierarchies.append(weakref.ref(hierarchy))
+        return hierarchy
+
+    monkeypatch.setattr(assembly, "SmoothedAggregation", checked_build)
+    prob = problems.reentrant_corner()
+    states = adaptive_loop(prob, problems.initial_mesh(prob, 4), levels=4)
+    assert len(states) == 4
+    assert alive == [0, 0, 0, 0]
+
+
+def test_adaptive_loop_peak_memory():
+    """The traced peak of a 14-level reentrant-corner loop from N = 10
+    (2 259 triangles at the end), above the built mesh, stays under
+    9.0 MiB: 8.5 MiB when each level's set-up is dropped once its solve
+    returns and only the rows the next level copies are carried; 9.7 MiB
+    when the previous level's whole set-up was alive while the next one
+    was built."""
+    prob = problems.reentrant_corner()
+    mesh = problems.initial_mesh(prob, 10)
+    cfg = SolverConfig(alpha=10.0, stopping="indicator_balance",
+                       initial_guess="darcy")
+    states, peak = traced_peak(
+        lambda: adaptive_loop(prob, mesh, levels=14, solver=cfg))
+    assert states[-1].mesh.n_triangles == 2259
+    assert peak <= 9.0 * 2 ** 20
 
 
 def test_loop_records_setup_time_per_level():

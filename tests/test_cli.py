@@ -374,7 +374,9 @@ def test_malformed_settings_exit_2_before_running(tmp_path, capsys, argv,
             cfg_file.write_text(json.dumps(file_cfg))
         argv = [*argv, str(cfg_file)] if argv[-1] == "--problem" \
             else [*argv, "--config", str(cfg_file)]
-    code, out = _run(tmp_path, *argv, "--N", "3")
+    # uniform-study takes its meshes from --Ns only.
+    mesh = [] if argv[0] == "uniform-study" else ["--N", "3"]
+    code, out = _run(tmp_path, *argv, *mesh)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
@@ -477,6 +479,32 @@ def test_config_with_two_mesh_sources_exits_2(tmp_path, capsys, argv):
     code, out = _run(tmp_path, "solve", "--config", str(cfg), *argv)
     assert code == 2
     assert "one mesh source: N or mesh" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["N-flag", "mesh-flag", "N-key",
+                                    "mesh-key"])
+def test_uniform_study_refuses_a_mesh_source(tmp_path, capsys, source):
+    """uniform-study builds its meshes from --Ns, so an N or a mesh file,
+    as a flag or in a config file, exits 2 with one error line and no
+    outputs, where it used to run the structured meshes and record the
+    ignored source in the manifest."""
+    mesh_file = tmp_path / "m.mesh"
+    mesh_file.write_text(save_mesh(problems.initial_mesh(
+        problems.gaussian_vortex(), 2)))
+    kind, _, where = source.partition("-")
+    value = "3" if kind == "N" else str(mesh_file)
+    if where == "flag":
+        argv = [f"--{kind}", value]
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({kind: value}))
+        argv = ["--config", str(cfg)]
+    code, out = _run(tmp_path, "uniform-study", "--Ns", "3", *argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: uniform-study builds its meshes from Ns")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

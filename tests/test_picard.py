@@ -1,4 +1,5 @@
 import ast
+import gc
 import inspect
 import math
 from dataclasses import FrozenInstanceError, asdict, fields, replace
@@ -20,7 +21,7 @@ from darcyfem.nonlinear_solver import (AlphaDiagnostics, ErrorReport,
 from darcyfem.spaces import (P0VectorField, P1ScalarField, field_mean,
                              lp_norm, p1_gradients)
 
-from conftest import rng_loop, traced_peak
+from conftest import record_made, rng_loop, traced_peak
 from oracles import as_blocks, scatter_schur
 
 
@@ -307,6 +308,29 @@ def test_sweep_rows_are_standalone_solves(monkeypatch):
         err = true_error(m, prob, alone.u, alone.p).relative
         assert np.float64(row.err).tobytes() == np.float64(err).tobytes()
     assert rows[0].vcycle_builds < rows[0].iterations
+
+
+def test_sweep_drops_its_setup_before_the_error_pass(monkeypatch):
+    """When the sweep calls true_error, its Assembler, hierarchy and
+    IndicatorContext are unreachable: the error pass, which sets the
+    sweep's peak, runs beside the solved fields only."""
+    made = record_made(monkeypatch, nonlinear_solver, "Assembler",
+                       "IndicatorContext")
+    made.update(record_made(monkeypatch, assembly, "SmoothedAggregation"))
+    real, alive = nonlinear_solver.true_error, []
+
+    def checked(*args):
+        gc.collect()
+        alive.append({name: [ref() is not None for ref in refs]
+                      for name, refs in made.items()})
+        return real(*args)
+
+    monkeypatch.setattr(nonlinear_solver, "true_error", checked)
+    rows = alpha_sweep(generate_structured(6),
+                       problems.gaussian_vortex(beta=10.0), [8.0, 12.0])
+    assert all(math.isfinite(r.err) for r in rows)
+    assert alive == [{"Assembler": [False], "IndicatorContext": [False],
+                      "SmoothedAggregation": [False]}]
 
 
 def test_sweep_row_order_and_errors_around_a_failed_alpha(monkeypatch):
@@ -654,7 +678,7 @@ def test_iteration_count_with_darcy_guess_matches_reference():
     assert 9 <= res.iterations <= 15
 
 
-def test_error_report_combined_and_relative():
+def test_error_report_relative():
     rep = ErrorReport(u_l2=0.1, u_l3=0.2, grad_p_l32=0.3,
                       exact_u_l3=2.0, exact_grad_p_l32=3.0)
     assert rep.relative == pytest.approx(0.2 / 2.0 + 0.3 / 3.0)
@@ -781,7 +805,7 @@ def test_alpha_star_grows_under_refinement():
     assert stars[0] < stars[1] < stars[2]
 
 
-def test_compute_lifting_minimal_norm():
+def test_lifting_minimal_norm():
     """Any discretely divergence-free perturbation only adds energy."""
     from darcyfem.assembly import deflated_cg
 

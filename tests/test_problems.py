@@ -11,7 +11,7 @@ from darcyfem.nonlinear_solver import true_error
 from darcyfem.spaces import (P0VectorField, P1ScalarField, physical_points,
                              triangle_rule)
 
-from conftest import rng_loop, traced_peak
+from conftest import corner_singularity, rng_loop, traced_peak
 
 
 def test_vortex_velocity_divergence_free():
@@ -149,6 +149,42 @@ def test_corner_k_bounds_against_dense_sampling():
     assert report["K_M"] == pytest.approx(lam_max, rel=0.02)
     assert report["K_m"] >= 0.9
     assert report["K_M"] <= 4.2
+
+
+def test_corner_singularity_is_a_solution():
+    """The manufactured corner solution: grad p is the gradient of p and p
+    is harmonic (so b = 0 is div u), by central differences on points of
+    the L-shape off the corner; the momentum equation holds with K = I;
+    g = u.n vanishes on the two edges at the corner, where rounding may put
+    a point a hair outside the domain; and the assembler's compatibility
+    check passes."""
+    prob = corner_singularity(beta=10.0)
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(0.0, 2.0, size=(2, 4000))
+    keep = ~((x > 0.95) & (y > 0.95)) & (np.hypot(x - 1.0, y - 1.0) > 0.05)
+    x, y = x[keep], y[keep]
+    h = 1e-5
+    px, py = prob.exact_grad_p(x, y)
+    fd_x = (prob.exact_p(x + h, y) - prob.exact_p(x - h, y)) / (2 * h)
+    fd_y = (prob.exact_p(x, y + h) - prob.exact_p(x, y - h)) / (2 * h)
+    assert np.abs(fd_x - px).max() < 1e-6
+    assert np.abs(fd_y - py).max() < 1e-6
+    h = 1e-3
+    lap = (prob.exact_p(x + h, y) + prob.exact_p(x - h, y)
+           + prob.exact_p(x, y + h) + prob.exact_p(x, y - h)
+           - 4.0 * prob.exact_p(x, y)) / h ** 2
+    assert np.abs(lap).max() < 1e-3
+    ux, uy = prob.exact_u(x, y)
+    fx, fy = prob.f(x, y)
+    speed = np.hypot(ux, uy)
+    assert np.allclose(ux + 10.0 * speed * ux + px, fx, rtol=1e-12, atol=0)
+    assert np.allclose(uy + 10.0 * speed * uy + py, fy, rtol=1e-12, atol=0)
+    t = np.linspace(1e-3, 1.0, 50)
+    for one in (1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)):
+        on_x = prob.g(one, 1.0 + t, np.array([1.0, 0.0]))
+        on_y = prob.g(1.0 + t, one, np.array([0.0, 1.0]))
+        assert np.abs(on_x).max() < 1e-12 and np.abs(on_y).max() < 1e-12
+    Assembler(problems.initial_mesh(prob, 8), prob)
 
 
 def test_validate_identity_k():
