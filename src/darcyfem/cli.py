@@ -5,16 +5,18 @@ Five subcommands cover the study workflows: ``solve`` (one mesh, one alpha),
 decay on structured meshes), ``adapt`` (solve-estimate-mark-refine loop) and
 ``diagnostics`` (the alpha bounds computable from the data).
 
-Every run writes ``manifest.json`` echoing the merged configuration plus
-library versions, so a single-threaded rerun from the manifest reproduces
-the CSV outputs byte for byte.  The manifests of ``solve``, ``adapt`` and
-``uniform-study`` also carry the run status (the last level's, for the
+Each subcommand takes only the settings it reads.  Every run writes
+``manifest.json`` echoing them, merged from flags and config file, plus
+library versions, so a single-threaded rerun with the manifest's ``config``
+(less ``command``) as ``--config`` reproduces the CSV, field and
+diagnostics outputs byte for byte.  The manifests of ``solve``, ``adapt``
+and ``uniform-study`` also carry the run status (the last level's, for the
 studies), those of the studies the triangles, outer iterations, CG
-iterations, status and phase timings of every level, and that of ``sweep``
-the status and phase timings of every alpha (``runs``).  Timings stay out
-of the CSV files, so that reruns write the same bytes.  Exit codes: 0
-success, 2 configuration error, 3 numerical failure (details land in
-``error.txt``), 4 the nonlinear iteration of ``solve``, or of the last
+iterations, status and phase timings of every level, and that of
+``sweep`` the status and phase timings of every alpha (``runs``).  Timings
+stay out of the CSV files, so that reruns write the same bytes.  Exit
+codes: 0 success, 2 configuration error, 3 numerical failure (details land
+in ``error.txt``), 4 the nonlinear iteration of ``solve``, or of the last
 ``adapt`` level, did not converge (all outputs are still written).
 """
 from __future__ import annotations
@@ -98,38 +100,43 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with defaults; flags win")
-    common.add_argument("--problem", help="builtin name or JSON problem file")
-    common.add_argument("--beta", type=float)
-    common.add_argument("--N", type=int, dest="n",
-                        help="structured subdivisions for the initial mesh")
-    common.add_argument("--mesh", help="mesh file (alternative to --N)")
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--tol", type=float)
-    common.add_argument("--gamma-tilde", type=float, dest="gamma_tilde")
-    common.add_argument("--max-iter", type=int, dest="max_iter")
-    common.add_argument("--guess", choices=("zero", "darcy"))
-    common.add_argument("--stopping",
-                        choices=("fixed-tol", "indicator-balance"))
-    common.add_argument("--out", help="output directory "
-                        "(default $DARCYFEM_OUT or ./darcyfem-out)")
+    # One parent parser per concern; each command takes the ones it reads.
+    run, mesh, alpha, steps, fixed = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    run.add_argument("--config", help="JSON file with defaults; flags win")
+    run.add_argument("--problem", help="builtin name or JSON problem file")
+    run.add_argument("--beta", type=float)
+    run.add_argument("--out", help="output directory "
+                     "(default $DARCYFEM_OUT or ./darcyfem-out)")
+    mesh.add_argument("--N", type=int, dest="n",
+                      help="structured subdivisions for the initial mesh")
+    mesh.add_argument("--mesh", help="mesh file (alternative to --N)")
+    alpha.add_argument("--alpha", type=float)
+    steps.add_argument("--gamma-tilde", type=float, dest="gamma_tilde")
+    steps.add_argument("--max-iter", type=int, dest="max_iter")
+    fixed.add_argument("--tol", type=float)
+    fixed.add_argument("--guess", choices=("zero", "darcy"))
+    fixed.add_argument("--stopping",
+                       choices=("fixed-tol", "indicator-balance"))
 
-    sub.add_parser("solve", parents=[common],
-                   help="single solve; fields, trace and indicators")
-    sp = sub.add_parser("sweep", parents=[common],
-                        help="iteration counts over an alpha list")
+    def command(name, summary, *parents):
+        # No abbreviations: sweep's --alpha is not its --alphas.
+        return sub.add_parser(name, parents=[run, *parents], help=summary,
+                              allow_abbrev=False)
+
+    command("solve", "single solve; fields, trace and indicators",
+            mesh, alpha, steps, fixed)
+    sp = command("sweep", "iteration counts over an alpha list",
+                 mesh, steps, fixed)
     sp.add_argument("--alphas", help="comma-separated alpha values")
-    up = sub.add_parser("uniform-study", parents=[common],
-                        help="error decay on structured meshes")
+    up = command("uniform-study", "error decay on structured meshes",
+                 alpha, steps, fixed)
     up.add_argument("--Ns", dest="ns", help="comma-separated subdivisions")
-    ap = sub.add_parser("adapt", parents=[common],
-                        help="adaptive refinement loop")
+    ap = command("adapt", "adaptive refinement loop", mesh, alpha, steps)
     ap.add_argument("--levels", type=int)
     ap.add_argument("--theta", type=float)
     ap.add_argument("--marker", choices=("doerfler", "max"))
-    sub.add_parser("diagnostics", parents=[common],
-                   help="alpha bounds computable from the problem data")
+    command("diagnostics", "alpha bounds computable from the data", mesh)
     return top
 
 
@@ -144,8 +151,8 @@ _DEFAULTS = {
     "tol": SolverConfig.tol,
     "gamma_tilde": SolverConfig.gamma_tilde,
     "max_iter": SolverConfig.max_iter,
-    "guess": None,
-    "stopping": None,
+    "guess": "zero",
+    "stopping": "fixed-tol",
     "out": None,
     "alphas": None,
     "ns": None,
@@ -156,13 +163,14 @@ _DEFAULTS = {
 
 
 def merge_config(args: argparse.Namespace) -> dict:
-    """File defaults under flag overrides; flags always win.
+    """File defaults under flag overrides; flags always win.  The keys are
+    those of the command's own flags: any other config key is a ConfigError.
 
     The mesh comes from one source, N or a mesh file: a flag's replaces the
     file's, and the other source is None in the result.  Both as flags, or
-    both in the file, is a ConfigError; so is either for ``uniform-study``,
-    which builds its meshes from Ns."""
-    cfg = dict(_DEFAULTS)
+    both in the file, is a ConfigError."""
+    flags = {k: v for k, v in vars(args).items() if k in _DEFAULTS}
+    cfg = {k: _DEFAULTS[k] for k in flags}
     file_cfg = {}
     if args.config:
         raw = _read_json(args.config, "config")
@@ -171,9 +179,9 @@ def merge_config(args: argparse.Namespace) -> dict:
         for key, val in raw.items():
             k = key.replace("-", "_").lower()
             if k not in cfg:
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ConfigError(f"unknown config key {key!r} "
+                                  f"for {args.command}")
             file_cfg[k] = val
-    flags = {key: getattr(args, key, None) for key in cfg}
     cfg.update(file_cfg)
     cfg.update({k: v for k, v in flags.items() if v is not None})
     used = []
@@ -181,21 +189,9 @@ def merge_config(args: argparse.Namespace) -> dict:
         sources = [k for k in ("n", "mesh") if given.get(k) is not None]
         if len(sources) == 2:
             raise ConfigError(f"give exactly one mesh source: {names}")
-        if sources and args.command == "uniform-study":
-            raise ConfigError(f"uniform-study builds its meshes from Ns; "
-                              f"it takes no {names}")
         used += sources
     if used:
         cfg["mesh" if used[0] == "n" else "n"] = None
-    # adapt always runs from the Darcy start to the indicator balance.
-    fixed = args.command == "adapt"
-    for key, default, mode in (("guess", "zero", "darcy"),
-                               ("stopping", "fixed-tol", "indicator-balance")):
-        asked = cfg[key]
-        if fixed and asked and str(asked).replace("_", "-") != mode:
-            raise ConfigError(f"adapt always runs with {key} {mode!r}, "
-                              f"not {asked!r}")
-        cfg[key] = mode if fixed else asked or default
     cfg["command"] = args.command
     return cfg
 
@@ -218,7 +214,9 @@ class _Settings:
 def _settings(cfg: dict) -> _Settings:
     """Build the solver and marking configs and check every numeric setting
     of ``cfg``.  A value of the wrong type or out of range, including one
-    that a config's own check refuses, is a ConfigError."""
+    that a config's own check refuses, is a ConfigError.  A setting that
+    the command does not take keeps its default, which nothing reads."""
+    cfg = {**_DEFAULTS, **cfg}
     try:
         solver = SolverConfig(
             alpha=number(cfg["alpha"], "alpha"),
@@ -411,7 +409,9 @@ def _cmd_uniform(cfg, run, problem, out):
 def _cmd_adapt(cfg, run, problem, out):
     mesh = _resolve_mesh(cfg, run, problem)
     t0 = time.perf_counter()
-    states = adaptive_loop(problem, levels=run.levels, solver=run.solver,
+    solver = replace(run.solver, initial_guess="darcy",
+                     stopping="indicator_balance")
+    states = adaptive_loop(problem, levels=run.levels, solver=solver,
                            adapt=run.adapt, mesh=mesh)
     t_run = time.perf_counter() - t0
     for s in states:

@@ -205,10 +205,11 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     ``assembler`` and ``context`` may be passed in to reuse the cached
     mesh/data integrals across several solves on the same mesh (the sweep
     below does this); they must have been built for the same mesh and
-    problem.  ``start = (u0, p0)``, element velocities of
-    shape (m, 2) and vertex pressures of shape (n,), is the iterate to start
-    from; it replaces ``config.initial_guess`` (the adaptive loop passes the
-    previous level's solution carried onto the refined mesh).
+    problem objects, or a ValueError names which one differs.
+    ``start = (u0, p0)``, element velocities of shape (m, 2) and vertex
+    pressures of shape (n,), is the iterate to start from; it replaces
+    ``config.initial_guess`` (the adaptive loop passes the previous level's
+    solution carried onto the refined mesh).
 
     Each step solves its pressure inexactly, to the forcing term
     ``CG_FORCING``, from a start projected onto the solve's last
@@ -237,6 +238,10 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     indicators use them, so no step takes the row norms of u_prev again.
     """
     cfg = config or SolverConfig()
+    for name, built in (("assembler", assembler), ("context", context)):
+        for what, own in (("mesh", mesh), ("problem", problem)):
+            if built is not None and getattr(built, what) is not own:
+                raise ValueError(f"the {name} was built for another {what}")
     asm = assembler or Assembler(mesh, problem)
     asm.hierarchy               # built before the indicator set-up exists
     ctx = context or IndicatorContext(mesh, problem)

@@ -205,8 +205,9 @@ def validate(problem: ProblemSpec, mesh: _mesh.Mesh) -> dict:
     (K_m, K_M), sampled in element blocks (which bounds the peak memory;
     the maxima and minima are those of one whole-mesh sampling).  Raises if
     K^-1 is not finite, or not symmetric positive definite, at a sample
-    point.  The compatibility of b and g is checked by
-    :class:`~darcyfem.assembly.Assembler`.
+    point; symmetric means |k12 - k21| <= 1e-12 (|k11| + |k22|), the test
+    the Assembler applies to its K-terms.  The compatibility of b and g is
+    checked by :class:`~darcyfem.assembly.Assembler`.
     """
     rule = triangle_rule(6)
     asym, lam_min, lam_max = 0.0, np.inf, -np.inf
@@ -217,15 +218,17 @@ def validate(problem: ProblemSpec, mesh: _mesh.Mesh) -> dict:
             raise ProblemConfigError("K^-1 is not finite at a sample point")
         # np.maximum and np.minimum keep a nan (of an overflow), which the
         # negated tests below refuse
-        asym = np.maximum(asym, np.abs(kk[0, 1] - kk[1, 0]).max())
+        diag = np.maximum(np.abs(kk[0, 0]) + np.abs(kk[1, 1]),
+                          np.finfo(float).tiny)
+        asym = np.maximum(asym, (np.abs(kk[0, 1] - kk[1, 0]) / diag).max())
         tr = kk[0, 0] + kk[1, 1]
         det = kk[0, 0] * kk[1, 1] - kk[0, 1] * kk[1, 0]
         disc = np.sqrt(np.maximum(tr * tr / 4.0 - det, 0.0))
         lam_min = np.minimum(lam_min, (tr / 2.0 - disc).min())
         lam_max = np.maximum(lam_max, (tr / 2.0 + disc).max())
     if not asym <= 1e-12:
-        raise ProblemConfigError(
-            f"K^-1 is not symmetric (max |k12 - k21| = {asym:.3e})")
+        raise ProblemConfigError(f"K^-1 is not symmetric (max |k12 - k21| / "
+                                 f"(|k11| + |k22|) = {asym:.3e})")
     if not lam_min > 0.0:
         raise ProblemConfigError(
             f"K^-1 is not positive definite (min eigenvalue {lam_min:.3e})")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import darcyfem
-from darcyfem import nonlinear_solver, problems
+from darcyfem import cli, nonlinear_solver, problems
 from darcyfem.cli import main, merge_config, build_parser
 from darcyfem.mesh import save_mesh
 from darcyfem.spaces import load_p0, load_p1
@@ -16,6 +17,14 @@ from darcyfem.spaces import load_p0, load_p1
 def _run(tmp_path, *argv):
     out = tmp_path / "out"
     return main([*argv, "--out", str(out)]), out
+
+
+def _exit_code(tmp_path, *argv) -> int:
+    """The exit code of ``_run``, also when argparse exits."""
+    try:
+        return _run(tmp_path, *argv)[0]
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_solve_writes_expected_outputs(tmp_path, capsys):
@@ -429,6 +438,20 @@ def test_k_inverse_not_spd_exits_2(tmp_path, capsys, argv, k_inverse):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [["diagnostics"], ["solve"],
+                                  ["adapt", "--levels", "2"]],
+                         ids=["diagnostics", "solve", "adapt"])
+def test_k_inverse_symmetric_up_to_rounding_runs(tmp_path, argv):
+    """k12 and k21 differ by 5.8e-11, 2.9e-17 of the diagonal: rounding,
+    which diagnostics accepts as the solves do."""
+    spec = tmp_path / "prob.json"
+    spec.write_text(json.dumps({"k_inverse": [
+        ["1e6", "3e5"], ["(0.1+0.2)*1e6", "1e6"]], "f": ["1", "0"]}))
+    code, out = _run(tmp_path, *argv, "--problem", str(spec), "--N", "4")
+    assert code == 0
+    assert (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("header", ["vertices -1", "vertices 1000000000000000"])
 def test_bad_mesh_count_exits_2(tmp_path, capsys, header):
     mesh_file = tmp_path / "m.mesh"
@@ -485,10 +508,9 @@ def test_config_with_two_mesh_sources_exits_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("source", ["N-flag", "mesh-flag", "N-key",
                                     "mesh-key"])
 def test_uniform_study_refuses_a_mesh_source(tmp_path, capsys, source):
-    """uniform-study builds its meshes from --Ns, so an N or a mesh file,
-    as a flag or in a config file, exits 2 with one error line and no
-    outputs, where it used to run the structured meshes and record the
-    ignored source in the manifest."""
+    """uniform-study builds its meshes from --Ns and takes no mesh source:
+    --N or --mesh is an argparse error, and an N or mesh config key an
+    unknown one.  Each exits 2 with no outputs."""
     mesh_file = tmp_path / "m.mesh"
     mesh_file.write_text(save_mesh(problems.initial_mesh(
         problems.gaussian_vortex(), 2)))
@@ -500,12 +522,14 @@ def test_uniform_study_refuses_a_mesh_source(tmp_path, capsys, source):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({kind: value}))
         argv = ["--config", str(cfg)]
-    code, out = _run(tmp_path, "uniform-study", "--Ns", "3", *argv)
+    code = _exit_code(tmp_path, "uniform-study", "--Ns", "3", *argv)
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: uniform-study builds its meshes from Ns")
-    assert err.count("\n") == 1
-    assert not out.exists()
+    if where == "flag":
+        assert f"unrecognized arguments: --{kind}" in err
+    else:
+        assert err == f"error: unknown config key {kind!r} for uniform-study\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_inline_problem_honours_beta_as_a_problem_file_does(tmp_path):
@@ -643,11 +667,12 @@ def test_sweep_nbr_is_the_step_whose_pressure_solve_raised(
 
 
 def test_adapt_manifest_records_the_run_modes_it_used(tmp_path):
+    """solve records the start and stopping rule it ran with; adapt, which
+    takes neither, records neither."""
     code, out = _run(tmp_path, *_STUDIES["adapt"])
     assert code == 0
     config = json.loads((out / "manifest.json").read_text())["config"]
-    assert config["guess"] == "darcy"
-    assert config["stopping"] == "indicator-balance"
+    assert "guess" not in config and "stopping" not in config
     code, out = _run(tmp_path / "solve", "solve", "--N", "3")
     assert code == 0
     config = json.loads((out / "manifest.json").read_text())["config"]
@@ -667,17 +692,29 @@ def test_adapt_rejects_other_run_modes(tmp_path, request_):
         argv += ["--config", str(cfg_file)]
     else:
         argv += list(request_)
-    code, out = _run(tmp_path, *argv)
-    assert code == 2
-    assert not (out / "study.csv").exists()
+    assert _exit_code(tmp_path, *argv) == 2
+    assert not (tmp_path / "out" / "study.csv").exists()
 
 
-def test_adapt_accepts_its_own_run_modes():
+def test_adapt_runs_from_the_darcy_start_to_the_indicator_balance(
+        tmp_path, monkeypatch):
+    """adapt takes no --guess or --stopping, not even its own modes, and
+    its loop always runs from the Darcy start to the indicator balance."""
     for argv in (["--guess", "darcy"], ["--stopping", "indicator-balance"]):
-        args = build_parser().parse_args(["adapt", *argv])
-        cfg = merge_config(args)
-        assert (cfg["guess"], cfg["stopping"]) \
-            == ("darcy", "indicator-balance")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["adapt", *argv])
+        assert exc.value.code == 2
+    real, solvers = cli.adaptive_loop, []
+
+    def loop(problem, **kw):
+        solvers.append(kw["solver"])
+        return real(problem, **kw)
+
+    monkeypatch.setattr(cli, "adaptive_loop", loop)
+    code, _ = _run(tmp_path, "adapt", "--N", "3", "--levels", "1")
+    assert code == 0
+    assert [(s.initial_guess, s.stopping) for s in solvers] \
+        == [("darcy", "indicator_balance")]
 
 
 def test_distribution_is_named_after_the_package():
@@ -708,3 +745,165 @@ def test_out_env_var_fallback(tmp_path, monkeypatch):
     code = main(["solve", "--N", "3"])
     assert code == 0
     assert (target / "manifest.json").exists()
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    actions = build_parser()._subparsers._group_actions
+    return actions[0].choices[command]
+
+
+# Besides --config, the flags of each subcommand: exactly the settings it
+# reads.
+_FLAGS = {
+    "solve": "--problem --beta --N --mesh --alpha --tol --gamma-tilde "
+             "--max-iter --guess --stopping --out",
+    "sweep": "--problem --beta --N --mesh --alphas --tol --gamma-tilde "
+             "--max-iter --guess --stopping --out",
+    "uniform-study": "--problem --beta --Ns --alpha --tol --gamma-tilde "
+                     "--max-iter --guess --stopping --out",
+    "adapt": "--problem --beta --N --mesh --alpha --gamma-tilde --max-iter "
+             "--levels --theta --marker --out",
+    "diagnostics": "--problem --beta --N --mesh --out",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_each_subcommand_takes_only_the_settings_it_reads(command):
+    options = {option for action in _subparser(command)._actions
+               for option in action.option_strings}
+    assert options - {"-h", "--help", "--config"} \
+        == set(_FLAGS[command].split())
+
+
+# The settings that each subcommand used to take, range-check and echo in
+# its manifest without reading them, each with a valid value.
+_UNREAD = {
+    "solve": ("alphas", "ns", "levels", "theta", "marker"),
+    "sweep": ("alpha", "ns", "levels", "theta", "marker"),
+    "uniform-study": ("alphas", "levels", "theta", "marker"),
+    "adapt": ("tol", "alphas", "ns"),
+    "diagnostics": ("alpha", "tol", "gamma_tilde", "max_iter", "guess",
+                    "stopping", "alphas", "ns", "levels", "theta", "marker"),
+}
+_VALUES = {"alpha": "2", "tol": "1e-6", "gamma_tilde": "0.5", "max_iter": "10",
+           "guess": "darcy", "stopping": "fixed-tol", "alphas": "1,2",
+           "ns": "3", "levels": "2", "theta": "0.5", "marker": "max"}
+# What each subcommand needs to run.
+_BASE = {"solve": ["--N", "3"], "sweep": ["--N", "3", "--alphas", "1"],
+         "uniform-study": ["--Ns", "3"], "adapt": ["--N", "3", "--levels", "1"],
+         "diagnostics": ["--N", "3"]}
+# The unread settings that were flags of their subcommand.
+_UNREAD_FLAGS = [("diagnostics", key) for key in _UNREAD["diagnostics"][:6]] \
+    + [("sweep", "alpha"), ("adapt", "tol")]
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command in _UNREAD for key in _UNREAD[command]],
+    ids=lambda v: v)
+def test_a_setting_the_command_does_not_read_is_an_unknown_key(
+        tmp_path, capsys, command, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: _VALUES[key]}))
+    code, out = _run(tmp_path, command, *_BASE[command], "--config", str(cfg))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown config key {key!r} for {command}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", _UNREAD_FLAGS, ids=lambda v: v)
+def test_a_flag_the_command_does_not_read_is_an_argparse_error(
+        tmp_path, capsys, command, key):
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, command, *_BASE[command], flag, _VALUES[key])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_RERUNS = {
+    "solve": ("solve", "--N", "4", "--beta", "10", "--alpha", "10"),
+    "sweep": ("sweep", "--N", "4", "--alphas", "1,2.3", "--tol", "1e-5",
+              "--guess", "darcy"),
+    "uniform-study": ("uniform-study", "--Ns", "2,4", "--alpha", "2.3"),
+    "adapt": ("adapt", "--problem", "reentrant-corner", "--N", "4",
+              "--levels", "2", "--theta", "0.6", "--max-iter", "50"),
+    "diagnostics": ("diagnostics", "--N", "4", "--beta", "5"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RERUNS))
+def test_a_rerun_from_the_manifest_reproduces_the_outputs(tmp_path, command):
+    """The manifest's ``config``, less ``command``, holds only settings of
+    the subcommand and, given back as ``--config``, writes the same CSV,
+    field and diagnostics bytes."""
+    code, first = _run(tmp_path / "a", *_RERUNS[command])
+    assert code == 0
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    assert config.pop("command") == command
+    assert set(config) <= {action.dest
+                           for action in _subparser(command)._actions}
+    cfg = tmp_path / "manifest-config.json"
+    cfg.write_text(json.dumps(config))
+    code, second = _run(tmp_path / "b", command, "--config", str(cfg))
+    assert code == 0
+    names = sorted(name for name in os.listdir(first) if name.endswith(
+        (".csv", ".p0field", ".p1field", "diagnostics.json")))
+    assert names and names == sorted(
+        name for name in os.listdir(second) if name in names)
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), \
+            name
+
+
+@pytest.mark.parametrize("argv, file_cfg, message", [
+    (["sweep", "--N", "3", "--alphas", " , "], None, "empty alpha list"),
+    (["uniform-study", "--Ns", ","], None, "empty N list"),
+    (["sweep", "--N", "3"], {"alphas": 2.3}, "bad alpha list: 2.3"),
+    (["uniform-study"], {"Ns": {"N": 3}}, "bad N list: {'N': 3}"),
+], ids=["alphas-empty", "Ns-empty", "alphas-bad", "Ns-bad"])
+def test_bad_and_empty_lists_exit_2(tmp_path, capsys, argv, file_cfg,
+                                    message):
+    if file_cfg is not None:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(file_cfg))
+        argv = [*argv, "--config", str(cfg)]
+    code, out = _run(tmp_path, *argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["solve", "--N", "3", "--out", str(blocker / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output directory {str(blocker / 'out')!r} "
+                          f"not writable") and err.count("\n") == 1
+
+
+def test_uniform_study_without_ns_exits_2(tmp_path, capsys):
+    code, out = _run(tmp_path, "uniform-study", "--alpha", "2.3")
+    assert code == 2
+    assert capsys.readouterr().err == "error: uniform-study needs --Ns\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_linear_solver_error_writes_its_residual_history(tmp_path, capsys,
+                                                         monkeypatch):
+    from darcyfem.assembly import Assembler, LinearSolverError
+
+    def failing(self, system, **kw):
+        raise LinearSolverError("injected breakdown", [1.0, 0.25])
+
+    monkeypatch.setattr(Assembler, "solve_pressure", failing)
+    code, out = _run(tmp_path, "solve", "--N", "3")
+    assert code == 3
+    assert (out / "error.txt").read_text() \
+        == "LinearSolverError: injected breakdown\nresidual history:\n" \
+           "  1\n  0.25\n"
+    assert "numerical failure: injected breakdown" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()

@@ -425,3 +425,72 @@ def test_stable_sorts_go_through_stable_sort():
                     outside.append(f"{path.name}:{number}: {line.strip()}")
     assert outside == []
     assert inside > 0          # the scan sees the helper's own fallback
+
+
+# The two-triangle unit square in the text format, one item per line.
+_SQUARE = ["vertices 4", "0 0 1", "1 0 1", "1 1 1", "0 1 1",
+           "triangles 2", "0 1 2", "0 2 3"]
+
+
+@pytest.mark.parametrize("line, text, message", [
+    (1, "vertex 4", "line 1: expected 'vertices <n>'"),
+    (1, "vertices 4 5", "line 1: expected 'vertices <n>'"),
+    (1, "vertices four", "line 1: vertex count is not an integer"),
+    (6, "triangles 2.0", "line 6: triangle count is not an integer"),
+    (6, "tris 2", "line 6: expected 'triangles <m>'"),
+    (3, "1 0", "line 3: vertex 1 needs 'x y boundary_flag'"),
+    (3, "1 0 1 1", "line 3: vertex 1 needs 'x y boundary_flag'"),
+    (2, "0 zero 1", "line 2: vertex 0 is malformed"),
+    (2, "0 0 yes", "line 2: vertex 0 is malformed"),
+    (8, "0 2", "line 8: triangle 1 needs three vertex ids"),
+    (7, "0 1 2.5", "line 7: triangle 0 is malformed"),
+    (9, "0 2 3", "line 9: trailing content after triangle list"),
+    (6, None, "unexpected end of file, expected 'triangles <m>'"),
+], ids=["header-word", "header-fields", "vertex-count", "triangle-count",
+        "triangle-header", "vertex-short", "vertex-long", "vertex-number",
+        "vertex-flag", "triangle-short", "triangle-number", "trailing",
+        "early-end"])
+def test_load_names_the_line_of_a_format_error(line, text, message):
+    """``text`` replaces line ``line`` of the square, or is appended after
+    it; None cuts the file before that line."""
+    lines = list(_SQUARE)
+    if text is None:
+        del lines[line - 1:]
+    elif line > len(lines):
+        lines.append(text)
+    else:
+        lines[line - 1] = text
+    with pytest.raises(msh.MeshFormatError, match=f"^{re.escape(message)}$"):
+        msh.load_mesh("\n".join(lines) + "\n")
+
+
+_XY = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("xy, tris, error, message", [
+    ([[0.0, 0.0, 0.0]] * 4, [[0, 1, 2]], msh.MeshFormatError,
+     "vertex array must have shape (n, 2)"),
+    (_XY, [0, 1, 2], msh.MeshFormatError,
+     "triangle array must have shape (m, 3)"),
+    (_XY, np.empty((0, 3)), msh.MeshConformityError, "mesh has no triangles"),
+    (_XY, [[0, 1, 2], [0, 2, 4]], msh.MeshConformityError,
+     "triangle 1 references a vertex out of range"),
+    (_XY, [[0, 1, 2], [-1, 2, 3]], msh.MeshConformityError,
+     "triangle 1 references a vertex out of range"),
+], ids=["xy-shape", "tris-shape", "empty", "vertex-above", "vertex-below"])
+def test_from_arrays_refuses_bad_arrays(xy, tris, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        msh.from_arrays(xy, tris)
+
+
+@pytest.mark.parametrize("generate", [msh.generate_structured,
+                                      msh.generate_lshape])
+def test_generators_refuse_zero_subdivisions(generate):
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        generate(0)
+
+
+@pytest.mark.parametrize("marked", [[8], [0, -1]], ids=["above", "below"])
+def test_refine_refuses_an_out_of_range_id(marked):
+    with pytest.raises(ValueError, match="^marked triangle id out of range$"):
+        msh.refine(msh.generate_structured(2), marked)

@@ -13,7 +13,8 @@ from darcyfem import (assembly, cli, expressions, indicators, nonlinear_solver,
 from darcyfem.adaptivity import AdaptConfig, LevelRecord, adaptive_loop
 from darcyfem.assembly import Assembler
 from darcyfem.indicators import IndicatorContext
-from darcyfem.mesh import Mesh, generate_lshape, generate_structured
+from darcyfem.mesh import (Mesh, from_arrays, generate_lshape,
+                           generate_structured)
 from darcyfem.nonlinear_solver import (AlphaDiagnostics, ErrorReport,
                                        SolverConfig, _positive_cubic_root,
                                        alpha_diagnostics, alpha_sweep,
@@ -152,6 +153,34 @@ def test_solve_start_checks_shapes_and_replaces_the_guess():
     assert started.trace == from_zero.trace
 
 
+@pytest.mark.parametrize("built", ["assembler", "context"])
+@pytest.mark.parametrize("other, what", [("moved-vertex", "mesh"),
+                                         ("beta-1", "problem"),
+                                         ("N-5", "mesh")])
+def test_solve_refuses_a_setup_for_another_mesh_or_problem(built, other,
+                                                           what):
+    """A set-up built for a same-size mesh with one vertex moved, for beta
+    = 1 or for N = 5 is refused, naming which of the two differs: the first
+    two would run to ``converged`` on the wrong data, the third fail inside
+    numpy."""
+    prob = problems.gaussian_vortex(beta=10.0)
+    m = problems.initial_mesh(prob, 4)
+    setup_mesh, setup_prob = m, prob
+    if other == "moved-vertex":
+        xy = m.xy.copy()
+        xy[12] = (0.55, 0.45)           # the vertex at (0.5, 0.5)
+        setup_mesh = from_arrays(xy, m.tris)
+    elif other == "beta-1":
+        setup_prob = problems.gaussian_vortex(beta=1.0)
+    else:
+        setup_mesh = problems.initial_mesh(prob, 5)
+    build = Assembler if built == "assembler" else IndicatorContext
+    with pytest.raises(ValueError,
+                       match=f"^the {built} was built for another {what}$"):
+        solve(m, prob, SolverConfig(alpha=10.0),
+              **{built: build(setup_mesh, setup_prob)})
+
+
 def _relative_pressure_residual(mesh, problem, res):
     """||G - S p - mean|| / ||G - mean G|| of the final fields, with the
     system rebuilt from ``u_before``, the iterate entering the last step."""
@@ -217,6 +246,7 @@ class _FirstStepLooksBalanced:
 
     def __init__(self, context):
         self.context, self.calls = context, 0
+        self.mesh, self.problem = context.mesh, context.problem
 
     def compute(self, *args):
         self.calls += 1

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from darcyfem import problems, spaces
+from darcyfem import expressions, problems, spaces
 from darcyfem.assembly import Assembler
 from darcyfem.indicators import IndicatorContext
 from darcyfem.mesh import generate_structured
@@ -205,6 +205,26 @@ def test_validate_rejects_non_spd():
         problems.validate(bad, m)
 
 
+@pytest.mark.parametrize("k_inverse, message", [
+    ([["1", "0.5"], ["0", "1"]], "not symmetric"),
+    ([["0", "1"], ["1", "0"]], "not positive definite"),
+], ids=["asymmetric", "zero-diagonal"])
+def test_validate_names_what_k_inverse_is_not(k_inverse, message):
+    bad = problems.problem_from_config({"k_inverse": k_inverse})
+    with pytest.raises(problems.ProblemConfigError, match=message):
+        problems.validate(bad, generate_structured(2))
+
+
+def test_validate_takes_symmetry_relative_to_the_diagonal():
+    """|k12 - k21| = 5.8e-11 is rounding next to a diagonal of 1e6, as the
+    Assembler's K-term test finds too."""
+    spec = problems.problem_from_config({"k_inverse": [
+        ["1e6", "3e5"], ["(0.1+0.2)*1e6", "1e6"]]})
+    report = problems.validate(spec, generate_structured(2))
+    assert report["K_m"] == pytest.approx(0.7e6)
+    assert report["K_M"] == pytest.approx(1.3e6)
+
+
 @pytest.mark.parametrize("entry", ["sqrt(x - 0.5)", "1 / (x - x)"])
 def test_validate_rejects_non_finite_k_inverse(entry):
     """A nan (or an inf, whose eigenvalue bounds come out nan) fails every
@@ -283,6 +303,46 @@ def test_problem_from_config_rejects_bad_expression():
         problems.problem_from_config({"b": "open('x')"})
     with pytest.raises(problems.ProblemConfigError):
         problems.problem_from_config({"mu": -1.0})
+
+
+@pytest.mark.parametrize("src, message", [
+    ("'a'", "unsupported constant 'a'"),
+    ("x + 1j", "unsupported constant 1j"),
+    ("z", "unknown name 'z'"),
+    ("x % 2", "unsupported operator"),
+    ("x // 2", "unsupported operator"),
+    ("~x", "unsupported unary operator"),
+    ("not x", "unsupported unary operator"),
+    ("log(x)", "unsupported function call"),
+    ("sin(x=1)", "keyword arguments are not supported"),
+    ("where(x < 1, 0)", "where() takes exactly three arguments"),
+    ("sin(x, y)", "sin() takes exactly one argument"),
+    ("sqrt()", "sqrt() takes exactly one argument"),
+    ("x < 1", "comparisons are only allowed as the condition of where()"),
+    ("where(0 < x < 1, 1, 0)", "unsupported comparison"),
+    ("where(x == 1, 1, 0)", "unsupported comparison"),
+    ("[x]", "unsupported syntax (List)"),
+    ("1 if x else 0", "unsupported syntax (IfExp)"),
+    ("x +", "cannot parse 'x +'"),
+], ids=["string", "complex", "name", "modulo", "floor-division", "invert",
+        "not", "function", "keyword", "where-arity", "arity-two",
+        "arity-none", "comparison", "chained-comparison", "equality", "list",
+        "conditional", "unparsable"])
+def test_expressions_outside_the_grammar_are_refused(src, message):
+    with pytest.raises(expressions.ExpressionError) as exc:
+        expressions.compile_expression(src)
+    assert str(exc.value).startswith(message)
+    assert repr(src) in str(exc.value)
+
+
+def test_an_unknown_domain_is_refused():
+    with pytest.raises(problems.ProblemConfigError,
+                       match="^unknown domain 'disk'$"):
+        problems.problem_from_config({"domain": "disk"})
+    disk = replace(problems.gaussian_vortex(), domain="disk")
+    with pytest.raises(problems.ProblemConfigError,
+                       match="^unknown domain 'disk'$"):
+        problems.initial_mesh(disk, 4)
 
 
 @pytest.mark.parametrize("spec, message", [

@@ -300,3 +300,17 @@ def test_field_load_rejects_wrong_mesh():
     u = sp.P0VectorField(m2, np.zeros((m2.n_triangles, 2)))
     with pytest.raises(ValueError):
         sp.load_p0(sp.dump_p0(u), m3)
+
+
+@pytest.mark.parametrize("text", [
+    "{kind} {size}\n", "{kind} {size}\n1 2 3\n",
+    "{kind} {size}\n" + "1 2 3\n" * 9])
+@pytest.mark.parametrize("kind", ["p0field", "p1field"])
+def test_field_load_rejects_a_body_that_does_not_match_its_header(kind,
+                                                                 text):
+    m = generate_structured(2)
+    load, size = (sp.load_p0, m.n_triangles) if kind == "p0field" \
+        else (sp.load_p1, m.n_vertices)
+    with pytest.raises(ValueError,
+                       match=f"^{kind} body does not match the header$"):
+        load(text.format(kind=kind, size=size), m)
