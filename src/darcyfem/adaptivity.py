@@ -32,7 +32,8 @@ from .assembly import Assembler, AssemblerRows
 from .indicators import (IndicatorContext, IndicatorRows, effectivity_index,
                          total_relative_indicator)
 from .mesh import Mesh, refine
-from .nonlinear_solver import SolveResult, SolverConfig, solve, true_error
+from .nonlinear_solver import (SolveResult, SolverConfig, check_count, solve,
+                               true_error)
 from .problems import ProblemSpec, initial_mesh
 
 
@@ -169,8 +170,7 @@ def adaptive_loop(problem: ProblemSpec, mesh: Mesh, levels: int = 7,
     not converge is the last one: it is not marked, refined or used as a
     start.
     """
-    if levels < 1:
-        raise ValueError(f"levels must be at least 1, not {levels!r}")
+    check_count(levels, "levels")
     cfg = solver or SolverConfig(stopping="indicator_balance",
                                  initial_guess="darcy")
     acfg = adapt or AdaptConfig()

@@ -298,18 +298,17 @@ class Assembler:
         w = self.rule.weights
 
         # The K-term (mu/rho) INT_k K^-1 dx as (4, m) rows of 2x2 entries
-        if problem.k_constant:
-            kc = eval_k_inverse(problem, np.zeros(1), np.zeros(1))[..., 0]
+        kk = eval_k_inverse(problem, pts[..., 0], pts[..., 1])
+        if kk.ndim == 2:
             self._k_rows = ((problem.mu / problem.rho) * areas) \
-                * kc.reshape(4, 1)
+                * kk.reshape(4, 1)
         else:
-            kk = eval_k_inverse(problem, pts[..., 0], pts[..., 1])
             self._k_rows = carry.start(parent and parent.k_rows, (4, m),
                                        axis=1)
             self._k_rows.reshape(2, 2, m).transpose(2, 0, 1)[rows] = \
                 (problem.mu / problem.rho) \
                 * np.einsum("abmq,q,m->mab", kk, w, areas[rows])
-            del kk
+        del kk
         _check_k_rows(self._k_rows)
 
         fx, fy = sample(pts, problem.f)

@@ -37,7 +37,7 @@ from .adaptivity import AdaptConfig, adaptive_loop, uniform_study
 from .assembly import CompatibilityError, LinearSolverError
 from .mesh import MeshConformityError, MeshFormatError, load_mesh
 from .nonlinear_solver import (SolverConfig, alpha_diagnostics, alpha_sweep,
-                               phase_totals, solve)
+                               check_count, phase_totals, solve)
 from .problems import number
 from .render import render_mesh_svg
 from .spaces import dump_p0, dump_p1
@@ -236,8 +236,7 @@ def _settings(cfg: dict) -> _Settings:
         n = None if cfg["mesh"] is not None else _integer(cfg["n"], "N")
         ns = _list(cfg["ns"], "N", _integer) if cfg["ns"] else None
         beta = None if cfg["beta"] is None else number(cfg["beta"], "beta")
-        if levels < 1:
-            raise ValueError(f"levels must be at least 1, not {levels}")
+        check_count(levels, "levels")
         if (n is not None and n < 1) or min(ns or [1]) < 1:
             raise ValueError("N must be positive")
     except (TypeError, ValueError) as exc:

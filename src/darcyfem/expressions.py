@@ -44,7 +44,9 @@ def _check(node: ast.AST, src: str, in_where: bool = False) -> None:
     if isinstance(node, ast.Expression):
         _check(node.body, src)
     elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        # bool is an int, but True is not a number of the grammar
+        if isinstance(node.value, bool) or \
+                not isinstance(node.value, (int, float)):
             raise ExpressionError(f"unsupported constant {node.value!r} in {src!r}")
     elif isinstance(node, ast.Name):
         if node.id not in ("x", "y") and node.id not in _CONSTANTS:

@@ -166,20 +166,20 @@ class IndicatorContext:
         self.osc_g = np.zeros(m)
         np.add.at(self.osc_g, mesh.edge_tris[edges, 0], osc)
 
-        # permeability samples for the momentum residual
-        if problem.k_constant:
-            self.k_const = eval_k_inverse(
-                problem, np.zeros(1), np.zeros(1))[..., 0]
-            self.k_samples = None
+        # permeability samples for the momentum residual, or the one value
+        # of a constant K^-1
+        rows = carry.sampled
+        rpts = physical_points(mesh, self._res_rule, rows)
+        kk = eval_k_inverse(problem, rpts[..., 0], rpts[..., 1])
+        self.k_const = self.k_samples = None
+        if kk.ndim == 2:
+            self.k_const = kk
         else:
-            rows = carry.sampled
-            rpts = physical_points(mesh, self._res_rule, rows)
-            self.k_const = None
             self.k_samples = carry.start(
                 parent and parent.k_samples,
                 (2, 2, m, self._res_rule.weights.size), axis=2)
-            self.k_samples[:, :, rows] = eval_k_inverse(
-                problem, rpts[..., 0], rpts[..., 1])
+            self.k_samples[:, :, rows] = kk
+        del kk, rpts
 
         self._sqrt_areas = np.sqrt(areas)
         self._b_l3 = mesh.h_tri * np.abs(self.b_means) * np.cbrt(areas)

@@ -467,9 +467,15 @@ def refine(mesh: Mesh, marked: "np.ndarray | list[int]") -> Mesh:
     order, and ``parent[c]`` on the returned mesh is the triangle of ``mesh``
     that child ``c`` came from (an unsplit triangle is its own single child).
     The output is deterministic; with nothing marked it is a copy of
-    ``mesh`` with the identity parent map and no split edges.
+    ``mesh`` with the identity parent map and no split edges.  ``marked``
+    holds triangle ids: a boolean mask, or any other non-integer dtype, is
+    a ValueError.
     """
-    marked = np.asarray(list(marked), dtype=np.int64)
+    marked = np.asarray(list(marked))
+    if marked.size and not np.issubdtype(marked.dtype, np.integer):
+        raise ValueError(f"marked must hold integer triangle ids, "
+                         f"not {marked.dtype}")
+    marked = marked.astype(np.int64, copy=False)
     if marked.size == 0:
         return replace(mesh, parent=np.arange(mesh.n_triangles),
                        split_edges=np.empty((0, 2), dtype=np.int64))

@@ -70,8 +70,8 @@ class SolverConfig:
     discretization indicator, eta_L <= gamma_tilde * eta_D.  Construction
     raises ValueError for a negative or non-finite ``alpha``, a ``tol`` or
     ``gamma_tilde`` that is not finite and positive, and a ``max_iter``
-    below 1.  A config is frozen; ``dataclasses.replace`` gives a changed
-    copy.  The quadrature and the CG tolerance are constants of
+    that is not an integer of at least 1.  A config is frozen;
+    ``dataclasses.replace`` gives a changed copy.  The quadrature and the CG tolerance are constants of
     :mod:`.assembly`; the class attributes ``volume_degree``,
     ``edge_quad_points`` and ``cg_tol`` equal them, and nothing in the
     package reads them.
@@ -102,9 +102,16 @@ class SolverConfig:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, "
                                  f"not {value!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, "
-                             f"not {self.max_iter!r}")
+        check_count(self.max_iter, "max_iter")
+
+
+def check_count(value, what: str) -> None:
+    """Raise ValueError unless ``value`` is an integer (an int, not a bool)
+    of at least 1: a float is refused, so that 2.5 does not run as 2."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{what} must be at least 1, not {value!r}")
 
 
 @dataclass

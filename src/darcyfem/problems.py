@@ -5,7 +5,8 @@ inertia coefficient beta, permeability inverse K^-1) with the data (momentum
 source f, mass source b, normal flux g) and, when available, the exact
 solution used for error reporting.  All data callables are numpy-vectorized:
 scalar data maps point arrays to arrays, vector data returns an (fx, fy)
-pair, and K^-1 returns something broadcastable to shape (2, 2) + x.shape.
+pair, and K^-1 returns one (2, 2) value when it is constant, or else
+values broadcastable to shape (2, 2) + x.shape.
 The boundary flux g takes the outward unit normals as a third argument; see
 :class:`ProblemSpec` for the shapes.
 """
@@ -35,7 +36,9 @@ class ProblemSpec:
     shape (nb, q), one row of q edge quadrature points per boundary edge,
     and ``normal`` is the (2, nb, 1) array of outward unit normals, so
     ``normal[0]`` and ``normal[1]`` broadcast against x and y.  The result
-    must broadcast to x.shape.  Construction raises ProblemConfigError
+    must broadcast to x.shape.  ``k_inverse`` returns one (2, 2) value for
+    a constant K^-1 (see :func:`eval_k_inverse`), else values that
+    broadcast to (2, 2) + x.shape.  Construction raises ProblemConfigError
     unless mu and rho are finite and > 0 and beta is finite and >= 0.
     """
 
@@ -44,11 +47,10 @@ class ProblemSpec:
     mu: float
     rho: float
     beta: float
-    k_inverse: Callable            # (x, y) -> (2, 2)-like
+    k_inverse: Callable            # (x, y) -> (2, 2) or (2, 2) + x.shape
     f: Callable                    # (x, y) -> (fx, fy)
     b: Callable                    # (x, y) -> array
     g: Callable                    # (x, y, normal) -> array
-    k_constant: bool = False       # True when K^-1 does not vary in space
     exact_u: Callable | None = None
     exact_p: Callable | None = None
     exact_grad_p: Callable | None = None
@@ -67,8 +69,12 @@ class ProblemSpec:
 
 
 def eval_k_inverse(problem: ProblemSpec, x, y) -> np.ndarray:
-    """Evaluate K^-1 at points, normalized to shape (2, 2) + x.shape."""
+    """K^-1 at points: one (2, 2) value when the result has no point axis
+    longer than 1 (K^-1 is constant), else the samples broadcast to
+    (2, 2) + x.shape."""
     out = np.asarray(problem.k_inverse(x, y), dtype=float)
+    if max(out.shape[2:], default=1) == 1:
+        return np.broadcast_to(out.reshape(out.shape[:2]), (2, 2))
     return np.broadcast_to(out, (2, 2) + np.shape(x))
 
 
@@ -142,8 +148,7 @@ def gaussian_vortex(beta: float = 1.0, gamma: float = 50.0) -> ProblemSpec:
     return ProblemSpec(
         name="gaussian-vortex", domain="unit-square",
         mu=1.0, rho=1.0, beta=beta,
-        k_inverse=_identity, f=f, b=_zero,
-        g=g, k_constant=True,
+        k_inverse=_identity, f=f, b=_zero, g=g,
         exact_u=exact_u, exact_p=exact_p, exact_grad_p=exact_grad_p)
 
 
@@ -174,7 +179,7 @@ def reentrant_corner(beta: float = 10.0) -> ProblemSpec:
     return ProblemSpec(
         name="reentrant-corner", domain="l-shape",
         mu=1.0, rho=1.0, beta=beta,
-        k_inverse=k_inverse, f=f, b=_zero, g=_no_flux, k_constant=False)
+        k_inverse=k_inverse, f=f, b=_zero, g=_no_flux)
 
 
 def trivial_zero(beta: float = 1.0) -> ProblemSpec:
@@ -183,8 +188,7 @@ def trivial_zero(beta: float = 1.0) -> ProblemSpec:
         name="trivial-zero", domain="unit-square",
         mu=1.0, rho=1.0, beta=beta,
         k_inverse=_identity, f=_zero_pair, b=_zero, g=_no_flux,
-        k_constant=True, exact_u=_zero_pair, exact_p=_zero,
-        exact_grad_p=_zero_pair)
+        exact_u=_zero_pair, exact_p=_zero, exact_grad_p=_zero_pair)
 
 
 BUILTIN_PROBLEMS = {
@@ -244,23 +248,11 @@ _SPEC_KEYS = ("name", "domain", "mu", "rho", "beta", "k_inverse", "f", "b",
               "g", "exact_u", "exact_p", "exact_grad_p")
 
 
-def _scalar(expr):
-    """An expression compiled into an (x, y) function whose values are
-    broadcast to x's shape."""
-    fn = compile_expression(str(expr))
-
-    def scalar(x, y):
-        return np.broadcast_to(fn(x, y), np.shape(x))
-
-    return scalar
-
-
 def _pair(exprs, what: str):
-    """Two expressions compiled into an (x, y) function of a pair, each
-    broadcast to x's shape."""
+    """Two expressions compiled into an (x, y) function of a pair."""
     if not (isinstance(exprs, (list, tuple)) and len(exprs) == 2):
         raise ProblemConfigError(f"{what} must be a pair of expressions")
-    first, second = _scalar(exprs[0]), _scalar(exprs[1])
+    first, second = (compile_expression(str(e)) for e in exprs)
 
     def pair(x, y):
         return first(x, y), second(x, y)
@@ -302,19 +294,22 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
         if not (isinstance(k_cfg, (list, tuple)) and len(k_cfg) == 2):
             raise ProblemConfigError(
                 "k_inverse must be a 2x2 list of expressions")
-        k_rows = [_pair(row, "each row of k_inverse") for row in k_cfg]
+        row0, row1 = (_pair(row, "each row of k_inverse") for row in k_cfg)
 
         def k_inverse(x, y):
-            return np.array([k_rows[0](x, y), k_rows[1](x, y)], dtype=float)
+            # constant when no entry names x or y
+            entries = np.broadcast_arrays(*row0(x, y), *row1(x, y))
+            return np.reshape(entries, (2, 2) + entries[0].shape)
 
-        g_expr = _scalar(cfg.get("g", "0"))
+        g_expr = compile_expression(str(cfg.get("g", "0")))
 
         def g(x, y, normal):
             return g_expr(x, y)
 
         exact_u = _pair(cfg["exact_u"], "exact_u") if "exact_u" in cfg \
             else None
-        exact_p = _scalar(cfg["exact_p"]) if "exact_p" in cfg else None
+        exact_p = compile_expression(str(cfg["exact_p"])) \
+            if "exact_p" in cfg else None
         exact_grad_p = None
         if "exact_grad_p" in cfg:
             exact_grad_p = _pair(cfg["exact_grad_p"], "exact_grad_p")
@@ -332,7 +327,7 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
             rho=number(cfg.get("rho", 1.0), "rho"),
             beta=number(cfg.get("beta", 1.0), "beta"),
             k_inverse=k_inverse, f=_pair(cfg.get("f", ["0", "0"]), "f"),
-            b=_scalar(cfg.get("b", "0")), g=g, k_constant=False,
+            b=compile_expression(str(cfg.get("b", "0"))), g=g,
             exact_u=exact_u, exact_p=exact_p, exact_grad_p=exact_grad_p)
     except ExpressionError as exc:
         raise ProblemConfigError(str(exc)) from None

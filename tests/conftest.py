@@ -239,7 +239,7 @@ def corner_singularity(beta=10.0):
     return problems.ProblemSpec(
         name="corner-singularity", domain="l-shape", mu=1.0, rho=1.0,
         beta=beta, k_inverse=identity, f=f,
-        b=lambda x, y: np.zeros(np.shape(x)), g=g, k_constant=True,
+        b=lambda x, y: np.zeros(np.shape(x)), g=g,
         exact_u=exact_u, exact_p=exact_p, exact_grad_p=grad_p)
 
 
@@ -275,9 +275,7 @@ def random_affine_problem(rng, with_data=True):
     c_b = float(rng.uniform(-1, 1)) if with_data else 0.0
 
     def k_inverse(x, y):
-        shape = np.shape(x)
-        return np.broadcast_to(k.reshape((2, 2) + (1,) * len(shape)),
-                               (2, 2) + shape)
+        return k.reshape((2, 2) + (1,) * np.ndim(x))
 
     def f(x, y):
         return (c_f[0] + c_f[1] * x + c_f[2] * y,
@@ -292,5 +290,11 @@ def random_affine_problem(rng, with_data=True):
 
     return problems.ProblemSpec(
         name="random", domain="unit-square", mu=1.0, rho=1.0,
-        beta=float(rng.uniform(0, 2)), k_inverse=k_inverse, f=f, b=b, g=g,
-        k_constant=True)
+        beta=float(rng.uniform(0, 2)), k_inverse=k_inverse, f=f, b=b, g=g)
+
+
+def k_is_constant(prob):
+    """Whether K^-1 of ``prob`` takes the constant path: one (2, 2) value
+    from ``eval_k_inverse`` at two points."""
+    x, y = np.array([0.25, 0.75]), np.array([0.5, 0.6])
+    return problems.eval_k_inverse(prob, x, y).ndim == 2

@@ -17,13 +17,16 @@ which entries moved and why.  The file holds:
 * ``uniform_study``: the CLI uniform study at N = 4 (beta = 10,
   alpha = 10), whose multigrid hierarchy has a single level: each level's
   manifest figures and its ``study.csv`` values;
-* ``cli``: three more CLI runs.  ``solve`` at N = 4, alpha = 2.3: the
+* ``cli``: four more CLI runs.  ``solve`` at N = 4, alpha = 2.3: the
   ``trace.csv`` rows and the column sums of ``indicators.csv``.  ``sweep``
   at N = 4 over alphas 0.5, 2.3 and 5: the ``sweep.csv`` rows.
   ``problem_file``: a uniform study at N = 4 of ``PROBLEM_FILE``, an
   L-shape with variable K^-1, given ``exact_u`` and ``exact_p`` but not
   ``exact_grad_p``, so that its true error reads the finite-difference
-  gradient: the ``study.csv`` rows;
+  gradient: the ``study.csv`` rows.  ``constant_k_file``: ``solve`` at
+  N = 4 (beta = 10, alpha = 10) of ``CONSTANT_K_FILE``, whose K^-1 entries
+  name neither x nor y, so that it runs the constant K^-1 path: the
+  ``trace.csv`` rows;
 * ``versions``: the numpy and scipy versions the file was written with.
 
 Integers are compared exactly and floats to ``REL_TOL`` relative.
@@ -52,11 +55,21 @@ PROBLEM_FILE = {
     "exact_u": ["y*(2-y)", "x*(2-x)"],
     "exact_p": "x*y - 1",
 }
+CONSTANT_K_FILE = {
+    "name": "constant-k",
+    "k_inverse": [["2", "0.5"], ["0.5", "1"]],
+    "f": ["sin(pi*y)", "cos(pi*x)"],
+}
 CLI_RUNS = {
     "solve": ("solve", "--N", "4", "--alpha", "2.3"),
     "sweep": ("sweep", "--N", "4", "--alphas", "0.5,2.3,5"),
     "problem_file": ("uniform-study", "--Ns", "4", "--beta", "5"),
+    "constant_k_file": ("solve", "--N", "4", "--beta", "10",
+                        "--alpha", "10"),
 }
+# The problem file of each run that reads one.
+PROBLEM_FILES = {"problem_file": PROBLEM_FILE,
+                 "constant_k_file": CONSTANT_K_FILE}
 # CSV columns written as integers; every other column is a float.
 INT_COLUMNS = {"iter", "nbr_cg_iters", "element", "nbr", "converged",
                "level", "vertices", "triangles"}
@@ -118,10 +131,12 @@ def csv_rows(path: Path) -> tuple[list[str], list[list]]:
 def cli_entries(out_dir: Path) -> dict:
     """The CSV values of the runs in ``CLI_RUNS``."""
     from darcyfem.cli import main
-    spec = out_dir / "problem.json"
-    spec.write_text(json.dumps(PROBLEM_FILE))
     for name, argv in CLI_RUNS.items():
-        extra = ("--problem", str(spec)) if name == "problem_file" else ()
+        extra = ()
+        if name in PROBLEM_FILES:
+            spec = out_dir / f"{name}.json"
+            spec.write_text(json.dumps(PROBLEM_FILES[name]))
+            extra = ("--problem", str(spec))
         if main([*argv, *extra, "--out", str(out_dir / name)]) != 0:
             raise RuntimeError(f"the CLI run {name!r} did not exit 0")
     _, indicators = csv_rows(out_dir / "solve" / "indicators.csv")
@@ -130,7 +145,9 @@ def cli_entries(out_dir: Path) -> dict:
                                          in list(zip(*indicators))[1:]]},
             "sweep": csv_rows(out_dir / "sweep" / "sweep.csv")[1],
             "problem_file": csv_rows(out_dir / "problem_file"
-                                     / "study.csv")[1]}
+                                     / "study.csv")[1],
+            "constant_k_file": csv_rows(out_dir / "constant_k_file"
+                                        / "trace.csv")[1]}
 
 
 def outputs(tables: dict, out_dir: Path) -> dict:

@@ -17,7 +17,7 @@ from darcyfem.nonlinear_solver import SolverConfig
 from darcyfem.spaces import (SAMPLE_BLOCK, ElementCarry, physical_points,
                              triangle_rule)
 
-from conftest import record_made, rng_loop, traced_peak
+from conftest import k_is_constant, record_made, rng_loop, traced_peak
 from oracles import doerfler_prefix_bruteforce
 
 
@@ -35,6 +35,15 @@ def test_adaptive_loop_rejects_no_levels():
     with pytest.raises(ValueError, match="levels"):
         adaptive_loop(problems.gaussian_vortex(), generate_structured(2),
                       levels=0)
+
+
+@pytest.mark.parametrize("levels", [2.5, True])
+def test_adaptive_loop_refuses_levels_that_are_not_integers(levels):
+    """2.5 would fail in range() after the first set-up, and True would
+    run one level."""
+    with pytest.raises(ValueError, match="^levels must be an integer"):
+        adaptive_loop(problems.gaussian_vortex(), generate_structured(2),
+                      levels=levels)
 
 
 def test_mark_theta_one_marks_all_positive():
@@ -263,7 +272,7 @@ def test_carried_setup_has_the_bytes_of_a_fresh_build(corner_budget_runs,
     prob = {"corner": problems.reentrant_corner,
             "rough": lambda: _rough("0"),
             "rough_b": lambda: _rough("sin(7*x*y) + x")}[data]()
-    assert not prob.k_constant
+    assert not k_is_constant(prob)
     asm_rows = ctx_rows = None
     new_children = []
     for state in states:

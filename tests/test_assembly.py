@@ -21,7 +21,7 @@ from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
                               project_mean_zero, row_norms)
 
 from conftest import random_affine_problem as _random_problem
-from conftest import drag, rng_loop, traced_peak
+from conftest import drag, k_is_constant, rng_loop, traced_peak
 from oracles import (DivergenceCoupling, argsort_product_map, as_blocks,
                      assemble_step, coo_flux, element_matrices,
                      dense_projected_start, dense_step_solve, einsum_schur,
@@ -188,7 +188,7 @@ def test_schur_is_byte_identical_to_einsum(case):
         weights = rng.standard_normal((4, asm.mesh.n_triangles))
     else:
         prob = problems.reentrant_corner(beta=10.0)
-        assert not prob.k_constant
+        assert not k_is_constant(prob)
         asm = Assembler(_graded_lshape(), prob)
         rng = np.random.default_rng(13)
         weights = asm.element_blocks(drag(
@@ -359,31 +359,37 @@ def test_compatibility_rejects_non_finite_data(data):
         Assembler(generate_structured(2), bad)
 
 
-@pytest.mark.parametrize("k_constant", [False, True])
-def test_assembler_rejects_a_non_finite_k_term(k_constant):
-    """A K^-1 that is nan at a quadrature point (or, for a constant K^-1,
-    at the origin) is a configuration error, raised before any solve."""
-    prob = replace(problems.problem_from_config(
-        {"k_inverse": [["sqrt(x - 0.5)", "0"], ["0", "1"]]}),
-        k_constant=k_constant)
+@pytest.mark.parametrize("constant", [False, True])
+def test_assembler_rejects_a_non_finite_k_term(constant):
+    """A K^-1 that is nan at a quadrature point, or a constant nan K^-1, is
+    a configuration error, raised before any solve."""
+    entry = "sqrt(-1)" if constant else "sqrt(x - 0.5)"
+    prob = problems.problem_from_config(
+        {"k_inverse": [[entry, "0"], ["0", "1"]]})
+    assert k_is_constant(prob) == constant
     with np.errstate(invalid="ignore"), \
             pytest.raises(problems.ProblemConfigError, match=r"K\^-1"):
         Assembler(generate_structured(4), prob)
 
 
-@pytest.mark.parametrize("k_constant", [False, True])
+@pytest.mark.parametrize("constant", [False, True])
 @pytest.mark.parametrize("k_inverse, what", [
     ([["1", "0.9"], ["0", "1"]], "symmetric"),
     ([["-1", "0"], ["0", "1"]], "positive definite"),
     ([["1", "2"], ["2", "1"]], "positive definite"),
 ])
-def test_assembler_rejects_a_k_term_that_is_not_spd(k_constant, k_inverse,
+def test_assembler_rejects_a_k_term_that_is_not_spd(constant, k_inverse,
                                                     what):
     """A K-term (mu/rho) INT_k K^-1 dx that is not symmetric, or not
     positive definite, is a configuration error naming the element, raised
-    before any solve, on the constant and the variable K^-1 path."""
-    prob = replace(problems.problem_from_config(
-        {"k_inverse": k_inverse, "f": ["1", "0"]}), k_constant=k_constant)
+    before any solve, on the constant and the variable K^-1 path (an entry
+    naming x takes the variable one)."""
+    if not constant:
+        k_inverse = [k_inverse[0], [k_inverse[1][0] + " + 0*x",
+                                    k_inverse[1][1]]]
+    prob = problems.problem_from_config(
+        {"k_inverse": k_inverse, "f": ["1", "0"]})
+    assert k_is_constant(prob) == constant
     with pytest.raises(problems.ProblemConfigError,
                        match=f"K\\^-1 dx is not {what} on element 0$"):
         Assembler(generate_structured(4), prob)
@@ -704,7 +710,7 @@ def test_true_residual_of_returned_pressure(case):
     else:
         prob = problems.reentrant_corner(beta=10.0)
         mesh = _graded_lshape()
-        assert not prob.k_constant
+        assert not k_is_constant(prob)
     asm, system = _first_step(mesh, prob)
     p, _ = asm.solve_pressure(system)
     assert len(asm.hierarchy.sizes) > 2

@@ -336,6 +336,7 @@ _MALFORMED_SPECS = {
     "k-inverse-number": {"k_inverse": 5},
     "k-inverse-one-row": {"k_inverse": [["1", "0"]]},
     "unknown-key": {"exact_grad": ["0", "0"]},
+    "f-bool": {"f": ["x + True", "0"]},
 }
 
 

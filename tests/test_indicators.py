@@ -14,7 +14,8 @@ from darcyfem.nonlinear_solver import SolverConfig, relative_increment, solve
 from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
                              row_norms)
 
-from conftest import indicators_of, refine_uniform, rng_loop, traced_peak
+from conftest import (indicators_of, k_is_constant, refine_uniform, rng_loop,
+                      traced_peak)
 from oracles import (edge_flux, einsum_gradients, einsum_recover,
                      interior_edges, step_error, step_indicators,
                      whole_data_means)
@@ -418,7 +419,7 @@ def test_variable_k_residual_has_the_bytes_of_the_einsum_form(viscosity):
     prob, m = _step_cases()["corner"]
     if viscosity is not None:
         prob = replace(prob, mu=viscosity[0], rho=viscosity[1])
-    assert not prob.k_constant
+    assert not k_is_constant(prob)
     alpha = 10.0
     asm = Assembler(m, prob)
     ctx = IndicatorContext(m, prob)

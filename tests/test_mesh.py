@@ -490,6 +490,19 @@ def test_generators_refuse_zero_subdivisions(generate):
         generate(0)
 
 
+def test_refine_refuses_a_mask_or_non_integer_ids():
+    """A boolean mask that marks only the last triangle would be cast to
+    the ids 0 and 1 and refine those; it, and float ids, are refused."""
+    mesh = msh.generate_structured(4)
+    mask = np.zeros(mesh.n_triangles, dtype=bool)
+    mask[-1] = True
+    for marked in (mask, [1.0, 2.0]):
+        with pytest.raises(ValueError, match="integer triangle ids"):
+            msh.refine(mesh, marked)
+    assert msh.refine(mesh, np.flatnonzero(mask)).parent[-2:].tolist() \
+        == [mesh.n_triangles - 1] * 2
+
+
 @pytest.mark.parametrize("marked", [[8], [0, -1]], ids=["above", "below"])
 def test_refine_refuses_an_out_of_range_id(marked):
     with pytest.raises(ValueError, match="^marked triangle id out of range$"):

@@ -22,7 +22,7 @@ from darcyfem.nonlinear_solver import (AlphaDiagnostics, ErrorReport,
 from darcyfem.spaces import (P0VectorField, P1ScalarField, field_mean,
                              lp_norm, p1_gradients)
 
-from conftest import record_made, rng_loop, traced_peak
+from conftest import k_is_constant, record_made, rng_loop, traced_peak
 from oracles import as_blocks, scatter_schur
 
 
@@ -37,6 +37,7 @@ def test_solver_config_rejects_unknown_modes():
     {"alpha": -1.0}, {"alpha": math.inf}, {"alpha": math.nan},
     {"tol": 0.0}, {"tol": math.inf}, {"gamma_tilde": -1e-3},
     {"gamma_tilde": math.nan}, {"gamma_tilde": 0.0}, {"max_iter": 0},
+    {"max_iter": 2.5}, {"max_iter": True},
 ])
 def test_solver_config_rejects_out_of_range_settings(setting):
     with pytest.raises(ValueError, match=next(iter(setting))):
@@ -420,7 +421,7 @@ def test_a_constant_k_step_takes_five_row_norms(monkeypatch):
     momentum residual, of u_new, of grad p_new and of the gradient change:
     the convective weights of u_prev come from the previous step."""
     prob = problems.gaussian_vortex(beta=10.0)
-    assert prob.k_constant
+    assert k_is_constant(prob)
     m = generate_structured(6)
     calls = [0]
     real = spaces.row_norms

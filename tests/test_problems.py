@@ -7,7 +7,7 @@ from darcyfem import expressions, problems, spaces
 from darcyfem.assembly import Assembler
 from darcyfem.indicators import IndicatorContext
 from darcyfem.mesh import generate_structured
-from darcyfem.nonlinear_solver import true_error
+from darcyfem.nonlinear_solver import SolverConfig, solve, true_error
 from darcyfem.spaces import (P0VectorField, P1ScalarField, physical_points,
                              triangle_rule)
 
@@ -296,6 +296,60 @@ def test_problem_from_config_piecewise():
     assert np.allclose(np.asarray(fx), [-2.0, 0.0])
 
 
+def _file_k(k21):
+    """A problem file's K^-1 [[2, 0.3], [k21, 1.5]] with mu/rho = 1/4."""
+    return problems.problem_from_config(
+        {"mu": 0.5, "rho": 2.0, "k_inverse": [["2", "0.3"], [k21, "1.5"]]})
+
+
+def test_a_file_k_inverse_of_constants_is_one_value():
+    """K^-1 entries that name neither x nor y give one (2, 2) value: the
+    IndicatorContext keeps it as ``k_const``, and the Assembler's K-term is
+    (mu/rho) |k| K^-1 on every element."""
+    prob, m = _file_k("0.3"), generate_structured(4)
+    k = np.array([[2.0, 0.3], [0.3, 1.5]])
+    assert problems.eval_k_inverse(prob, np.ones(3), np.ones(3)).shape \
+        == (2, 2)
+    ctx = IndicatorContext(m, prob)
+    assert ctx.k_samples is None and np.array_equal(ctx.k_const, k)
+    assert np.array_equal(Assembler(m, prob)._k_rows,
+                          (0.25 * m.areas) * k.reshape(4, 1))
+
+
+def test_a_file_k_inverse_naming_x_is_sampled():
+    """One entry that names x (here "0.3 + 0*x") puts the same K^-1 on the
+    sampled path: ``k_samples`` holds it at every residual point, and the
+    K-term agrees with the constant one to rounding."""
+    prob, m = _file_k("0.3 + 0*x"), generate_structured(4)
+    k = np.array([[2.0, 0.3], [0.3, 1.5]])
+    ctx = IndicatorContext(m, prob)
+    assert ctx.k_const is None
+    assert ctx.k_samples.shape[:3] == (2, 2, m.n_triangles)
+    assert np.array_equal(ctx.k_samples,
+                          np.broadcast_to(k[:, :, None, None],
+                                          ctx.k_samples.shape))
+    assert np.allclose(Assembler(m, prob)._k_rows,
+                       (0.25 * m.areas) * k.reshape(4, 1),
+                       rtol=1e-14, atol=0.0)
+
+
+def test_a_python_k_inverse_of_one_value_solves_as_the_builtin():
+    """A Python K^-1 that returns np.eye(2) is constant and solves the
+    gaussian vortex to the bytes of the builtin, whose K^-1 returns the
+    identity with unit point axes."""
+    builtin = problems.gaussian_vortex(beta=10.0)
+    eye = replace(builtin, k_inverse=lambda x, y: np.eye(2))
+    m = generate_structured(6)
+    cfg = SolverConfig(alpha=10.0)
+    want, got = solve(m, builtin, cfg), solve(m, eye, cfg)
+    assert got.iterations == want.iterations
+    assert got.cg_total == want.cg_total
+    for name in ("u", "p"):
+        assert getattr(got, name).values.tobytes() \
+            == getattr(want, name).values.tobytes(), name
+    assert got.indicators.eta_d.tobytes() == want.indicators.eta_d.tobytes()
+
+
 def test_problem_from_config_rejects_bad_expression():
     with pytest.raises(problems.ProblemConfigError):
         problems.problem_from_config({"f": ["__import__('os')", "0"]})
@@ -324,10 +378,12 @@ def test_problem_from_config_rejects_bad_expression():
     ("[x]", "unsupported syntax (List)"),
     ("1 if x else 0", "unsupported syntax (IfExp)"),
     ("x +", "cannot parse 'x +'"),
+    ("x + True", "unsupported constant True"),
+    ("where(x < 1, True, False)", "unsupported constant True"),
 ], ids=["string", "complex", "name", "modulo", "floor-division", "invert",
         "not", "function", "keyword", "where-arity", "arity-two",
         "arity-none", "comparison", "chained-comparison", "equality", "list",
-        "conditional", "unparsable"])
+        "conditional", "unparsable", "bool", "bool-where"])
 def test_expressions_outside_the_grammar_are_refused(src, message):
     with pytest.raises(expressions.ExpressionError) as exc:
         expressions.compile_expression(src)
