@@ -59,9 +59,13 @@ def mark(eta: np.ndarray, theta: float = AdaptConfig.theta,
 
     Ties are broken toward lower element ids so marking is deterministic.
     Returns a sorted array of element indices; empty when all indicators
-    vanish.
+    vanish.  Raises ValueError for a ``theta`` or ``marker`` that
+    :class:`AdaptConfig` refuses, and for a non-finite indicator.
     """
+    AdaptConfig(theta, marker)
     eta = np.asarray(eta, dtype=float)
+    if not np.isfinite(eta).all():
+        raise ValueError("the indicators must be finite")
     sq = eta ** 2
     total = float(sq.sum())
     if total == 0.0:
@@ -203,11 +207,15 @@ def adaptive_loop(problem: ProblemSpec, mesh: Mesh, levels: int = 7,
 
 def uniform_study(problem: ProblemSpec, ns, solver: SolverConfig | None = None
                   ) -> list[LevelState]:
-    """Solve on a family of structured meshes (one per subdivision count)."""
+    """Solve on a family of structured meshes (one per subdivision count,
+    each an integer of at least 1; all are checked before the first
+    solve)."""
+    for n in ns:
+        check_count(n, "subdivision count")
     cfg = solver or SolverConfig(initial_guess="darcy")
     states = []
     for i, n in enumerate(ns):
-        m = initial_mesh(problem, int(n))
+        m = initial_mesh(problem, n)
         asm, ctx, setup_s = _setup(m, problem)
         result = solve(m, problem, cfg, assembler=asm, context=ctx)
         del asm, ctx
@@ -215,39 +223,3 @@ def uniform_study(problem: ProblemSpec, ns, solver: SolverConfig | None = None
                                  record=_record_level(i, m, problem, result),
                                  setup_s=setup_s))
     return states
-
-
-def pick_by_budget(records: list[LevelRecord], budget: int) -> LevelRecord | None:
-    """Last record whose vertex count fits the budget (None if none do)."""
-    fitting = [r for r in records if r.vertices <= budget]
-    return fitting[-1] if fitting else None
-
-
-@dataclass
-class BudgetComparison:
-    """Best adaptive and uniform records under one vertex budget."""
-
-    budget: int
-    adaptive: LevelRecord | None
-    uniform: LevelRecord | None
-
-    def measure(self, record: LevelRecord) -> float:
-        """Comparison quantity: the true relative error when a reference
-        solution exists, the relative total indicator otherwise."""
-        return record.err if math.isfinite(record.err) else record.e_tot
-
-    @property
-    def adaptive_wins(self) -> bool:
-        if self.adaptive is None or self.uniform is None:
-            return False
-        return self.measure(self.adaptive) < self.measure(self.uniform)
-
-
-def compare_adaptive_uniform(adaptive_records: list[LevelRecord],
-                             uniform_records: list[LevelRecord],
-                             budgets) -> list[BudgetComparison]:
-    """Line up the two refinement strategies at matched vertex budgets."""
-    return [BudgetComparison(budget=int(b),
-                             adaptive=pick_by_budget(adaptive_records, int(b)),
-                             uniform=pick_by_budget(uniform_records, int(b)))
-            for b in budgets]

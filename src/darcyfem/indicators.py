@@ -26,19 +26,16 @@ from .assembly import VOLUME_DEGREE
 from .mesh import Mesh
 from .problems import ProblemSpec, eval_k_inverse
 from .spaces import (
-    ERROR_QUAD_DEGREE,
     ElementCarry,
     P0VectorField,
     P1ScalarField,
     boundary_samples,
-    element_lp,
     gradient_lp_norm,
     lp_norm,
     physical_points,
     quadrature_sums,
     row_norms,
     sample,
-    sample_blocks,
     triangle_rule,
 )
 
@@ -46,8 +43,6 @@ from .spaces import (
 # rule and 8 Gauss points per boundary edge.
 OSCILLATION_DEGREE = 10
 EDGE_QUAD_POINTS = 8
-# Relative and absolute rounding slack of lower_bound_check's comparison.
-LOWER_BOUND_SLACK = 1e-10
 
 
 @dataclass
@@ -283,49 +278,6 @@ def effectivity_index(ind: ElementIndicators, u_exact_err_l3: float,
     if err == 0.0:
         return float("inf") if estimated > 0.0 else 0.0
     return estimated / err
-
-
-@dataclass
-class LowerBoundReport:
-    """Elementwise check of eta_L against the two-sided velocity error."""
-
-    eta_l: np.ndarray
-    bound: np.ndarray            # ||u - u_prev||_L2(k) + ||u - u_new||_L2(k)
-    ok: np.ndarray
-
-    @property
-    def all_ok(self) -> bool:
-        return bool(self.ok.all())
-
-
-def lower_bound_check(mesh: Mesh, problem: ProblemSpec,
-                      u_new: P0VectorField,
-                      u_prev: P0VectorField) -> LowerBoundReport:
-    """Verify eta_L_k <= ||u - u_prev||_L2(k) + ||u - u_new||_L2(k), up to
-    ``LOWER_BOUND_SLACK``, with the errors on the ``ERROR_QUAD_DEGREE`` rule.
-
-    A triangle inequality, so it holds for any pair of iterates; running it
-    guards the indicator's scaling against regressions.  Needs the problem's
-    reference velocity.
-    """
-    if problem.exact_u is None:
-        raise ValueError(f"problem {problem.name!r} has no reference velocity")
-    rule = triangle_rule(ERROR_QUAD_DEGREE)
-    # Per-element squared errors of u_new and u_prev, sampled block by
-    # block to bound the peak memory.
-    sq = np.empty((2, mesh.n_triangles))
-    for blk in sample_blocks(mesh):
-        ux, uy = sample(physical_points(mesh, rule, blk), problem.exact_u)
-        for i, u in enumerate((u_new, u_prev)):
-            sq[i, blk] = element_lp(mesh, rule, ux - u.values[blk, None, 0],
-                                    uy - u.values[blk, None, 1], 2.0, blk)
-    err_new, err_prev = sq ** (1.0 / 2.0)
-    eta_l = np.sqrt(mesh.areas) * np.linalg.norm(
-        u_new.values - u_prev.values, axis=1)
-    bound = err_prev + err_new
-    return LowerBoundReport(eta_l=eta_l, bound=bound,
-                            ok=eta_l <= bound * (1.0 + LOWER_BOUND_SLACK)
-                            + LOWER_BOUND_SLACK)
 
 
 def total_relative_indicator(ind: ElementIndicators, u: P0VectorField,

@@ -71,10 +71,10 @@ class SolverConfig:
     raises ValueError for a negative or non-finite ``alpha``, a ``tol`` or
     ``gamma_tilde`` that is not finite and positive, and a ``max_iter``
     that is not an integer of at least 1.  A config is frozen;
-    ``dataclasses.replace`` gives a changed copy.  The quadrature and the CG tolerance are constants of
-    :mod:`.assembly`; the class attributes ``volume_degree``,
-    ``edge_quad_points`` and ``cg_tol`` equal them, and nothing in the
-    package reads them.
+    ``dataclasses.replace`` gives a changed copy.  The quadrature and the
+    CG tolerance are constants of :mod:`.assembly`; the class attributes
+    ``volume_degree``, ``edge_quad_points`` and ``cg_tol`` equal them, and
+    nothing in the package reads them.
     """
 
     alpha: float = 1.0
@@ -83,7 +83,6 @@ class SolverConfig:
     max_iter: int = 2000
     initial_guess: str = "zero"          # "zero" | "darcy"
     stopping: str = "fixed_tol"          # "fixed_tol" | "indicator_balance"
-    keep_iterates: bool = False
 
     volume_degree: ClassVar[int] = VOLUME_DEGREE
     edge_quad_points: ClassVar[int] = LOAD_EDGE_POINTS
@@ -157,7 +156,6 @@ class SolveResult:
     cg_total: int
     status: str                  # "converged" | "max_iter" | "nonfinite"
     vcycle_builds: int           # V-cycles built, the Darcy start's included
-    iterates: list[np.ndarray] | None = None
 
 
 def _l3(areas, a):
@@ -275,7 +273,6 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     if system is not None:      # the Darcy start's velocity
         u_prev = asm.recover_velocity(system, g_prev)
 
-    iterates = [u_prev.values.copy()] if cfg.keep_iterates else None
     trace: list[TraceRow] = []
     cg_total = 0
     converged = False
@@ -361,8 +358,6 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
             err_l, ind.eta_l_total, ind.eta_d_total
         row.cg_iters = cg_it
         trace.append(row)
-        if iterates is not None:
-            iterates.append(u_new.values.copy())
         if converged or not math.isfinite(err_l) or it == cfg.max_iter:
             break
         if PROJECTION_DEPTH > 0:
@@ -382,8 +377,7 @@ def solve(mesh: Mesh, problem: ProblemSpec, config: SolverConfig | None = None,
     return SolveResult(u=u_new, p=p_new, u_before=u_prev, converged=converged,
                        iterations=len(trace), err_l=err_l, indicators=ind,
                        trace=trace, alpha=cfg.alpha, cg_total=cg_total,
-                       status=status, vcycle_builds=builds,
-                       iterates=iterates)
+                       status=status, vcycle_builds=builds)
 
 
 # ---------------------------------------------------------------------------

@@ -205,10 +205,6 @@ class P0VectorField:
     mesh: Mesh
     values: np.ndarray          # (m, 2)
 
-    @classmethod
-    def zero(cls, mesh: Mesh) -> "P0VectorField":
-        return cls(mesh, np.zeros((mesh.n_triangles, 2)))
-
     def magnitudes(self) -> np.ndarray:
         return row_norms(self.values)
 
@@ -219,10 +215,6 @@ class P1ScalarField:
 
     mesh: Mesh
     values: np.ndarray          # (n,)
-
-    @classmethod
-    def zero(cls, mesh: Mesh) -> "P1ScalarField":
-        return cls(mesh, np.zeros(mesh.n_vertices))
 
 
 def field_mean(field: P1ScalarField) -> float:

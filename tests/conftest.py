@@ -16,8 +16,9 @@ import pytest
 
 from darcyfem import problems
 from darcyfem.adaptivity import adaptive_loop, uniform_study
+from darcyfem.indicators import IndicatorContext
 from darcyfem.mesh import refine
-from darcyfem.nonlinear_solver import SolverConfig, alpha_sweep
+from darcyfem.nonlinear_solver import SolverConfig, alpha_sweep, solve
 from darcyfem.spaces import p1_gradients, row_norms
 
 TABLE1_ALPHAS = [0.001, 0.01, 0.1, 1, 1.4, 1.9, 2.1, 2.3, 2.5, 2.7,
@@ -174,6 +175,38 @@ def indicators_of(ctx, u_new, u_prev, p_new, alpha):
     pr = ctx.problem
     conv = (pr.beta / pr.rho) * row_norms(u_prev.values)
     return ctx.compute(u_new, u_prev, alpha, p1_gradients(p_new), conv)
+
+
+def within_budget(records, budget):
+    """The last of ``records`` whose vertex count fits ``budget``, or None
+    if none does."""
+    fitting = [r for r in records if r.vertices <= budget]
+    return fitting[-1] if fitting else None
+
+
+class _RecordingContext:
+    """Indicator context that records the velocity each step starts from.
+    Step k passes iterate k - 1 as ``u_prev`` to both of its evaluations,
+    so a ``u_prev`` is recorded when it is not the one seen last."""
+
+    def __init__(self, context):
+        self.context, self.recorded, self.seen = context, [], None
+        self.mesh, self.problem = context.mesh, context.problem
+
+    def compute(self, u_new, u_prev, *args):
+        if u_prev is not self.seen:
+            self.seen = u_prev
+            self.recorded.append(u_prev.values.copy())
+        return self.context.compute(u_new, u_prev, *args)
+
+
+def solve_with_iterates(mesh, problem, config=None, context=None):
+    """``solve``, and the velocity iterates it went through: the start
+    first and ``res.u`` last.  ``context``, if given, is the indicator
+    context to record through."""
+    rec = _RecordingContext(context or IndicatorContext(mesh, problem))
+    res = solve(mesh, problem, config, context=rec)
+    return res, rec.recorded + [res.u.values]
 
 
 def traced_peak(fn):

@@ -13,7 +13,8 @@ SciPy SpGEMM build of the hierarchy, the aggregation loop with one neighbour
 list per vertex and the ``np.unique`` + ``bincount``
 scatter of the Schur matrix, which the maps of :mod:`darcyfem.multigrid`
 replaced; the norms section keeps the ``np.hypot`` norms and the per-call
-vertex weights that the sampled norms and the mesh's cache replaced; the
+vertex weights that the sampled norms and the mesh's cache replaced, and
+a per-element L2 velocity error against the reference solution; the
 per-level set-up section keeps the sparse products that formed the
 prolongators, the ``np.subtract.at`` load vector and the COO flux matrix,
 which index arithmetic replaced, and the stable-argsort and ``searchsorted``
@@ -31,8 +32,9 @@ from darcyfem.assembly import CG_TOL, LOAD_EDGE_POINTS, Assembler
 from darcyfem.indicators import OSCILLATION_DEGREE
 from darcyfem.mesh import MeshConformityError
 from darcyfem.multigrid import MAX_COARSE, STRENGTH_THETA, Pattern, _aggregate
-from darcyfem.spaces import (boundary_samples, physical_points,
-                             quadrature_sums, sample, triangle_rule)
+from darcyfem.spaces import (ERROR_QUAD_DEGREE, boundary_samples,
+                             physical_points, quadrature_sums, sample,
+                             triangle_rule)
 
 GL4_T = np.array([0.069431844202974, 0.330009478207572,
                   0.669990521792428, 0.930568155797026])
@@ -618,6 +620,15 @@ def hypot_element_lp(mesh, rule, vx, vy, p, elements=slice(None)):
     the power p, the form that ``(vx^2 + vy^2)^(p/2)`` replaced."""
     return quadrature_sums(np.hypot(vx, vy) ** p, rule.weights) \
         * mesh.areas[elements]
+
+
+def element_l2_error(mesh, problem, u_values):
+    """||exact_u - u||_L2(k) per element of the P0 velocities ``u_values``,
+    on the ``ERROR_QUAD_DEGREE`` rule, sampled on the whole mesh at once."""
+    rule = triangle_rule(ERROR_QUAD_DEGREE)
+    ux, uy = sample(physical_points(mesh, rule), problem.exact_u)
+    dx, dy = ux - u_values[:, :1], uy - u_values[:, 1:]
+    return np.sqrt(mesh.areas * ((dx * dx + dy * dy) @ rule.weights))
 
 
 def add_at_vertex_weights(mesh):

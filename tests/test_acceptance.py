@@ -15,19 +15,19 @@ import numpy as np
 import pytest
 
 from darcyfem import problems
-from darcyfem.adaptivity import (adaptive_loop, compare_adaptive_uniform,
-                                 uniform_study)
+from darcyfem.adaptivity import adaptive_loop, uniform_study
 from darcyfem.assembly import Assembler
 from darcyfem.cli import main
-from darcyfem.indicators import lower_bound_check
+from darcyfem.indicators import IndicatorContext
 from darcyfem.mesh import generate_lshape, generate_structured, refine
 from darcyfem.nonlinear_solver import SolverConfig, alpha_sweep, solve
 from darcyfem.spaces import P0VectorField, P1ScalarField, p1_gradients
 
 from conftest import (SHARED1_ALPHAS, SHARED2_ALPHAS, TABLE1_ALPHAS,
-                      TABLE2_ALPHAS, corner_singularity, random_affine_problem,
-                      refine_uniform, rng_loop)
-from oracles import dense_step_solve, interior_edges
+                      TABLE2_ALPHAS, corner_singularity, indicators_of,
+                      random_affine_problem, refine_uniform, rng_loop,
+                      solve_with_iterates, within_budget)
+from oracles import dense_step_solve, element_l2_error, interior_edges
 
 
 def _assert_u_shape(counts):
@@ -100,34 +100,31 @@ def test_effectivity_index_range_and_trend(adaptive_seven):
     assert 38.51 / 2 <= ei[0] <= 38.51 * 2
 
 
+def _at_budgets(adaptive, uniform, budgets):
+    """The last adaptive and uniform records within each vertex budget."""
+    pairs = [(within_budget([s.record for s in adaptive], b),
+              within_budget([s.record for s in uniform], b)) for b in budgets]
+    assert all(a is not None and u is not None for a, u in pairs)
+    return pairs
+
+
 def test_adaptive_beats_uniform_on_smooth_case(vortex_budget_runs):
     adaptive, uniform = vortex_budget_runs
     budgets = [s.record.vertices for s in uniform if s.record.vertices >= 1000]
     assert len(budgets) == 2
-    rows = compare_adaptive_uniform([s.record for s in adaptive],
-                                    [s.record for s in uniform], budgets)
-    for row in rows:
-        assert row.adaptive is not None and row.uniform is not None
-        assert math.isfinite(row.adaptive.err)
-        assert row.adaptive_wins, (row.budget,
-                                   row.measure(row.adaptive),
-                                   row.measure(row.uniform))
+    for a, u in _at_budgets(adaptive, uniform, budgets):
+        assert math.isfinite(a.err)
+        assert a.err < u.err, (a.vertices, a.err, u.err)
 
 
 def test_adaptive_beats_uniform_on_corner_case(corner_budget_runs):
     adaptive, uniform = corner_budget_runs
     budgets = [s.record.vertices for s in uniform if s.record.vertices >= 1000]
     assert budgets
-    rows = compare_adaptive_uniform([s.record for s in adaptive],
-                                    [s.record for s in uniform], budgets)
-    for row in rows:
-        assert row.adaptive is not None and row.uniform is not None
+    for a, u in _at_budgets(adaptive, uniform, budgets):
         # no closed-form reference here, so the relative indicator decides
-        assert math.isnan(row.adaptive.err)
-        assert row.measure(row.adaptive) == row.adaptive.e_tot
-        assert row.adaptive_wins, (row.budget,
-                                   row.measure(row.adaptive),
-                                   row.measure(row.uniform))
+        assert math.isnan(a.err) and math.isnan(u.err)
+        assert a.e_tot < u.e_tot, (a.vertices, a.e_tot, u.e_tot)
 
 
 def test_adaptive_beats_uniform_by_true_error_on_corner_singularity():
@@ -145,13 +142,10 @@ def test_adaptive_beats_uniform_by_true_error_on_corner_singularity():
     uniform = uniform_study(prob, [16, 32],
                             SolverConfig(alpha=10.0, initial_guess="darcy"))
     assert all(s.record.converged for s in adaptive + uniform)
-    rows = compare_adaptive_uniform([s.record for s in adaptive],
-                                    [s.record for s in uniform],
-                                    [s.record.vertices for s in uniform])
-    for row in rows:
-        assert row.adaptive is not None and math.isfinite(row.adaptive.err)
-        assert row.adaptive_wins, (row.budget, row.adaptive.err,
-                                   row.uniform.err)
+    for a, u in _at_budgets(adaptive, uniform,
+                            [s.record.vertices for s in uniform]):
+        assert math.isfinite(a.err)
+        assert a.err < u.err, (a.vertices, a.err, u.err)
     fine = [s.record for s in adaptive if s.record.triangles >= 1000]
     assert fine[-1].triangles > uniform[-1].record.triangles
     rate = np.polyfit(np.log([r.triangles for r in fine]),
@@ -212,16 +206,22 @@ def test_drag_pairing_nonnegative_thousand_pairs():
 
 
 def test_linearization_indicator_lower_bound():
+    """eta_L,k <= ||u - u_prev||_L2(k) + ||u - u_new||_L2(k) on every
+    element, up to a relative and absolute rounding slack of 1e-10.  A
+    triangle inequality, so it holds for any pair of iterates; it guards
+    the indicator's scaling."""
     prob = problems.gaussian_vortex(beta=1.0)
     mesh = problems.initial_mesh(prob, 3)
+    ctx = IndicatorContext(mesh, prob)
+    p = P1ScalarField(mesh, np.zeros(mesh.n_vertices))
     for rng in rng_loop(77, 8):
         scale = 10.0 ** rng.uniform(-2, 2)
-        u_new = P0VectorField(mesh, rng.standard_normal(
-            (mesh.n_triangles, 2)) * scale)
-        u_prev = P0VectorField(mesh, rng.standard_normal(
-            (mesh.n_triangles, 2)) * scale)
-        report = lower_bound_check(mesh, prob, u_new, u_prev)
-        assert report.all_ok
+        u_new, u_prev = (P0VectorField(mesh, rng.standard_normal(
+            (mesh.n_triangles, 2)) * scale) for _ in range(2))
+        eta_l = indicators_of(ctx, u_new, u_prev, p, 0.0).eta_l
+        bound = element_l2_error(mesh, prob, u_prev.values) \
+            + element_l2_error(mesh, prob, u_new.values)
+        assert (eta_l <= bound * (1.0 + 1e-10) + 1e-10).all()
 
 
 def test_indicator_totals_aggregate_in_rss():
@@ -294,11 +294,12 @@ def test_iterate_distance_to_limit_never_grows():
     prob = problems.gaussian_vortex(beta=1.0)
     mesh = problems.initial_mesh(prob, 20)
     for alpha in (2.3, 3.0, 5.0):
-        res = solve(mesh, prob, SolverConfig(alpha=alpha, keep_iterates=True))
+        res, iterates = solve_with_iterates(mesh, prob,
+                                            SolverConfig(alpha=alpha))
         assert res.converged
-        last = res.iterates[-1]
+        last = iterates[-1]
         dist = [math.sqrt(float(np.sum(mesh.areas[:, None]
                                        * (it - last) ** 2)))
-                for it in res.iterates[:-1]]
+                for it in iterates[:-1]]
         for a, b in zip(dist, dist[1:]):
             assert b <= a * (1 + 1e-12), (alpha, dist)

@@ -8,8 +8,7 @@ import pytest
 
 from darcyfem import adaptivity, assembly, problems
 from darcyfem.adaptivity import (AdaptConfig, LevelRecord, adaptive_loop,
-                                 compare_adaptive_uniform, mark,
-                                 pick_by_budget, transfer, uniform_study)
+                                 mark, transfer, uniform_study)
 from darcyfem.assembly import Assembler, CompatibilityError
 from darcyfem.indicators import IndicatorContext
 from darcyfem.mesh import generate_lshape, generate_structured, refine
@@ -17,7 +16,8 @@ from darcyfem.nonlinear_solver import SolverConfig
 from darcyfem.spaces import (SAMPLE_BLOCK, ElementCarry, physical_points,
                              triangle_rule)
 
-from conftest import k_is_constant, record_made, rng_loop, traced_peak
+from conftest import (k_is_constant, record_made, rng_loop, traced_peak,
+                      within_budget)
 from oracles import doerfler_prefix_bruteforce
 
 
@@ -90,6 +90,24 @@ def test_mark_max_strategy():
     eta = np.array([5.0, 2.5, 2.4, 0.0])
     assert mark(eta, theta=0.5, marker="max").tolist() == [0, 1]
     assert mark(eta, theta=1.0, marker="max").tolist() == [0]
+
+
+@pytest.mark.parametrize("args, match", [
+    ((0.5, "Max"), "unknown marker"), ((-1.0,), "theta"), ((0.0,), "theta"),
+    ((1.5, "max"), "theta"),
+])
+def test_mark_refuses_what_adapt_config_refuses(args, match):
+    """The marker "Max" would run Doerfler, and theta = -1 would mark
+    every element."""
+    with pytest.raises(ValueError, match=match):
+        mark(np.array([1.0, 2.0, 3.0, 4.0]), *args)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("marker", ["doerfler", "max"])
+def test_mark_refuses_non_finite_indicators(bad, marker):
+    with pytest.raises(ValueError, match="finite"):
+        mark(np.array([1.0, bad, 2.0]), 0.5, marker)
 
 
 def test_mark_tie_break_is_low_id():
@@ -445,44 +463,33 @@ def test_uniform_study_linear_case_same_rates():
         assert rate >= 0.9
 
 
+@pytest.mark.parametrize("n", [2.5, True])
+def test_uniform_study_refuses_counts_that_are_not_integers(n, monkeypatch):
+    """2.5 would run N = 2 and True N = 1; every count is checked before
+    the first solve."""
+    monkeypatch.setattr(adaptivity, "solve", None)
+    with pytest.raises(ValueError,
+                       match="^subdivision count must be an integer"):
+        uniform_study(problems.gaussian_vortex(beta=1.0), [3, n])
+
+
 def test_observed_orders_hand_values():
     rates = observed_orders([1.0, 0.5, 0.125], [1.0, 0.5, 0.25])
     assert rates[0] == pytest.approx(1.0)
     assert rates[1] == pytest.approx(2.0)
 
 
-def _rec(vertices, err=math.nan, e_tot=0.0):
+def _rec(vertices):
     return LevelRecord(level=0, vertices=vertices, triangles=2 * vertices,
                        h_max=0.1, iterations=1, converged=True,
-                       eta_l=0.0, eta_d=0.0, e_tot=e_tot, err=err)
+                       eta_l=0.0, eta_d=0.0, e_tot=0.0)
 
 
-def test_pick_by_budget():
+def test_within_budget_takes_the_last_record_that_fits():
     records = [_rec(100), _rec(200), _rec(500)]
-    assert pick_by_budget(records, 250).vertices == 200
-    assert pick_by_budget(records, 100).vertices == 100
-    assert pick_by_budget(records, 50) is None
-
-
-def test_compare_adaptive_uniform_with_reference_errors():
-    adaptive = [_rec(100, err=0.5), _rec(200, err=0.3)]
-    uniform = [_rec(150, err=0.6), _rec(400, err=0.2)]
-    rows = compare_adaptive_uniform(adaptive, uniform, [120, 250, 50])
-    assert rows[0].adaptive.vertices == 100 and rows[0].uniform is None
-    assert not rows[0].adaptive_wins
-    assert rows[1].adaptive.vertices == 200
-    assert rows[1].uniform.vertices == 150
-    assert rows[1].adaptive_wins
-    assert rows[2].adaptive is None and not rows[2].adaptive_wins
-
-
-def test_compare_adaptive_uniform_indicator_fallback():
-    """Without a reference error the relative indicator decides."""
-    adaptive = [_rec(100, e_tot=0.02)]
-    uniform = [_rec(90, e_tot=0.05)]
-    rows = compare_adaptive_uniform(adaptive, uniform, [100])
-    assert rows[0].adaptive_wins
-    assert rows[0].measure(rows[0].adaptive) == pytest.approx(0.02)
+    assert within_budget(records, 250).vertices == 200
+    assert within_budget(records, 100).vertices == 100
+    assert within_budget(records, 50) is None
 
 
 def test_projected_start_keeps_adaptive_levels_and_cuts_cg_work(monkeypatch):

@@ -88,7 +88,7 @@ def test_divergence_coupling_rows_annihilate_constants():
     # and B is exactly |k| grad(phi)
     assert np.allclose(asm.b, m.grads * m.areas[:, None, None], atol=1e-15)
     weights, coupling, system = assemble_step(
-        m, prob, P0VectorField.zero(m), alpha=0.0)
+        m, prob, P0VectorField(m, np.zeros((m.n_triangles, 2))), alpha=0.0)
     assert weights.shape == (4, m.n_triangles)
     assert isinstance(coupling, DivergenceCoupling)
     assert isinstance(system, PressureSystem)

@@ -7,15 +7,13 @@ import pytest
 from darcyfem import problems, spaces
 from darcyfem.assembly import Assembler
 from darcyfem.indicators import (ElementIndicators, IndicatorContext,
-                                 effectivity_index, lower_bound_check,
-                                 total_relative_indicator)
+                                 effectivity_index, total_relative_indicator)
 from darcyfem.mesh import from_arrays, generate_structured, refine
 from darcyfem.nonlinear_solver import SolverConfig, relative_increment, solve
 from darcyfem.spaces import (P0VectorField, P1ScalarField, p1_gradients,
                              row_norms)
 
-from conftest import (indicators_of, k_is_constant, refine_uniform, rng_loop,
-                      traced_peak)
+from conftest import indicators_of, k_is_constant, refine_uniform
 from oracles import (edge_flux, einsum_gradients, einsum_recover,
                      interior_edges, step_error, step_indicators,
                      whole_data_means)
@@ -90,7 +88,7 @@ def test_momentum_residual_hand_example():
     prob = problems.trivial_zero()
     assert prob.beta == 1.0 and prob.mu == 1.0 and prob.rho == 1.0
     u_new = P0VectorField(m, np.array([[1.0, 0.0]]))
-    u_prev = P0VectorField.zero(m)
+    u_prev = P0VectorField(m, np.zeros((m.n_triangles, 2)))
     p = P1ScalarField(m, m.xy[:, 0] + m.xy[:, 1])      # grad p = (1, 1)
     ind = indicators_of(IndicatorContext(m, prob), u_new, u_prev, p,
                         alpha=1.0)
@@ -119,7 +117,7 @@ def test_momentum_residual_uses_previous_speed():
 def test_exact_data_case_all_zero_oscillation():
     prob = problems.problem_from_config({"f": ["2", "3"], "b": "0", "g": "0"})
     m = generate_structured(4)
-    u = P0VectorField.zero(m)
+    u = P0VectorField(m, np.zeros((m.n_triangles, 2)))
     p = P1ScalarField(m, np.zeros(m.n_vertices))
     ind = indicators_of(IndicatorContext(m, prob), u, u, p, alpha=1.0)
     assert np.abs(ind.osc_f).max() < 1e-12
@@ -176,10 +174,11 @@ def test_element_order_does_not_change_indicators():
     vals = np.array([[1.0, -0.5], [0.25, 2.0]])
     p1 = P1ScalarField(m1, xy[:, 0] * xy[:, 1])
     p2 = P1ScalarField(m2, xy[:, 0] * xy[:, 1])
+    zero = np.zeros_like(vals)
     i1 = indicators_of(IndicatorContext(m1, prob), P0VectorField(m1, vals),
-                       P0VectorField.zero(m1), p1, alpha=1.0)
+                       P0VectorField(m1, zero), p1, alpha=1.0)
     i2 = indicators_of(IndicatorContext(m2, prob),
-                       P0VectorField(m2, vals[::-1]), P0VectorField.zero(m2),
+                       P0VectorField(m2, vals[::-1]), P0VectorField(m2, zero),
                        p2, alpha=1.0)
     assert np.allclose(np.sort(i1.eta_d2), np.sort(i2.eta_d2), rtol=1e-13)
     assert np.allclose(np.sort(i1.eta_d1), np.sort(i2.eta_d1), rtol=1e-13)
@@ -267,60 +266,6 @@ def test_total_relative_indicator_scale_covariant_linear():
     e1 = total_relative_indicator(r1.indicators, r1.u, r1.p)
     e2 = total_relative_indicator(r2.indicators, r2.u, r2.p)
     assert e1 == pytest.approx(e2, rel=1e-9)
-
-
-def test_lower_bound_check_converged_and_random():
-    prob = problems.gaussian_vortex(beta=1.0)
-    m = generate_structured(4)
-    u = P0VectorField(m, np.full((m.n_triangles, 2), 0.3))
-    rep = lower_bound_check(m, prob, u, u)
-    assert rep.all_ok and np.all(rep.eta_l == 0.0)
-    for rng in rng_loop(23, 8):
-        a = P0VectorField(m, rng.normal(scale=2.0, size=(m.n_triangles, 2)))
-        b = P0VectorField(m, rng.normal(scale=2.0, size=(m.n_triangles, 2)))
-        rep = lower_bound_check(m, prob, a, b)
-        assert rep.eta_l.shape == rep.bound.shape == (m.n_triangles,)
-        assert rep.all_ok
-
-
-def test_lower_bound_check_blocked_sampling_matches_one_block(monkeypatch):
-    """Sampling the reference velocity over element blocks gives the bytes
-    of one block holding every element, whatever the block size."""
-    prob = problems.gaussian_vortex(beta=10.0)
-    m = generate_structured(7)
-    rng = np.random.default_rng(4)
-    a, b = (P0VectorField(m, rng.standard_normal((m.n_triangles, 2)))
-            for _ in range(2))
-    monkeypatch.setattr(spaces, "SAMPLE_BLOCK", m.n_triangles)
-    whole = lower_bound_check(m, prob, a, b)
-    for block in (1, 64, m.n_triangles - 1):
-        monkeypatch.setattr(spaces, "SAMPLE_BLOCK", block)
-        rep = lower_bound_check(m, prob, a, b)
-        for got, want in ((rep.eta_l, whole.eta_l), (rep.bound, whole.bound),
-                          (rep.ok, whole.ok)):
-            assert got.tobytes() == want.tobytes(), block
-
-
-def test_lower_bound_check_peak_memory():
-    """The traced peak of ``lower_bound_check`` at N = 60 stays under
-    4 MiB: 2.6 MiB sampled in element blocks, 13.8 MiB when the degree-10
-    samples of the whole mesh were formed in one call."""
-    prob = problems.gaussian_vortex(beta=10.0)
-    m = problems.initial_mesh(prob, 60)
-    rng = np.random.default_rng(8)
-    a, b = (P0VectorField(m, rng.standard_normal((m.n_triangles, 2)))
-            for _ in range(2))
-    lower_bound_check(m, prob, a, b)
-    _, peak = traced_peak(lambda: lower_bound_check(m, prob, a, b))
-    assert peak <= 4.0 * 2 ** 20
-
-
-def test_lower_bound_check_needs_reference():
-    prob = problems.reentrant_corner()
-    m = problems.initial_mesh(prob, 2)
-    u = P0VectorField.zero(m)
-    with pytest.raises(ValueError):
-        lower_bound_check(m, prob, u, u)
 
 
 # -- the fused step path against the gathered forms it replaced -------------
@@ -423,8 +368,8 @@ def test_variable_k_residual_has_the_bytes_of_the_einsum_form(viscosity):
     alpha = 10.0
     asm = Assembler(m, prob)
     ctx = IndicatorContext(m, prob)
-    u_prev = P0VectorField.zero(m)
-    p_prev = P1ScalarField.zero(m)
+    u_prev = P0VectorField(m, np.zeros((m.n_triangles, 2)))
+    p_prev = P1ScalarField(m, np.zeros(m.n_vertices))
     for _ in range(3):
         system = asm.step(u_prev.values, alpha)
         p_new, _ = asm.solve_pressure(system, x0=p_prev.values)

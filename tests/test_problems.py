@@ -474,5 +474,6 @@ def test_each_data_function_is_sampled_once():
     assert calls == {"f": 1, "g": 1, "exact_u": 0, "exact_grad_p": 0}
     IndicatorContext(m, prob)
     assert calls == {"f": 2, "g": 2, "exact_u": 0, "exact_grad_p": 0}
-    true_error(m, prob, P0VectorField.zero(m), P1ScalarField.zero(m))
+    true_error(m, prob, P0VectorField(m, np.zeros((m.n_triangles, 2))),
+               P1ScalarField(m, np.zeros(m.n_vertices)))
     assert calls == {"f": 2, "g": 2, "exact_u": 1, "exact_grad_p": 1}
